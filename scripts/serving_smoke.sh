@@ -44,6 +44,12 @@ grep -q '^30$\|| *30' "$tmp/smoke.out"          # prepared-statement answer
 grep -q '^4$\|| *4'  "$tmp/smoke.out"           # COUNT(*) after the insert
 grep -q 'statements:.*admitted=' "$tmp/smoke.out"  # \stats over the wire
 
+# Local mode prints a result's row count once: the table's "(1 row)" line,
+# not again on the stats line below it.
+{ cat "$tmp/init.sql"; echo 'SELECT V FROM T WHERE PK = 2;'; } > "$tmp/local.sql"
+"$build/tools/repl" --script "$tmp/local.sql" | tee "$tmp/local.out"
+[ "$(grep -c '(1 row)' "$tmp/local.out")" -eq 1 ]
+
 # Graceful shutdown: SIGTERM must drain and exit 0, printing final stats.
 kill -TERM "$server_pid"
 wait "$server_pid"

@@ -77,17 +77,10 @@ StatusOr<IndexInfo*> Catalog::CreateIndex(
   info->clustered = clustered;
 
   // Bulk-load from existing tuples.
-  auto scan = rss_->OpenSegmentScan(table->id, {});
-  RETURN_IF_ERROR(scan->Open());
-  Row row;
-  Tid tid;
-  while (true) {
-    bool has;
-    RETURN_IF_ERROR(scan->Next(&row, &tid, &has));
-    if (!has) break;
-    RETURN_IF_ERROR(btree->Insert(ExtractKey(*info, row), tid));
-  }
-  scan->Close();
+  RETURN_IF_ERROR(ScanAll(rss_->OpenSegmentScan(table->id, {}).get(),
+                          [&](Row& row, Tid tid) {
+                            return btree->Insert(ExtractKey(*info, row), tid);
+                          }));
 
   table->indexes.push_back(info->id);
   IndexId id = info->id;

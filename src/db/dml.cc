@@ -72,15 +72,16 @@ StatusOr<DmlScan> CollectTargets(Catalog* catalog,
   exec.ArmLimits();
   ScanOp scan(&exec, &block, best->node.get(), nullptr);
   RETURN_IF_ERROR(scan.Open());
+  RowBatch batch;
   while (true) {
-    RETURN_IF_ERROR(exec.CheckInterrupts());
-    Row row;
     bool has;
-    RETURN_IF_ERROR(scan.Next(&row, &has));
+    RETURN_IF_ERROR(scan.NextBatch(&batch, &has));
     if (!has) break;
-    ASSIGN_OR_RETURN(bool ok, EvalAll(leftover, &exec, row));
-    if (!ok) continue;
-    out.matches.emplace_back(scan.last_tid(), std::move(row));
+    for (uint32_t idx : batch.sel) {
+      ASSIGN_OR_RETURN(bool ok, EvalAll(leftover, &exec, batch.rows[idx]));
+      if (!ok) continue;
+      out.matches.emplace_back(scan.tids()[idx], std::move(batch.rows[idx]));
+    }
   }
   return out;
 }

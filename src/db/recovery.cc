@@ -137,18 +137,12 @@ StatusOr<Database::RecoveryStats> Database::Recover(
 
     // Per-heap live-tuple counts, recomputed from the recovered pages.
     for (RelId id = 0; id < catalog_.num_tables(); ++id) {
-      auto scan = rss_.OpenSegmentScan(id, {});
-      RETURN_IF_ERROR(scan->Open());
       uint64_t n = 0;
-      Row row;
-      Tid tid;
-      while (true) {
-        bool has;
-        RETURN_IF_ERROR(scan->Next(&row, &tid, &has));
-        if (!has) break;
-        ++n;
-      }
-      scan->Close();
+      RETURN_IF_ERROR(ScanAll(rss_.OpenSegmentScan(id, {}).get(),
+                              [&n](Row&, Tid) {
+                                ++n;
+                                return Status::OK();
+                              }));
       rss_.heap(id)->set_num_tuples(n);
     }
 

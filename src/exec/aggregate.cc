@@ -18,86 +18,60 @@ AggregateOp::AggregateOp(ExecContext* ctx, const BoundQueryBlock* block,
 }
 
 Status AggregateOp::Open() {
-  RETURN_IF_ERROR(child_->Open());
-  return Restart();
+  Restart();
+  return child_->Open();
 }
 
 Status AggregateOp::Rebind(const Row* outer) {
-  RETURN_IF_ERROR(child_->Rebind(outer));
-  return Restart();
+  Restart();
+  return child_->Rebind(outer);
 }
 
-Status AggregateOp::Restart() {
+void AggregateOp::Restart() {
   funcs_.ResetStates(&states_);
   group_open_ = false;
-  pending_valid_ = false;
+  input_.Reset();
   done_ = false;
-  emitted_any_ = false;
-  return child_->Next(&pending_, &pending_valid_);
 }
 
-Status AggregateOp::Next(Row* out, bool* has_row) {
-  if (done_) {
-    *has_row = false;
-    return Status::OK();
-  }
-  while (pending_valid_) {
+Status AggregateOp::EmitGroup(RowBatch* out) {
+  group_open_ = false;
+  ASSIGN_OR_RETURN(bool keep,
+                   funcs_.HavingPasses(ctx_, node_, group_rep_, states_));
+  if (!keep) return Status::OK();
+  return funcs_.EmitSelect(ctx_, node_, group_rep_, states_, &out->Append());
+}
+
+Status AggregateOp::NextBatch(RowBatch* out, bool* has_batch) {
+  out->Clear();
+  while (!done_ && out->filled < out->capacity) {
+    RETURN_IF_ERROR(input_.Advance(child_.get()));
+    const Row* row = input_.row();
+    if (row == nullptr) {
+      done_ = true;
+      if (group_open_) {
+        RETURN_IF_ERROR(EmitGroup(out));
+      } else if (node_->group_offsets.empty()) {
+        // Scalar aggregate over an empty input still yields one row
+        // (COUNT = 0, others NULL) — unless HAVING rejects it.
+        group_rep_ = Row(block_->row_width);
+        funcs_.ResetStates(&states_);
+        RETURN_IF_ERROR(EmitGroup(out));
+      }
+      break;
+    }
+    if (group_open_ && !SameGroup(group_rep_, *row)) {
+      RETURN_IF_ERROR(EmitGroup(out));  // Group boundary.
+    }
     if (!group_open_) {
-      group_rep_ = pending_;
+      group_rep_ = *row;
       funcs_.ResetStates(&states_);
       group_open_ = true;
     }
-    if (!SameGroup(group_rep_, pending_)) {
-      // Group boundary: emit if HAVING passes, else skip the group.
-      group_open_ = false;
-      ASSIGN_OR_RETURN(bool keep,
-                       funcs_.HavingPasses(ctx_, node_, group_rep_, states_));
-      if (!keep) continue;
-      RETURN_IF_ERROR(
-          funcs_.EmitSelect(ctx_, node_, group_rep_, states_, out));
-      emitted_any_ = true;
-      *has_row = true;
-      return Status::OK();
-    }
-    RETURN_IF_ERROR(funcs_.Accept(ctx_, pending_, &states_));
-    RETURN_IF_ERROR(child_->Next(&pending_, &pending_valid_));
+    RETURN_IF_ERROR(funcs_.Accept(ctx_, *row, &states_));
   }
-  // End of input.
-  if (group_open_) {
-    group_open_ = false;
-    done_ = true;
-    ASSIGN_OR_RETURN(bool keep,
-                     funcs_.HavingPasses(ctx_, node_, group_rep_, states_));
-    if (keep) {
-      RETURN_IF_ERROR(
-          funcs_.EmitSelect(ctx_, node_, group_rep_, states_, out));
-      emitted_any_ = true;
-      *has_row = true;
-      return Status::OK();
-    }
-    *has_row = false;
-    return Status::OK();
-  }
-  if (!emitted_any_ && node_->group_offsets.empty()) {
-    // Scalar aggregate over an empty input still yields one row
-    // (COUNT = 0, others NULL) — unless HAVING rejects it.
-    group_rep_ = Row(block_->row_width);
-    done_ = true;
-    emitted_any_ = true;
-    funcs_.ResetStates(&states_);
-    ASSIGN_OR_RETURN(bool keep,
-                     funcs_.HavingPasses(ctx_, node_, group_rep_, states_));
-    if (keep) {
-      RETURN_IF_ERROR(
-          funcs_.EmitSelect(ctx_, node_, group_rep_, states_, out));
-      *has_row = true;
-      return Status::OK();
-    }
-    *has_row = false;
-    return Status::OK();
-  }
-  done_ = true;
-  *has_row = false;
+  out->SelectAll();
+  *has_batch = out->filled > 0;
   return Status::OK();
 }
 

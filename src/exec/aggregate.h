@@ -21,12 +21,14 @@ class AggregateOp : public Operator {
 
   Status Open() override;
   Status Rebind(const Row* outer) override;
-  Status Next(Row* out, bool* has_row) override;
+  Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override { child_->Close(); }
 
  private:
-  /// Shared tail of Open/Rebind: resets group state and pulls the first row.
-  Status Restart();
+  /// Shared tail of Open/Rebind: resets group state.
+  void Restart();
+  /// Closes the open group, appending its SELECT row if HAVING accepts it.
+  Status EmitGroup(RowBatch* out);
 
   bool SameGroup(const Row& a, const Row& b) const;
 
@@ -39,10 +41,8 @@ class AggregateOp : public Operator {
   std::vector<AggState> states_;  // One per function; the current group's.
   Row group_rep_;                 // First row of the current group.
   bool group_open_ = false;
-  Row pending_;
-  bool pending_valid_ = false;
+  RowCursor input_;
   bool done_ = false;
-  bool emitted_any_ = false;
 };
 
 }  // namespace systemr

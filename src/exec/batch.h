@@ -1,9 +1,7 @@
 // Vectorized data flow: operators exchange RowBatch blocks of up to
-// kBatchRows rows instead of single tuples. A batch is a buffer of decoded
-// rows plus a selection vector of surviving row indices — predicates filter
-// by shrinking the selection vector, never by moving rows. Operators without
-// a native batch implementation are bridged by the Operator::NextBatch shim
-// (see operators.h), so the tuple-at-a-time contract remains intact.
+// kBatchRows rows — NextBatch is the executor's only pull call. A batch is a
+// buffer of decoded rows plus a selection vector of surviving row indices;
+// predicates filter by shrinking the selection vector, never by moving rows.
 //
 // This header stays dependency-light (kernel types only): the optimizer's
 // EXPLAIN also reads kBatchRows to report batch-model row counts.
@@ -25,21 +23,35 @@ namespace systemr {
 inline constexpr size_t kBatchRows = 1024;
 
 struct RowBatch {
-  /// Row buffer; rows[0..filled) hold decoded data this batch. Buffers are
-  /// reused across batches, so a row may carry stale values in slots its
-  /// producer does not own — consumers must only read through `sel` and the
-  /// producer's column slices.
+  /// Row buffer; rows[0..filled) hold decoded data this batch. The buffer
+  /// grows to the largest batch its producer has filled — a 3-row result
+  /// allocates 3 rows, not kBatchRows — and is reused across batches, so a
+  /// row may carry stale values in slots its producer does not own:
+  /// consumers must only read through `sel` and the producer's column
+  /// slices. A consumer may move a row out; producers re-size rows they
+  /// refill.
   std::vector<Row> rows;
   /// Indices (ascending) of rows that survived all predicates so far.
   std::vector<uint32_t> sel;
   size_t filled = 0;
+  /// Most rows a producer may put in this batch. A merge join, which may
+  /// stop reading before its inputs end, and a nested-loop join's outer are
+  /// read one row at a time; other streaming inputs (under a projection or
+  /// filter, a nested-loop inner, a hash join's probe side) get their
+  /// consumer's capacity, while blocking operators (sort, aggregation, hash
+  /// build) drain their inputs at full size. So no scan decodes — and the
+  /// RSI meters — a tuple the plan never reads.
+  size_t capacity = kBatchRows;
 
   void Clear() {
     filled = 0;
     sel.clear();
   }
-  void EnsureCapacity() {
-    if (rows.size() < kBatchRows) rows.resize(kBatchRows);
+  /// The next row to fill, rows[filled++], growing the buffer by one row
+  /// when it is full.
+  Row& Append() {
+    if (filled == rows.size()) rows.emplace_back();
+    return rows[filled++];
   }
   /// Selection vector = identity over the filled prefix.
   void SelectAll() {

@@ -205,10 +205,10 @@ class ExecContext {
   /// Snapshots this context's buffer-get baseline; the budget counts work
   /// from here.
   void ArmLimits();
-  /// Cancellation/budget point, called per candidate tuple by the scans:
+  /// Cancellation/budget point (the scans call it once per batch):
   /// kCancelled on cancel flag or expired deadline, kResourceExhausted once
   /// the statement's buffer-get budget is spent. Inline fast path: an
-  /// unlimited statement pays one predictable branch per tuple.
+  /// unlimited statement pays one predictable branch per batch.
   Status CheckInterrupts() {
     if (!interruptible_) return Status::OK();
     return CheckInterruptsSlow();

@@ -83,10 +83,9 @@ StatusOr<ExecResult> ExecutePlan(ExecContext* ctx,
   if (op == nullptr) return Status::Internal("unbuildable plan");
   ctx->ArmLimits();
   RETURN_IF_ERROR(op->Open());
-  // Drive the tree batch at a time: batch-native subtrees (scans, filters,
-  // projections, hash join) amortize virtual dispatch and page fetches over
-  // kBatchRows rows; tuple-only operators are bridged by the base-class
-  // NextBatch shim at the same per-row cost the scalar loop paid.
+  // Drive the tree batch at a time: every operator amortizes virtual
+  // dispatch, and every segment scan its page fetches, over up to kBatchRows
+  // rows.
   RowBatch batch;
   while (true) {
     bool has;

@@ -87,9 +87,6 @@ void HashJoinOp::ResetProbeState() {
   matches_ = nullptr;
   match_pos_ = 0;
   outer_done_ = false;
-  drain_.Clear();
-  drain_pos_ = 0;
-  drain_done_ = false;
 }
 
 Status HashJoinOp::Open() {
@@ -110,8 +107,8 @@ Status HashJoinOp::Rebind(const Row* outer) {
 
 Status HashJoinOp::NextBatch(RowBatch* out, bool* has_batch) {
   out->Clear();
-  out->EnsureCapacity();
-  while (out->filled < kBatchRows) {
+  outer_batch_.capacity = out->capacity;
+  while (out->filled < out->capacity) {
     if (matches_ != nullptr) {
       if (match_pos_ >= matches_->size()) {
         matches_ = nullptr;
@@ -127,12 +124,11 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_batch) {
           0) {
         continue;
       }
-      Row& dst = out->rows[out->filled];
+      Row& dst = out->Append();
       dst = orow;  // Composite: outer columns, then overwrite inner slice.
       for (size_t j = 0; j < inner_width_; ++j) {
         dst[inner_offset_ + j] = slice[j];
       }
-      ++out->filled;
       continue;
     }
     if (sel_pos_ >= outer_batch_.sel.size()) {
@@ -166,26 +162,6 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_batch) {
   bc.batch_rows_in += out->filled;
   bc.batch_rows_out += out->sel.size();
   *has_batch = out->filled > 0;
-  return Status::OK();
-}
-
-Status HashJoinOp::Next(Row* out, bool* has_row) {
-  while (drain_pos_ >= drain_.sel.size()) {
-    if (drain_done_) {
-      *has_row = false;
-      return Status::OK();
-    }
-    bool has = false;
-    RETURN_IF_ERROR(NextBatch(&drain_, &has));
-    if (!has) {
-      drain_done_ = true;
-      *has_row = false;
-      return Status::OK();
-    }
-    drain_pos_ = 0;
-  }
-  *out = drain_.rows[drain_.sel[drain_pos_++]];
-  *has_row = true;
   return Status::OK();
 }
 
@@ -298,19 +274,19 @@ Status HashGroupByOp::Rebind(const Row* outer) {
   return Status::OK();
 }
 
-Status HashGroupByOp::Next(Row* out, bool* has_row) {
+Status HashGroupByOp::NextBatch(RowBatch* out, bool* has_batch) {
+  out->Clear();
   const std::vector<GroupTable::Group>& groups = table_.groups();
-  while (emit_idx_ < groups.size()) {
+  while (out->filled < out->capacity && emit_idx_ < groups.size()) {
     const GroupTable::Group& g = groups[emit_idx_++];
     ASSIGN_OR_RETURN(bool keep, table_.funcs().HavingPasses(ctx_, node_, g.rep,
                                                             g.states));
     if (!keep) continue;
-    RETURN_IF_ERROR(
-        table_.funcs().EmitSelect(ctx_, node_, g.rep, g.states, out));
-    *has_row = true;
-    return Status::OK();
+    RETURN_IF_ERROR(table_.funcs().EmitSelect(ctx_, node_, g.rep, g.states,
+                                              &out->Append()));
   }
-  *has_row = false;
+  out->SelectAll();
+  *has_batch = out->filled > 0;
   return Status::OK();
 }
 

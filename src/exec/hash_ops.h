@@ -53,7 +53,6 @@ class HashJoinOp : public Operator {
 
   Status Open() override;
   Status Rebind(const Row* outer) override;
-  Status Next(Row* out, bool* has_row) override;
   Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override {
     outer_->Close();
@@ -86,11 +85,6 @@ class HashJoinOp : public Operator {
   const std::vector<uint32_t>* matches_ = nullptr;  // Current row's bucket.
   size_t match_pos_ = 0;
   bool outer_done_ = false;
-
-  // Tuple-at-a-time bridge: Next() drains an internal batch.
-  RowBatch drain_;
-  size_t drain_pos_ = 0;
-  bool drain_done_ = false;
 };
 
 /// Hash-grouped aggregation state: groups in first-seen order plus the
@@ -144,7 +138,7 @@ class HashGroupByOp : public Operator {
 
   Status Open() override;
   Status Rebind(const Row* outer) override;
-  Status Next(Row* out, bool* has_row) override;
+  Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override { child_->Close(); }
 
  private:

@@ -1,26 +1,22 @@
 #include "exec/operators.h"
 
-#include <algorithm>
-
 #include "exec/parallel/morsel.h"
 
 namespace systemr {
 
-Status Operator::NextBatch(RowBatch* out, bool* has_batch) {
-  // Compatibility shim: fill a batch by pulling the tuple-at-a-time Next().
-  // Batch-native operators override this; everything else composes with
-  // batch consumers at the cost of one virtual call per row, same as the
-  // scalar executor paid.
-  out->Clear();
-  out->EnsureCapacity();
-  while (out->filled < kBatchRows) {
+Status RowCursor::Pull(Operator* child) {
+  row_ = nullptr;
+  while (!done_) {
     bool has = false;
-    RETURN_IF_ERROR(Next(&out->rows[out->filled], &has));
-    if (!has) break;
-    ++out->filled;
+    RETURN_IF_ERROR(child->NextBatch(&batch_, &has));
+    pos_ = 0;
+    if (!has) {
+      done_ = true;
+    } else if (!batch_.sel.empty()) {
+      row_ = &batch_.rows[batch_.sel[pos_++]];
+      break;
+    }
   }
-  out->SelectAll();
-  *has_batch = out->filled > 0;
   return Status::OK();
 }
 
@@ -40,11 +36,13 @@ ScanOp::ScanOp(ExecContext* ctx, const BoundQueryBlock* block,
     s.AddConjunct({SargTerm{d.inner_column, d.op, Value::Null()}});
     sargs.push_back(std::move(s));
   }
+  const RowSlice slice{offset_, block_->row_width};
   if (spec.index == nullptr) {
-    scan_ = ctx_->rss()->OpenSegmentScan(spec.table->id, std::move(sargs));
+    scan_ = ctx_->rss()->OpenSegmentScan(spec.table->id, std::move(sargs),
+                                         slice);
   } else {
     scan_ = ctx_->rss()->OpenIndexScan(spec.table->id, spec.index->id,
-                                       KeyRange{}, std::move(sargs));
+                                       KeyRange{}, std::move(sargs), slice);
   }
   morsel_mode_ = spec.index == nullptr &&
                  ctx_->morsel_source() != nullptr &&
@@ -69,8 +67,8 @@ Status ScanOp::OpenScan() {
   morsel_drained_ = false;
   bool got = false;
   // A drained dispenser (empty segment, or more workers than morsels) leaves
-  // the scan empty; Next/NextBatch observe morsel_drained_ before touching
-  // the unopened scan.
+  // the scan empty; NextBatch observes morsel_drained_ before touching the
+  // unopened scan.
   return AdvanceMorsel(&got);
 }
 
@@ -160,52 +158,14 @@ Status ScanOp::Rebind(const Row* outer) {
   return OpenScan();
 }
 
-Status ScanOp::Next(Row* out, bool* has_row) {
-  if (out->size() != block_->row_width) out->resize(block_->row_width);
-  Tid tid;
-  while (true) {
-    // Every candidate tuple is a cancellation/budget point: a runaway scan
-    // aborts within one tuple of the limit being hit.
-    RETURN_IF_ERROR(ctx_->CheckInterrupts());
-    if (morsel_mode_ && morsel_drained_) break;
-    bool has;
-    RETURN_IF_ERROR(scan_->Next(&base_, &tid, &has));
-    if (!has) {
-      if (morsel_mode_) {
-        bool got = false;
-        RETURN_IF_ERROR(AdvanceMorsel(&got));
-        if (got) continue;
-      }
-      break;
-    }
-    size_t limit = out->size() > offset_ ? out->size() - offset_ : 0;
-    size_t n = std::min(base_.size(), limit);
-    for (size_t i = 0; i < n; ++i) {
-      (*out)[offset_ + i] = std::move(base_[i]);
-    }
-    bool ok;
-    RETURN_IF_ERROR(residual_.EvalBool(ctx_, *out, &ok));
-    if (!ok) continue;
-    last_tid_ = tid;
-    ++rows_out_;
-    *has_row = true;
-    return Status::OK();
-  }
-  exhausted_ = true;
-  *has_row = false;
-  return Status::OK();
-}
-
 Status ScanOp::NextBatch(RowBatch* out, bool* has_batch) {
   out->Clear();
-  out->EnsureCapacity();
-  // One cancellation/budget point per batch: at most kBatchRows tuples of
-  // slack versus the per-tuple check of the scalar path.
+  // One cancellation/budget point per batch: a runaway scan aborts within
+  // one batch of the limit being hit.
   RETURN_IF_ERROR(ctx_->CheckInterrupts());
   size_t n = 0;
-  while (true) {
-    if (morsel_mode_ && morsel_drained_) break;
-    RETURN_IF_ERROR(scan_->NextBatch(&rsi_rows_, &rsi_tids_, kBatchRows, &n));
+  while (!(morsel_mode_ && morsel_drained_)) {
+    RETURN_IF_ERROR(scan_->NextBatch(&out->rows, &tids_, out->capacity, &n));
     if (n > 0 || !morsel_mode_) break;
     bool got = false;
     RETURN_IF_ERROR(AdvanceMorsel(&got));
@@ -214,16 +174,6 @@ Status ScanOp::NextBatch(RowBatch* out, bool* has_batch) {
     exhausted_ = true;
     *has_batch = false;
     return Status::OK();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    Row& dst = out->rows[i];
-    if (dst.size() != block_->row_width) dst.resize(block_->row_width);
-    Row& src = rsi_rows_[i];
-    size_t limit = dst.size() > offset_ ? dst.size() - offset_ : 0;
-    size_t m = std::min(src.size(), limit);
-    for (size_t j = 0; j < m; ++j) {
-      dst[offset_ + j] = std::move(src[j]);
-    }
   }
   out->filled = n;
   out->SelectAll();
@@ -242,23 +192,6 @@ void ScanOp::Close() {
   obs.rows += rows_out_;
   obs.exhausted = exhausted_;
   rows_out_ = 0;
-}
-
-Status FilterOp::Next(Row* out, bool* has_row) {
-  while (true) {
-    bool has;
-    RETURN_IF_ERROR(child_->Next(out, &has));
-    if (!has) {
-      *has_row = false;
-      return Status::OK();
-    }
-    bool ok;
-    RETURN_IF_ERROR(residual_.EvalBool(ctx_, *out, &ok));
-    if (ok) {
-      *has_row = true;
-      return Status::OK();
-    }
-  }
 }
 
 Status FilterOp::NextBatch(RowBatch* out, bool* has_batch) {
@@ -281,42 +214,21 @@ ProjectOp::ProjectOp(ExecContext* ctx, const BoundQueryBlock* block,
   }
 }
 
-Status ProjectOp::Next(Row* out, bool* has_row) {
-  bool has;
-  RETURN_IF_ERROR(child_->Next(&in_, &has));
-  if (!has) {
-    *has_row = false;
-    return Status::OK();
-  }
-  out->clear();
-  out->reserve(items_.size());
-  Value v;
-  for (ExprProgram& item : items_) {
-    RETURN_IF_ERROR(item.EvalValue(ctx_, in_, &v));
-    out->push_back(std::move(v));
-  }
-  *has_row = true;
-  return Status::OK();
-}
-
 Status ProjectOp::NextBatch(RowBatch* out, bool* has_batch) {
+  out->Clear();
+  in_batch_.capacity = out->capacity;
   RETURN_IF_ERROR(child_->NextBatch(&in_batch_, has_batch));
   if (!*has_batch) return Status::OK();
-  out->Clear();
-  out->EnsureCapacity();
-  size_t count = 0;
   Value v;
   for (uint32_t idx : in_batch_.sel) {
-    Row& dst = out->rows[count];
+    Row& dst = out->Append();
     dst.clear();
     dst.reserve(items_.size());
     for (ExprProgram& item : items_) {
       RETURN_IF_ERROR(item.EvalValue(ctx_, in_batch_.rows[idx], &v));
       dst.push_back(std::move(v));
     }
-    ++count;
   }
-  out->filled = count;
   out->SelectAll();
   return Status::OK();
 }

@@ -1,14 +1,13 @@
-// Pull-based physical operators (OPEN/NEXT/CLOSE), interpreting the plan
-// trees produced by the optimizer — our stand-in for System R's generated
-// machine code (§2).
+// Pull-based physical operators (OPEN / NEXT / CLOSE, with NEXT delivering a
+// RowBatch at a time), interpreting the plan trees produced by the
+// optimizer — our stand-in for System R's generated machine code (§2).
 //
 // Hot-path contract: an operator tree is built ONCE per statement (or per
 // nested block) and re-opened with new outer bindings via Rebind(), so the
 // per-outer-row cost of a nested-loop inner or a correlated subquery is a
-// scan reset, not a tree rebuild. Scan operators write only their own
-// table's column slice of the block-width output row, leaving the other
-// slots untouched — join operators exploit this by handing every child the
-// same reusable composite-row buffer.
+// scan reset, not a tree rebuild. Rows are block-width: every table of the
+// query block owns a column slice, and a scan decodes its tuples straight
+// into its table's slice of its output batch's rows.
 #ifndef SYSTEMR_EXEC_OPERATORS_H_
 #define SYSTEMR_EXEC_OPERATORS_H_
 
@@ -32,16 +31,46 @@ class Operator {
   /// current binding (correlated subqueries resolve outer references through
   /// the ExecContext ancestor stack instead).
   virtual Status Rebind(const Row* outer) = 0;
-  /// Produces the next row. Sets *has_row=false at end of stream.
-  virtual Status Next(Row* out, bool* has_row) = 0;
-  /// Produces the next batch of rows. Sets *has_batch=false at end of
-  /// stream; a true *has_batch with an empty selection vector is legal (all
-  /// rows of the block were filtered out) — callers must keep pulling until
-  /// *has_batch is false. The base implementation bridges to Next(), so
-  /// tuple-only operators compose with batch-native consumers; a tree must
-  /// be driven either all-tuple or all-batch, never both interleaved.
-  virtual Status NextBatch(RowBatch* out, bool* has_batch);
+  /// Produces the next batch of rows. Sets *has_batch=false, with `out`
+  /// empty, at end of stream; a true *has_batch with an empty selection
+  /// vector is legal (all rows of the block were filtered out) — callers
+  /// must keep pulling until *has_batch is false.
+  virtual Status NextBatch(RowBatch* out, bool* has_batch) = 0;
   virtual void Close() {}
+};
+
+/// Row-at-a-time view of a child's batch stream, for operators whose
+/// algorithm walks their input one row at a time (nested-loop outer, merge
+/// join inputs, sorted-group aggregation). row() stays valid until the
+/// Advance that pulls the child's next batch; the row may be moved out.
+class RowCursor {
+ public:
+  /// Caps each later pull from the child (RowBatch::capacity).
+  void set_capacity(size_t rows) { batch_.capacity = rows; }
+  void Reset() {
+    batch_.Clear();
+    pos_ = 0;
+    row_ = nullptr;
+    done_ = false;
+  }
+  /// Moves to the next row; row() is null once the child is exhausted (the
+  /// child is not pulled again until Reset).
+  Status Advance(Operator* child) {
+    if (pos_ < batch_.sel.size()) {
+      row_ = &batch_.rows[batch_.sel[pos_++]];
+      return Status::OK();
+    }
+    return Pull(child);
+  }
+  Row* row() const { return row_; }
+
+ private:
+  Status Pull(Operator* child);
+
+  RowBatch batch_;
+  size_t pos_ = 0;
+  Row* row_ = nullptr;
+  bool done_ = false;
 };
 
 /// Builds the operator tree for `node`. `binding` is the current outer row
@@ -55,6 +84,8 @@ std::unique_ptr<Operator> BuildOperator(ExecContext* ctx,
 /// and dynamic SARGs from `binding`, then residual single-table predicates.
 /// The underlying RSI scan object is created once; Open()/Rebind() re-derive
 /// the dynamic SARG values and index bounds in place and reset its position.
+/// The RSI decodes each tuple straight into this table's slice of the output
+/// batch's rows.
 class ScanOp : public Operator {
  public:
   ScanOp(ExecContext* ctx, const BoundQueryBlock* block, const PlanNode* node,
@@ -62,17 +93,16 @@ class ScanOp : public Operator {
 
   Status Open() override;
   Status Rebind(const Row* outer) override;
-  Status Next(Row* out, bool* has_row) override;
-  /// Batch-native scan: decodes a page's worth of tuples per RSI call via
-  /// RsiScan::NextBatch, then evaluates the residual over the whole block
-  /// with one selection-vector pass.
+  /// Pulls up to out->capacity tuples through RsiScan::NextBatch, then
+  /// evaluates the residual over the whole block with one selection-vector
+  /// pass. Checks cancellation, deadline and budget once per batch.
   Status NextBatch(RowBatch* out, bool* has_batch) override;
   /// Flushes this scan's produced-row count into the context's per-node
   /// observations (the selectivity-feedback input).
   void Close() override;
 
-  /// TID of the most recently returned tuple (for DML).
-  Tid last_tid() const { return last_tid_; }
+  /// TIDs of the last batch's rows: tids()[i] is out->rows[i]'s (for DML).
+  const std::vector<Tid>& tids() const { return tids_; }
 
  private:
   /// Writes the current binding's values into the scan's dynamic SARG slots
@@ -94,10 +124,7 @@ class ScanOp : public Operator {
   ExprProgram residual_;
   size_t offset_ = 0;        // Block-row offset of this table's slice.
   size_t static_sargs_ = 0;  // Dynamic SARGs start at this index.
-  Row base_;                 // Scratch tuple the RSI scan decodes into.
-  std::vector<Row> rsi_rows_;  // Batch decode buffers, reused across calls.
-  std::vector<Tid> rsi_tids_;
-  Tid last_tid_;
+  std::vector<Tid> tids_;    // TIDs of the last batch, reused across calls.
   uint64_t rows_out_ = 0;    // Rows produced since the last Close() flush.
   bool exhausted_ = false;   // Reached end of stream at least once.
 
@@ -118,7 +145,6 @@ class FilterOp : public Operator {
 
   Status Open() override { return child_->Open(); }
   Status Rebind(const Row* outer) override { return child_->Rebind(outer); }
-  Status Next(Row* out, bool* has_row) override;
   /// Refines the child batch's selection vector in place — no row copies.
   Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override { child_->Close(); }
@@ -138,7 +164,6 @@ class ProjectOp : public Operator {
 
   Status Open() override { return child_->Open(); }
   Status Rebind(const Row* outer) override { return child_->Rebind(outer); }
-  Status Next(Row* out, bool* has_row) override;
   /// Evaluates the select items only over the child's surviving rows.
   Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override { child_->Close(); }
@@ -149,7 +174,6 @@ class ProjectOp : public Operator {
   const PlanNode* node_;
   std::unique_ptr<Operator> child_;
   std::vector<ExprProgram> items_;
-  Row in_;            // Reusable block-width input buffer.
   RowBatch in_batch_;  // Reusable batch input buffer.
 };
 

@@ -220,22 +220,11 @@ Status ExchangeOp::Open() { return RunFragment(); }
 
 Status ExchangeOp::NextBatch(RowBatch* out, bool* has_batch) {
   out->Clear();
-  out->EnsureCapacity();
-  while (out->filled < kBatchRows && emit_pos_ < rows_.size()) {
-    out->rows[out->filled++] = std::move(rows_[emit_pos_++]);
+  while (out->filled < out->capacity && emit_pos_ < rows_.size()) {
+    out->Append() = std::move(rows_[emit_pos_++]);
   }
   out->SelectAll();
   *has_batch = out->filled > 0;
-  return Status::OK();
-}
-
-Status ExchangeOp::Next(Row* out, bool* has_row) {
-  if (emit_pos_ >= rows_.size()) {
-    *has_row = false;
-    return Status::OK();
-  }
-  *out = std::move(rows_[emit_pos_++]);
-  *has_row = true;
   return Status::OK();
 }
 

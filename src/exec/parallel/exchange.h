@@ -33,7 +33,6 @@ class ExchangeOp : public Operator {
   /// Defensive: an exchange never appears in rebound subtrees (the parallel
   /// pass only runs on top-level plans), but re-running is correct.
   Status Rebind(const Row*) override { return Open(); }
-  Status Next(Row* out, bool* has_row) override;
   Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override {}
 

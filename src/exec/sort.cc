@@ -143,15 +143,17 @@ Status SortOp::Fill() {
   size_t buffered_bytes = 0;
   size_t limit = RunLimitBytes();
   while (true) {
-    Row row;
     bool has;
-    RETURN_IF_ERROR(child_->Next(&row, &has));
+    RETURN_IF_ERROR(child_->NextBatch(&in_, &has));
     if (!has) break;
-    buffered_bytes += row.size() * 16;  // Rough in-memory estimate.
-    buffer.push_back(std::move(row));
-    if (buffered_bytes >= limit) {
-      RETURN_IF_ERROR(SpillRun(&buffer));
-      buffered_bytes = 0;
+    for (uint32_t idx : in_.sel) {
+      Row& row = in_.rows[idx];
+      buffered_bytes += row.size() * 16;  // Rough in-memory estimate.
+      buffer.push_back(std::move(row));
+      if (buffered_bytes >= limit) {
+        RETURN_IF_ERROR(SpillRun(&buffer));
+        buffered_bytes = 0;
+      }
     }
   }
   // The temporary list is always materialized, as in the paper ("stored in a
@@ -172,8 +174,9 @@ Status SortOp::Fill() {
   return Status::OK();
 }
 
-Status SortOp::Next(Row* out, bool* has_row) {
-  while (true) {
+Status SortOp::NextBatch(RowBatch* out, bool* has_batch) {
+  out->Clear();
+  while (out->filled < out->capacity) {
     int best = -1;
     for (size_t i = 0; i < heads_.size(); ++i) {
       if (!heads_[i].valid) continue;
@@ -181,23 +184,27 @@ Status SortOp::Next(Row* out, bool* has_row) {
         best = static_cast<int>(i);
       }
     }
-    if (best < 0) {
-      *has_row = false;
-      return Status::OK();
+    if (best < 0) break;
+    Head& head = heads_[best];
+    if (node_->distinct && emitted_any_ &&
+        Compare(head.row, last_emitted_) == 0) {
+      // Duplicate under the sort keys: suppress.
+      RETURN_IF_ERROR(readers_[best].Next(&head.row, &head.valid));
+      continue;
     }
-    Row row = heads_[best].row;
-    RETURN_IF_ERROR(readers_[best].Next(&heads_[best].row, &heads_[best].valid));
-    if (node_->distinct && emitted_any_ && Compare(row, last_emitted_) == 0) {
-      continue;  // Duplicate under the sort keys: suppress.
-    }
+    // Hand the head row to the batch; the reader decodes its next row into
+    // the batch row's old buffer.
+    Row& dst = out->Append();
+    std::swap(dst, head.row);
     if (node_->distinct) {
-      last_emitted_ = row;
+      last_emitted_ = dst;
       emitted_any_ = true;
     }
-    *out = std::move(row);
-    *has_row = true;
-    return Status::OK();
+    RETURN_IF_ERROR(readers_[best].Next(&head.row, &head.valid));
   }
+  out->SelectAll();
+  *has_batch = out->filled > 0;
+  return Status::OK();
 }
 
 }  // namespace systemr

@@ -51,7 +51,7 @@ class SortOp : public Operator {
 
   Status Open() override;
   Status Rebind(const Row* outer) override;
-  Status Next(Row* out, bool* has_row) override;
+  Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override { child_->Close(); }
 
   /// Rows kept in memory before spilling a run (roughly half the buffer
@@ -63,7 +63,7 @@ class SortOp : public Operator {
   Status Fill();
   Status SpillRun(std::vector<Row>* rows);
   /// Merges `inputs` into one output file (or, for the final pass, leaves
-  /// the merge to the Next() iterator).
+  /// the merge to NextBatch).
   Status MergePass(std::vector<std::unique_ptr<TempRowFile>>* runs);
 
   int Compare(const Row& a, const Row& b) const;
@@ -72,6 +72,7 @@ class SortOp : public Operator {
   const BoundQueryBlock* block_;
   const PlanNode* node_;
   std::unique_ptr<Operator> child_;
+  RowBatch in_;  // Child batches, drained by Fill.
 
   // Final merge state.
   std::vector<std::unique_ptr<TempRowFile>> runs_;

@@ -55,12 +55,12 @@ Status RunSubquery(ExecContext* ctx, const BoundQueryBlock* block,
   } else {
     st = op->Rebind(nullptr);
   }
+  RowBatch batch;
   while (st.ok()) {
-    Row row;
-    bool has;
-    st = op->Next(&row, &has);
+    bool has = false;
+    st = op->NextBatch(&batch, &has);
     if (!st.ok() || !has) break;
-    rows->push_back(std::move(row));
+    for (uint32_t idx : batch.sel) rows->push_back(std::move(batch.rows[idx]));
   }
   op->Close();
   ctx->ancestors().pop_back();

@@ -39,18 +39,12 @@ const char* ModeName(WorkUnit::Mode m) {
 // Live rows of one table, read through the storage scan (tombstones and
 // loser holes excluded), in scan order — callers compare multisets.
 StatusOr<std::vector<Row>> DumpTable(Database* db, RelId id) {
-  auto scan = db->rss().OpenSegmentScan(id, {});
-  RETURN_IF_ERROR(scan->Open());
   std::vector<Row> rows;
-  Row row;
-  Tid tid;
-  while (true) {
-    bool has = false;
-    RETURN_IF_ERROR(scan->Next(&row, &tid, &has));
-    if (!has) break;
-    rows.push_back(row);
-  }
-  scan->Close();
+  RETURN_IF_ERROR(ScanAll(db->rss().OpenSegmentScan(id, {}).get(),
+                          [&rows](Row& row, Tid) {
+                            rows.push_back(std::move(row));
+                            return Status::OK();
+                          }));
   return rows;
 }
 

@@ -108,7 +108,7 @@ Status HeapFile::Undelete(Tid tid, uint16_t offset, const Row& row,
   return Status::OK();
 }
 
-Status HeapFile::ReadTuple(Tid tid, Row* row) const {
+Status HeapFile::ReadTuple(Tid tid, Row* row, size_t offset) const {
   ASSIGN_OR_RETURN(Page * page, pool_->Fetch(tid.page));
   SlottedPage sp(page);
   std::string_view record;
@@ -122,7 +122,7 @@ Status HeapFile::ReadTuple(Tid tid, Row* row) const {
       break;
   }
   RelId rel;
-  if (!DecodeTuple(record, &rel, row)) {
+  if (!DecodeTupleAt(record, &rel, offset, row)) {
     return Status::DataLoss("undecodable record at live slot on page " +
                             std::to_string(tid.page));
   }

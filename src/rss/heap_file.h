@@ -29,9 +29,10 @@ class HeapFile {
   /// Appends a tuple; returns its TID. Logged under `txn`.
   StatusOr<Tid> Insert(const Row& row, TxnId txn = kSystemTxn);
 
-  /// Fetches the tuple at `tid` (metered through the buffer pool). Returns
-  /// NotFound if the slot is empty or holds a tuple of another relation.
-  Status ReadTuple(Tid tid, Row* row) const;
+  /// Fetches the tuple at `tid` (metered through the buffer pool) into
+  /// (*row)[offset, offset + ncols), as DecodeTupleAt does. Returns NotFound
+  /// if the slot is empty or holds a tuple of another relation.
+  Status ReadTuple(Tid tid, Row* row, size_t offset = 0) const;
 
   /// Tombstones the tuple at `tid`. Returns NotFound if the slot is empty
   /// or belongs to another relation. Logged under `txn`. `offset`, when

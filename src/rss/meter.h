@@ -15,7 +15,7 @@ struct MeterCounters {
   uint64_t page_fetches = 0;  // Buffer misses: simulated disk reads.
   uint64_t page_writes = 0;   // Newly materialized pages.
   uint64_t logical_gets = 0;  // All buffer requests, hit or miss.
-  uint64_t rsi_calls = 0;     // RSI NEXT calls (the paper's W term).
+  uint64_t rsi_calls = 0;     // Tuples the RSI delivered (the W term).
 };
 
 namespace meter_internal {

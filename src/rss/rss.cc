@@ -27,17 +27,19 @@ BTree* Rss::CreateIndex(bool unique) {
   return indexes_.back().get();
 }
 
-std::unique_ptr<RsiScan> Rss::OpenSegmentScan(RelId relid, SargList sargs) {
+std::unique_ptr<RsiScan> Rss::OpenSegmentScan(RelId relid, SargList sargs,
+                                              RowSlice slice) {
   const HeapFile* h = heap(relid);
   return std::make_unique<SegmentScan>(&pool_, h->segment(), relid,
-                                       std::move(sargs), &counters_);
+                                       std::move(sargs), &counters_, slice);
 }
 
 std::unique_ptr<RsiScan> Rss::OpenIndexScan(RelId relid, IndexId index_id,
-                                            KeyRange range, SargList sargs) {
+                                            KeyRange range, SargList sargs,
+                                            RowSlice slice) {
   return std::make_unique<IndexScan>(index(index_id), heap(relid),
                                      std::move(range), std::move(sargs),
-                                     &counters_);
+                                     &counters_, slice);
 }
 
 }  // namespace systemr

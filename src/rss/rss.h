@@ -75,9 +75,13 @@ class Rss {
     return indexes_[id].get();
   }
 
-  std::unique_ptr<RsiScan> OpenSegmentScan(RelId relid, SargList sargs);
+  /// Opens an RSI scan of relation `relid` that delivers each tuple into
+  /// `slice` of its row.
+  std::unique_ptr<RsiScan> OpenSegmentScan(RelId relid, SargList sargs,
+                                           RowSlice slice = {});
   std::unique_ptr<RsiScan> OpenIndexScan(RelId relid, IndexId index,
-                                         KeyRange range, SargList sargs);
+                                         KeyRange range, SargList sargs,
+                                         RowSlice slice = {});
 
   BufferPool& pool() { return pool_; }
   const BufferPool& pool() const { return pool_; }

@@ -58,12 +58,12 @@ CompareOp MirrorOp(CompareOp op) {
   return op;
 }
 
-bool Sarg::Matches(const Row& row) const {
+bool Sarg::Matches(const Row& row, size_t offset) const {
   if (disjuncts.empty()) return true;
   for (const auto& conjunct : disjuncts) {
     bool all = true;
     for (const SargTerm& term : conjunct) {
-      if (!term.Matches(row)) {
+      if (!term.Matches(row, offset)) {
         all = false;
         break;
       }

@@ -23,13 +23,16 @@ bool EvalCompare(CompareOp op, const Value& a, const Value& b);
 CompareOp MirrorOp(CompareOp op);
 
 /// One sargable term: column(index into the stored tuple) op literal.
+/// Matching reads the tuple at `offset` within `row` (a scan may decode its
+/// tuple into a slice of a wider row).
 struct SargTerm {
   size_t column = 0;
   CompareOp op = CompareOp::kEq;
   Value value;
 
-  bool Matches(const Row& row) const {
-    return column < row.size() && EvalCompare(op, row[column], value);
+  bool Matches(const Row& row, size_t offset = 0) const {
+    return offset + column < row.size() &&
+           EvalCompare(op, row[offset + column], value);
   }
 };
 
@@ -39,7 +42,7 @@ struct Sarg {
   std::vector<std::vector<SargTerm>> disjuncts;
 
   bool empty() const { return disjuncts.empty(); }
-  bool Matches(const Row& row) const;
+  bool Matches(const Row& row, size_t offset = 0) const;
 
   /// Adds a conjunction of terms as one more disjunct.
   void AddConjunct(std::vector<SargTerm> terms) {

@@ -11,6 +11,24 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
+// Meters the tuples one NextBatch call delivered: one RSI call each (§4).
+void CountRsiCalls(RssCounters* counters, size_t n) {
+  if (n == 0) return;
+  counters->rsi_calls.fetch_add(n, std::memory_order_relaxed);
+  if (MeterCounters* m = CurrentMeter()) m->rsi_calls += n;
+}
+
+// The row that the next delivered tuple decodes into, grown on demand to
+// the caller's row width.
+Row* RowAt(std::vector<Row>* rows, std::vector<Tid>* tids, size_t i,
+           size_t width) {
+  if (rows->size() <= i) rows->resize(i + 1);
+  if (tids->size() <= i) tids->resize(i + 1);
+  Row* row = &(*rows)[i];
+  if (row->size() < width) row->resize(width);
+  return row;
+}
+
 }  // namespace
 
 Status SegmentScan::Open() {
@@ -20,73 +38,8 @@ Status SegmentScan::Open() {
   return Status::OK();
 }
 
-Status SegmentScan::Next(Row* row, Tid* tid, bool* has_row) {
-  *has_row = false;
-  while (!at_end_) {
-    PageId pid = segment_->pages()[page_idx_];
-    ASSIGN_OR_RETURN(Page * page, pool_->Fetch(pid));
-    SlottedPage sp(page);
-    if (slot_ == 0 && !sp.ValidateHeader()) {
-      return Status::DataLoss("corrupt slotted page " + std::to_string(pid));
-    }
-    if (slot_ >= sp.slot_count()) {
-      ++page_idx_;
-      slot_ = 0;
-      if (page_idx_ >= PageLimit()) at_end_ = true;
-      continue;
-    }
-    uint16_t slot = slot_++;
-    std::string_view record;
-    switch (sp.ReadSlot(slot, &record)) {
-      case SlotState::kEmpty:
-        continue;  // Tombstone.
-      case SlotState::kCorrupt:
-        return Status::DataLoss("corrupt slot directory on page " +
-                                std::to_string(pid));
-      case SlotState::kLive:
-        break;
-    }
-    RelId rel;
-    if (!DecodeRelId(record, &rel)) {
-      return Status::DataLoss("undecodable record on page " +
-                              std::to_string(pid));
-    }
-    if (rel != relid_) continue;  // Tuple of a co-located relation.
-    // Decode straight into the caller's buffer — no per-tuple Row.
-    if (!DecodeTuple(record, &rel, row)) {
-      return Status::DataLoss("undecodable tuple on page " +
-                              std::to_string(pid));
-    }
-    if (!MatchesAll(sargs_, *row)) continue;
-    if (tid != nullptr) *tid = Tid{pid, slot};
-    counters_->rsi_calls.fetch_add(1, std::memory_order_relaxed);
-    if (MeterCounters* m = CurrentMeter()) ++m->rsi_calls;
-    *has_row = true;
-    return Status::OK();
-  }
-  return Status::OK();
-}
-
-Status RsiScan::NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
-                          size_t max_rows, size_t* n) {
-  if (rows->size() < max_rows) rows->resize(max_rows);
-  if (tids->size() < max_rows) tids->resize(max_rows);
-  size_t count = 0;
-  while (count < max_rows) {
-    bool has = false;
-    RETURN_IF_ERROR(Next(&(*rows)[count], &(*tids)[count], &has));
-    if (!has) break;
-    ++count;
-  }
-  *n = count;
-  return Status::OK();
-}
-
 Status SegmentScan::NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
                               size_t max_rows, size_t* n) {
-  if (rows->size() < max_rows) rows->resize(max_rows);
-  if (tids->size() < max_rows) tids->resize(max_rows);
-  MeterCounters* meter = CurrentMeter();
   size_t count = 0;
   while (!at_end_ && count < max_rows) {
     PageId pid = segment_->pages()[page_idx_];
@@ -96,8 +49,7 @@ Status SegmentScan::NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
       return Status::DataLoss("corrupt slotted page " + std::to_string(pid));
     }
     // Decode every remaining slot of this page under the one buffer get
-    // above — the batched scan pays one logical get per page visit where
-    // the tuple-at-a-time path pays one per delivered tuple.
+    // above.
     while (slot_ < sp.slot_count() && count < max_rows) {
       uint16_t slot = slot_++;
       std::string_view record;
@@ -116,16 +68,13 @@ Status SegmentScan::NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
                                 std::to_string(pid));
       }
       if (rel != relid_) continue;  // Tuple of a co-located relation.
-      Row* row = &(*rows)[count];
-      if (!DecodeTuple(record, &rel, row)) {
+      Row* row = RowAt(rows, tids, count, slice_.width);
+      if (!DecodeTupleAt(record, &rel, slice_.offset, row)) {
         return Status::DataLoss("undecodable tuple on page " +
                                 std::to_string(pid));
       }
-      if (!MatchesAll(sargs_, *row)) continue;
-      (*tids)[count] = Tid{pid, slot};
-      counters_->rsi_calls.fetch_add(1, std::memory_order_relaxed);
-      if (meter != nullptr) ++meter->rsi_calls;
-      ++count;
+      if (!MatchesAll(sargs_, *row, slice_.offset)) continue;
+      (*tids)[count++] = Tid{pid, slot};
     }
     if (slot_ >= sp.slot_count()) {
       ++page_idx_;
@@ -133,12 +82,12 @@ Status SegmentScan::NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
       if (page_idx_ >= PageLimit()) at_end_ = true;
     }
   }
+  CountRsiCalls(counters_, count);
   *n = count;
   return Status::OK();
 }
 
 Status IndexScan::Open() {
-  opened_ = true;
   if (range_.start.has_value()) {
     RETURN_IF_ERROR(cursor_.Seek(*range_.start));
     if (!range_.start_inclusive) {
@@ -161,12 +110,13 @@ bool IndexScan::InRange() const {
   return key.compare(stop) < 0;
 }
 
-Status IndexScan::Next(Row* row, Tid* tid, bool* has_row) {
-  *has_row = false;
-  while (cursor_.Valid() && InRange()) {
+Status IndexScan::NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
+                            size_t max_rows, size_t* n) {
+  size_t count = 0;
+  while (count < max_rows && cursor_.Valid() && InRange()) {
     Tid t = cursor_.tid();
-    // Decode straight into the caller's buffer — no per-tuple Row.
-    Status read = heap_->ReadTuple(t, row);
+    Row* row = RowAt(rows, tids, count, slice_.width);
+    Status read = heap_->ReadTuple(t, row, slice_.offset);
     RETURN_IF_ERROR(cursor_.Next());
     if (!read.ok()) {
       // A deleted tuple leaves a dangling entry until the index is
@@ -175,13 +125,26 @@ Status IndexScan::Next(Row* row, Tid* tid, bool* has_row) {
       if (read.code() == StatusCode::kNotFound) continue;
       return read;
     }
-    if (!MatchesAll(sargs_, *row)) continue;
-    if (tid != nullptr) *tid = t;
-    counters_->rsi_calls.fetch_add(1, std::memory_order_relaxed);
-    if (MeterCounters* m = CurrentMeter()) ++m->rsi_calls;
-    *has_row = true;
-    return Status::OK();
+    if (!MatchesAll(sargs_, *row, slice_.offset)) continue;
+    (*tids)[count++] = t;
   }
+  CountRsiCalls(counters_, count);
+  *n = count;
+  return Status::OK();
+}
+
+Status ScanAll(RsiScan* scan, const std::function<Status(Row&, Tid)>& fn) {
+  // Any batch size delivers the same tuples; this one bounds the buffers.
+  constexpr size_t kRowsPerCall = 256;
+  RETURN_IF_ERROR(scan->Open());
+  std::vector<Row> rows;
+  std::vector<Tid> tids;
+  size_t n = 0;
+  do {
+    RETURN_IF_ERROR(scan->NextBatch(&rows, &tids, kRowsPerCall, &n));
+    for (size_t i = 0; i < n; ++i) RETURN_IF_ERROR(fn(rows[i], tids[i]));
+  } while (n > 0);
+  scan->Close();
   return Status::OK();
 }
 

@@ -1,5 +1,8 @@
-// The RSI (RSS Interface): tuple-at-a-time scans with OPEN / NEXT / CLOSE
-// (§3). Two scan types exist, exactly as in the paper:
+// The RSI (RSS Interface): scans with OPEN / NEXT / CLOSE (§3). NEXT
+// delivers the next qualifying tuples a batch at a time (NextBatch); each
+// tuple delivered still counts as one RSI call, so the paper's per-tuple
+// CPU term is unchanged by batching. Two scan types exist, exactly as in the
+// paper:
 //  - SegmentScan: touches every page of the segment once, returning tuples of
 //    the requested relation;
 //  - IndexScan: walks the chained B+-tree leaves between optional start and
@@ -10,6 +13,7 @@
 #define SYSTEMR_RSS_SCAN_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,13 +32,24 @@ struct RssCounters {
   std::atomic<uint64_t> rsi_calls{0};
 };
 
+/// Where a scan puts each delivered tuple in its caller's rows: columns
+/// [offset, offset + ncols) of a row at least `width` wide, as DecodeTupleAt
+/// places them, the row's other columns untouched. The executor's
+/// block-width rows give each table of a query block its own slice; the
+/// default is a bare tuple.
+struct RowSlice {
+  size_t offset = 0;
+  size_t width = 0;
+};
+
 /// A scan takes a *set* of SARGs — the conjunction of the sargable boolean
 /// factors, each of which is itself a DNF (§3/§4).
 using SargList = std::vector<Sarg>;
 
-inline bool MatchesAll(const SargList& sargs, const Row& row) {
+inline bool MatchesAll(const SargList& sargs, const Row& row,
+                       size_t offset) {
   for (const Sarg& s : sargs) {
-    if (!s.Matches(row)) return false;
+    if (!s.Matches(row, offset)) return false;
   }
   return true;
 }
@@ -48,23 +63,16 @@ class RsiScan {
   /// nested-loop inner or correlated subquery.
   virtual Status Open() = 0;
 
-  /// Advances to the next qualifying tuple. On success sets *has_row: true
-  /// with the tuple in *row, false when the scan is exhausted. Each tuple
-  /// delivered counts one RSI call. `*row` is used as a decode buffer: it may
-  /// be overwritten even for tuples the SARGs reject, and holds the accepted
-  /// tuple only when *has_row is true. Storage failures (kDataLoss, kIoError,
-  /// kInternal) return non-OK; only a dangling index entry (the tuple was
-  /// deleted) is skipped silently.
-  virtual Status Next(Row* row, Tid* tid, bool* has_row) = 0;
-
-  /// Batch variant: decodes up to `max_rows` qualifying tuples into
-  /// rows[0..*n) (resizing `rows`/`tids` as needed). The default bridges to
-  /// Next(); SegmentScan overrides it with page-at-a-time decoding, so a
-  /// batched segment scan pays one buffer get per page visited instead of
-  /// one per tuple delivered. RSI-call metering is per delivered tuple
-  /// either way.
+  /// NEXT: delivers up to `max_rows` qualifying tuples into rows[0..*n)
+  /// and their TIDs into tids[0..*n); *n is 0 only at the end of the scan.
+  /// Each tuple lands in its row at the RowSlice the scan was opened with.
+  /// `rows` and `tids` grow to the largest batch delivered and are never
+  /// shrunk, so a caller that reuses them allocates nothing after its first
+  /// full batch. Each tuple delivered counts one RSI call. Storage failures
+  /// (kDataLoss, kIoError, kInternal) return non-OK; only a dangling index
+  /// entry (the tuple was deleted) is skipped silently.
   virtual Status NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
-                           size_t max_rows, size_t* n);
+                           size_t max_rows, size_t* n) = 0;
 
   /// Mutable view of the scan's SARGs, so dynamically-bound terms (§5 join
   /// SARGs) can be updated in place between re-Opens instead of rebuilding
@@ -77,15 +85,17 @@ class RsiScan {
 class SegmentScan : public RsiScan {
  public:
   SegmentScan(BufferPool* pool, const Segment* segment, RelId relid,
-              SargList sargs, RssCounters* counters)
+              SargList sargs, RssCounters* counters, RowSlice slice)
       : pool_(pool),
         segment_(segment),
         relid_(relid),
         sargs_(std::move(sargs)),
-        counters_(counters) {}
+        counters_(counters),
+        slice_(slice) {}
 
   Status Open() override;
-  Status Next(Row* row, Tid* tid, bool* has_row) override;
+  /// Page at a time: every remaining slot of a page is decoded under one
+  /// buffer get, so a segment scan pays one get per page visit.
   Status NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
                    size_t max_rows, size_t* n) override;
   SargList* mutable_sargs() override { return &sargs_; }
@@ -111,6 +121,7 @@ class SegmentScan : public RsiScan {
   RelId relid_;
   SargList sargs_;
   RssCounters* counters_;
+  RowSlice slice_;
 
   size_t page_idx_ = 0;
   uint16_t slot_ = 0;
@@ -131,16 +142,20 @@ struct KeyRange {
 class IndexScan : public RsiScan {
  public:
   IndexScan(const BTree* index, const HeapFile* heap, KeyRange range,
-            SargList sargs, RssCounters* counters)
+            SargList sargs, RssCounters* counters, RowSlice slice)
       : index_(index),
         heap_(heap),
         range_(std::move(range)),
         sargs_(std::move(sargs)),
         counters_(counters),
+        slice_(slice),
         cursor_(index->NewCursor()) {}
 
   Status Open() override;
-  Status Next(Row* row, Tid* tid, bool* has_row) override;
+  /// One data-page get per qualifying index entry, as in the paper's index
+  /// scan cost.
+  Status NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
+                   size_t max_rows, size_t* n) override;
   SargList* mutable_sargs() override { return &sargs_; }
   void Close() override {}
 
@@ -156,9 +171,15 @@ class IndexScan : public RsiScan {
   KeyRange range_;
   SargList sargs_;
   RssCounters* counters_;
+  RowSlice slice_;
   BTree::Cursor cursor_;
-  bool opened_ = false;
 };
+
+/// Reads a whole relation through `scan`: Open, NextBatch to the end, Close,
+/// handing every delivered tuple and its TID to `fn` (which may move the
+/// row out). For RSS-level readers that want every tuple: index bulk loads,
+/// recovery's tuple recount, test dumps.
+Status ScanAll(RsiScan* scan, const std::function<Status(Row&, Tid)>& fn);
 
 }  // namespace systemr
 

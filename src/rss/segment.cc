@@ -14,20 +14,19 @@ std::string EncodeTuple(RelId relid, const Row& row) {
   return out;
 }
 
-bool DecodeTuple(std::string_view record, RelId* relid, Row* row) {
+bool DecodeTupleAt(std::string_view record, RelId* relid, size_t offset,
+                   Row* row) {
   if (record.size() < 6) return false;
   std::memcpy(relid, record.data(), 4);
   uint16_t ncols;
   std::memcpy(&ncols, record.data() + 4, 2);
-  row->clear();
-  row->reserve(ncols);
+  if (row->size() < offset + ncols) row->resize(offset + ncols);
   size_t pos = 6;
   for (uint16_t i = 0; i < ncols; ++i) {
-    Value v;
-    if (!Value::Deserialize(record.data(), record.size(), &pos, &v)) {
+    if (!Value::Deserialize(record.data(), record.size(), &pos,
+                            &(*row)[offset + i])) {
       return false;
     }
-    row->push_back(std::move(v));
   }
   return true;
 }

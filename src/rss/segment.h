@@ -37,8 +37,18 @@ class Segment {
 /// self-describing so a segment scan can skip tuples of other relations.
 std::string EncodeTuple(RelId relid, const Row& row);
 
-/// Decodes a record produced by EncodeTuple. Returns false on corruption.
-bool DecodeTuple(std::string_view record, RelId* relid, Row* row);
+/// Decodes a record produced by EncodeTuple into (*row)[offset, offset +
+/// ncols): a shorter row grows, and the row's other columns keep their
+/// values — so a scan can fill its table's slice of a wider row in place.
+/// Returns false on corruption.
+bool DecodeTupleAt(std::string_view record, RelId* relid, size_t offset,
+                   Row* row);
+
+/// Decodes a record into exactly its tuple (`*row` is replaced).
+inline bool DecodeTuple(std::string_view record, RelId* relid, Row* row) {
+  row->clear();
+  return DecodeTupleAt(record, relid, 0, row);
+}
 
 /// Reads just the relation tag of a record.
 bool DecodeRelId(std::string_view record, RelId* relid);

@@ -9,12 +9,15 @@
 namespace systemr {
 namespace {
 
-// Advances a scan that is expected to never hit a storage error.
-bool NextOk(RsiScan* scan, Row* row) {
-  bool has = false;
-  Status st = scan->Next(row, nullptr, &has);
+// Reads an RSI scan to the end, expecting no storage error.
+std::vector<Row> ReadAll(RsiScan* scan) {
+  std::vector<Row> rows;
+  Status st = ScanAll(scan, [&rows](Row& row, Tid) {
+    rows.push_back(std::move(row));
+    return Status::OK();
+  });
   EXPECT_TRUE(st.ok()) << st.ToString();
-  return st.ok() && has;
+  return rows;
 }
 
 Schema EmpSchema() {
@@ -163,18 +166,15 @@ TEST_F(CatalogTest, IndexScanThroughCatalogIndex) {
   range.stop = key;
   auto scan = rss_.OpenIndexScan(catalog_.FindTable("EMP")->id, (*idx)->id,
                                  range, {});
-  ASSERT_TRUE(scan->Open().ok());
-  Row row;
   int count = 0;
-  while (NextOk(scan.get(), &row)) {
+  for (const Row& row : ReadAll(scan.get())) {
     EXPECT_EQ(row[2].AsInt(), 4);
     ++count;
   }
   // Cross-check against a full segment scan.
   auto seg_scan = rss_.OpenSegmentScan(catalog_.FindTable("EMP")->id, {});
-  ASSERT_TRUE(seg_scan->Open().ok());
   int expect = 0;
-  while (NextOk(seg_scan.get(), &row)) {
+  for (const Row& row : ReadAll(seg_scan.get())) {
     if (row[2].AsInt() == 4) ++expect;
   }
   EXPECT_EQ(count, expect);
@@ -202,20 +202,14 @@ TEST_F(CatalogTest, IndexScanRangeBounds) {
       range.stop_inclusive = hi_inc;
     }
     auto scan = rss_.OpenIndexScan(rel, (*idx)->id, range, {});
-    EXPECT_TRUE(scan->Open().ok());
-    Row row;
-    int n = 0;
-    while (NextOk(scan.get(), &row)) ++n;
-    return n;
+    return static_cast<int>(ReadAll(scan.get()).size());
   };
 
   // Reference counts from a segment scan.
   auto ref_count = [&](auto pred) {
     auto scan = rss_.OpenSegmentScan(rel, {});
-    EXPECT_TRUE(scan->Open().ok());
-    Row row;
     int n = 0;
-    while (NextOk(scan.get(), &row)) {
+    for (const Row& row : ReadAll(scan.get())) {
       if (pred(row[2].AsInt())) ++n;
     }
     return n;

@@ -98,19 +98,21 @@ TEST(FuzzSmokeTest, CorrelatedSubqueriesAndMultiwayJoinsMatchReference) {
   }
 }
 
-// Targeted hash-join differential run: 200 seeds with every multi-table
-// query forced through the hash join wherever an equi predicate allows
-// (non-equi joins keep nested loop — forcing must never lose DP
+// Targeted join differential runs: 200 seeds with every multi-table query
+// forced through one join method wherever the query allows it (under kMerge
+// and kHash non-equi joins keep nested loop — forcing must never lose DP
 // completeness). Baselines and metamorphic variants are off: this is pure
-// engine-vs-reference coverage of the hash build/probe paths, including
-// hash aggregation (forced by the same knob for GROUP BY blocks).
-TEST(FuzzSmokeTest, TwoHundredSeedsForcedHashJoinClean) {
+// engine-vs-reference coverage of each join operator's batch loop; kHash
+// also forces hash aggregation for GROUP BY blocks.
+class ForcedJoinFuzzTest : public ::testing::TestWithParam<JoinMethodForce> {};
+
+TEST_P(ForcedJoinFuzzTest, TwoHundredSeedsClean) {
   FuzzOptions options;
   options.queries_per_seed = 3;
   options.check_baselines = false;
   options.metamorphic = false;
   options.record_calibration = true;
-  options.force = JoinMethodForce::kHash;
+  options.force = GetParam();
   FuzzReport report;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     SeedResult result = RunFuzzSeed(seed, options, &report);
@@ -120,6 +122,7 @@ TEST(FuzzSmokeTest, TwoHundredSeedsForcedHashJoinClean) {
   }
   EXPECT_EQ(report.seeds, 200u);
   EXPECT_EQ(report.queries, 600u);
+  if (GetParam() != JoinMethodForce::kHash) return;
   // The forced runs must actually exercise the hash table: across 600
   // queries at least some joins build and probe.
   uint64_t build = 0, probe = 0;
@@ -130,6 +133,20 @@ TEST(FuzzSmokeTest, TwoHundredSeedsForcedHashJoinClean) {
   EXPECT_GT(build, 0u);
   EXPECT_GT(probe, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FuzzSmokeTest, ForcedJoinFuzzTest,
+    ::testing::Values(JoinMethodForce::kNestedLoop, JoinMethodForce::kMerge,
+                      JoinMethodForce::kHash),
+    [](const ::testing::TestParamInfo<JoinMethodForce>& info) {
+      switch (info.param) {
+        case JoinMethodForce::kNestedLoop: return std::string("NestedLoop");
+        case JoinMethodForce::kMerge: return std::string("Merge");
+        case JoinMethodForce::kHash: return std::string("Hash");
+        case JoinMethodForce::kAuto: break;
+      }
+      return std::string("Auto");
+    });
 
 TEST(FuzzSmokeTest, Deterministic) {
   FuzzOptions options;

@@ -14,12 +14,21 @@ Row MakeRow(int64_t id, const std::string& name) {
   return {Value::Int(id), Value::Str(name)};
 }
 
-// Advances a scan that is expected to never hit a storage error.
-bool NextOk(RsiScan* scan, Row* row, Tid* tid) {
-  bool has = false;
-  Status st = scan->Next(row, tid, &has);
+// Opens `scan` and reads it to the end through NextBatch, expecting no
+// storage error. Batches of 7 end mid-page, so the scan must resume there.
+std::vector<Row> ReadAll(RsiScan* scan) {
+  std::vector<Row> all;
+  std::vector<Row> rows;
+  std::vector<Tid> tids;
+  size_t n = 0;
+  Status st = scan->Open();
+  while (st.ok()) {
+    st = scan->NextBatch(&rows, &tids, 7, &n);
+    if (!st.ok() || n == 0) break;
+    all.insert(all.end(), rows.begin(), rows.begin() + n);
+  }
   EXPECT_TRUE(st.ok()) << st.ToString();
-  return st.ok() && has;
+  return all;
 }
 
 TEST(HeapFileTest, InsertAndReadBack) {
@@ -62,12 +71,9 @@ TEST(SegmentScanTest, ReturnsAllTuplesOfRelation) {
     ASSERT_TRUE(heap->Insert(MakeRow(i, "v")).ok());
   }
   auto scan = rss.OpenSegmentScan(0, {});
-  ASSERT_TRUE(scan->Open().ok());
-  Row row;
-  Tid tid;
   int count = 0;
   int64_t sum = 0;
-  while (NextOk(scan.get(), &row, &tid)) {
+  for (const Row& row : ReadAll(scan.get())) {
     ++count;
     sum += row[0].AsInt();
   }
@@ -88,10 +94,8 @@ TEST(SegmentScanTest, TwoRelationsSharingASegment) {
   }
   for (RelId rel : {RelId{0}, RelId{1}}) {
     auto scan = rss.OpenSegmentScan(rel, {});
-    ASSERT_TRUE(scan->Open().ok());
-    Row row;
     int count = 0;
-    while (NextOk(scan.get(), &row, nullptr)) {
+    for (const Row& row : ReadAll(scan.get())) {
       ++count;
       EXPECT_EQ(row[1].AsStr(), rel == 0 ? "zero" : "one");
     }
@@ -112,10 +116,7 @@ TEST(SegmentScanTest, TouchesEachPageExactlyOnce) {
   rss.pool().FlushAll();
   rss.pool().ResetStats();
   auto scan = rss.OpenSegmentScan(0, {});
-  ASSERT_TRUE(scan->Open().ok());
-  Row row;
-  while (NextOk(scan.get(), &row, nullptr)) {
-  }
+  EXPECT_EQ(ReadAll(scan.get()).size(), 3000u);
   // §3: "each page is touched only once" — page fetches == segment pages.
   EXPECT_EQ(rss.pool().stats().fetches, pages);
 }
@@ -130,11 +131,7 @@ TEST(SegmentScanTest, SargsFilterBelowRsi) {
   Sarg sarg;
   sarg.AddConjunct({SargTerm{0, CompareOp::kEq, Value::Int(3)}});
   auto scan = rss.OpenSegmentScan(0, {sarg});
-  ASSERT_TRUE(scan->Open().ok());
-  Row row;
-  int count = 0;
-  while (NextOk(scan.get(), &row, nullptr)) ++count;
-  EXPECT_EQ(count, 20);
+  EXPECT_EQ(ReadAll(scan.get()).size(), 20u);
   // Rejected tuples cost no RSI calls (§3).
   EXPECT_EQ(rss.counters().rsi_calls, 20u);
 }

@@ -262,13 +262,13 @@ class Repl {
       std::printf("error: %s\n", r.status().ToString().c_str());
       return;
     }
+    // ToString already ends with the row count.
     std::printf("%s", r->ToString().c_str());
     const ExecStats& st = r->stats;
-    std::printf(
-        "(%zu row%s)  fetches=%llu gets=%llu rsi=%llu cost est=%.1f act=%.1f\n",
-        r->rows.size(), r->rows.size() == 1 ? "" : "s",
-        (unsigned long long)st.page_fetches, (unsigned long long)st.buffer_gets,
-        (unsigned long long)st.rsi_calls, r->est_cost, r->actual_cost);
+    std::printf("fetches=%llu gets=%llu rsi=%llu cost est=%.1f act=%.1f\n",
+                (unsigned long long)st.page_fetches,
+                (unsigned long long)st.buffer_gets,
+                (unsigned long long)st.rsi_calls, r->est_cost, r->actual_cost);
     // Accumulate per-statement batch counters for \stats.
     batch_totals_.batches += st.batches;
     batch_totals_.batch_rows_in += st.batch_rows_in;
