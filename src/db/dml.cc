@@ -64,6 +64,9 @@ StatusOr<DmlScan> CollectTargets(Catalog* catalog,
     }
   }
 
+  ExprProgram leftover_prog;
+  leftover_prog.CompilePreds(&leftover);
+
   ExecContext exec(catalog->rss(), catalog, &out.subplans, options.cost.w);
   if (limits != nullptr) exec.set_limits(*limits);
   // Divert the scan's page work to this statement's meter so the buffer-get
@@ -77,9 +80,8 @@ StatusOr<DmlScan> CollectTargets(Catalog* catalog,
     bool has;
     RETURN_IF_ERROR(scan.NextBatch(&batch, &has));
     if (!has) break;
+    RETURN_IF_ERROR(leftover_prog.EvalBoolBatch(&exec, batch.rows, &batch.sel));
     for (uint32_t idx : batch.sel) {
-      ASSIGN_OR_RETURN(bool ok, EvalAll(leftover, &exec, batch.rows[idx]));
-      if (!ok) continue;
       out.matches.emplace_back(scan.tids()[idx], std::move(batch.rows[idx]));
     }
   }
@@ -123,8 +125,10 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
   const BoundQueryBlock& block = *scan.block;
   const TableInfo& table = *block.tables[0].table;
 
-  // Bind SET targets and right-hand sides in the block's scope.
+  // Bind SET targets and right-hand sides in the block's scope, plan their
+  // subqueries, and compile them.
   Binder binder(catalog);
+  Optimizer optimizer(catalog, options);
   std::vector<std::pair<size_t, std::unique_ptr<BoundExpr>>> sets;
   for (const auto& [column, expr] : stmt->sets) {
     auto ordinal = table.schema.FindColumn(column);
@@ -138,20 +142,30 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
         !(IsArithmetic(bound->type) && IsArithmetic(target))) {
       return Status::InvalidArgument("type mismatch in SET " + column);
     }
+    RETURN_IF_ERROR(optimizer.PlanSubqueries(*bound, &scan.subplans));
     sets.emplace_back(*ordinal, std::move(bound));
+  }
+  std::vector<ExprProgram> set_progs(sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    set_progs[i].CompileExpr(sets[i].second.get());
   }
 
   ExecContext exec(catalog->rss(), catalog, &scan.subplans, options.cost.w);
   if (limits != nullptr) exec.set_limits(*limits);
   MeterScope meter_scope(&exec.meter());
   exec.ArmLimits();
-  for (const auto& [tid, row] : scan.matches) {
+  // Every new row is computed before the first one is written, so SET
+  // expressions, subqueries included, read the table as it was before the
+  // update. The new base-table row (old columns with SET values applied)
+  // replaces the matched row.
+  for (auto& match : scan.matches) {
     RETURN_IF_ERROR(CheckMutationInterrupts(&exec));
-    // New base-table row = old columns with SET expressions applied (all
-    // evaluated against the pre-update image).
+    const Row& row = match.second;
     Row new_row(row.begin(), row.begin() + table.schema.num_columns());
-    for (const auto& [ordinal, expr] : sets) {
-      ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, &exec, row));
+    for (size_t i = 0; i < sets.size(); ++i) {
+      size_t ordinal = sets[i].first;
+      Value& v = new_row[ordinal];
+      RETURN_IF_ERROR(set_progs[i].EvalValue(&exec, row, &v));
       // INT target with a REAL expression result: truncate, like System R's
       // assignment semantics for arithmetic expressions.
       if (!v.is_null() &&
@@ -159,9 +173,12 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
           v.type() == ValueType::kDouble) {
         v = Value::Int(static_cast<int64_t>(v.AsReal()));
       }
-      new_row[ordinal] = std::move(v);
     }
-    RETURN_IF_ERROR(catalog->UpdateRow(stmt->table, tid, new_row, txn));
+    match.second = std::move(new_row);
+  }
+  for (const auto& [tid, row] : scan.matches) {
+    RETURN_IF_ERROR(CheckMutationInterrupts(&exec));
+    RETURN_IF_ERROR(catalog->UpdateRow(stmt->table, tid, row, txn));
   }
   return scan.matches.size();
 }

@@ -32,8 +32,9 @@ StatusOr<size_t> ExecuteDeleteStatement(Catalog* catalog,
                                         const ExecLimits* limits = nullptr);
 
 /// Updates qualifying rows; returns the number updated. Consumes
-/// `stmt->where` (SET expressions are evaluated against the pre-update row;
-/// they may reference any column of the table).
+/// `stmt->where`. SET expressions may reference any column of the table and
+/// may contain subqueries; every new row is computed before the first is
+/// written, so all of them read the pre-update table.
 StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
                                         const OptimizerOptions& options,
                                         UpdateStmt* stmt, Txn* txn = nullptr,

@@ -1,7 +1,5 @@
 #include "exec/agg_common.h"
 
-#include "exec/expr_eval.h"
-
 namespace systemr {
 
 namespace {
@@ -14,14 +12,6 @@ void CollectAggs(const BoundExpr& e, std::vector<const BoundExpr*>* out) {
     return;
   }
   for (const auto& c : e.children) CollectAggs(*c, out);
-}
-
-bool ContainsAgg(const BoundExpr& e) {
-  if (e.kind == BoundExprKind::kAggregate) return true;
-  for (const auto& c : e.children) {
-    if (ContainsAgg(*c)) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -79,6 +69,13 @@ void AggFunctionSet::Compile(const PlanNode* node) {
       funcs_[i].arg.CompileExpr(aggs[i]->children[0].get());
     }
   }
+  select_.resize(node->agg_select.size());
+  for (size_t i = 0; i < select_.size(); ++i) {
+    select_[i].CompileExpr(node->agg_select[i], &aggs);
+  }
+  has_having_ = node->having != nullptr;
+  if (has_having_) having_.CompileExpr(node->having, &aggs);
+  results_.resize(aggs.size());
 }
 
 void AggFunctionSet::ResetStates(std::vector<AggState>* states) const {
@@ -135,103 +132,26 @@ Value AggFunctionSet::Result(size_t i, const AggState& s) const {
   return Value::Null();
 }
 
-StatusOr<Value> AggFunctionSet::EvalWithAggs(
-    ExecContext* ctx, const BoundExpr& e, const Row& rep,
-    const std::vector<AggState>& states) const {
-  if (e.kind == BoundExprKind::kAggregate) {
-    for (size_t i = 0; i < funcs_.size(); ++i) {
-      if (funcs_[i].agg == &e) return Result(i, states[i]);
-    }
-    return Status::Internal("aggregate accumulator not found");
+StatusOr<bool> AggFunctionSet::FinishGroup(
+    ExecContext* ctx, const Row& rep, const std::vector<AggState>& states) {
+  for (size_t i = 0; i < funcs_.size(); ++i) {
+    results_[i] = Result(i, states[i]);
   }
-  // Subtrees without aggregates evaluate over the group's first row.
-  if (!ContainsAgg(e)) {
-    return EvalExpr(e, ctx, rep);
+  bool keep = true;
+  if (has_having_) {
+    RETURN_IF_ERROR(having_.EvalBool(ctx, rep, &keep, results_.data()));
   }
-  // Composite expressions over aggregates (SELECT arithmetic, HAVING
-  // comparisons/boolean logic): recurse so aggregate leaves resolve to
-  // accumulator results.
-  auto boolean = [](bool b) { return Value::Int(b ? 1 : 0); };
-  switch (e.kind) {
-    case BoundExprKind::kArith: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(ctx, *e.children[0], rep, states));
-      ASSIGN_OR_RETURN(Value b, EvalWithAggs(ctx, *e.children[1], rep, states));
-      if (a.is_null() || b.is_null()) return Value::Null();
-      if (e.arith_op == '/') {
-        double d = b.AsNumber();
-        return d == 0 ? Value::Null() : Value::Real(a.AsNumber() / d);
-      }
-      bool both_int = a.type() == ValueType::kInt64 &&
-                      b.type() == ValueType::kInt64;
-      double x = a.AsNumber(), y = b.AsNumber();
-      switch (e.arith_op) {
-        case '+': return both_int ? Value::Int(a.AsInt() + b.AsInt())
-                                  : Value::Real(x + y);
-        case '-': return both_int ? Value::Int(a.AsInt() - b.AsInt())
-                                  : Value::Real(x - y);
-        case '*': return both_int ? Value::Int(a.AsInt() * b.AsInt())
-                                  : Value::Real(x * y);
-      }
-      return Status::Internal("bad arithmetic operator");
-    }
-    case BoundExprKind::kCompare: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(ctx, *e.children[0], rep, states));
-      ASSIGN_OR_RETURN(Value b, EvalWithAggs(ctx, *e.children[1], rep, states));
-      return boolean(EvalCompare(e.op, a, b));
-    }
-    case BoundExprKind::kBetween: {
-      ASSIGN_OR_RETURN(Value v, EvalWithAggs(ctx, *e.children[0], rep, states));
-      ASSIGN_OR_RETURN(Value lo,
-                       EvalWithAggs(ctx, *e.children[1], rep, states));
-      ASSIGN_OR_RETURN(Value hi,
-                       EvalWithAggs(ctx, *e.children[2], rep, states));
-      return boolean(EvalCompare(CompareOp::kGe, v, lo) &&
-                     EvalCompare(CompareOp::kLe, v, hi));
-    }
-    case BoundExprKind::kAnd: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(ctx, *e.children[0], rep, states));
-      if (a.is_null() || a.AsInt() == 0) return boolean(false);
-      ASSIGN_OR_RETURN(Value b, EvalWithAggs(ctx, *e.children[1], rep, states));
-      return boolean(!b.is_null() && b.AsInt() != 0);
-    }
-    case BoundExprKind::kOr: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(ctx, *e.children[0], rep, states));
-      if (!a.is_null() && a.AsInt() != 0) return boolean(true);
-      ASSIGN_OR_RETURN(Value b, EvalWithAggs(ctx, *e.children[1], rep, states));
-      return boolean(!b.is_null() && b.AsInt() != 0);
-    }
-    case BoundExprKind::kNot: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(ctx, *e.children[0], rep, states));
-      return boolean(a.is_null() || a.AsInt() == 0);
-    }
-    default:
-      return Status::Internal(
-          "unsupported expression over aggregate results");
-  }
+  return keep;
 }
 
-Status AggFunctionSet::EmitSelect(ExecContext* ctx, const PlanNode* node,
-                                  const Row& rep,
-                                  const std::vector<AggState>& states,
-                                  Row* out) const {
-  Row result;
-  result.reserve(node->agg_select.size());
-  for (const BoundExpr* item : node->agg_select) {
-    ASSIGN_OR_RETURN(Value v, EvalWithAggs(ctx, *item, rep, states));
-    result.push_back(std::move(v));
+Status AggFunctionSet::EmitSelect(ExecContext* ctx, const Row& rep,
+                                  Row* out) {
+  out->resize(select_.size());
+  for (size_t i = 0; i < select_.size(); ++i) {
+    RETURN_IF_ERROR(
+        select_[i].EvalValue(ctx, rep, &(*out)[i], results_.data()));
   }
-  *out = std::move(result);
   return Status::OK();
-}
-
-StatusOr<bool> AggFunctionSet::HavingPasses(
-    ExecContext* ctx, const PlanNode* node, const Row& rep,
-    const std::vector<AggState>& states) const {
-  if (node->having == nullptr) return true;
-  // HAVING is evaluated per group with aggregates bound to accumulators.
-  auto v = EvalWithAggs(ctx, *node->having, rep, states);
-  if (!v.ok()) return v.status();
-  return !v->is_null() && v->AsInt() != 0;
 }
 
 }  // namespace systemr

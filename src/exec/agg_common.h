@@ -35,11 +35,14 @@ struct AggState {
 void MergeAggStates(std::vector<AggState>* into,
                     const std::vector<AggState>& from);
 
-/// The compiled aggregate functions of one query block.
+/// The compiled aggregate functions of one query block, with its SELECT
+/// list and HAVING clause compiled over them: aggregate i is slot i of the
+/// values a finished group's programs read.
 class AggFunctionSet {
  public:
   /// Collects and compiles every aggregate in the node's SELECT list and
-  /// HAVING clause. Call once at operator construction.
+  /// HAVING clause, then the SELECT items and HAVING clause themselves.
+  /// Call once at operator construction.
   void Compile(const PlanNode* node);
 
   size_t size() const { return funcs_.size(); }
@@ -51,30 +54,29 @@ class AggFunctionSet {
   Status Accept(ExecContext* ctx, const Row& row,
                 std::vector<AggState>* states);
 
+  /// Finishes one group: computes its aggregate values from `states`, then
+  /// evaluates HAVING (if any) over `rep`, the group's representative row,
+  /// plus those values. True when the group passes.
+  StatusOr<bool> FinishGroup(ExecContext* ctx, const Row& rep,
+                             const std::vector<AggState>& states);
+
+  /// Evaluates the SELECT list into `*out` over `rep` plus the aggregate
+  /// values of the group FinishGroup last finished.
+  Status EmitSelect(ExecContext* ctx, const Row& rep, Row* out);
+
+ private:
   /// Final value of aggregate `i` given its accumulated state.
   Value Result(size_t i, const AggState& state) const;
 
-  /// Evaluates `e` with aggregate leaves bound to accumulated results and
-  /// plain columns taken from the group's representative row.
-  StatusOr<Value> EvalWithAggs(ExecContext* ctx, const BoundExpr& e,
-                               const Row& rep,
-                               const std::vector<AggState>& states) const;
-
-  /// Evaluates the node's SELECT list for one finished group into `*out`.
-  Status EmitSelect(ExecContext* ctx, const PlanNode* node, const Row& rep,
-                    const std::vector<AggState>& states, Row* out) const;
-
-  /// True when the node's HAVING clause (if any) accepts the group.
-  StatusOr<bool> HavingPasses(ExecContext* ctx, const PlanNode* node,
-                              const Row& rep,
-                              const std::vector<AggState>& states) const;
-
- private:
   struct CompiledAgg {
     const BoundExpr* agg = nullptr;
     ExprProgram arg;  // Compiled argument expression (COUNT(*) has none).
   };
   std::vector<CompiledAgg> funcs_;
+  std::vector<ExprProgram> select_;
+  ExprProgram having_;
+  bool has_having_ = false;
+  std::vector<Value> results_;  // The finished group's values, by slot.
 };
 
 }  // namespace systemr

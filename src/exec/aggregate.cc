@@ -36,10 +36,9 @@ void AggregateOp::Restart() {
 
 Status AggregateOp::EmitGroup(RowBatch* out) {
   group_open_ = false;
-  ASSIGN_OR_RETURN(bool keep,
-                   funcs_.HavingPasses(ctx_, node_, group_rep_, states_));
+  ASSIGN_OR_RETURN(bool keep, funcs_.FinishGroup(ctx_, group_rep_, states_));
   if (!keep) return Status::OK();
-  return funcs_.EmitSelect(ctx_, node_, group_rep_, states_, &out->Append());
+  return funcs_.EmitSelect(ctx_, group_rep_, &out->Append());
 }
 
 Status AggregateOp::NextBatch(RowBatch* out, bool* has_batch) {

@@ -41,10 +41,12 @@ const std::vector<std::pair<int, size_t>>& ExecContext::OuterRefsFor(
     if (e.subquery != nullptr) {
       for (const auto& item : e.subquery->select_list) walk(*item, depth + 1);
       if (e.subquery->where != nullptr) walk(*e.subquery->where, depth + 1);
+      if (e.subquery->having != nullptr) walk(*e.subquery->having, depth + 1);
     }
   };
   for (const auto& item : block->select_list) walk(*item, 0);
   if (block->where != nullptr) walk(*block->where, 0);
+  if (block->having != nullptr) walk(*block->having, 0);
   return outer_refs_[block] = std::move(refs);
 }
 

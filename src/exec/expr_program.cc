@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/expr_eval.h"
 #include "exec/subquery_eval.h"
 
 namespace systemr {
@@ -39,247 +38,229 @@ const Row kEmptyRow;
 
 bool ValueLess(const Value& a, const Value& b) { return a.Compare(b) < 0; }
 
+// Arithmetic with the engine's NULL/typing rules, written into *out (no
+// StatusOr temporary on the hot path).
+Status EvalArithInto(char op, const Value& a, const Value& b, Value* out) {
+  if (a.is_null() || b.is_null()) {
+    *out = Value::Null();
+    return Status::OK();
+  }
+  if (!IsArithmetic(a.type()) || !IsArithmetic(b.type())) {
+    return Status::InvalidArgument("arithmetic on non-numeric value");
+  }
+  bool both_int =
+      a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64;
+  if (op == '/') {
+    double denom = b.AsNumber();
+    *out = denom == 0 ? Value::Null() : Value::Real(a.AsNumber() / denom);
+    return Status::OK();
+  }
+  if (both_int) {
+    int64_t x = a.AsInt(), y = b.AsInt();
+    switch (op) {
+      case '+': *out = Value::Int(x + y); return Status::OK();
+      case '-': *out = Value::Int(x - y); return Status::OK();
+      case '*': *out = Value::Int(x * y); return Status::OK();
+    }
+  }
+  double x = a.AsNumber(), y = b.AsNumber();
+  switch (op) {
+    case '+': *out = Value::Real(x + y); return Status::OK();
+    case '-': *out = Value::Real(x - y); return Status::OK();
+    case '*': *out = Value::Real(x * y); return Status::OK();
+  }
+  return Status::Internal("unknown arithmetic operator");
+}
+
 }  // namespace
+
+bool LikeMatch(const std::string& s, const std::string& pattern) {
+  size_t si = 0, pi = 0;
+  // Position of the last '%' seen and the subject index its current
+  // expansion resumes from; on a mismatch we back up here and let the '%'
+  // absorb one more character.
+  size_t star_pi = std::string::npos;
+  size_t star_si = 0;
+  while (si < s.size()) {
+    if (pi < pattern.size() &&
+        (pattern[pi] == '_' || pattern[pi] == s[si])) {
+      ++si;
+      ++pi;
+    } else if (pi < pattern.size() && pattern[pi] == '%') {
+      star_pi = pi++;
+      star_si = si;
+    } else if (star_pi != std::string::npos) {
+      pi = star_pi + 1;
+      si = ++star_si;
+    } else {
+      return false;
+    }
+  }
+  while (pi < pattern.size() && pattern[pi] == '%') ++pi;
+  return pi == pattern.size();
+}
 
 uint32_t ExprProgram::AddConst(Value v) {
   consts_.push_back(std::move(v));
   return static_cast<uint32_t>(consts_.size() - 1);
 }
 
-bool ExprProgram::Emit(const BoundExpr& e) {
-  if (e.kind != BoundExprKind::kLiteral && IsConstExpr(e)) {
-    // Constant folding: a const subtree never touches ctx or the row.
-    StatusOr<Value> v = EvalExpr(e, nullptr, kEmptyRow);
-    if (v.ok()) {
-      Step s;
-      s.op = Op::kPushConst;
-      s.a = AddConst(std::move(*v));
-      steps_.push_back(s);
-      return true;
-    }
-    // Folding failed (e.g. arithmetic on a string literal): emit the steps so
-    // the same error surfaces at run time, as the interpreter would.
+ExprProgram::Step& ExprProgram::Add(Op op) {
+  steps_.emplace_back();
+  steps_.back().op = op;
+  return steps_.back();
+}
+
+bool ExprProgram::FoldConst(const BoundExpr& e, Value* out) {
+  if (e.kind == BoundExprKind::kLiteral) {
+    *out = e.literal;
+    return true;
+  }
+  // A const subtree never touches ctx or the row.
+  ExprProgram sub;
+  sub.fold_ = false;
+  sub.Emit(e);
+  sub.stack_.resize(sub.steps_.size() + 1);
+  const Value* top = nullptr;
+  if (!sub.Run(nullptr, kEmptyRow, nullptr, &top).ok()) return false;
+  *out = *top;
+  return true;
+}
+
+void ExprProgram::Emit(const BoundExpr& e) {
+  Value folded;
+  if (fold_ && IsConstExpr(e) && FoldConst(e, &folded)) {
+    Add(Op::kPushConst).a = AddConst(std::move(folded));
+    return;
   }
   switch (e.kind) {
-    case BoundExprKind::kColumn: {
-      Step s;
+    case BoundExprKind::kColumn:
       if (e.outer_level == 0) {
-        s.op = Op::kPushColumn;
-        s.a = static_cast<uint32_t>(e.offset);
+        Add(Op::kPushColumn).a = static_cast<uint32_t>(e.offset);
       } else {
-        s.op = Op::kPushOuter;
+        Step& s = Add(Op::kPushOuter);
         s.a = static_cast<uint32_t>(e.outer_level);
         s.b = static_cast<uint32_t>(e.offset);
       }
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kLiteral: {
-      Step s;
-      s.op = Op::kPushConst;
-      s.a = AddConst(e.literal);
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kParameter: {
-      Step s;
-      s.op = Op::kPushParam;
-      s.a = static_cast<uint32_t>(e.param_idx);
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kCompare: {
-      if (!Emit(*e.children[0]) || !Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kCompare;
-      s.cmp = e.op;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kAnd: {
-      if (!Emit(*e.children[0])) return false;
-      size_t jump = steps_.size();
-      steps_.push_back(Step{});
-      steps_[jump].op = Op::kJumpIfFalse;
-      if (!Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kToBool;
-      steps_.push_back(s);
-      steps_[jump].a = static_cast<uint32_t>(steps_.size());
-      return true;
-    }
+      return;
+    case BoundExprKind::kLiteral:
+      Add(Op::kPushConst).a = AddConst(e.literal);
+      return;
+    case BoundExprKind::kParameter:
+      Add(Op::kPushParam).a = static_cast<uint32_t>(e.param_idx);
+      return;
+    case BoundExprKind::kCompare:
+      Emit(*e.children[0]);
+      Emit(*e.children[1]);
+      Add(Op::kCompare).cmp = e.op;
+      return;
+    case BoundExprKind::kAnd:
     case BoundExprKind::kOr: {
-      if (!Emit(*e.children[0])) return false;
+      Emit(*e.children[0]);
       size_t jump = steps_.size();
-      steps_.push_back(Step{});
-      steps_[jump].op = Op::kJumpIfTrue;
-      if (!Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kToBool;
-      steps_.push_back(s);
+      Add(e.kind == BoundExprKind::kAnd ? Op::kJumpIfFalse : Op::kJumpIfTrue);
+      Emit(*e.children[1]);
+      Add(Op::kToBool);
       steps_[jump].a = static_cast<uint32_t>(steps_.size());
-      return true;
+      return;
     }
-    case BoundExprKind::kNot: {
-      if (!Emit(*e.children[0])) return false;
-      Step s;
-      s.op = Op::kNot;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kArith: {
-      if (!Emit(*e.children[0]) || !Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kArith;
-      s.arith = e.arith_op;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kBetween: {
-      if (!Emit(*e.children[0]) || !Emit(*e.children[1]) ||
-          !Emit(*e.children[2])) {
-        return false;
-      }
-      Step s;
-      s.op = Op::kBetween;
-      steps_.push_back(s);
-      return true;
-    }
+    case BoundExprKind::kNot:
+      Emit(*e.children[0]);
+      Add(Op::kNot);
+      return;
+    case BoundExprKind::kArith:
+      Emit(*e.children[0]);
+      Emit(*e.children[1]);
+      Add(Op::kArith).arith = e.arith_op;
+      return;
+    case BoundExprKind::kBetween:
+      for (const auto& c : e.children) Emit(*c);
+      Add(Op::kBetween);
+      return;
     case BoundExprKind::kInList: {
-      if (!Emit(*e.children[0])) return false;
+      Emit(*e.children[0]);
+      // An all-constant list is evaluated and sorted once; NULL items can
+      // never match (x = NULL is false), so they are dropped outright.
+      std::vector<Value> items;
       bool all_const = true;
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        if (!IsConstExpr(*e.children[i])) {
-          all_const = false;
-          break;
-        }
+      for (size_t i = 1; all_const && i < e.children.size(); ++i) {
+        Value v;
+        all_const =
+            IsConstExpr(*e.children[i]) && FoldConst(*e.children[i], &v);
+        if (all_const && !v.is_null()) items.push_back(std::move(v));
       }
       if (all_const) {
-        // Pre-evaluate and sort the list once; NULL items can never match
-        // (x = NULL is false), so they are dropped outright.
-        std::vector<Value> items;
-        items.reserve(e.children.size() - 1);
-        for (size_t i = 1; all_const && i < e.children.size(); ++i) {
-          StatusOr<Value> v = EvalExpr(*e.children[i], nullptr, kEmptyRow);
-          if (!v.ok()) {
-            all_const = false;
-            break;
-          }
-          if (!v->is_null()) items.push_back(std::move(*v));
-        }
-        if (all_const) {
-          std::sort(items.begin(), items.end(), ValueLess);
-          Step s;
-          s.op = Op::kInSortedConsts;
-          s.a = static_cast<uint32_t>(lists_.size());
-          lists_.push_back(std::move(items));
-          steps_.push_back(s);
-          return true;
+        std::sort(items.begin(), items.end(), ValueLess);
+        Add(Op::kInSortedConsts).a = static_cast<uint32_t>(lists_.size());
+        lists_.push_back(std::move(items));
+        return;
+      }
+      for (size_t i = 1; i < e.children.size(); ++i) Emit(*e.children[i]);
+      Add(Op::kInRow).a = static_cast<uint32_t>(e.children.size() - 1);
+      return;
+    }
+    case BoundExprKind::kInSubquery:
+      Emit(*e.children[0]);
+      Add(Op::kInSubquery).subquery = e.subquery.get();
+      return;
+    case BoundExprKind::kSubquery:
+      Add(Op::kScalarSubquery).subquery = e.subquery.get();
+      return;
+    case BoundExprKind::kAggregate: {
+      Step& s = Add(Op::kAggNoSlot);
+      if (agg_slots_ != nullptr) {
+        auto it = std::find(agg_slots_->begin(), agg_slots_->end(), &e);
+        if (it != agg_slots_->end()) {
+          s.op = Op::kPushAgg;
+          s.a = static_cast<uint32_t>(it - agg_slots_->begin());
         }
       }
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        if (!Emit(*e.children[i])) return false;
-      }
-      Step s;
-      s.op = Op::kInRow;
-      s.a = static_cast<uint32_t>(e.children.size() - 1);
-      steps_.push_back(s);
-      return true;
+      return;
     }
-    case BoundExprKind::kInSubquery: {
-      if (!Emit(*e.children[0])) return false;
-      Step s;
-      s.op = Op::kInSubquery;
-      s.subquery = e.subquery.get();
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kSubquery: {
-      Step s;
-      s.op = Op::kScalarSubquery;
-      s.subquery = e.subquery.get();
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kAggregate:
-      // Aggregates resolve against accumulators inside AggregateOp; the
-      // caller falls back to the interpreter path.
-      return false;
-    case BoundExprKind::kIsNull: {
-      if (!Emit(*e.children[0])) return false;
-      Step s;
-      s.op = Op::kIsNull;
-      s.negated = e.negated;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kLike: {
-      if (!Emit(*e.children[0]) || !Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kLike;
-      s.negated = e.negated;
-      steps_.push_back(s);
-      return true;
-    }
+    case BoundExprKind::kIsNull:
+      Emit(*e.children[0]);
+      Add(Op::kIsNull).negated = e.negated;
+      return;
+    case BoundExprKind::kLike:
+      Emit(*e.children[0]);
+      Emit(*e.children[1]);
+      Add(Op::kLike).negated = e.negated;
+      return;
   }
-  return false;
 }
 
-void ExprProgram::CompileExpr(const BoundExpr* e) {
-  fallback_expr_ = e;
-  fallback_preds_ = nullptr;
+void ExprProgram::Reset() {
   steps_.clear();
   consts_.clear();
   lists_.clear();
-  compiled_ = Emit(*e);
-  if (!compiled_) {
-    steps_.clear();
-    consts_.clear();
-    lists_.clear();
-  }
+}
+
+void ExprProgram::CompileExpr(const BoundExpr* e,
+                              const std::vector<const BoundExpr*>* agg_slots) {
+  Reset();
+  agg_slots_ = agg_slots;
+  Emit(*e);
+  agg_slots_ = nullptr;
   // Each step pushes at most one net slot, so this bound never reallocates.
   stack_.resize(steps_.size() + 1);
   ClassifyForBatch();
 }
 
 void ExprProgram::CompilePreds(const std::vector<const BoundExpr*>* preds) {
-  fallback_expr_ = nullptr;
-  fallback_preds_ = preds;
-  steps_.clear();
-  consts_.clear();
-  lists_.clear();
-  compiled_ = true;
+  Reset();
   if (preds->empty()) {
-    Step s;
-    s.op = Op::kPushConst;
-    s.a = AddConst(Value::Int(1));
-    steps_.push_back(s);
+    Add(Op::kPushConst).a = AddConst(Value::Int(1));
   } else {
     std::vector<size_t> jumps;
-    for (size_t i = 0; compiled_ && i < preds->size(); ++i) {
-      if (!Emit(*(*preds)[i])) {
-        compiled_ = false;
-        break;
-      }
+    for (size_t i = 0; i < preds->size(); ++i) {
+      Emit(*(*preds)[i]);
       if (i + 1 < preds->size()) {
         jumps.push_back(steps_.size());
-        steps_.push_back(Step{});
-        steps_[jumps.back()].op = Op::kJumpIfFalse;
+        Add(Op::kJumpIfFalse);
       }
     }
-    if (compiled_) {
-      Step s;
-      s.op = Op::kToBool;
-      steps_.push_back(s);
-      for (size_t j : jumps) {
-        steps_[j].a = static_cast<uint32_t>(steps_.size());
-      }
-    }
-  }
-  if (!compiled_) {
-    steps_.clear();
-    consts_.clear();
-    lists_.clear();
+    Add(Op::kToBool);
+    for (size_t j : jumps) steps_[j].a = static_cast<uint32_t>(steps_.size());
   }
   stack_.resize(steps_.size() + 1);
   ClassifyForBatch();
@@ -287,7 +268,6 @@ void ExprProgram::CompilePreds(const std::vector<const BoundExpr*>* preds) {
 
 void ExprProgram::ClassifyForBatch() {
   batch_kind_ = BatchKind::kGeneric;
-  if (!compiled_) return;
   if (steps_.size() == 1 && steps_[0].op == Op::kPushConst) {
     // The empty predicate list compiles to a constant-true push.
     if (Truthy(consts_[steps_[0].a])) batch_kind_ = BatchKind::kAlwaysOn;
@@ -355,7 +335,8 @@ Status ExprProgram::EvalBoolBatch(ExecContext* ctx,
   return Status::OK();
 }
 
-Status ExprProgram::Run(ExecContext* ctx, const Row& row, const Value** top) {
+Status ExprProgram::Run(ExecContext* ctx, const Row& row, const Value* aggs,
+                        const Value** top) {
   Slot* stack = stack_.data();
   size_t sp = 0;
   const size_t n = steps_.size();
@@ -508,6 +489,12 @@ Status ExprProgram::Run(ExecContext* ctx, const Row& row, const Value** top) {
         dst.ref = &dst.owned;
         break;
       }
+      case Op::kPushAgg:
+        stack[sp++].ref = &aggs[s.a];
+        break;
+      case Op::kAggNoSlot:
+        return Status::Internal(
+            "aggregate evaluated outside an Aggregate operator");
     }
   }
   if (sp != 1) return Status::Internal("expression program stack imbalance");
@@ -515,37 +502,18 @@ Status ExprProgram::Run(ExecContext* ctx, const Row& row, const Value** top) {
   return Status::OK();
 }
 
-Status ExprProgram::EvalBool(ExecContext* ctx, const Row& row, bool* out) {
-  if (!compiled_) {
-    if (fallback_preds_ != nullptr) {
-      StatusOr<bool> r = EvalAll(*fallback_preds_, ctx, row);
-      if (!r.ok()) return r.status();
-      *out = *r;
-      return Status::OK();
-    }
-    StatusOr<bool> r = EvalPredicate(*fallback_expr_, ctx, row);
-    if (!r.ok()) return r.status();
-    *out = *r;
-    return Status::OK();
-  }
+Status ExprProgram::EvalBool(ExecContext* ctx, const Row& row, bool* out,
+                             const Value* aggs) {
   const Value* top = nullptr;
-  RETURN_IF_ERROR(Run(ctx, row, &top));
+  RETURN_IF_ERROR(Run(ctx, row, aggs, &top));
   *out = Truthy(*top);
   return Status::OK();
 }
 
-Status ExprProgram::EvalValue(ExecContext* ctx, const Row& row, Value* out) {
-  if (!compiled_) {
-    if (fallback_expr_ == nullptr) {
-      return Status::Internal("value program compiled from a predicate list");
-    }
-    StatusOr<Value> r = EvalExpr(*fallback_expr_, ctx, row);
-    if (!r.ok()) return r.status();
-    *out = std::move(*r);
-    return Status::OK();
-  }
+Status ExprProgram::EvalValue(ExecContext* ctx, const Row& row, Value* out,
+                              const Value* aggs) {
   const Value* top = nullptr;
-  RETURN_IF_ERROR(Run(ctx, row, &top));
+  RETURN_IF_ERROR(Run(ctx, row, aggs, &top));
   *out = *top;
   return Status::OK();
 }

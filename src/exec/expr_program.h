@@ -1,19 +1,22 @@
-// Compiled predicate/value programs — the executor's stand-in for System R's
-// generated access-module code (§2). A BoundExpr tree is flattened ONCE, at
-// operator construction, into a postfix array of small steps evaluated with
-// an explicit value stack: no recursion, no StatusOr<Value> temporaries on
-// the hot path, constant sub-expressions folded at compile time, and AND/OR
-// short-circuiting via jump steps. Column and constant operands are pushed
-// by reference, so a comparison over two columns touches no Value copies at
-// all.
+// Compiled expression programs — the engine's one evaluator of bound
+// expressions, and its stand-in for System R's generated access-module code
+// (§2). A BoundExpr tree is flattened ONCE, at operator construction, into a
+// postfix array of small steps evaluated with an explicit value stack: no
+// recursion, no StatusOr<Value> temporaries on the hot path, constant
+// sub-expressions folded at compile time (each runs once as a program of its
+// own), and AND/OR short-circuiting via jump steps. Column and constant
+// operands are pushed by reference, so a comparison over two columns touches
+// no Value copies at all.
 //
-// Anything the program evaluator cannot express (aggregate leaves, which are
-// resolved against accumulators inside AggregateOp) falls back to the
-// recursive interpreter in expr_eval — semantics are identical either way,
-// which the differential fuzz harness checks.
+// Aggregate leaves compile to slot steps. An aggregation operator compiles
+// its SELECT items and HAVING clause against its list of aggregate
+// expressions and runs them over a finished group's representative row plus
+// the group's aggregate values, slot i holding aggregate i. An aggregate
+// leaf with no slot compiles to a step that fails with kInternal.
 #ifndef SYSTEMR_EXEC_EXPR_PROGRAM_H_
 #define SYSTEMR_EXEC_EXPR_PROGRAM_H_
 
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -22,35 +25,43 @@
 
 namespace systemr {
 
+/// SQL LIKE: '%' matches any sequence, '_' any single character. Iterative
+/// two-pointer backtracking — O(|s|·|pattern|) worst case, so pathological
+/// patterns like "%a%a%a%a%a" stay cheap.
+bool LikeMatch(const std::string& s, const std::string& pattern);
+
 class ExprProgram {
  public:
   ExprProgram() = default;
 
   /// Compiles `e` (owned by the plan, which outlives the operator) for
-  /// repeated evaluation.
-  void CompileExpr(const BoundExpr* e);
+  /// repeated evaluation. An aggregate leaf that appears in `agg_slots`, at
+  /// index i, reads aggs[i] of the values passed to EvalValue/EvalBool.
+  void CompileExpr(const BoundExpr* e,
+                   const std::vector<const BoundExpr*>* agg_slots = nullptr);
 
-  /// Compiles the conjunction of `preds` with EvalAll semantics: conjuncts
-  /// are evaluated left to right, NULL counts as false, and the first false
-  /// conjunct short-circuits the rest.
+  /// Compiles the conjunction of `preds`: conjuncts are evaluated left to
+  /// right, NULL counts as false, and the first false conjunct
+  /// short-circuits the rest.
   void CompilePreds(const std::vector<const BoundExpr*>* preds);
 
-  /// True if the flattened program is in use (false = interpreter fallback).
-  bool compiled() const { return compiled_; }
-
-  /// Predicate evaluation; NULL is false.
-  Status EvalBool(ExecContext* ctx, const Row& row, bool* out);
+  /// Predicate evaluation; NULL is false. `aggs` holds a finished group's
+  /// aggregate values, by slot; a program compiled with `agg_slots` must be
+  /// given them.
+  Status EvalBool(ExecContext* ctx, const Row& row, bool* out,
+                  const Value* aggs = nullptr);
 
   /// Vectorized predicate evaluation over a batch: `sel` holds candidate row
   /// indices into `rows` on entry and is compacted in place to the indices
   /// that pass. Single column-vs-constant / column-vs-column comparisons run
   /// a branch-light fast path; everything else loops the compiled program
-  /// (or the interpreter fallback) per selected row.
+  /// per selected row.
   Status EvalBoolBatch(ExecContext* ctx, const std::vector<Row>& rows,
                        std::vector<uint32_t>* sel);
 
-  /// Value evaluation (SELECT items, aggregate arguments).
-  Status EvalValue(ExecContext* ctx, const Row& row, Value* out);
+  /// Value evaluation (SELECT items, aggregate arguments, DML SET values).
+  Status EvalValue(ExecContext* ctx, const Row& row, Value* out,
+                   const Value* aggs = nullptr);
 
  private:
   enum class Op : uint8_t {
@@ -71,6 +82,8 @@ class ExprProgram {
     kJumpIfTrue,      // pop v; if truthy(v): push true, jump to a
     kScalarSubquery,  // push the (cached, §6) scalar subquery result
     kInSubquery,      // pop v; membership in the subquery's sorted list
+    kPushAgg,         // push &aggs[a], a finished group's aggregate value
+    kAggNoSlot,       // fail: aggregate leaf compiled without a slot
   };
 
   struct Step {
@@ -90,24 +103,33 @@ class ExprProgram {
     Value owned;
   };
 
-  bool Emit(const BoundExpr& e);
+  /// Starts a new program: drops the previous one's steps and constants.
+  void Reset();
+  /// Appends a step with opcode `op`; the reference is valid until the next
+  /// append.
+  Step& Add(Op op);
+  void Emit(const BoundExpr& e);
+  /// Runs the constant subtree `e` as a program of its own; false if it
+  /// fails, so the caller emits its steps and the error surfaces at run time.
+  static bool FoldConst(const BoundExpr& e, Value* out);
   uint32_t AddConst(Value v);
-  Status Run(ExecContext* ctx, const Row& row, const Value** top);
+  Status Run(ExecContext* ctx, const Row& row, const Value* aggs,
+             const Value** top);
   /// Classifies the finished program for EvalBoolBatch's fast paths.
   void ClassifyForBatch();
 
   /// Batch fast-path shapes detected at compile time.
   enum class BatchKind : uint8_t {
-    kGeneric,   // Loop Run() (or the interpreter) per row.
+    kGeneric,   // Loop Run() per row.
     kAlwaysOn,  // Constant-true program (empty predicate list).
     kColConst,  // row[a] cmp consts_[b]
     kColCol,    // row[a] cmp row[b]
   };
 
-  bool compiled_ = false;
   BatchKind batch_kind_ = BatchKind::kGeneric;
-  const BoundExpr* fallback_expr_ = nullptr;
-  const std::vector<const BoundExpr*>* fallback_preds_ = nullptr;
+  bool fold_ = true;  // False inside FoldConst's program: no nested folds.
+  // Compile time only: the aggregate leaves that have slots.
+  const std::vector<const BoundExpr*>* agg_slots_ = nullptr;
   std::vector<Step> steps_;
   std::vector<Value> consts_;
   std::vector<std::vector<Value>> lists_;  // kInSortedConsts operands.

@@ -279,11 +279,10 @@ Status HashGroupByOp::NextBatch(RowBatch* out, bool* has_batch) {
   const std::vector<GroupTable::Group>& groups = table_.groups();
   while (out->filled < out->capacity && emit_idx_ < groups.size()) {
     const GroupTable::Group& g = groups[emit_idx_++];
-    ASSIGN_OR_RETURN(bool keep, table_.funcs().HavingPasses(ctx_, node_, g.rep,
-                                                            g.states));
+    ASSIGN_OR_RETURN(bool keep,
+                     table_.funcs().FinishGroup(ctx_, g.rep, g.states));
     if (!keep) continue;
-    RETURN_IF_ERROR(table_.funcs().EmitSelect(ctx_, node_, g.rep, g.states,
-                                              &out->Append()));
+    RETURN_IF_ERROR(table_.funcs().EmitSelect(ctx_, g.rep, &out->Append()));
   }
   out->SelectAll();
   *has_batch = out->filled > 0;

@@ -15,7 +15,6 @@
 
 #include "exec/batch.h"
 #include "exec/exec_context.h"
-#include "exec/expr_eval.h"
 #include "exec/expr_program.h"
 #include "optimizer/plan.h"
 

@@ -196,12 +196,11 @@ Status ExchangeOp::RunFragment() {
     for (auto& w : workers) merged.MergeFrom(&w->groups);
     merged.EnsureScalarGroup(block_->row_width);
     for (const GroupTable::Group& g : merged.groups()) {
-      ASSIGN_OR_RETURN(bool keep, merged.funcs().HavingPasses(
-                                      ctx_, node_, g.rep, g.states));
+      ASSIGN_OR_RETURN(bool keep,
+                       merged.funcs().FinishGroup(ctx_, g.rep, g.states));
       if (!keep) continue;
       Row out;
-      RETURN_IF_ERROR(
-          merged.funcs().EmitSelect(ctx_, node_, g.rep, g.states, &out));
+      RETURN_IF_ERROR(merged.funcs().EmitSelect(ctx_, g.rep, &out));
       rows_.push_back(std::move(out));
     }
   } else {

@@ -111,14 +111,6 @@ int MaxLocalTable(const BoundExpr& e, int depth) {
   return max_idx;
 }
 
-bool ContainsAggregate(const BoundExpr& e) {
-  if (e.kind == BoundExprKind::kAggregate) return true;
-  for (const auto& c : e.children) {
-    if (ContainsAggregate(*c)) return true;
-  }
-  return false;
-}
-
 void CollectAggregates(const BoundExpr& e,
                        std::vector<const BoundExpr*>* out) {
   if (e.kind == BoundExprKind::kAggregate) {
@@ -311,6 +303,12 @@ StatusOr<Value> RefExecutor::Eval(const BoundExpr& e, const Row& row) {
       return sub->empty() ? Value::Null() : (*sub)[0][0];
     }
     case BoundExprKind::kAggregate:
+      // Resolved against the accumulators of the group being emitted.
+      if (group_accs_ != nullptr) {
+        for (const Accumulator& a : *group_accs_) {
+          if (a.agg == &e) return a.Result();
+        }
+      }
       return Status::Internal(
           "aggregate evaluated outside an aggregation context");
     case BoundExprKind::kIsNull: {
@@ -375,54 +373,6 @@ Value RefExecutor::Accumulator::Result() const {
   return Value::Null();
 }
 
-StatusOr<Value> RefExecutor::EvalWithAggs(const BoundExpr& e, const Row& rep,
-                                          const std::vector<Accumulator>& accs) {
-  if (e.kind == BoundExprKind::kAggregate) {
-    for (const Accumulator& a : accs) {
-      if (a.agg == &e) return a.Result();
-    }
-    return Status::Internal("reference executor: accumulator not found");
-  }
-  if (!ContainsAggregate(e)) return Eval(e, rep);
-  switch (e.kind) {
-    case BoundExprKind::kArith: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(*e.children[0], rep, accs));
-      ASSIGN_OR_RETURN(Value b, EvalWithAggs(*e.children[1], rep, accs));
-      return RefArith(e.arith_op, a, b);
-    }
-    case BoundExprKind::kCompare: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(*e.children[0], rep, accs));
-      ASSIGN_OR_RETURN(Value b, EvalWithAggs(*e.children[1], rep, accs));
-      return BoolValue(RefCompare(e.op, a, b));
-    }
-    case BoundExprKind::kBetween: {
-      ASSIGN_OR_RETURN(Value v, EvalWithAggs(*e.children[0], rep, accs));
-      ASSIGN_OR_RETURN(Value lo, EvalWithAggs(*e.children[1], rep, accs));
-      ASSIGN_OR_RETURN(Value hi, EvalWithAggs(*e.children[2], rep, accs));
-      return BoolValue(RefCompare(CompareOp::kGe, v, lo) &&
-                       RefCompare(CompareOp::kLe, v, hi));
-    }
-    case BoundExprKind::kAnd: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(*e.children[0], rep, accs));
-      if (a.is_null() || a.AsInt() == 0) return BoolValue(false);
-      ASSIGN_OR_RETURN(Value b, EvalWithAggs(*e.children[1], rep, accs));
-      return BoolValue(!b.is_null() && b.AsInt() != 0);
-    }
-    case BoundExprKind::kOr: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(*e.children[0], rep, accs));
-      if (!a.is_null() && a.AsInt() != 0) return BoolValue(true);
-      ASSIGN_OR_RETURN(Value b, EvalWithAggs(*e.children[1], rep, accs));
-      return BoolValue(!b.is_null() && b.AsInt() != 0);
-    }
-    case BoundExprKind::kNot: {
-      ASSIGN_OR_RETURN(Value a, EvalWithAggs(*e.children[0], rep, accs));
-      return BoolValue(a.is_null() || a.AsInt() == 0);
-    }
-    default:
-      return Status::Internal("unsupported expression over aggregate results");
-  }
-}
-
 StatusOr<std::vector<Row>> RefExecutor::Aggregate(const BoundQueryBlock& block,
                                                   std::vector<Row> input) {
   std::vector<size_t> group_offsets;
@@ -452,20 +402,30 @@ StatusOr<std::vector<Row>> RefExecutor::Aggregate(const BoundQueryBlock& block,
   };
 
   std::vector<Row> out;
-  auto emit_group = [&](const Row& rep,
-                        const std::vector<Accumulator>& accs) -> Status {
+  auto emit_row = [&](const Row& rep) -> Status {
     if (block.having != nullptr) {
-      ASSIGN_OR_RETURN(Value keep, EvalWithAggs(*block.having, rep, accs));
-      if (keep.is_null() || keep.AsInt() == 0) return Status::OK();
+      ASSIGN_OR_RETURN(bool keep, EvalPred(*block.having, rep));
+      if (!keep) return Status::OK();
     }
     Row result;
     result.reserve(block.select_list.size());
     for (const auto& item : block.select_list) {
-      ASSIGN_OR_RETURN(Value v, EvalWithAggs(*item, rep, accs));
+      ASSIGN_OR_RETURN(Value v, Eval(*item, rep));
       result.push_back(std::move(v));
     }
     out.push_back(std::move(result));
     return Status::OK();
+  };
+  // While a group is emitted its accumulators resolve the aggregate leaves
+  // Eval meets; a nested block that aggregates installs its own and
+  // restores these.
+  auto emit_group = [&](const Row& rep,
+                        const std::vector<Accumulator>& accs) -> Status {
+    const std::vector<Accumulator>* saved = group_accs_;
+    group_accs_ = &accs;
+    Status st = emit_row(rep);
+    group_accs_ = saved;
+    return st;
   };
 
   size_t i = 0;

@@ -92,8 +92,6 @@ class RefExecutor {
     Status Accept(RefExecutor* self, const Row& row);
     Value Result() const;
   };
-  StatusOr<Value> EvalWithAggs(const BoundExpr& e, const Row& rep,
-                               const std::vector<Accumulator>& accs);
   StatusOr<std::vector<Row>> Aggregate(const BoundQueryBlock& block,
                                        std::vector<Row> input);
 
@@ -105,6 +103,9 @@ class RefExecutor {
   // Enclosing rows for correlated references, outermost first (same stack
   // discipline as the engine's ExecContext).
   std::vector<const Row*> ancestors_;
+  // Accumulators of the group being emitted; Eval resolves aggregate leaves
+  // against them (null outside group emission).
+  const std::vector<Accumulator>* group_accs_ = nullptr;
   int depth_ = 0;  // Recursion depth; 0 = top-level Execute.
 };
 

@@ -1,6 +1,8 @@
 // DELETE / UPDATE tests: access-path-driven target location, index
 // maintenance, Halloween safety, subquery predicates, and the System R
 // statistics contract (stats stay stale until UPDATE STATISTICS).
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "db/database.h"
@@ -148,6 +150,52 @@ TEST_F(DmlTest, DeleteUsesSelectiveAccessPath) {
   // The whole EMP heap is only a couple of pages here, so just check the
   // scan did not return every tuple across the RSI.
   EXPECT_LT(after.rsi_calls - before.rsi_calls, 10u);
+}
+
+// UPDATE ... SET c = (subquery): SET subqueries are planned alongside the
+// WHERE subqueries, and every new row is computed before the first write,
+// so SET reads the table as it was before the update.
+class DmlSetSubqueryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>(64);
+    ASSERT_TRUE(db_->ExecuteScript(R"(
+      CREATE TABLE T (A INT, B INT);
+      INSERT INTO T VALUES (1, 10);
+      INSERT INTO T VALUES (2, 20);
+      INSERT INTO T VALUES (3, 30);
+      INSERT INTO T VALUES (4, 40);
+    )").ok());
+  }
+
+  // B values in A order.
+  std::vector<int64_t> Bs() {
+    auto r = db_->Query("SELECT A, B FROM T ORDER BY A");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<int64_t> out;
+    if (r.ok()) {
+      for (const Row& row : r->rows) out.push_back(row[1].AsInt());
+    }
+    return out;
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(DmlSetSubqueryTest, UncorrelatedSubqueryInSet) {
+  auto affected = db_->Mutate("UPDATE T SET B = (SELECT MAX(B) FROM T) + 1");
+  ASSERT_TRUE(affected.ok()) << affected.status().ToString();
+  EXPECT_EQ(*affected, 4u);
+  EXPECT_EQ(Bs(), (std::vector<int64_t>{41, 41, 41, 41}));
+}
+
+TEST_F(DmlSetSubqueryTest, CorrelatedSubqueryInSetReadsPreUpdateTable) {
+  // Reading rows already updated would give 41, 42, 43, 44.
+  auto affected = db_->Mutate(
+      "UPDATE T SET B = (SELECT MAX(X.B) FROM T X WHERE X.A <> T.A) + 1");
+  ASSERT_TRUE(affected.ok()) << affected.status().ToString();
+  EXPECT_EQ(*affected, 4u);
+  EXPECT_EQ(Bs(), (std::vector<int64_t>{41, 41, 41, 31}));
 }
 
 }  // namespace

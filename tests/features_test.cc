@@ -1,12 +1,15 @@
 // HAVING, SELECT DISTINCT, and LIKE (including the prefix-pattern
 // sargability that turns LIKE 'ABC%' into index bounds).
+#include <algorithm>
 #include <chrono>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "db/database.h"
-#include "exec/expr_eval.h"
+#include "exec/expr_program.h"
 
 namespace systemr {
 namespace {
@@ -177,6 +180,20 @@ TEST(LikeMatchTest, PathologicalPatternFinishesInstantly) {
   EXPECT_LT(ms, 1000.0);
 }
 
+// An aggregate leaf compiled without a slot (the binder keeps aggregates
+// out of every such program) fails cleanly with kInternal when evaluated.
+TEST_F(FeaturesTest, AggregateLeafWithoutSlotIsInternalError) {
+  auto prepared = db_->Prepare("SELECT SUM(SAL) + 1 FROM EMP");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ExprProgram program;
+  program.CompileExpr(prepared->block->select_list[0].get());
+  Row row(prepared->block->row_width);
+  Value v;
+  EXPECT_EQ(program.EvalValue(nullptr, row, &v).code(), StatusCode::kInternal);
+  bool b = false;
+  EXPECT_EQ(program.EvalBool(nullptr, row, &b).code(), StatusCode::kInternal);
+}
+
 TEST_F(FeaturesTest, LikeTypeChecked) {
   EXPECT_FALSE(db_->Query("SELECT EMPNO FROM EMP WHERE SAL LIKE '1%'").ok());
 }
@@ -190,6 +207,125 @@ TEST_F(FeaturesTest, CombinedFeatures) {
   EXPECT_EQ(r.rows[0][0].AsStr(), "ADAMS");
   for (const Row& row : r.rows) EXPECT_EQ(row[1].AsInt(), 10);
 }
+
+// --- Expressions over aggregate values ---
+//
+// SELECT items and HAVING clauses of any expression kind over aggregates,
+// under sorted aggregation (hash join, and so hash aggregation, disabled)
+// and hash aggregation (forced). Expected rows are computed by hand from
+// the eight rows below; results are compared as sorted "a|b" strings.
+class AggExprTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>(64);
+    if (GetParam()) {
+      db_->options().join.force = JoinMethodForce::kHash;
+    } else {
+      db_->options().join.enable_hash_join = false;
+    }
+    // Groups by A: 1 -> B {10, 20}, S {xa, ya}; 2 -> B {NULL}, S {xb};
+    // 3 -> B {5, 6, 7}, S {zz, yb, xc}; 4 -> B {NULL, NULL}, S {ya, yc}.
+    ASSERT_TRUE(db_->ExecuteScript(R"(
+      CREATE TABLE G (A INT, B INT, S STRING);
+      INSERT INTO G VALUES (1, 10, 'xa');
+      INSERT INTO G VALUES (1, 20, 'ya');
+      INSERT INTO G VALUES (2, NULL, 'xb');
+      INSERT INTO G VALUES (3, 5, 'zz');
+      INSERT INTO G VALUES (3, 6, 'yb');
+      INSERT INTO G VALUES (3, 7, 'xc');
+      INSERT INTO G VALUES (4, NULL, 'ya');
+      INSERT INTO G VALUES (4, NULL, 'yc');
+      UPDATE STATISTICS G;
+    )").ok());
+  }
+
+  // Rows as sorted "v1|v2|..." strings. For a grouped statement without
+  // subqueries, also checks its plan uses the aggregation method under test.
+  std::vector<std::string> Rows(const std::string& sql) {
+    if (sql.find("GROUP BY") != std::string::npos &&
+        sql.find("(SELECT") == std::string::npos) {
+      auto plan = db_->Explain(sql);
+      EXPECT_TRUE(plan.ok()) << sql;
+      if (plan.ok()) {
+        EXPECT_EQ(plan->find("HashAggregate") != std::string::npos,
+                  GetParam())
+            << sql << "\n" << *plan;
+      }
+    }
+    auto r = db_->Query(sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+    std::vector<std::string> out;
+    if (!r.ok()) return out;
+    for (const Row& row : r->rows) {
+      std::string s;
+      for (size_t i = 0; i < row.size(); ++i) {
+        s += (i > 0 ? "|" : "") + row[i].ToString();
+      }
+      out.push_back(s);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  using Strings = std::vector<std::string>;
+  std::unique_ptr<Database> db_;
+};
+
+TEST_P(AggExprTest, HavingIsNullOverAggregate) {
+  EXPECT_EQ(Rows("SELECT A, COUNT(*) FROM G GROUP BY A HAVING MAX(B) IS NULL"),
+            (Strings{"2|1", "4|2"}));
+}
+
+TEST_P(AggExprTest, HavingInListOverAggregate) {
+  EXPECT_EQ(
+      Rows("SELECT A, COUNT(*) FROM G GROUP BY A HAVING COUNT(*) IN (2, 3)"),
+      (Strings{"1|2", "3|3", "4|2"}));
+}
+
+TEST_P(AggExprTest, HavingLikeOverAggregate) {
+  EXPECT_EQ(
+      Rows("SELECT A, MIN(S) FROM G GROUP BY A HAVING MIN(S) LIKE 'x%'"),
+      (Strings{"1|'xa'", "2|'xb'", "3|'xc'"}));
+}
+
+TEST_P(AggExprTest, HavingConjunctionWithLike) {
+  EXPECT_EQ(Rows("SELECT A, MAX(S) FROM G GROUP BY A "
+                 "HAVING COUNT(*) > 1 AND MAX(S) LIKE 'y%'"),
+            (Strings{"1|'ya'", "4|'yc'"}));
+}
+
+TEST_P(AggExprTest, SelectArithmeticMixesAggregateAndGroupColumn) {
+  EXPECT_EQ(Rows("SELECT A, SUM(B) + A FROM G GROUP BY A"),
+            (Strings{"1|31", "2|NULL", "3|21", "4|NULL"}));
+}
+
+TEST_P(AggExprTest, ScalarAggregateOverEmptyInputWithHaving) {
+  EXPECT_EQ(Rows("SELECT COUNT(*), MAX(B) FROM G WHERE A > 100 "
+                 "HAVING COUNT(*) = 0"),
+            (Strings{"0|NULL"}));
+  EXPECT_EQ(Rows("SELECT COUNT(*), MAX(B) FROM G WHERE A > 100 "
+                 "HAVING MAX(B) > 0"),
+            (Strings{}));
+  EXPECT_EQ(Rows("SELECT COUNT(*), MAX(B) FROM G WHERE A > 100 "
+                 "HAVING MAX(B) IS NULL"),
+            (Strings{"0|NULL"}));
+}
+
+// A subquery whose HAVING references the outer row is re-evaluated per
+// outer value: the §6 result cache is keyed on HAVING's outer references
+// too. Per outer A: groups with COUNT(*) >= A are {1,2,3,4} for A = 1,
+// {1,3,4} for 2, {3} for 3 and none for 4.
+TEST_P(AggExprTest, CorrelatedHavingInSubquery) {
+  EXPECT_EQ(Rows("SELECT F.A FROM G F WHERE F.A IN "
+                 "(SELECT H.A FROM G H GROUP BY H.A HAVING COUNT(*) >= F.A)"),
+            (Strings{"1", "1", "3", "3", "3"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Method, AggExprTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Hash"
+                                                         : "Sorted");
+                         });
 
 }  // namespace
 }  // namespace systemr

@@ -98,6 +98,59 @@ TEST(FuzzSmokeTest, CorrelatedSubqueriesAndMultiwayJoinsMatchReference) {
   }
 }
 
+// Engine vs reference on SELECT items and HAVING clauses over aggregate
+// values — IS NULL, IN, LIKE, AND, arithmetic with a group column, a scalar
+// aggregate over empty input, and a subquery with a correlated HAVING —
+// under sorted aggregation and forced hash aggregation.
+TEST(FuzzSmokeTest, AggregateExpressionsMatchReference) {
+  const char* kQueries[] = {
+      "SELECT A, COUNT(*) FROM G GROUP BY A HAVING MAX(B) IS NULL",
+      "SELECT A, COUNT(*) FROM G GROUP BY A HAVING COUNT(*) IN (2, 3)",
+      "SELECT A, MIN(S) FROM G GROUP BY A HAVING MIN(S) LIKE 'x%'",
+      "SELECT A, MAX(S) FROM G GROUP BY A "
+      "HAVING COUNT(*) > 1 AND MAX(S) LIKE 'y%'",
+      "SELECT A, SUM(B) + A FROM G GROUP BY A",
+      "SELECT COUNT(*), MAX(B) FROM G WHERE A > 100 HAVING MAX(B) IS NULL",
+      "SELECT F.A FROM G F WHERE F.A IN "
+      "(SELECT H.A FROM G H GROUP BY H.A HAVING COUNT(*) >= F.A)",
+  };
+  for (bool hash : {false, true}) {
+    Database db(64);
+    if (hash) {
+      db.options().join.force = JoinMethodForce::kHash;
+    } else {
+      db.options().join.enable_hash_join = false;
+    }
+    ASSERT_TRUE(db.ExecuteScript(R"(
+      CREATE TABLE G (A INT, B INT, S STRING);
+      INSERT INTO G VALUES (1, 10, 'xa');
+      INSERT INTO G VALUES (1, 20, 'ya');
+      INSERT INTO G VALUES (2, NULL, 'xb');
+      INSERT INTO G VALUES (3, 5, 'zz');
+      INSERT INTO G VALUES (3, 6, 'yb');
+      INSERT INTO G VALUES (3, 7, 'xc');
+      INSERT INTO G VALUES (4, NULL, 'ya');
+      INSERT INTO G VALUES (4, NULL, 'yc');
+    )").ok());
+    RefExecutor ref(&db.rss().store(), RelPageMap(&db));
+    for (const char* sql : kQueries) {
+      auto prepared = db.Prepare(sql);
+      ASSERT_TRUE(prepared.ok()) << sql;
+      auto ref_rows = ref.Execute(*prepared->block);
+      auto result = db.Run(*prepared);
+      if (!ref_rows.ok() || !result.ok()) {
+        ADD_FAILURE() << "hash=" << hash << " sql=[" << sql << "] reference: "
+                      << ref_rows.status().ToString()
+                      << " engine: " << result.status().ToString();
+        continue;
+      }
+      EXPECT_TRUE(SameRowMultiset(*ref_rows, result->rows))
+          << "hash=" << hash << " sql=[" << sql << "] "
+          << DiffSummary(*ref_rows, result->rows);
+    }
+  }
+}
+
 // Targeted join differential runs: 200 seeds with every multi-table query
 // forced through one join method wherever the query allows it (under kMerge
 // and kHash non-equi joins keep nested loop — forcing must never lose DP
