@@ -5,12 +5,12 @@
 // of stored solutions is bounded by 2^n times the number of interesting
 // orders.
 //
-// Uses google-benchmark for the timing sweep (n = 2..8 relations, heuristic
-// on/off) after printing the search-size table.
+// Every optimization time is the median of kTimingRuns parse + bind +
+// enumerate runs on steady_clock, per (tables, heuristic).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-
-#include <benchmark/benchmark.h>
+#include <vector>
 
 #include "bench_common.h"
 #include "workload/querygen.h"
@@ -45,26 +45,21 @@ void SetUpDatabase() {
   g_db = &db;
 }
 
-void BM_Optimize(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  bool heuristic = state.range(1) != 0;
-  std::string sql = JoinSql(n);
-  OptimizerOptions options = g_db->options();
-  options.join.cartesian_heuristic = heuristic;
-  for (auto _ : state) {
-    auto h = Harness::Make(g_db, sql,
-                           options.join);  // Parse + bind + enumerate.
-    benchmark::DoNotOptimize(h.get());
+constexpr int kTimingRuns = 21;
+
+/// Median wall time, in ms, of optimizing `sql` from text.
+double MedianOptimizeMs(const std::string& sql,
+                        JoinEnumerator::Options options = {}) {
+  std::vector<double> ms;
+  for (int i = 0; i < kTimingRuns; ++i) {
+    auto t0 = std::chrono::steady_clock::now();
+    auto h = Harness::Make(g_db, sql, options);  // Parse + bind + enumerate.
+    auto t1 = std::chrono::steady_clock::now();
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
+  std::nth_element(ms.begin(), ms.begin() + kTimingRuns / 2, ms.end());
+  return ms[kTimingRuns / 2];
 }
-BENCHMARK(BM_Optimize)
-    ->ArgsProduct({{2, 3, 4, 5, 6, 7, 8}, {1}})
-    ->ArgNames({"tables", "heuristic"})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Optimize)
-    ->ArgsProduct({{4, 6, 8}, {0}})
-    ->ArgNames({"tables", "heuristic"})
-    ->Unit(benchmark::kMillisecond);
 
 void PrintSearchTable() {
   Header("E8 — search size and time vs number of relations");
@@ -72,10 +67,8 @@ void PrintSearchTable() {
               "generated", "subsets", "bytes", "time(ms)", "2^n*orders");
   for (int n = 2; n <= 8; ++n) {
     std::string sql = JoinSql(n);
-    auto t0 = std::chrono::steady_clock::now();
     auto h = Harness::Make(g_db, sql);
-    auto t1 = std::chrono::steady_clock::now();
-    double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    double ms = MedianOptimizeMs(sql);
     size_t bound =
         (1u << n) * (h->enumerator->interesting_orders().size() + 1);
     std::printf("%7d | %10zu %10zu %10zu %9zu %12.2f | %12zu\n", n,
@@ -118,18 +111,21 @@ void PrintSearchTable() {
       opt2_ms, probe_ms, opt2_ms / probe_ms);
 
   Header("Heuristic ablation (Cartesian-product deferral)");
-  std::printf("%7s | %14s %14s | %14s %14s\n", "tables", "stored(on)",
-              "stored(off)", "generated(on)", "generated(off)");
+  std::printf("%7s | %14s %14s | %14s %14s | %12s %12s\n", "tables",
+              "stored(on)", "stored(off)", "generated(on)", "generated(off)",
+              "ms(on)", "ms(off)");
+  JoinEnumerator::Options off_opt;
+  off_opt.cartesian_heuristic = false;
   for (int n = 3; n <= 8; ++n) {
     auto on = Harness::Make(g_db, JoinSql(n));
-    JoinEnumerator::Options off_opt;
-    off_opt.cartesian_heuristic = false;
     auto off = Harness::Make(g_db, JoinSql(n), off_opt);
-    std::printf("%7d | %14zu %14zu | %14zu %14zu\n", n,
+    std::printf("%7d | %14zu %14zu | %14zu %14zu | %12.2f %12.2f\n", n,
                 on->enumerator->solutions_stored(),
                 off->enumerator->solutions_stored(),
                 on->enumerator->solutions_generated(),
-                off->enumerator->solutions_generated());
+                off->enumerator->solutions_generated(),
+                MedianOptimizeMs(JoinSql(n)),
+                MedianOptimizeMs(JoinSql(n), off_opt));
   }
 }
 
@@ -137,10 +133,8 @@ void PrintSearchTable() {
 }  // namespace bench
 }  // namespace systemr
 
-int main(int argc, char** argv) {
+int main() {
   systemr::bench::SetUpDatabase();
   systemr::bench::PrintSearchTable();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -117,7 +117,7 @@ StatusOr<QueryResult> Database::Run(const OptimizedQuery& query,
   result.columns = query.block->select_names;
   result.rows = std::move(exec.rows);
   result.stats = exec.stats;
-  result.actual_cost = exec.actual_cost;
+  result.actual_cost = exec.stats.ActualCost(options_.cost.w);
   result.est_cost = query.est_cost;
   result.est_rows = query.est_rows;
   return result;
@@ -252,25 +252,25 @@ Status Database::RollbackTxn(Txn* txn) {
   return s;
 }
 
-StatusOr<size_t> Database::DispatchDml(Statement& stmt, Txn* txn) {
+StatusOr<size_t> Database::DispatchDml(Statement& stmt, Txn* txn,
+                                       const ExecLimits* limits) {
+  if (limits == nullptr) limits = &exec_limits_;
   switch (stmt.kind) {
     case Statement::Kind::kInsert:
-      return ExecuteInsertStatement(&catalog_, *stmt.insert, txn,
-                                    &exec_limits_);
+      return ExecuteInsertStatement(&catalog_, *stmt.insert, txn, limits);
     case Statement::Kind::kDelete:
       return ExecuteDeleteStatement(&catalog_, options_,
-                                    stmt.delete_stmt.get(), txn,
-                                    &exec_limits_);
+                                    stmt.delete_stmt.get(), txn, limits);
     case Statement::Kind::kUpdate:
       return ExecuteUpdateStatement(&catalog_, options_,
-                                    stmt.update_stmt.get(), txn,
-                                    &exec_limits_);
+                                    stmt.update_stmt.get(), txn, limits);
     default:
       return Status::Internal("not a DML statement");
   }
 }
 
-StatusOr<size_t> Database::ExecuteDmlStatement(Statement& stmt, Txn* txn) {
+StatusOr<size_t> Database::ExecuteDmlStatement(Statement& stmt, Txn* txn,
+                                               const ExecLimits* limits) {
   const std::string& table = stmt.kind == Statement::Kind::kInsert
                                  ? stmt.insert->table
                                  : stmt.kind == Statement::Kind::kDelete
@@ -283,7 +283,7 @@ StatusOr<size_t> Database::ExecuteDmlStatement(Statement& stmt, Txn* txn) {
     RETURN_IF_ERROR(
         lock_mgr_.Acquire(txn->id(), info->id, LockMode::kExclusive));
     size_t mark = txn->SavepointMark();
-    StatusOr<size_t> result = DispatchDml(stmt, txn);
+    StatusOr<size_t> result = DispatchDml(stmt, txn, limits);
     if (!result.ok()) {
       // Statement-level atomicity: the failed statement's effects vanish,
       // the transaction lives on.
@@ -299,7 +299,7 @@ StatusOr<size_t> Database::ExecuteDmlStatement(Statement& stmt, Txn* txn) {
     lock_mgr_.ReleaseAll(local->id());
     return lock;
   }
-  StatusOr<size_t> result = DispatchDml(stmt, local.get());
+  StatusOr<size_t> result = DispatchDml(stmt, local.get(), limits);
   if (result.ok()) {
     RETURN_IF_ERROR(CommitTxn(local.get()));
     return result;
@@ -308,14 +308,15 @@ StatusOr<size_t> Database::ExecuteDmlStatement(Statement& stmt, Txn* txn) {
   return result.status();
 }
 
-StatusOr<size_t> Database::Mutate(const std::string& sql, Txn* txn) {
+StatusOr<size_t> Database::Mutate(const std::string& sql, Txn* txn,
+                                  const ExecLimits* limits) {
   ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
   if (stmt.kind != Statement::Kind::kInsert &&
       stmt.kind != Statement::Kind::kDelete &&
       stmt.kind != Statement::Kind::kUpdate) {
     return Status::InvalidArgument("Mutate() takes INSERT, DELETE or UPDATE");
   }
-  return ExecuteDmlStatement(stmt, txn);
+  return ExecuteDmlStatement(stmt, txn, limits);
 }
 
 Status Database::ExecuteStatement(Statement& stmt, Txn* txn) {
@@ -361,7 +362,8 @@ Status Database::ExecuteStatement(Statement& stmt, Txn* txn) {
     case Statement::Kind::kInsert:
     case Statement::Kind::kDelete:
     case Statement::Kind::kUpdate: {
-      ASSIGN_OR_RETURN(size_t affected, ExecuteDmlStatement(stmt, txn));
+      ASSIGN_OR_RETURN(size_t affected,
+                       ExecuteDmlStatement(stmt, txn, nullptr));
       (void)affected;
       return Status::OK();
     }

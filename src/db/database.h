@@ -50,8 +50,10 @@ class Database {
   /// X lock is taken under the transaction, effects roll back to the
   /// statement savepoint on error); without, the statement auto-commits —
   /// it runs in an internal transaction committed on success and rolled
-  /// back (leaving nothing) on failure.
-  StatusOr<size_t> Mutate(const std::string& sql, Txn* txn = nullptr);
+  /// back (leaving nothing) on failure. `limits`, when non-null, overrides
+  /// the database-wide exec limits for this one statement (as in Run).
+  StatusOr<size_t> Mutate(const std::string& sql, Txn* txn = nullptr,
+                          const ExecLimits* limits = nullptr);
 
   // --- Transactions (ARIES-lite: redo-committed-only WAL + in-memory undo,
   //     strict two-phase relation locks; see DESIGN.md §9) ---
@@ -136,8 +138,9 @@ class Database {
     options_.feedback = enabled ? &feedback_ : nullptr;
   }
 
-  /// Per-statement resource limits applied to every subsequent SELECT run
-  /// through this database. A statement that trips a limit aborts with
+  /// Per-statement resource limits applied to every subsequent statement run
+  /// through this database without an override (Run and Mutate take one; a
+  /// Session passes its own). A statement that trips a limit aborts with
   /// kResourceExhausted/kCancelled; the database stays usable.
   void set_exec_limits(const ExecLimits& limits) { exec_limits_ = limits; }
   const ExecLimits& exec_limits() const { return exec_limits_; }
@@ -148,9 +151,11 @@ class Database {
   Status ExecuteStatement(Statement& stmt, Txn* txn = nullptr);
   /// X-locks the target, runs the statement under `txn` (or an internal
   /// auto-commit transaction), rolls back to the statement savepoint on
-  /// error.
-  StatusOr<size_t> ExecuteDmlStatement(Statement& stmt, Txn* txn);
-  StatusOr<size_t> DispatchDml(Statement& stmt, Txn* txn);
+  /// error. Null `limits` means the database-wide exec limits.
+  StatusOr<size_t> ExecuteDmlStatement(Statement& stmt, Txn* txn,
+                                       const ExecLimits* limits);
+  StatusOr<size_t> DispatchDml(Statement& stmt, Txn* txn,
+                               const ExecLimits* limits);
   /// Relations the query reads (main block + nested subquery blocks).
   static std::vector<RelId> ReferencedRels(const OptimizedQuery& query);
 

@@ -20,22 +20,22 @@ struct DmlScan {
 };
 
 /// Binds the DML target + WHERE as a one-table query block, selects the
-/// cheapest access path, and collects every qualifying (TID, row). The
-/// collection scan runs under `limits`: a tripped budget/deadline/cancel
-/// aborts before any tuple is touched.
-StatusOr<DmlScan> CollectTargets(Catalog* catalog,
-                                 const OptimizerOptions& options,
-                                 const std::string& table,
-                                 std::unique_ptr<Expr> where,
-                                 const ExecLimits* limits) {
-  DmlScan out;
+/// cheapest access path, plans the WHERE subqueries into `out->subplans`
+/// (the map `exec` reads), and collects every qualifying (TID, row) into
+/// `out`. The collection scan runs on `exec`, the statement's one context,
+/// so it shares the mutation loop's meter and limits: a tripped
+/// budget/deadline/cancel aborts before any tuple is touched.
+Status CollectTargets(ExecContext* exec, const OptimizerOptions& options,
+                      const std::string& table, std::unique_ptr<Expr> where,
+                      DmlScan* out) {
+  const Catalog* catalog = exec->catalog();
   SelectStmt synthetic;
   synthetic.select_star = true;
   synthetic.from.push_back(FromItem{table, table});
   synthetic.where = std::move(where);
   Binder binder(catalog);
-  ASSIGN_OR_RETURN(out.block, binder.Bind(synthetic));
-  const BoundQueryBlock& block = *out.block;
+  ASSIGN_OR_RETURN(out->block, binder.Bind(synthetic));
+  const BoundQueryBlock& block = *out->block;
 
   // Access path selection, exactly as for a single-relation query (§4).
   CostModel cost_model(options.cost);
@@ -60,56 +60,48 @@ StatusOr<DmlScan> CollectTargets(Catalog* catalog,
   for (const BooleanFactor& f : factors) {
     if (f.has_subquery || f.correlated || f.tables_mask == 0) {
       leftover.push_back(f.expr);
-      RETURN_IF_ERROR(optimizer.PlanSubqueries(*f.expr, &out.subplans));
+      RETURN_IF_ERROR(optimizer.PlanSubqueries(*f.expr, &out->subplans));
     }
   }
 
   ExprProgram leftover_prog;
   leftover_prog.CompilePreds(&leftover);
 
-  ExecContext exec(catalog->rss(), catalog, &out.subplans, options.cost.w);
-  if (limits != nullptr) exec.set_limits(*limits);
-  // Divert the scan's page work to this statement's meter so the buffer-get
-  // budget observes it.
-  MeterScope meter_scope(&exec.meter());
-  exec.ArmLimits();
-  ScanOp scan(&exec, &block, best->node.get(), nullptr);
+  ScanOp scan(exec, &block, best->node.get(), nullptr);
   RETURN_IF_ERROR(scan.Open());
   RowBatch batch;
   while (true) {
     bool has;
     RETURN_IF_ERROR(scan.NextBatch(&batch, &has));
     if (!has) break;
-    RETURN_IF_ERROR(leftover_prog.EvalBoolBatch(&exec, batch.rows, &batch.sel));
+    RETURN_IF_ERROR(leftover_prog.EvalBoolBatch(exec, batch.rows, &batch.sel));
     for (uint32_t idx : batch.sel) {
-      out.matches.emplace_back(scan.tids()[idx], std::move(batch.rows[idx]));
+      out->matches.emplace_back(scan.tids()[idx], std::move(batch.rows[idx]));
     }
   }
-  return out;
-}
-
-/// Limit checkpoint for the mutation loops: the catalog's page work runs
-/// through `exec`'s meter, and every row boundary re-checks the budget,
-/// deadline, and cancel flag.
-Status CheckMutationInterrupts(ExecContext* exec) {
-  return exec->CheckInterrupts();
+  return Status::OK();
 }
 
 }  // namespace
+
+// Each statement below runs on one ExecContext, installed as the thread's
+// meter for the whole statement: the target scan and the mutation loop
+// count into one block, so the buffer-get budget covers the statement. The
+// DmlScan is declared first so it outlives the context that reads its
+// plans; every row boundary re-checks the budget, deadline and cancel flag.
 
 StatusOr<size_t> ExecuteDeleteStatement(Catalog* catalog,
                                         const OptimizerOptions& options,
                                         DeleteStmt* stmt, Txn* txn,
                                         const ExecLimits* limits) {
-  ASSIGN_OR_RETURN(DmlScan scan,
-                   CollectTargets(catalog, options, stmt->table,
-                                  std::move(stmt->where), limits));
+  DmlScan scan;
   ExecContext exec(catalog->rss(), catalog, &scan.subplans, options.cost.w);
   if (limits != nullptr) exec.set_limits(*limits);
-  MeterScope meter_scope(&exec.meter());
-  exec.ArmLimits();
+  MeterScope meter_scope(&exec.stats());
+  RETURN_IF_ERROR(CollectTargets(&exec, options, stmt->table,
+                                 std::move(stmt->where), &scan));
   for (const auto& [tid, row] : scan.matches) {
-    RETURN_IF_ERROR(CheckMutationInterrupts(&exec));
+    RETURN_IF_ERROR(exec.CheckInterrupts());
     RETURN_IF_ERROR(catalog->DeleteRow(stmt->table, tid, txn));
   }
   return scan.matches.size();
@@ -119,9 +111,12 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
                                         const OptimizerOptions& options,
                                         UpdateStmt* stmt, Txn* txn,
                                         const ExecLimits* limits) {
-  ASSIGN_OR_RETURN(DmlScan scan,
-                   CollectTargets(catalog, options, stmt->table,
-                                  std::move(stmt->where), limits));
+  DmlScan scan;
+  ExecContext exec(catalog->rss(), catalog, &scan.subplans, options.cost.w);
+  if (limits != nullptr) exec.set_limits(*limits);
+  MeterScope meter_scope(&exec.stats());
+  RETURN_IF_ERROR(CollectTargets(&exec, options, stmt->table,
+                                 std::move(stmt->where), &scan));
   const BoundQueryBlock& block = *scan.block;
   const TableInfo& table = *block.tables[0].table;
 
@@ -150,16 +145,12 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
     set_progs[i].CompileExpr(sets[i].second.get());
   }
 
-  ExecContext exec(catalog->rss(), catalog, &scan.subplans, options.cost.w);
-  if (limits != nullptr) exec.set_limits(*limits);
-  MeterScope meter_scope(&exec.meter());
-  exec.ArmLimits();
   // Every new row is computed before the first one is written, so SET
   // expressions, subqueries included, read the table as it was before the
   // update. The new base-table row (old columns with SET values applied)
   // replaces the matched row.
   for (auto& match : scan.matches) {
-    RETURN_IF_ERROR(CheckMutationInterrupts(&exec));
+    RETURN_IF_ERROR(exec.CheckInterrupts());
     const Row& row = match.second;
     Row new_row(row.begin(), row.begin() + table.schema.num_columns());
     for (size_t i = 0; i < sets.size(); ++i) {
@@ -177,7 +168,7 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
     match.second = std::move(new_row);
   }
   for (const auto& [tid, row] : scan.matches) {
-    RETURN_IF_ERROR(CheckMutationInterrupts(&exec));
+    RETURN_IF_ERROR(exec.CheckInterrupts());
     RETURN_IF_ERROR(catalog->UpdateRow(stmt->table, tid, row, txn));
   }
   return scan.matches.size();
@@ -188,10 +179,9 @@ StatusOr<size_t> ExecuteInsertStatement(Catalog* catalog,
                                         const ExecLimits* limits) {
   ExecContext exec(catalog->rss(), catalog, nullptr, 0.0);
   if (limits != nullptr) exec.set_limits(*limits);
-  MeterScope meter_scope(&exec.meter());
-  exec.ArmLimits();
+  MeterScope meter_scope(&exec.stats());
   for (const auto& row : stmt.rows) {
-    RETURN_IF_ERROR(CheckMutationInterrupts(&exec));
+    RETURN_IF_ERROR(exec.CheckInterrupts());
     RETURN_IF_ERROR(catalog->Insert(stmt.table, row, txn));
   }
   return stmt.rows.size();

@@ -21,8 +21,8 @@ namespace systemr {
 // `txn`; the caller (Database) rolls the transaction back to its statement
 // savepoint on error, so a failed statement leaves no partially-applied
 // rows visible. `limits`, when non-null, applies the per-statement
-// deadline/cancel/budget checks to both the target scan and the mutation
-// loop.
+// deadline/cancel/budget checks to the whole statement: its target scan and
+// mutation loop run on one ExecContext and share one budget.
 
 /// Deletes qualifying rows; returns the number deleted. Consumes
 /// `stmt->where`.

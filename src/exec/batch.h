@@ -17,9 +17,10 @@
 
 namespace systemr {
 
-/// Default rows per batch. Chosen by the batch-size sweep bench
-/// (bench_batch_sweep): large enough to amortize per-batch virtual dispatch,
-/// small enough that a batch of block-width rows stays cache-resident.
+/// Default rows per batch, chosen by a batch-size sweep (recorded in
+/// BENCH_6_sweep.json): large enough to amortize per-batch virtual
+/// dispatch, small enough that a batch of block-width rows stays
+/// cache-resident.
 inline constexpr size_t kBatchRows = 1024;
 
 struct RowBatch {

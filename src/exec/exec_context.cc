@@ -50,10 +50,6 @@ const std::vector<std::pair<int, size_t>>& ExecContext::OuterRefsFor(
   return outer_refs_[block] = std::move(refs);
 }
 
-void ExecContext::ArmLimits() {
-  limits_baseline_gets_ = meter_.logical_gets;
-}
-
 void ExecContext::ConfigureParallelWorker(
     SharedFragmentState* shared, MorselDispenser* morsels,
     const PlanNode* morsel_node,
@@ -67,8 +63,7 @@ void ExecContext::ConfigureParallelWorker(
   // Workers are always interruptible: even an unlimited statement needs the
   // abort flag observed so a sibling's failure stops the whole fragment.
   interruptible_ = true;
-  limits_baseline_gets_ = meter_.logical_gets;
-  shared_published_gets_ = meter_.logical_gets;
+  shared_published_gets_ = stats_.buffer_gets;
 }
 
 const HashJoinTable* ExecContext::SharedBuildFor(const PlanNode* node) const {
@@ -81,7 +76,7 @@ Status ExecContext::CheckInterruptsSlow() {
   if (shared_fragment_ != nullptr) {
     // Publish this worker's buffer gets so every sibling's budget check sees
     // the fragment's total work, then observe the shared abort flag.
-    uint64_t now = meter_.logical_gets;
+    uint64_t now = stats_.buffer_gets;
     if (now != shared_published_gets_) {
       shared_fragment_->gets.fetch_add(now - shared_published_gets_,
                                        std::memory_order_relaxed);
@@ -98,7 +93,7 @@ Status ExecContext::CheckInterruptsSlow() {
   if (limits_.max_buffer_gets > 0) {
     uint64_t used = shared_fragment_ != nullptr
                         ? shared_fragment_->gets.load(std::memory_order_relaxed)
-                        : meter_.logical_gets - limits_baseline_gets_;
+                        : stats_.buffer_gets;
     if (used > limits_.max_buffer_gets) {
       return Status::ResourceExhausted(
           "statement page-access budget exceeded (" +

@@ -1,8 +1,12 @@
-// ExecContext: per-statement execution state — RSS access, metered cost
-// accounting, the ancestor-row stack for correlation (§6), subquery plan
-// lookup and result caching (the paper's "if the referenced value is the
-// same as the one in the previous candidate tuple, the previous evaluation
-// result can be used again"), and temp-page management for sorts.
+// ExecContext: per-statement execution state — RSS access, the statement's
+// one counter block (ExecStats, rss/meter.h) and its limits, the
+// ancestor-row stack for correlation (§6), subquery plan lookup and result
+// caching (the paper's "if the referenced value is the same as the one in
+// the previous candidate tuple, the previous evaluation result can be used
+// again"), and temp-page management for sorts. One statement, one context:
+// a SELECT's ExecutePlan and a DML statement's target scan and mutation
+// loop each run on exactly one (parallel workers get private contexts whose
+// blocks the exchange barrier adds to it).
 #ifndef SYSTEMR_EXEC_EXEC_CONTEXT_H_
 #define SYSTEMR_EXEC_EXEC_CONTEXT_H_
 
@@ -38,49 +42,6 @@ struct ExecLimits {
   const std::atomic<bool>* cancel = nullptr;  // Not owned; may be null.
 };
 
-/// Metered work for one statement (from the statement's own MeterCounters,
-/// so concurrent statements never see each other's work).
-struct ExecStats {
-  uint64_t page_fetches = 0;
-  uint64_t page_writes = 0;
-  uint64_t rsi_calls = 0;
-  uint64_t subquery_evals = 0;       // Nested blocks actually executed.
-  uint64_t subquery_cache_hits = 0;  // §6 same-outer-value cache reuses.
-  uint64_t buffer_gets = 0;          // All buffer-pool page requests.
-  uint64_t buffer_hits = 0;          // Requests served from the pool.
-
-  // --- Vectorized execution counters ---
-  uint64_t batches = 0;          // Batches produced by batch-native operators.
-  uint64_t batch_rows_in = 0;    // Rows materialized into those batches.
-  uint64_t batch_rows_out = 0;   // Rows surviving each batch's selection.
-  uint64_t hash_build_rows = 0;  // Rows inserted into hash-join build tables.
-  uint64_t hash_probe_rows = 0;  // Outer rows probed against them.
-
-  // --- Parallel-execution counters (merged from worker contexts) ---
-  uint64_t parallel_workers = 0;  // Worker tasks run by exchange operators.
-  uint64_t parallel_morsels = 0;  // Page-range morsels those workers pulled.
-
-  uint64_t page_io() const { return page_fetches + page_writes; }
-  /// Average selection-vector density of the produced batches (1.0 = every
-  /// materialized row survived its predicates).
-  double AvgSelectionDensity() const {
-    return batch_rows_in == 0
-               ? 1.0
-               : static_cast<double>(batch_rows_out) /
-                     static_cast<double>(batch_rows_in);
-  }
-  double BufferHitRatio() const {
-    return buffer_gets == 0
-               ? 0.0
-               : static_cast<double>(buffer_hits) /
-                     static_cast<double>(buffer_gets);
-  }
-  /// The paper's COST formula applied to measured counters.
-  double ActualCost(double w) const {
-    return static_cast<double>(page_io()) + w * static_cast<double>(rsi_calls);
-  }
-};
-
 class ExecContext {
  public:
   // Constructor and destructor are out-of-line: both would otherwise
@@ -102,25 +63,12 @@ class ExecContext {
   void set_worker_pool(WorkerPool* pool) { worker_pool_ = pool; }
   WorkerPool* worker_pool() { return worker_pool_; }
 
-  /// This statement's private work counters. ExecutePlan installs them as
-  /// the thread's meter (rss/meter.h) for the duration of the run; limits
-  /// accounting reads them race-free.
-  MeterCounters& meter() { return meter_; }
-  const MeterCounters& meter() const { return meter_; }
-
-  /// Per-statement vectorized-execution counters, incremented by the
-  /// batch-native operators and copied into ExecStats after the run.
-  struct BatchCounters {
-    uint64_t batches = 0;
-    uint64_t batch_rows_in = 0;
-    uint64_t batch_rows_out = 0;
-    uint64_t hash_build_rows = 0;
-    uint64_t hash_probe_rows = 0;
-    uint64_t parallel_workers = 0;
-    uint64_t parallel_morsels = 0;
-  };
-  BatchCounters& batch_counters() { return batch_counters_; }
-  const BatchCounters& batch_counters() const { return batch_counters_; }
+  /// This statement's counter block (rss/meter.h). ExecutePlan and the DML
+  /// executors install it as the thread's meter for the run, the operators
+  /// count into it directly, and limits accounting reads its buffer gets
+  /// race-free.
+  ExecStats& stats() { return stats_; }
+  const ExecStats& stats() const { return stats_; }
 
   /// Total rows each scan node produced over the statement, flushed by
   /// ScanOp::Close. `exhausted` records whether the scan ran to end of
@@ -171,16 +119,9 @@ class ExecContext {
     std::vector<Value> key;       // Referenced outer values at evaluation.
     Value scalar;                 // Scalar result.
     std::vector<Value> list;      // IN-subquery temporary list (sorted).
-    uint64_t evaluations = 0;     // Times the subquery was actually run.
-    uint64_t hits = 0;            // Times the cached result was reused.
   };
   SubqueryCache& CacheFor(const BoundQueryBlock* block) {
     return caches_[block];
-  }
-  /// Read-only view of all subquery caches, for post-run metering.
-  const std::map<const BoundQueryBlock*, SubqueryCache>& subquery_caches()
-      const {
-    return caches_;
   }
 
   /// (levels-up, offset) pairs of the outer values `block` references; used
@@ -202,13 +143,12 @@ class ExecContext {
                      limits.has_deadline;
   }
   const ExecLimits& limits() const { return limits_; }
-  /// Snapshots this context's buffer-get baseline; the budget counts work
-  /// from here.
-  void ArmLimits();
   /// Cancellation/budget point (the scans call it once per batch):
   /// kCancelled on cancel flag or expired deadline, kResourceExhausted once
-  /// the statement's buffer-get budget is spent. Inline fast path: an
-  /// unlimited statement pays one predictable branch per batch.
+  /// the statement's buffer-get budget is spent — the budget counts the
+  /// block's buffer gets, which start at zero in the statement's fresh
+  /// context. Inline fast path: an unlimited statement pays one predictable
+  /// branch per batch.
   Status CheckInterrupts() {
     if (!interruptible_) return Status::OK();
     return CheckInterruptsSlow();
@@ -221,7 +161,7 @@ class ExecContext {
   ExecLimits LimitsForWorker() const {
     ExecLimits l = limits_;
     if (l.max_buffer_gets > 0) {
-      uint64_t used = meter_.logical_gets - limits_baseline_gets_;
+      uint64_t used = stats_.buffer_gets;
       l.max_buffer_gets =
           used >= l.max_buffer_gets ? 1 : l.max_buffer_gets - used;
     }
@@ -270,12 +210,10 @@ class ExecContext {
   Status CheckInterruptsSlow();
 
   std::vector<PageId> temp_pages_;
-  MeterCounters meter_;
-  BatchCounters batch_counters_;
+  ExecStats stats_;
   std::map<const PlanNode*, ScanObservation> scan_observations_;
   ExecLimits limits_;
   bool interruptible_ = false;
-  uint64_t limits_baseline_gets_ = 0;
 
   // Parallel-worker state (null/zero on statement-level contexts).
   SharedFragmentState* shared_fragment_ = nullptr;

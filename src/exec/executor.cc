@@ -71,17 +71,14 @@ std::unique_ptr<Operator> BuildOperator(ExecContext* ctx,
 StatusOr<ExecResult> ExecutePlan(ExecContext* ctx,
                                  const BoundQueryBlock& block,
                                  const PlanRef& root) {
-  // Divert this thread's storage-layer counts to the context's private
-  // meter: the delta below measures exactly this statement's work even with
-  // other sessions running against the same RSS.
-  MeterCounters before = ctx->meter();
-  ExecContext::BatchCounters bc_before = ctx->batch_counters();
-  MeterScope scope(&ctx->meter());
+  // Divert this thread's storage-layer counts to the statement's block:
+  // it measures exactly this statement's work even with other sessions
+  // running against the same RSS.
+  MeterScope scope(&ctx->stats());
   ExecResult result;
   std::unique_ptr<Operator> op =
       BuildOperator(ctx, &block, root.get(), nullptr);
   if (op == nullptr) return Status::Internal("unbuildable plan");
-  ctx->ArmLimits();
   RETURN_IF_ERROR(op->Open());
   // Drive the tree batch at a time: every operator amortizes virtual
   // dispatch, and every segment scan its page fetches, over up to kBatchRows
@@ -99,30 +96,9 @@ StatusOr<ExecResult> ExecutePlan(ExecContext* ctx,
   op->Close();
   ctx->ReleaseTempPages();
 
-  const MeterCounters& after = ctx->meter();
-  result.stats.page_fetches = after.page_fetches - before.page_fetches;
-  result.stats.page_writes = after.page_writes - before.page_writes;
-  result.stats.rsi_calls = after.rsi_calls - before.rsi_calls;
-  result.stats.buffer_gets = after.logical_gets - before.logical_gets;
-  result.stats.buffer_hits = result.stats.buffer_gets -
-                             result.stats.page_fetches;
-  for (const auto& [sub_block, cache] : ctx->subquery_caches()) {
-    result.stats.subquery_evals += cache.evaluations;
-    result.stats.subquery_cache_hits += cache.hits;
-  }
-  const ExecContext::BatchCounters& bc = ctx->batch_counters();
-  result.stats.batches = bc.batches - bc_before.batches;
-  result.stats.batch_rows_in = bc.batch_rows_in - bc_before.batch_rows_in;
-  result.stats.batch_rows_out = bc.batch_rows_out - bc_before.batch_rows_out;
-  result.stats.hash_build_rows =
-      bc.hash_build_rows - bc_before.hash_build_rows;
-  result.stats.hash_probe_rows =
-      bc.hash_probe_rows - bc_before.hash_probe_rows;
-  result.stats.parallel_workers =
-      bc.parallel_workers - bc_before.parallel_workers;
-  result.stats.parallel_morsels =
-      bc.parallel_morsels - bc_before.parallel_morsels;
-  result.actual_cost = result.stats.ActualCost(ctx->w());
+  ExecStats& stats = ctx->stats();
+  stats.buffer_hits = stats.buffer_gets - stats.page_fetches;
+  result.stats = stats;
   return result;
 }
 

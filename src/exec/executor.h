@@ -1,5 +1,5 @@
 // Plan execution entry point: builds the operator tree, runs it to
-// completion, and reports the metered actual cost (page I/O + W·RSI calls).
+// completion, and returns the rows with the statement's counter block.
 #ifndef SYSTEMR_EXEC_EXECUTOR_H_
 #define SYSTEMR_EXEC_EXECUTOR_H_
 
@@ -13,14 +13,14 @@ namespace systemr {
 
 struct ExecResult {
   std::vector<Row> rows;
-  ExecStats stats;
-  double actual_cost = 0;  // stats.ActualCost(w) at completion.
+  ExecStats stats;  // The context's block after the run.
 };
 
 /// Executes `root` (a full block plan ending in Project/Aggregate) against
-/// the context's RSS. Counters are measured as a delta around the run, so
-/// concurrent bookkeeping (catalog lookups etc.) outside the run does not
-/// pollute the result.
+/// the context's RSS. `ctx` must be fresh — one context per statement: the
+/// run counts into ctx->stats() from zero (installed as this thread's meter,
+/// so other sessions' work never lands in it), and the result carries that
+/// block, with buffer_hits computed as gets − fetches.
 StatusOr<ExecResult> ExecutePlan(ExecContext* ctx,
                                  const BoundQueryBlock& block,
                                  const PlanRef& root);

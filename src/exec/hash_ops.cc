@@ -48,7 +48,7 @@ Status FillHashJoinTable(ExecContext* ctx, Operator* build,
       table->rows.emplace_back(r.begin() + inner_offset,
                                r.begin() + inner_offset + inner_width);
       table->index[HashValue(key)].push_back(slot);
-      ++ctx->batch_counters().hash_build_rows;
+      ++ctx->stats().hash_build_rows;
     }
   }
   return Status::OK();
@@ -140,7 +140,7 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_batch) {
         break;
       }
       sel_pos_ = 0;
-      ctx_->batch_counters().hash_probe_rows += outer_batch_.sel.size();
+      ctx_->stats().hash_probe_rows += outer_batch_.sel.size();
       continue;
     }
     const Value& key = outer_batch_.rows[outer_batch_.sel[sel_pos_]]
@@ -157,10 +157,10 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_batch) {
   }
   out->SelectAll();
   RETURN_IF_ERROR(residual_.EvalBoolBatch(ctx_, out->rows, &out->sel));
-  ExecContext::BatchCounters& bc = ctx_->batch_counters();
-  ++bc.batches;
-  bc.batch_rows_in += out->filled;
-  bc.batch_rows_out += out->sel.size();
+  ExecStats& stats = ctx_->stats();
+  ++stats.batches;
+  stats.batch_rows_in += out->filled;
+  stats.batch_rows_out += out->sel.size();
   *has_batch = out->filled > 0;
   return Status::OK();
 }

@@ -56,7 +56,7 @@ Status ScanOp::AdvanceMorsel(bool* got) {
     *got = false;
     return Status::OK();
   }
-  ++ctx_->batch_counters().parallel_morsels;
+  ++ctx_->stats().parallel_morsels;
   static_cast<SegmentScan*>(scan_.get())->SetPageRange(m.begin, m.end);
   *got = true;
   return scan_->Open();
@@ -178,10 +178,10 @@ Status ScanOp::NextBatch(RowBatch* out, bool* has_batch) {
   out->filled = n;
   out->SelectAll();
   RETURN_IF_ERROR(residual_.EvalBoolBatch(ctx_, out->rows, &out->sel));
-  ExecContext::BatchCounters& bc = ctx_->batch_counters();
-  ++bc.batches;
-  bc.batch_rows_in += out->filled;
-  bc.batch_rows_out += out->sel.size();
+  ExecStats& stats = ctx_->stats();
+  ++stats.batches;
+  stats.batch_rows_in += out->filled;
+  stats.batch_rows_out += out->sel.size();
   rows_out_ += out->sel.size();
   *has_batch = true;
   return Status::OK();
@@ -201,7 +201,7 @@ Status FilterOp::NextBatch(RowBatch* out, bool* has_batch) {
   RETURN_IF_ERROR(residual_.EvalBoolBatch(ctx_, out->rows, &out->sel));
   // The producer already counted these rows as surviving; retract the ones
   // this filter killed so AvgSelectionDensity reflects final survivors.
-  ctx_->batch_counters().batch_rows_out -= before - out->sel.size();
+  ctx_->stats().batch_rows_out -= before - out->sel.size();
   return Status::OK();
 }
 

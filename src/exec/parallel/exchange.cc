@@ -98,10 +98,10 @@ Status ExchangeOp::RunFragment() {
   for (auto& w : workers) {
     WorkerState* ws = w.get();
     tasks.push_back([this, ws, partial_agg, &shared]() {
-      // Divert this thread's storage counts to the worker's private meter;
+      // Divert this thread's storage counts to the worker's private block;
       // restored on scope exit (the caller thread runs one task inline
       // inside the statement's own MeterScope).
-      MeterScope scope(&ws->ctx.meter());
+      MeterScope scope(&ws->ctx.stats());
       auto run = [&]() -> Status {
         std::unique_ptr<Operator> op =
             BuildOperator(&ws->ctx, block_, node_->left.get(), nullptr);
@@ -144,24 +144,11 @@ Status ExchangeOp::RunFragment() {
 
   // 4. Barrier merge — unconditionally, so the statement's stats cover the
   // partial work of an aborted fragment too.
-  MeterCounters& pm = ctx_->meter();
-  ExecContext::BatchCounters& pb = ctx_->batch_counters();
-  pb.parallel_workers += workers.size();
+  ExecStats& stats = ctx_->stats();
+  stats.parallel_workers += workers.size();
   bool all_ok = true;
   for (auto& w : workers) {
-    const MeterCounters& wm = w->ctx.meter();
-    pm.page_fetches += wm.page_fetches;
-    pm.page_writes += wm.page_writes;
-    pm.logical_gets += wm.logical_gets;
-    pm.rsi_calls += wm.rsi_calls;
-    const ExecContext::BatchCounters& wb = w->ctx.batch_counters();
-    pb.batches += wb.batches;
-    pb.batch_rows_in += wb.batch_rows_in;
-    pb.batch_rows_out += wb.batch_rows_out;
-    pb.hash_build_rows += wb.hash_build_rows;
-    pb.hash_probe_rows += wb.hash_probe_rows;
-    pb.parallel_workers += wb.parallel_workers;
-    pb.parallel_morsels += wb.parallel_morsels;
+    stats += w->ctx.stats();
     all_ok = all_ok && w->status.ok();
     for (const auto& [snode, obs] : w->ctx.scan_observations()) {
       ExecContext::ScanObservation& into = ctx_->scan_observations()[snode];

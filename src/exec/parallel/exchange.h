@@ -7,10 +7,11 @@
 // Worker rows are gathered — or, with exchange_partial_agg, folded into
 // per-worker group tables merged at the barrier — and emitted serially.
 //
-// Merge points (exactly-once guarantees): each worker's MeterCounters,
-// batch counters, and scan observations fold into the parent context at the
-// barrier, whether the fragment succeeded or not; the first worker error
-// wins and aborts the siblings cooperatively via SharedFragmentState.
+// Merge points (exactly-once guarantees): each worker's ExecStats block is
+// added to the parent context's with one operator+=, and its scan
+// observations fold into the parent's, at the barrier, whether the fragment
+// succeeded or not; the first worker error wins and aborts the siblings
+// cooperatively via SharedFragmentState.
 #ifndef SYSTEMR_EXEC_PARALLEL_EXCHANGE_H_
 #define SYSTEMR_EXEC_PARALLEL_EXCHANGE_H_
 

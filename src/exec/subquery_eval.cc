@@ -75,12 +75,12 @@ StatusOr<Value> EvalScalarSubquery(ExecContext* ctx,
   ExecContext::SubqueryCache& cache = ctx->CacheFor(block);
   std::vector<Value> key = CorrelationKey(ctx, block, outer_row);
   if (cache.valid && KeysEqual(cache.key, key)) {
-    ++cache.hits;
+    ++ctx->stats().subquery_cache_hits;
     return cache.scalar;
   }
   std::vector<Row> rows;
   RETURN_IF_ERROR(RunSubquery(ctx, block, outer_row, &rows));
-  ++cache.evaluations;
+  ++ctx->stats().subquery_evals;
   if (rows.size() > 1) {
     return Status::InvalidArgument(
         "scalar subquery returned more than one row");
@@ -97,12 +97,12 @@ StatusOr<const std::vector<Value>*> EvalInSubqueryList(
   ExecContext::SubqueryCache& cache = ctx->CacheFor(block);
   std::vector<Value> key = CorrelationKey(ctx, block, outer_row);
   if (cache.valid && KeysEqual(cache.key, key)) {
-    ++cache.hits;
+    ++ctx->stats().subquery_cache_hits;
     return &cache.list;
   }
   std::vector<Row> rows;
   RETURN_IF_ERROR(RunSubquery(ctx, block, outer_row, &rows));
-  ++cache.evaluations;
+  ++ctx->stats().subquery_evals;
   // Returned "in a temporary list, an internal form which is more efficient
   // than a relation" (§6) — kept sorted so membership tests are cheap.
   cache.list.clear();

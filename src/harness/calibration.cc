@@ -120,48 +120,33 @@ Status WriteFuzzReport(const FuzzReport& report, const std::string& path) {
   std::vector<double> q_cost, q_pages, q_rsi, q_rows;
   for (const CalibrationRecord& r : report.records) {
     q_cost.push_back(QError(r.est_cost, r.actual_cost));
-    q_pages.push_back(QError(r.est_pages, static_cast<double>(r.actual_pages)));
-    q_rsi.push_back(QError(r.est_rsi, static_cast<double>(r.actual_rsi)));
+    q_pages.push_back(
+        QError(r.est_pages, static_cast<double>(r.stats.page_io())));
+    q_rsi.push_back(QError(r.est_rsi, static_cast<double>(r.stats.rsi_calls)));
     q_rows.push_back(QError(r.est_rows, static_cast<double>(r.actual_rows)));
   }
 
-  uint64_t total_gets = 0, total_hits = 0;
-  uint64_t total_batches = 0, total_batch_in = 0, total_batch_out = 0;
-  uint64_t total_hash_build = 0, total_hash_probe = 0;
-  for (const CalibrationRecord& r : report.records) {
-    total_gets += r.buffer_gets;
-    total_hits += r.buffer_hits;
-    total_batches += r.batches;
-    total_batch_in += r.batch_rows_in;
-    total_batch_out += r.batch_rows_out;
-    total_hash_build += r.hash_build_rows;
-    total_hash_probe += r.hash_probe_rows;
-  }
+  ExecStats total;
+  for (const CalibrationRecord& r : report.records) total += r.stats;
 
   std::string out = "{\n";
   out += "  \"seeds\": " + std::to_string(report.seeds) + ",\n";
   out += "  \"queries\": " + std::to_string(report.queries) + ",\n";
   out += "  \"buffer\": {\n";
-  out += "    \"gets\": " + std::to_string(total_gets) + ",\n";
-  out += "    \"hits\": " + std::to_string(total_hits) + ",\n";
-  out += "    \"hit_ratio\": " +
-         Num(total_gets > 0
-                 ? static_cast<double>(total_hits) / total_gets
-                 : 0) +
-         "\n";
+  out += "    \"gets\": " + std::to_string(total.buffer_gets) + ",\n";
+  out += "    \"hits\": " + std::to_string(total.buffer_hits) + ",\n";
+  out += "    \"hit_ratio\": " + Num(total.BufferHitRatio()) + "\n";
   out += "  },\n";
   out += "  \"batch\": {\n";
-  out += "    \"batches\": " + std::to_string(total_batches) + ",\n";
-  out += "    \"rows_in\": " + std::to_string(total_batch_in) + ",\n";
-  out += "    \"rows_out\": " + std::to_string(total_batch_out) + ",\n";
-  out += "    \"selection_density\": " +
-         Num(total_batch_in > 0
-                 ? static_cast<double>(total_batch_out) / total_batch_in
-                 : 1.0) +
+  out += "    \"batches\": " + std::to_string(total.batches) + ",\n";
+  out += "    \"rows_in\": " + std::to_string(total.batch_rows_in) + ",\n";
+  out += "    \"rows_out\": " + std::to_string(total.batch_rows_out) + ",\n";
+  out += "    \"selection_density\": " + Num(total.AvgSelectionDensity()) +
          ",\n";
-  out += "    \"hash_build_rows\": " + std::to_string(total_hash_build) +
+  out += "    \"hash_build_rows\": " + std::to_string(total.hash_build_rows) +
          ",\n";
-  out += "    \"hash_probe_rows\": " + std::to_string(total_hash_probe) + "\n";
+  out += "    \"hash_probe_rows\": " + std::to_string(total.hash_probe_rows) +
+         "\n";
   out += "  },\n";
   out += "  \"faults\": {\n";
   out += "    \"queries\": " + std::to_string(report.fault_queries) + ",\n";
@@ -198,24 +183,26 @@ Status WriteFuzzReport(const FuzzReport& report, const std::string& path) {
     const CalibrationRecord& r = report.records[i];
     out += "    {\"seed\": " + std::to_string(r.seed) + ", \"sql\": \"";
     AppendEscaped(&out, r.sql);
+    const uint64_t pages = r.stats.page_io();
     out += "\", \"est_cost\": " + Num(r.est_cost);
     out += ", \"actual_cost\": " + Num(r.actual_cost);
     out += ", \"est_pages\": " + Num(r.est_pages);
-    out += ", \"actual_pages\": " + std::to_string(r.actual_pages);
+    out += ", \"actual_pages\": " + std::to_string(pages);
     out += ", \"est_rsi\": " + Num(r.est_rsi);
-    out += ", \"actual_rsi\": " + std::to_string(r.actual_rsi);
+    out += ", \"actual_rsi\": " + std::to_string(r.stats.rsi_calls);
     out += ", \"est_rows\": " + Num(r.est_rows);
     out += ", \"actual_rows\": " + std::to_string(r.actual_rows);
-    out += ", \"buffer_gets\": " + std::to_string(r.buffer_gets);
-    out += ", \"buffer_hits\": " + std::to_string(r.buffer_hits);
-    out += ", \"batches\": " + std::to_string(r.batches);
-    out += ", \"batch_rows_in\": " + std::to_string(r.batch_rows_in);
-    out += ", \"batch_rows_out\": " + std::to_string(r.batch_rows_out);
-    out += ", \"hash_build_rows\": " + std::to_string(r.hash_build_rows);
-    out += ", \"hash_probe_rows\": " + std::to_string(r.hash_probe_rows);
+    out += ", \"buffer_gets\": " + std::to_string(r.stats.buffer_gets);
+    out += ", \"buffer_hits\": " + std::to_string(r.stats.buffer_hits);
+    out += ", \"batches\": " + std::to_string(r.stats.batches);
+    out += ", \"batch_rows_in\": " + std::to_string(r.stats.batch_rows_in);
+    out += ", \"batch_rows_out\": " + std::to_string(r.stats.batch_rows_out);
+    out += ", \"hash_build_rows\": " +
+           std::to_string(r.stats.hash_build_rows);
+    out += ", \"hash_probe_rows\": " +
+           std::to_string(r.stats.hash_probe_rows);
     out += ", \"page_fetch_ratio\": " +
-           Num(r.actual_pages > 0 ? r.est_pages / r.actual_pages
-                                  : r.est_pages);
+           Num(pages > 0 ? r.est_pages / pages : r.est_pages);
     out += "}";
     out += i + 1 < report.records.size() ? ",\n" : "\n";
   }

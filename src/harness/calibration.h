@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "optimizer/plan.h"
+#include "rss/meter.h"
 
 namespace systemr {
 
@@ -31,21 +32,11 @@ struct CalibrationRecord {
   std::string sql;
   double est_cost = 0;
   double actual_cost = 0;
-  double est_pages = 0;
-  uint64_t actual_pages = 0;  // Metered fetches + writes.
-  double est_rsi = 0;
-  uint64_t actual_rsi = 0;
+  double est_pages = 0;  // Actual: stats.page_io().
+  double est_rsi = 0;    // Actual: stats.rsi_calls.
   double est_rows = 0;
   uint64_t actual_rows = 0;
-  uint64_t buffer_gets = 0;  // Buffer-pool requests during execution.
-  uint64_t buffer_hits = 0;  // Requests served without a simulated fetch.
-
-  // Vectorized-execution counters (see ExecStats).
-  uint64_t batches = 0;
-  uint64_t batch_rows_in = 0;
-  uint64_t batch_rows_out = 0;
-  uint64_t hash_build_rows = 0;
-  uint64_t hash_probe_rows = 0;
+  ExecStats stats;  // The DP plan's metered run.
 };
 
 struct FuzzReport {

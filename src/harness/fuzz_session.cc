@@ -256,18 +256,10 @@ SeedResult RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
       rec.est_cost = prepared->est_cost;
       rec.actual_cost = dp->actual_cost;
       rec.est_pages = est.pages;
-      rec.actual_pages = dp->stats.page_io();
       rec.est_rsi = est.rsi;
-      rec.actual_rsi = dp->stats.rsi_calls;
       rec.est_rows = prepared->est_rows;
       rec.actual_rows = dp->rows.size();
-      rec.buffer_gets = dp->stats.buffer_gets;
-      rec.buffer_hits = dp->stats.buffer_hits;
-      rec.batches = dp->stats.batches;
-      rec.batch_rows_in = dp->stats.batch_rows_in;
-      rec.batch_rows_out = dp->stats.batch_rows_out;
-      rec.hash_build_rows = dp->stats.hash_build_rows;
-      rec.hash_probe_rows = dp->stats.hash_probe_rows;
+      rec.stats = dp->stats;
       report->records.push_back(std::move(rec));
     }
 

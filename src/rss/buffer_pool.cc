@@ -20,7 +20,7 @@ StatusOr<Page*> BufferPool::FetchMut(PageId id) {
 
 StatusOr<Page*> BufferPool::FetchImpl(PageId id, bool write_intent) {
   logical_gets_.fetch_add(1, std::memory_order_relaxed);
-  if (MeterCounters* m = CurrentMeter()) ++m->logical_gets;
+  if (ExecStats* m = CurrentMeter()) ++m->buffer_gets;
   if (id == kInvalidPage) {
     return Status::Internal("buffer fetch of kInvalidPage");
   }
@@ -79,7 +79,7 @@ StatusOr<Page*> BufferPool::FetchImpl(PageId id, bool write_intent) {
 
   // Miss: simulated disk read.
   fetches_.fetch_add(1, std::memory_order_relaxed);
-  if (MeterCounters* m = CurrentMeter()) ++m->page_fetches;
+  if (ExecStats* m = CurrentMeter()) ++m->page_fetches;
   Page* page = store_->Get(id);
   if (page == nullptr) {
     return Status::Internal("buffer fetch of invalid page id " +
@@ -148,7 +148,7 @@ Page* BufferPool::ShadowFor(const Page& src) {
 PageId BufferPool::NewPage() {
   PageId id = store_->Allocate();
   writes_.fetch_add(1, std::memory_order_relaxed);
-  if (MeterCounters* m = CurrentMeter()) ++m->page_writes;
+  if (ExecStats* m = CurrentMeter()) ++m->page_writes;
   std::unique_lock<std::shared_mutex> lock(mu_);
   TouchLocked(id);
   return id;

@@ -19,7 +19,7 @@
 // The pool is shared by every concurrent session: counters are atomics,
 // residency is a tick-stamped map under a shared_mutex (hits refresh a tick
 // under the shared lock; misses and eviction serialize on the unique lock),
-// and per-statement accounting goes to the calling thread's MeterCounters
+// and per-statement accounting goes to the calling thread's ExecStats
 // (rss/meter.h) so sessions never race on statement-level stats.
 #ifndef SYSTEMR_RSS_BUFFER_POOL_H_
 #define SYSTEMR_RSS_BUFFER_POOL_H_
@@ -91,7 +91,7 @@ class BufferPool {
     return resident_.size();
   }
   /// Pool-wide counters, by value (they are shared atomics; per-statement
-  /// accounting uses the thread's MeterCounters instead — see rss/meter.h).
+  /// accounting uses the thread's ExecStats instead — see rss/meter.h).
   BufferStats stats() const {
     return BufferStats{fetches_.load(std::memory_order_relaxed),
                        writes_.load(std::memory_order_relaxed),

@@ -17,17 +17,6 @@
 
 namespace systemr {
 
-/// Snapshot of all metered work; actual cost is computed from the delta of
-/// two snapshots as page I/O + W * RSI calls.
-struct RssSnapshot {
-  uint64_t page_fetches = 0;
-  uint64_t page_writes = 0;
-  uint64_t rsi_calls = 0;
-  uint64_t logical_gets = 0;  // All buffer requests; hits = gets - fetches.
-
-  uint64_t page_io() const { return page_fetches + page_writes; }
-};
-
 class Rss {
  public:
   /// `buffer_pages`: frames in the per-user buffer pool (§4's "effective
@@ -89,13 +78,6 @@ class Rss {
   RssCounters& counters() { return counters_; }
   WalManager& wal() { return wal_; }
   const WalManager& wal() const { return wal_; }
-
-  RssSnapshot Snapshot() const {
-    BufferStats b = pool_.stats();
-    return RssSnapshot{b.fetches, b.writes,
-                       counters_.rsi_calls.load(std::memory_order_relaxed),
-                       b.logical_gets};
-  }
 
  private:
   // Guards the object registries (segments/heaps/indexes) so concurrent

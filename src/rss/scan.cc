@@ -15,7 +15,7 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
 void CountRsiCalls(RssCounters* counters, size_t n) {
   if (n == 0) return;
   counters->rsi_calls.fetch_add(n, std::memory_order_relaxed);
-  if (MeterCounters* m = CurrentMeter()) m->rsi_calls += n;
+  if (ExecStats* m = CurrentMeter()) m->rsi_calls += n;
 }
 
 // The row that the next delivered tuple decodes into, grown on demand to

@@ -27,7 +27,8 @@ namespace systemr {
 
 /// Counters shared by all scans of one RSS instance (atomic: scans from
 /// concurrent sessions increment them). RSI calls approximate CPU cost in
-/// the paper's COST formula (§4).
+/// the paper's COST formula (§4). Process-level observability only: each
+/// statement's own RSI count is in its ExecStats (rss/meter.h).
 struct RssCounters {
   std::atomic<uint64_t> rsi_calls{0};
 };

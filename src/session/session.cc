@@ -83,7 +83,7 @@ Status Session::Rollback() {
 }
 
 StatusOr<size_t> Session::Mutate(const std::string& sql) {
-  return db_->Mutate(sql, txn_.get());
+  return db_->Mutate(sql, txn_.get(), &limits_);
 }
 
 Status Session::Execute(const std::string& sql) {

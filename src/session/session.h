@@ -102,7 +102,8 @@ class Session {
   Txn* txn() { return txn_.get(); }
 
   /// Executes an INSERT/DELETE/UPDATE inside the session's open transaction
-  /// (auto-commit when none); returns affected rows.
+  /// (auto-commit when none) under the session's limits; returns affected
+  /// rows.
   StatusOr<size_t> Mutate(const std::string& sql);
 
   /// Executes any single statement, including BEGIN/COMMIT/ROLLBACK —

@@ -1,14 +1,17 @@
 // Deterministic executor counter gate: for every plan shape whose pull loop
-// the executor implements, one statement's result rows, RSI calls and
-// cold-pool page fetches are pinned exactly. All three are machine- and
+// the executor implements, one statement's result rows and every counter of
+// its ExecStats block are pinned exactly. All of them are machine- and
 // protocol-independent: an RSI call is one tuple delivered (the paper's W
 // term, §4), and with a buffer pool that holds every page and starts empty,
-// page fetches count the distinct pages a plan touches. A change here is a
-// plan, metering or executor change, never noise. COUNT(*)'s buffer gets are
-// bounded by one get per page visit plus one per batch.
+// page fetches count the distinct pages a plan touches; buffer gets, batches,
+// hash rows, subquery evaluations and morsels follow from the plan and the
+// data alone. A change here is a plan, metering or executor change, never
+// noise. COUNT(*)'s buffer gets are bounded by one get per page visit plus
+// one per batch.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "db/database.h"
 #include "optimizer/explain.h"
@@ -45,13 +48,30 @@ struct Shape {
   const char* name;
   const char* sql;
   JoinMethodForce force;
+  int forced_dop;      // > 0: plan with every eligible fragment parallel.
   PlanKind exercised;  // The operator whose pull loop this shape covers.
   uint64_t rows;
-  uint64_t rsi_calls;
-  uint64_t page_fetches;
+  ExecStats stats;  // Every counter; fields left out are pinned at zero.
 };
 
 void PrintTo(const Shape& s, std::ostream* os) { *os << s.name; }
+
+constexpr std::pair<const char*, uint64_t ExecStats::*> kCounters[] = {
+    {"page_fetches", &ExecStats::page_fetches},
+    {"page_writes", &ExecStats::page_writes},
+    {"rsi_calls", &ExecStats::rsi_calls},
+    {"subquery_evals", &ExecStats::subquery_evals},
+    {"subquery_cache_hits", &ExecStats::subquery_cache_hits},
+    {"buffer_gets", &ExecStats::buffer_gets},
+    {"buffer_hits", &ExecStats::buffer_hits},
+    {"batches", &ExecStats::batches},
+    {"batch_rows_in", &ExecStats::batch_rows_in},
+    {"batch_rows_out", &ExecStats::batch_rows_out},
+    {"hash_build_rows", &ExecStats::hash_build_rows},
+    {"hash_probe_rows", &ExecStats::hash_probe_rows},
+    {"parallel_workers", &ExecStats::parallel_workers},
+    {"parallel_morsels", &ExecStats::parallel_morsels},
+};
 
 class ExecCountersTest : public ::testing::TestWithParam<Shape> {
  protected:
@@ -68,7 +88,8 @@ Database* ExecCountersTest::db_ = nullptr;
 TEST_P(ExecCountersTest, CountersArePinned) {
   const Shape& s = GetParam();
   db_->options().join.force = s.force;
-  auto q = db_->Prepare(s.sql);
+  auto q = s.forced_dop > 0 ? db_->Prepare(s.sql, s.forced_dop, true)
+                            : db_->Prepare(s.sql);
   db_->options().join.force = JoinMethodForce::kAuto;
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   ASSERT_TRUE(Contains(q->root.get(), s.exercised))
@@ -77,34 +98,70 @@ TEST_P(ExecCountersTest, CountersArePinned) {
   auto r = db_->Run(*q);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows.size(), s.rows);
-  EXPECT_EQ(r->stats.rsi_calls, s.rsi_calls);
-  EXPECT_EQ(r->stats.page_fetches, s.page_fetches);
+  for (const auto& [counter, field] : kCounters) {
+    EXPECT_EQ(r->stats.*field, s.stats.*field) << counter;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ExecCountersTest,
     ::testing::Values(
-        Shape{"count", "SELECT COUNT(*) FROM R0", JoinMethodForce::kAuto,
-              PlanKind::kAggregate, 1, 2000, 23},
+        Shape{"count", "SELECT COUNT(*) FROM R0", JoinMethodForce::kAuto, 0,
+              PlanKind::kAggregate, 1,
+              ExecStats{.page_fetches = 23, .rsi_calls = 2000,
+                        .buffer_gets = 24, .buffer_hits = 1, .batches = 2,
+                        .batch_rows_in = 2000, .batch_rows_out = 2000}},
         Shape{"sort", "SELECT R1.PK, R1.B FROM R1 ORDER BY R1.B",
-              JoinMethodForce::kAuto, PlanKind::kSort, 1000, 1000, 12},
+              JoinMethodForce::kAuto, 0, PlanKind::kSort, 1000,
+              ExecStats{.page_fetches = 12, .page_writes = 12,
+                        .rsi_calls = 1000, .buffer_gets = 2035,
+                        .buffer_hits = 2023, .batches = 1,
+                        .batch_rows_in = 1000, .batch_rows_out = 1000}},
         Shape{"subquery",
               "SELECT X.PK FROM R1 X WHERE X.A BETWEEN 10 AND 14 AND "
               "X.B <= (SELECT MAX(Y.B) FROM R2 Y WHERE Y.A = X.A)",
-              JoinMethodForce::kAuto, PlanKind::kFilter, 94, 2603, 22},
+              JoinMethodForce::kAuto, 0, PlanKind::kFilter, 94,
+              ExecStats{.page_fetches = 22, .rsi_calls = 2603,
+                        .subquery_evals = 5, .subquery_cache_hits = 98,
+                        .buffer_gets = 138, .buffer_hits = 116, .batches = 6,
+                        .batch_rows_in = 2603, .batch_rows_out = 139}},
         Shape{"nlj",
               "SELECT R0.PK, R1.A FROM R0, R1 WHERE R0.FK = R1.PK AND "
               "R0.B < 10",
-              JoinMethodForce::kNestedLoop, PlanKind::kNestedLoopJoin, 391,
-              1391, 62},
+              JoinMethodForce::kNestedLoop, 0, PlanKind::kNestedLoopJoin, 391,
+              ExecStats{.page_fetches = 62, .rsi_calls = 1391,
+                        .buffer_gets = 6040, .buffer_hits = 5978,
+                        .batches = 1327, .batch_rows_in = 1391,
+                        .batch_rows_out = 1391}},
         Shape{"merge",
               "SELECT R0.PK, R1.A FROM R0, R1 WHERE R0.FK = R1.PK AND "
               "R0.B < 10",
-              JoinMethodForce::kMerge, PlanKind::kMergeJoin, 391, 1385, 71},
+              JoinMethodForce::kMerge, 0, PlanKind::kMergeJoin, 391,
+              ExecStats{.page_fetches = 71, .rsi_calls = 1385,
+                        .buffer_gets = 3032, .buffer_hits = 2961,
+                        .batches = 1385, .batch_rows_in = 1385,
+                        .batch_rows_out = 1385}},
         Shape{"hash",
               "SELECT R1.PK, R2.PK FROM R1, R2 WHERE R1.B = R2.B AND "
               "R1.A BETWEEN 10 AND 19",
-              JoinMethodForce::kHash, PlanKind::kHashJoin, 2232, 722, 22}),
+              JoinMethodForce::kHash, 0, PlanKind::kHashJoin, 2232,
+              ExecStats{.page_fetches = 22, .rsi_calls = 722,
+                        .buffer_gets = 233, .buffer_hits = 211, .batches = 6,
+                        .batch_rows_in = 2954, .batch_rows_out = 2954,
+                        .hash_build_rows = 500, .hash_probe_rows = 222}},
+        Shape{"hash_group", "SELECT R0.B, COUNT(*) FROM R0 GROUP BY R0.B",
+              JoinMethodForce::kHash, 0, PlanKind::kHashAggregate, 50,
+              ExecStats{.page_fetches = 23, .rsi_calls = 2000,
+                        .buffer_gets = 24, .buffer_hits = 1, .batches = 2,
+                        .batch_rows_in = 2000, .batch_rows_out = 2000}},
+        // Two workers share R0's three 8-page morsels; their blocks are
+        // added to the statement's at the exchange barrier.
+        Shape{"parallel_group", "SELECT R0.B, COUNT(*) FROM R0 GROUP BY R0.B",
+              JoinMethodForce::kAuto, 2, PlanKind::kExchange, 50,
+              ExecStats{.page_fetches = 23, .rsi_calls = 2000,
+                        .buffer_gets = 23, .batches = 3,
+                        .batch_rows_in = 2000, .batch_rows_out = 2000,
+                        .parallel_workers = 2, .parallel_morsels = 3}}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return std::string(info.param.name);
     });

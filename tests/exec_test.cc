@@ -178,27 +178,21 @@ class SubqueryCacheTest : public ::testing::Test {
     ASSERT_TRUE(db_->Execute("UPDATE STATISTICS E").ok());
   }
 
-  // Runs the correlated query and returns {evaluations, hits} of the
-  // subquery cache.
+  // Runs the correlated query and returns {evaluations, cache hits} of its
+  // one nested block, read from the statement's stats.
   std::pair<uint64_t, uint64_t> RunCorrelated() {
     const std::string sql =
         "SELECT ID FROM E X WHERE SAL > "
         "(SELECT AVG(SAL) FROM E WHERE DNO = X.DNO)";
     auto prepared = db_->Prepare(sql);
     EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
-    // Find the nested block.
-    const BoundQueryBlock* sub = nullptr;
-    const BoundExpr* where = prepared->block->where.get();
-    EXPECT_EQ(where->kind, BoundExprKind::kCompare);
-    sub = where->children[1]->subquery.get();
-    EXPECT_NE(sub, nullptr);
+    EXPECT_EQ(prepared->subquery_plans.size(), 1u);
 
     ExecContext ctx(&db_->rss(), &db_->catalog(), &prepared->subquery_plans,
                     db_->options().cost.w);
     auto result = ExecutePlan(&ctx, *prepared->block, prepared->root);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    const auto& cache = ctx.CacheFor(sub);
-    return {cache.evaluations, cache.hits};
+    return {result->stats.subquery_evals, result->stats.subquery_cache_hits};
   }
 
   std::unique_ptr<Database> db_;
@@ -227,13 +221,12 @@ TEST_F(SubqueryCacheTest, UncorrelatedSubqueryEvaluatedOnce) {
       "SELECT ID FROM E WHERE SAL > (SELECT AVG(SAL) FROM E)";
   auto prepared = db_->Prepare(sql);
   ASSERT_TRUE(prepared.ok());
-  const BoundQueryBlock* sub =
-      prepared->block->where->children[1]->subquery.get();
+  ASSERT_EQ(prepared->subquery_plans.size(), 1u);
   ExecContext ctx(&db_->rss(), &db_->catalog(), &prepared->subquery_plans,
                   db_->options().cost.w);
   auto result = ExecutePlan(&ctx, *prepared->block, prepared->root);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(ctx.CacheFor(sub).evaluations, 1u)
+  EXPECT_EQ(result->stats.subquery_evals, 1u)
       << "§6: uncorrelated subqueries are evaluated only once";
 }
 

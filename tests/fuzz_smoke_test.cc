@@ -43,8 +43,8 @@ TEST(FuzzSmokeTest, FiftySeedsAllOraclesClean) {
     any_positive |= r.est_cost > 0.0;
     // Buffer counters: hits are a subset of gets, and every simulated fetch
     // is itself a get (gets = fetches + hits by construction).
-    EXPECT_GE(r.buffer_gets, r.buffer_hits) << r.sql;
-    total_gets += r.buffer_gets;
+    EXPECT_GE(r.stats.buffer_gets, r.stats.buffer_hits) << r.sql;
+    total_gets += r.stats.buffer_gets;
   }
   EXPECT_TRUE(any_positive);
   EXPECT_GT(total_gets, 0u);
@@ -180,8 +180,8 @@ TEST_P(ForcedJoinFuzzTest, TwoHundredSeedsClean) {
   // queries at least some joins build and probe.
   uint64_t build = 0, probe = 0;
   for (const CalibrationRecord& r : report.records) {
-    build += r.hash_build_rows;
-    probe += r.hash_probe_rows;
+    build += r.stats.hash_build_rows;
+    probe += r.stats.hash_probe_rows;
   }
   EXPECT_GT(build, 0u);
   EXPECT_GT(probe, 0u);

@@ -238,6 +238,25 @@ TEST_F(ServingTest, ServerDefaultLimitsAbortRunawayQuery) {
   c.Close();
 }
 
+TEST_F(ServingTest, ServerDefaultLimitsAbortRunawayDml) {
+  net::ServerOptions opts;
+  opts.default_max_buffer_gets = 4;  // Far below an UPDATE of all of BIG.
+  StartServer(opts);
+  Client c = Connect();
+  auto r = c.Query("UPDATE BIG SET V = V + 1 WHERE PK >= 0");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->code, StatusCode::kResourceExhausted) << r->message;
+  // The statement rolled back, and the connection stays usable.
+  auto unchanged = db_->Query("SELECT COUNT(*) FROM BIG WHERE V = 0");
+  ASSERT_TRUE(unchanged.ok()) << unchanged.status().ToString();
+  EXPECT_EQ(unchanged->rows[0][0].AsInt(), 21);  // PK 0, 97, ..., 1940.
+  auto again = c.Query("INSERT INTO T0 VALUES (1, 1)");
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->ok()) << again->message;
+  EXPECT_EQ(again->affected, 1u);
+  c.Close();
+}
+
 TEST_F(ServingTest, ClientSetTightensButCannotLoosenLimits) {
   net::ServerOptions opts;
   opts.default_max_buffer_gets = 1'000'000;

@@ -404,6 +404,51 @@ TEST_F(SessionTest, MutationsMarkStatisticsStale) {
   EXPECT_EQ(plan->find("stats=stale"), std::string::npos) << *plan;
 }
 
+// A session's limits reach its DML, not only its queries: the budget and
+// the cancel flag abort UPDATE and DELETE, which leave every row as it was.
+TEST_F(SessionTest, SessionLimitsApplyToDml) {
+  ASSERT_TRUE(db_->Execute("CREATE TABLE T (A INT, B INT)").ok());
+  for (int base = 0; base < 3000; base += 500) {
+    std::string sql = "INSERT INTO T VALUES ";
+    for (int i = base; i < base + 500; ++i) {
+      if (i != base) sql += ", ";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i % 7) + ")";
+    }
+    ASSERT_TRUE(db_->Execute(sql).ok());
+  }
+  ASSERT_TRUE(db_->Execute("UPDATE STATISTICS T").ok());
+  auto count = [&](const std::string& where) {
+    auto r = db_->Query("SELECT COUNT(*) FROM T WHERE " + where);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r->rows[0][0].AsInt();
+  };
+
+  Session session(db_.get());
+  ExecLimits budget;
+  budget.max_buffer_gets = 4;  // Far below the UPDATE's 429 rows.
+  session.set_limits(budget);
+  auto updated = session.Mutate("UPDATE T SET A = A + 1 WHERE B = 3");
+  ASSERT_FALSE(updated.ok()) << *updated << " rows updated";
+  EXPECT_EQ(updated.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(count("A = 3"), 1);
+
+  std::atomic<bool> cancel{true};
+  ExecLimits cancelled;
+  cancelled.cancel = &cancel;
+  session.set_limits(cancelled);
+  auto deleted = session.Mutate("DELETE FROM T WHERE B = 4");
+  ASSERT_FALSE(deleted.ok()) << *deleted << " rows deleted";
+  EXPECT_EQ(deleted.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(count("B = 4"), 428);
+
+  // The database-wide limits are unlimited: without the session's, the
+  // same statements run.
+  session.set_limits(ExecLimits{});
+  auto again = session.Mutate("DELETE FROM T WHERE B = 4");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, 428u);
+}
+
 TEST_F(SessionTest, DatabaseRunRejectsUnboundParams) {
   // The plain Run(query) entry point must refuse a parameterized plan
   // instead of executing with dangling markers.

@@ -233,6 +233,32 @@ TEST_F(TxnTest, ExecLimitsAbortDmlCleanly) {
   EXPECT_EQ(Count("V = 1"), 1);
 }
 
+TEST_F(TxnTest, DmlBudgetCoversWholeStatement) {
+  // One ExecContext per DML statement, so one budget: the target scan and
+  // the mutation loop draw on the same buffer gets. Here the DELETE collects
+  // its 429 rows in 21 gets and then spends 1287 deleting them; a 1292-get
+  // budget covers either phase alone, but not the statement.
+  db_ = std::make_unique<Database>(64);
+  ASSERT_TRUE(db_->Execute("CREATE TABLE T (A INT, B INT)").ok());
+  for (int base = 0; base < 3000; base += 500) {
+    std::string sql = "INSERT INTO T VALUES ";
+    for (int i = base; i < base + 500; ++i) {
+      if (i != base) sql += ", ";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i % 7) + ")";
+    }
+    ASSERT_TRUE(db_->Execute(sql).ok());
+  }
+  ASSERT_TRUE(db_->Execute("UPDATE STATISTICS T").ok());
+  ExecLimits budget;
+  budget.max_buffer_gets = 1292;
+  db_->set_exec_limits(budget);
+  auto r = db_->Mutate("DELETE FROM T WHERE B = 3");
+  ASSERT_FALSE(r.ok()) << *r << " rows deleted within the budget";
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  db_->set_exec_limits(ExecLimits{});
+  EXPECT_EQ(Count(), 3000);
+}
+
 TEST_F(TxnTest, ExecLimitsAbortInsideTransactionKeepsTxnAlive) {
   auto txn = db_->BeginTxn();
   ASSERT_TRUE(db_->Mutate("INSERT INTO T VALUES (100, 1)", txn.get()).ok());

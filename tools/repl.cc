@@ -269,14 +269,7 @@ class Repl {
                 (unsigned long long)st.page_fetches,
                 (unsigned long long)st.buffer_gets,
                 (unsigned long long)st.rsi_calls, r->est_cost, r->actual_cost);
-    // Accumulate per-statement batch counters for \stats.
-    batch_totals_.batches += st.batches;
-    batch_totals_.batch_rows_in += st.batch_rows_in;
-    batch_totals_.batch_rows_out += st.batch_rows_out;
-    batch_totals_.hash_build_rows += st.hash_build_rows;
-    batch_totals_.hash_probe_rows += st.hash_probe_rows;
-    batch_totals_.parallel_workers += st.parallel_workers;
-    batch_totals_.parallel_morsels += st.parallel_morsels;
+    batch_totals_ += st;  // Accumulated for \stats.
   }
 
   void PrintStats() {
