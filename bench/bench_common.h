@@ -1,6 +1,6 @@
 // Shared helpers for the reproduction benches: planner harness construction
-// (mirroring Optimizer::PlanBlock so benches can inspect the search tree),
-// plan execution with buffer flushing, and table printing.
+// (the enumerator over one block's PlannerContext, so benches can inspect the
+// search tree), plan execution with buffer flushing, and table printing.
 #ifndef SYSTEMR_BENCH_BENCH_COMMON_H_
 #define SYSTEMR_BENCH_BENCH_COMMON_H_
 
@@ -11,24 +11,19 @@
 
 #include "db/database.h"
 #include "exec/executor.h"
-#include "optimizer/cnf.h"
 #include "optimizer/explain.h"
 #include "optimizer/join_enumerator.h"
-#include "optimizer/selectivity.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
 namespace systemr {
 namespace bench {
 
-/// Planner state for one query, with the enumerator exposed.
+/// Planner state for one query, with the enumerator exposed. The context is
+/// built from the database's options, so the search is the optimizer's own.
 struct Harness {
   std::unique_ptr<BoundQueryBlock> block;
-  CostModel cost_model{CostParams{}};
-  std::unique_ptr<SelectivityEstimator> sel;
-  std::vector<BooleanFactor> factors;
-  OrderClasses classes;
-  PlannerContext ctx;
+  std::unique_ptr<PlannerContext> ctx;
   std::unique_ptr<JoinEnumerator> enumerator;
 
   static std::unique_ptr<Harness> Make(Database* db, const std::string& sql,
@@ -49,21 +44,11 @@ struct Harness {
       std::abort();
     }
     h->block = std::move(*block);
-    h->cost_model = CostModel(db->options().cost);
-    h->sel = std::make_unique<SelectivityEstimator>(&db->catalog(),
-                                                    h->block.get());
-    h->factors = ExtractBooleanFactors(*h->block);
-    for (BooleanFactor& f : h->factors) {
-      f.selectivity = h->sel->FactorSelectivity(*f.expr);
-    }
-    for (const BooleanFactor& f : h->factors) {
-      if (f.join.has_value() && f.join->is_equi()) {
-        h->classes.Union(f.join->t1, f.join->c1, f.join->t2, f.join->c2);
-      }
-    }
-    h->ctx = PlannerContext{h->block.get(), &db->catalog(), &h->cost_model,
-                            h->sel.get(), &h->factors, &h->classes};
-    h->enumerator = std::make_unique<JoinEnumerator>(h->ctx, options);
+    const OptimizerOptions& opts = db->options();
+    h->ctx = std::make_unique<PlannerContext>(&db->catalog(), *h->block,
+                                              opts.cost, opts.use_column_stats,
+                                              opts.feedback);
+    h->enumerator = std::make_unique<JoinEnumerator>(*h->ctx, options);
     if (run) {
       Status st = h->enumerator->Run();
       if (!st.ok()) {

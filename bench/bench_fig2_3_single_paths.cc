@@ -32,7 +32,7 @@ int Main() {
   for (const OrderSpec& spec : interesting) {
     std::printf("  %s", OrderSpecToString(spec).c_str());
     if (spec.size() == 1) {
-      auto [t, c] = h->classes.Representative(spec[0].cls);
+      auto [t, c] = h->ctx->classes.Representative(spec[0].cls);
       std::printf("  (e.g. %s)", h->block->ColumnName(t, c).c_str());
     }
     std::printf("\n");
@@ -40,7 +40,7 @@ int Main() {
 
   for (size_t t = 0; t < h->block->tables.size(); ++t) {
     std::printf("\n%s:\n", h->block->tables[t].table->name.c_str());
-    auto paths = GenerateAccessPaths(h->ctx, static_cast<int>(t), 0);
+    auto paths = GenerateAccessPaths(*h->ctx, static_cast<int>(t), 0);
     PruneAccessPaths(&paths, interesting);
     for (const AccessPath& p : paths) {
       std::printf("  C(%-28s) = %8.1f  order=%-10s rows=%8.1f  %s\n",

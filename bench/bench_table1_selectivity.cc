@@ -32,8 +32,8 @@ double EstimatedF(Database* db, const Case& c) {
                                  c.predicate,
                          {}, /*run=*/false);
   double f = 1.0;
-  for (const BooleanFactor& factor : h->factors) {
-    f *= h->sel->FactorSelectivity(*factor.expr);
+  for (const BooleanFactor& factor : h->ctx->factors) {
+    f *= factor.model_selectivity;
   }
   return f;
 }

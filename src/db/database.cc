@@ -20,52 +20,41 @@ Database::Database(size_t buffer_pages, OptimizerOptions options)
   options_.feedback = &feedback_;
 }
 
-StatusOr<std::unique_ptr<BoundQueryBlock>> Database::BindSql(
-    const std::string& sql, int* num_params) {
-  ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
+StatusOr<OptimizedQuery> Database::Compile(
+    const Statement& stmt, const OptimizerOptions& options,
+    std::optional<BaselineKind> baseline) {
   if (stmt.kind != Statement::Kind::kSelect &&
       stmt.kind != Statement::Kind::kExplain) {
     return Status::InvalidArgument("expected a SELECT statement");
   }
-  if (num_params != nullptr) *num_params = stmt.num_params;
   Binder binder(&catalog_);
-  return binder.Bind(*stmt.select);
+  ASSIGN_OR_RETURN(std::unique_ptr<BoundQueryBlock> block,
+                   binder.Bind(*stmt.select));
+  StatusOr<OptimizedQuery> query =
+      baseline.has_value()
+          ? OptimizeBaseline(&catalog_, std::move(block), *baseline, options)
+          : Optimizer(&catalog_, options).Optimize(std::move(block));
+  if (query.ok()) query->num_params = stmt.num_params;
+  return query;
 }
 
 StatusOr<OptimizedQuery> Database::Prepare(const std::string& sql) {
-  int num_params = 0;
-  ASSIGN_OR_RETURN(std::unique_ptr<BoundQueryBlock> block,
-                   BindSql(sql, &num_params));
-  Optimizer optimizer(&catalog_, options_);
-  ASSIGN_OR_RETURN(OptimizedQuery query, optimizer.Optimize(std::move(block)));
-  query.num_params = num_params;
-  return query;
+  return Prepare(sql, options_.max_dop, options_.force_parallel);
 }
 
 StatusOr<OptimizedQuery> Database::Prepare(const std::string& sql, int max_dop,
                                            bool force_parallel) {
-  int num_params = 0;
-  ASSIGN_OR_RETURN(std::unique_ptr<BoundQueryBlock> block,
-                   BindSql(sql, &num_params));
+  ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
   OptimizerOptions opts = options_;
   opts.max_dop = max_dop;
   opts.force_parallel = force_parallel;
-  Optimizer optimizer(&catalog_, opts);
-  ASSIGN_OR_RETURN(OptimizedQuery query, optimizer.Optimize(std::move(block)));
-  query.num_params = num_params;
-  return query;
+  return Compile(stmt, opts);
 }
 
 StatusOr<OptimizedQuery> Database::PrepareBaseline(const std::string& sql,
                                                    BaselineKind kind) {
-  int num_params = 0;
-  ASSIGN_OR_RETURN(std::unique_ptr<BoundQueryBlock> block,
-                   BindSql(sql, &num_params));
-  ASSIGN_OR_RETURN(OptimizedQuery query,
-                   OptimizeBaseline(&catalog_, std::move(block), kind,
-                                    options_));
-  query.num_params = num_params;
-  return query;
+  ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
+  return Compile(stmt, options_, kind);
 }
 
 StatusOr<QueryResult> Database::Run(const OptimizedQuery& query) {
@@ -165,39 +154,20 @@ void Database::RecordFeedback(const ExecContext& ctx,
 
 StatusOr<QueryResult> Database::Query(const std::string& sql) {
   ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
-  switch (stmt.kind) {
-    case Statement::Kind::kSelect: {
-      ASSIGN_OR_RETURN(OptimizedQuery prepared, Prepare(sql));
-      return Run(prepared);
-    }
-    case Statement::Kind::kExplain: {
-      Binder binder(&catalog_);
-      ASSIGN_OR_RETURN(std::unique_ptr<BoundQueryBlock> block,
-                       binder.Bind(*stmt.select));
-      Optimizer optimizer(&catalog_, options_);
-      ASSIGN_OR_RETURN(OptimizedQuery prepared,
-                       optimizer.Optimize(std::move(block)));
-      QueryResult result;
-      result.plan_text = ExplainPlan(prepared.root, *prepared.block);
-      result.est_cost = prepared.est_cost;
-      result.est_rows = prepared.est_rows;
-      return result;
-    }
-    default:
-      return Status::InvalidArgument("Query() takes SELECT or EXPLAIN");
-  }
+  ASSIGN_OR_RETURN(OptimizedQuery prepared, Compile(stmt, options_));
+  if (stmt.kind == Statement::Kind::kSelect) return Run(prepared);
+  QueryResult result;
+  result.plan_text = ExplainPlan(prepared.root, *prepared.block);
+  result.est_cost = prepared.est_cost;
+  result.est_rows = prepared.est_rows;
+  return result;
 }
 
 StatusOr<std::string> Database::Explain(const std::string& sql) {
-  std::string text = sql;
   // Allow both "EXPLAIN SELECT ..." and a bare SELECT.
   ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
-  if (stmt.kind == Statement::Kind::kSelect) {
-    ASSIGN_OR_RETURN(OptimizedQuery prepared, Prepare(sql));
-    return ExplainPlan(prepared.root, *prepared.block);
-  }
-  ASSIGN_OR_RETURN(QueryResult result, Query(sql));
-  return result.plan_text;
+  ASSIGN_OR_RETURN(OptimizedQuery prepared, Compile(stmt, options_));
+  return ExplainPlan(prepared.root, *prepared.block);
 }
 
 std::unique_ptr<Txn> Database::BeginTxn() {
@@ -323,14 +293,8 @@ Status Database::ExecuteStatement(Statement& stmt, Txn* txn) {
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
     case Statement::Kind::kExplain: {
-      // Re-render is unnecessary: bind/optimize/execute directly.
-      Binder binder(&catalog_);
-      ASSIGN_OR_RETURN(std::unique_ptr<BoundQueryBlock> block,
-                       binder.Bind(*stmt.select));
+      ASSIGN_OR_RETURN(OptimizedQuery prepared, Compile(stmt, options_));
       if (stmt.kind == Statement::Kind::kExplain) return Status::OK();
-      Optimizer optimizer(&catalog_, options_);
-      ASSIGN_OR_RETURN(OptimizedQuery prepared,
-                       optimizer.Optimize(std::move(block)));
       ASSIGN_OR_RETURN(QueryResult ignored, Run(prepared, {}, nullptr, txn));
       (void)ignored;
       return Status::OK();

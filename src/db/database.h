@@ -6,6 +6,7 @@
 #define SYSTEMR_DB_DATABASE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -146,8 +147,11 @@ class Database {
   const ExecLimits& exec_limits() const { return exec_limits_; }
 
  private:
-  StatusOr<std::unique_ptr<BoundQueryBlock>> BindSql(const std::string& sql,
-                                                     int* num_params = nullptr);
+  /// Binds and plans a parsed SELECT or EXPLAIN — with the DP optimizer, or
+  /// with `baseline` when given — and sets the plan's `?` count.
+  StatusOr<OptimizedQuery> Compile(
+      const Statement& stmt, const OptimizerOptions& options,
+      std::optional<BaselineKind> baseline = std::nullopt);
   Status ExecuteStatement(Statement& stmt, Txn* txn = nullptr);
   /// X-locks the target, runs the statement under `txn` (or an internal
   /// auto-commit transaction), rolls back to the statement savepoint on

@@ -4,8 +4,6 @@
 
 #include "exec/operators.h"
 #include "optimizer/access_path_gen.h"
-#include "optimizer/cnf.h"
-#include "optimizer/selectivity.h"
 #include "sql/binder.h"
 
 namespace systemr {
@@ -37,16 +35,10 @@ Status CollectTargets(ExecContext* exec, const OptimizerOptions& options,
   ASSIGN_OR_RETURN(out->block, binder.Bind(synthetic));
   const BoundQueryBlock& block = *out->block;
 
-  // Access path selection, exactly as for a single-relation query (§4).
-  CostModel cost_model(options.cost);
-  SelectivityEstimator sel(catalog, &block, options.use_column_stats);
-  std::vector<BooleanFactor> factors = ExtractBooleanFactors(block);
-  for (BooleanFactor& f : factors) {
-    f.model_selectivity = sel.FactorSelectivity(*f.expr);
-    f.selectivity = f.model_selectivity;
-  }
-  OrderClasses classes;
-  PlannerContext ctx{&block, catalog, &cost_model, &sel, &factors, &classes};
+  // Access path selection, exactly as for a single-relation query (§4), on
+  // model selectivities: DML passes no feedback store.
+  PlannerContext ctx(catalog, block, options.cost, options.use_column_stats,
+                     /*feedback=*/nullptr);
   std::vector<AccessPath> paths = GenerateAccessPaths(ctx, 0, 0);
   if (paths.empty()) return Status::Internal("no access path for DML target");
   const AccessPath* best = &paths[0];
@@ -57,11 +49,9 @@ Status CollectTargets(ExecContext* exec, const OptimizerOptions& options,
   // Predicates the scan cannot apply: subquery / correlated factors.
   Optimizer optimizer(catalog, options);
   std::vector<const BoundExpr*> leftover;
-  for (const BooleanFactor& f : factors) {
-    if (f.has_subquery || f.correlated || f.tables_mask == 0) {
-      leftover.push_back(f.expr);
-      RETURN_IF_ERROR(optimizer.PlanSubqueries(*f.expr, &out->subplans));
-    }
+  for (const BooleanFactor* f : ctx.Leftovers()) {
+    leftover.push_back(f->expr);
+    RETURN_IF_ERROR(optimizer.PlanSubqueries(*f->expr, &out->subplans));
   }
 
   ExprProgram leftover_prog;

@@ -57,7 +57,7 @@ ApplicablePreds CollectPreds(const PlannerContext& ctx, int table_idx,
       out.feedback_terms.push_back({f.signature, f.selectivity});
     }
   };
-  for (const BooleanFactor& f : *ctx.factors) {
+  for (const BooleanFactor& f : ctx.factors) {
     if (f.has_subquery || f.correlated) continue;
     if (f.join.has_value()) {
       const JoinPredInfo& j = *f.join;
@@ -138,7 +138,7 @@ OrderSpec IndexOrder(const PlannerContext& ctx, int table_idx,
                      const IndexInfo& index) {
   OrderSpec order;
   for (size_t col : index.key_columns) {
-    order.push_back(OrderKey{ctx.classes->ClassOf(table_idx, col), true});
+    order.push_back(OrderKey{ctx.classes.ClassOf(table_idx, col), true});
   }
   return order;
 }
@@ -161,7 +161,7 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
   const TableInfo& table = *block.tables[table_idx].table;
   ApplicablePreds preds = CollectPreds(ctx, table_idx, outer_mask);
 
-  double ncard = ctx.sel->TableCardinality(table_idx);
+  double ncard = ctx.sel.TableCardinality(table_idx);
   double rsicard = ncard * preds.f_sargable;
   double rows = rsicard * preds.f_residual;
 
@@ -202,15 +202,13 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
     p.node->scan.dyn_sargs = dyn_sargs;
     p.node->scan.residual = preds.residual;
     annotate_scan(&p.node->scan);
-    p.cost = ctx.cost->SegmentScan(table, rsicard);
+    p.cost = ctx.cost.SegmentScan(table, rsicard);
     p.rows = rows;
-    p.rsicard = rsicard;
     p.describe = table.name + " seg. scan";
     p.node->est_cost = p.cost.cost;
     p.node->est_pages = p.cost.pages;
     p.node->est_rsi = p.cost.rsi;
     p.node->est_rows = rows;
-    p.node->label = p.describe;
     paths.push_back(std::move(p));
   }
 
@@ -330,10 +328,9 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
     bool unique_eq =
         index.unique && bound_cols == index.key_columns.size();
 
-    p.cost = ctx.cost->IndexScan(table, index, matching, f_matching, rsicard,
-                                 unique_eq, /*repeated_probe=*/outer_mask != 0);
+    p.cost = ctx.cost.IndexScan(table, index, matching, f_matching, rsicard,
+                                unique_eq, /*repeated_probe=*/outer_mask != 0);
     p.rows = rows;
-    p.rsicard = rsicard;
     p.order = IndexOrder(ctx, table_idx, index);
     p.describe = "index " + index.name +
                  (matching ? " (matching)" : " (non-matching)");
@@ -342,7 +339,6 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
     p.node->est_rsi = p.cost.rsi;
     p.node->est_rows = rows;
     p.node->order = p.order;
-    p.node->label = p.describe;
     paths.push_back(std::move(p));
   }
   return paths;

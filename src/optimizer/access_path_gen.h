@@ -11,29 +11,15 @@
 #include <string>
 #include <vector>
 
-#include "optimizer/cnf.h"
-#include "optimizer/cost_model.h"
-#include "optimizer/order_classes.h"
 #include "optimizer/plan.h"
-#include "optimizer/selectivity.h"
+#include "optimizer/planner_context.h"
 
 namespace systemr {
-
-/// Shared state for planning one query block.
-struct PlannerContext {
-  const BoundQueryBlock* block = nullptr;
-  const Catalog* catalog = nullptr;
-  const CostModel* cost = nullptr;
-  const SelectivityEstimator* sel = nullptr;
-  const std::vector<BooleanFactor>* factors = nullptr;
-  OrderClasses* classes = nullptr;
-};
 
 struct AccessPath {
   std::shared_ptr<PlanNode> node;  // kSegScan or kIndexScan, annotated.
   PathCost cost;    // Predicted per-probe cost (total cost when outer empty).
   double rows = 0;  // Expected qualifying tuples per probe.
-  double rsicard = 0;
   OrderSpec order;
   bool pruned = false;  // Dominated; kept for search-tree dumps (Fig. 2/3).
   std::string describe;

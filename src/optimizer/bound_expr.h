@@ -99,6 +99,11 @@ struct BoundOrderItem {
   bool asc = true;
 };
 
+/// Most FROM relations one query block may name, checked by the binder: the
+/// planner keeps table sets in 32-bit masks, and its search doubles in size
+/// with every table.
+inline constexpr size_t kMaxBlockRelations = 20;
+
 /// A bound query block: the unit the optimizer plans (§2, §4–§6).
 struct BoundQueryBlock {
   std::vector<BoundTable> tables;

@@ -11,25 +11,6 @@ int PopCount(uint32_t v) { return std::popcount(v); }
 
 }  // namespace
 
-double JoinEnumerator::Rows(uint32_t mask) const {
-  auto it = rows_cache_.find(mask);
-  if (it != rows_cache_.end()) return it->second;
-  double rows = 1.0;
-  for (size_t t = 0; t < ctx_.block->tables.size(); ++t) {
-    if ((mask >> t) & 1) {
-      rows *= ctx_.sel->TableCardinality(static_cast<int>(t));
-    }
-  }
-  for (const BooleanFactor& f : *ctx_.factors) {
-    if (f.has_subquery || f.correlated) continue;
-    if (f.tables_mask != 0 && SubsetOf(f.tables_mask, mask)) {
-      rows *= f.selectivity;
-    }
-  }
-  rows_cache_[mask] = rows;
-  return rows;
-}
-
 double JoinEnumerator::CompositeTupleBytes(uint32_t mask) const {
   double bytes = 0;
   for (size_t t = 0; t < ctx_.block->tables.size(); ++t) {
@@ -53,19 +34,19 @@ void JoinEnumerator::BuildInterestingOrders() {
   OrderSpec order_by;
   for (const BoundOrderItem& i : ctx_.block->order_by) {
     order_by.push_back(
-        OrderKey{ctx_.classes->ClassOf(i.table_idx, i.column), i.asc});
+        OrderKey{ctx_.classes.ClassOf(i.table_idx, i.column), i.asc});
   }
   add(order_by);
   OrderSpec group_by;
   for (const BoundOrderItem& i : ctx_.block->group_by) {
     group_by.push_back(
-        OrderKey{ctx_.classes->ClassOf(i.table_idx, i.column), true});
+        OrderKey{ctx_.classes.ClassOf(i.table_idx, i.column), true});
   }
   add(group_by);
   // "Also every join column defines an interesting order" (§5).
-  for (const BooleanFactor& f : *ctx_.factors) {
+  for (const BooleanFactor& f : ctx_.factors) {
     if (f.join.has_value() && f.join->is_equi()) {
-      add({OrderKey{ctx_.classes->ClassOf(f.join->t1, f.join->c1), true}});
+      add({OrderKey{ctx_.classes.ClassOf(f.join->t1, f.join->c1), true}});
     }
   }
 }
@@ -98,66 +79,23 @@ void JoinEnumerator::AddSolution(uint32_t mask, JoinSolution solution) {
   list.push_back(std::move(solution));
 }
 
-bool JoinEnumerator::Connected(uint32_t mask, int t) const {
-  for (const BooleanFactor& f : *ctx_.factors) {
-    if (!f.join.has_value()) continue;
-    const JoinPredInfo& j = *f.join;
-    if ((j.t1 == t && ((mask >> j.t2) & 1)) ||
-        (j.t2 == t && ((mask >> j.t1) & 1))) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool JoinEnumerator::Eligible(uint32_t mask, int t) const {
   if ((mask >> t) & 1) return false;
   if (!options_.cartesian_heuristic) return true;
-  if (Connected(mask, t)) return true;
+  if (ctx_.Connected(mask, t)) return true;
   // Cartesian products are deferred: only allowed if NO remaining relation
   // has a join predicate with the joined set.
   for (size_t u = 0; u < ctx_.block->tables.size(); ++u) {
-    if (((mask >> u) & 1) == 0 && Connected(mask, static_cast<int>(u))) {
+    if (((mask >> u) & 1) == 0 && ctx_.Connected(mask, static_cast<int>(u))) {
       return false;
     }
   }
   return true;
 }
 
-std::vector<const BoundExpr*> JoinEnumerator::NewResiduals(
-    uint32_t mask, int t, bool all_simple_joins_handled,
-    const JoinPredInfo* merge_pred) const {
-  std::vector<const BoundExpr*> out;
-  uint32_t self = 1u << t;
-  uint32_t combined = mask | self;
-  for (const BooleanFactor& f : *ctx_.factors) {
-    if (f.has_subquery || f.correlated) continue;
-    // Newly applicable: references t and only tables now joined, and spans
-    // more than just t (single-table predicates were applied at the scan).
-    if ((f.tables_mask & self) == 0) continue;
-    if (!SubsetOf(f.tables_mask, combined)) continue;
-    if (f.tables_mask == self) continue;
-    if (f.join.has_value()) {
-      if (all_simple_joins_handled) continue;  // Applied as dynamic SARGs.
-      if (merge_pred != nullptr) {
-        const JoinPredInfo o = f.join->OrientedFor(t);
-        if (o.c1 == merge_pred->c1 && o.t2 == merge_pred->t2 &&
-            o.c2 == merge_pred->c2 && o.op == merge_pred->op) {
-          continue;  // The merge equality itself.
-        }
-      }
-    }
-    out.push_back(f.expr);
-  }
-  return out;
-}
-
 Status JoinEnumerator::Run() {
   const BoundQueryBlock& block = *ctx_.block;
   size_t n = block.tables.size();
-  if (n > 20) {
-    return Status::InvalidArgument("too many relations in one block");
-  }
   BuildInterestingOrders();
 
   // Level 1: single-relation access paths (Fig. 2/3).
@@ -171,7 +109,7 @@ Status JoinEnumerator::Run() {
       JoinSolution s;
       s.mask = mask;
       s.cost = p.cost.cost;
-      s.rows = Rows(mask);
+      s.rows = ctx_.Rows(mask);
       s.order = options_.use_interesting_orders ? p.order : OrderSpec{};
       s.plan = p.node;
       s.describe = p.describe;
@@ -233,12 +171,12 @@ Status JoinEnumerator::Run() {
 void JoinEnumerator::ExtendNestedLoop(uint32_t mask, int t) {
   const BoundQueryBlock& block = *ctx_.block;
   uint32_t combined = mask | (1u << t);
-  double n_outer = std::max(Rows(mask), 1.0);
+  double n_outer = std::max(ctx_.Rows(mask), 1.0);
 
   std::vector<AccessPath> inner_paths = GenerateAccessPaths(ctx_, t, mask);
   PruneAccessPaths(&inner_paths, {});  // Inner order is irrelevant for NL.
   std::vector<const BoundExpr*> residual =
-      NewResiduals(mask, t, /*all_simple_joins_handled=*/true, nullptr);
+      ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/true, nullptr);
 
   for (const JoinSolution& outer : dp_[mask]) {
     for (const AccessPath& p : inner_paths) {
@@ -246,8 +184,8 @@ void JoinEnumerator::ExtendNestedLoop(uint32_t mask, int t) {
       JoinSolution s;
       s.mask = combined;
       // C-nested-loop-join = C-outer + N * C-inner (§5).
-      s.cost = ctx_.cost->JoinCost(outer.cost, n_outer, p.cost.cost);
-      s.rows = Rows(combined);
+      s.cost = ctx_.cost.JoinCost(outer.cost, n_outer, p.cost.cost);
+      s.rows = ctx_.Rows(combined);
       s.order = outer.order;  // The outer composite's order is preserved.
 
       auto node = NewPlanNode(PlanKind::kNestedLoopJoin);
@@ -259,9 +197,8 @@ void JoinEnumerator::ExtendNestedLoop(uint32_t mask, int t) {
       node->est_cost = s.cost;
       node->est_rows = s.rows;
       node->order = s.order;
-      node->label = "NLJ(" + outer.describe + " -> " + p.describe + ")";
       s.plan = node;
-      s.describe = node->label;
+      s.describe = "NLJ(" + outer.describe + " -> " + p.describe + ")";
       AddSolution(combined, std::move(s));
     }
   }
@@ -270,23 +207,23 @@ void JoinEnumerator::ExtendNestedLoop(uint32_t mask, int t) {
 void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
   const BoundQueryBlock& block = *ctx_.block;
   uint32_t combined = mask | (1u << t);
-  double n_outer = std::max(Rows(mask), 1.0);
+  double n_outer = std::max(ctx_.Rows(mask), 1.0);
 
   // One merge variant per equi-join predicate linking t to the joined set.
-  for (const BooleanFactor& f : *ctx_.factors) {
+  for (const BooleanFactor& f : ctx_.factors) {
     if (!f.join.has_value() || !f.join->is_equi()) continue;
     JoinPredInfo j = *f.join;
     if (j.t1 != t && j.t2 != t) continue;
     j = j.OrientedFor(t);
     if (((mask >> j.t2) & 1) == 0) continue;
 
-    int cls = ctx_.classes->ClassOf(j.t2, j.c2);
+    int cls = ctx_.classes.ClassOf(j.t2, j.c2);
     OrderSpec required = {OrderKey{cls, true}};
     size_t outer_off = block.OffsetOf(j.t2, j.c2);
     size_t inner_off = block.OffsetOf(j.t1, j.c1);
 
     std::vector<const BoundExpr*> residual =
-        NewResiduals(mask, t, /*all_simple_joins_handled=*/false, &j);
+        ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/false, &j);
 
     // Inner variants.
     struct InnerVariant {
@@ -324,9 +261,9 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
         for (const JoinSolution& s : it->second) {
           if (s.cost < cheapest->cost) cheapest = &s;
         }
-        double inner_rows = std::max(Rows(1u << t), 1.0);
+        double inner_rows = std::max(ctx_.Rows(1u << t), 1.0);
         double bytes = CostModel::TupleBytes(*block.tables[t].table);
-        double temppages = ctx_.cost->TempPages(inner_rows, bytes);
+        double temppages = ctx_.cost.TempPages(inner_rows, bytes);
         double rsicard_group = inner_rows * f.selectivity;
 
         InnerVariant v;
@@ -335,13 +272,12 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
         sort->sort_keys = {SortKey{inner_off, true}};
         sort->order = required;
         sort->est_rows = inner_rows;
-        sort->label = "sort " + block.tables[t].correlation + " by join col";
         v.setup_cost =
-            ctx_.cost->SortCost(cheapest->cost, inner_rows, bytes);
+            ctx_.cost.SortCost(cheapest->cost, inner_rows, bytes);
         sort->est_cost = v.setup_cost;
         v.plan = sort;
         v.per_probe =
-            ctx_.cost->SortedInnerPerProbe(temppages, n_outer, rsicard_group);
+            ctx_.cost.SortedInnerPerProbe(temppages, n_outer, rsicard_group);
         v.describe = "sort(" + cheapest->describe + ") then merge";
         inners.push_back(std::move(v));
       }
@@ -366,8 +302,7 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
         sort->sort_keys = {SortKey{outer_off, true}};
         sort->order = required;
         sort->est_rows = n_outer;
-        sort->label = "sort outer by join col";
-        double sorted_cost = ctx_.cost->SortCost(
+        double sorted_cost = ctx_.cost.SortCost(
             outer.cost, n_outer, CompositeTupleBytes(mask));
         sort->est_cost = sorted_cost;
         outers.push_back({sort, sorted_cost, required,
@@ -379,8 +314,8 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
           JoinSolution s;
           s.mask = combined;
           s.cost = iv.setup_cost +
-                   ctx_.cost->JoinCost(ov.cost, n_outer, iv.per_probe);
-          s.rows = Rows(combined);
+                   ctx_.cost.JoinCost(ov.cost, n_outer, iv.per_probe);
+          s.rows = ctx_.Rows(combined);
           // The merge output is ordered by the join column class; the outer
           // order (which starts with that class) is preserved.
           s.order = ov.order;
@@ -396,9 +331,8 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
           node->est_cost = s.cost;
           node->est_rows = s.rows;
           node->order = s.order;
-          node->label = "MJ(" + ov.describe + " = " + iv.describe + ")";
           s.plan = node;
-          s.describe = node->label;
+          s.describe = "MJ(" + ov.describe + " = " + iv.describe + ")";
           AddSolution(combined, std::move(s));
         }
       }
@@ -407,7 +341,7 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
 }
 
 bool JoinEnumerator::HasEquiJoinWith(uint32_t mask, int t) const {
-  for (const BooleanFactor& f : *ctx_.factors) {
+  for (const BooleanFactor& f : ctx_.factors) {
     if (!f.join.has_value() || !f.join->is_equi()) continue;
     const JoinPredInfo& j = *f.join;
     if ((j.t1 == t && ((mask >> j.t2) & 1)) ||
@@ -421,8 +355,8 @@ bool JoinEnumerator::HasEquiJoinWith(uint32_t mask, int t) const {
 void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
   const BoundQueryBlock& block = *ctx_.block;
   uint32_t combined = mask | (1u << t);
-  double n_outer = std::max(Rows(mask), 1.0);
-  double n_inner = std::max(Rows(1u << t), 1.0);
+  double n_outer = std::max(ctx_.Rows(mask), 1.0);
+  double n_inner = std::max(ctx_.Rows(1u << t), 1.0);
 
   // The build side is read exactly once with only its local predicates, so
   // the cheapest single-relation path for t is always the right input.
@@ -432,11 +366,11 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
   for (const JoinSolution& s : it->second) {
     if (s.cost < build->cost) build = &s;
   }
-  double build_pages = ctx_.cost->TempPages(
+  double build_pages = ctx_.cost.TempPages(
       n_inner, CostModel::TupleBytes(*block.tables[t].table));
 
   // One hash variant per equi-join predicate linking t to the joined set.
-  for (const BooleanFactor& f : *ctx_.factors) {
+  for (const BooleanFactor& f : ctx_.factors) {
     if (!f.join.has_value() || !f.join->is_equi()) continue;
     JoinPredInfo j = *f.join;
     if (j.t1 != t && j.t2 != t) continue;
@@ -446,14 +380,14 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
     size_t outer_off = block.OffsetOf(j.t2, j.c2);
     size_t inner_off = block.OffsetOf(j.t1, j.c1);
     std::vector<const BoundExpr*> residual =
-        NewResiduals(mask, t, /*all_simple_joins_handled=*/false, &j);
-    double rows_out = Rows(combined);
+        ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/false, &j);
+    double rows_out = ctx_.Rows(combined);
 
     for (const JoinSolution& outer : dp_[mask]) {
       JoinSolution s;
       s.mask = combined;
-      s.cost = ctx_.cost->HashJoinCost(outer.cost, build->cost, n_outer,
-                                       n_inner, rows_out, build_pages);
+      s.cost = ctx_.cost.HashJoinCost(outer.cost, build->cost, n_outer,
+                                      n_inner, rows_out, build_pages);
       s.rows = rows_out;
       // Hash join delivers no interesting order: rows come out in probe
       // order, but the optimizer must not rely on it (§5's order bookkeeping
@@ -471,10 +405,8 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
       node->est_cost = s.cost;
       node->est_rows = s.rows;
       node->order = s.order;
-      node->label = "HJ(" + outer.describe + " = build " + build->describe +
-                    ")";
       s.plan = node;
-      s.describe = node->label;
+      s.describe = "HJ(" + outer.describe + " = build " + build->describe + ")";
       AddSolution(combined, std::move(s));
     }
   }
@@ -509,7 +441,7 @@ StatusOr<JoinSolution> JoinEnumerator::Best(
 
   // "The cheapest solution with the correct order, unless it is more
   // expensive than the cheapest unordered solution plus a sort" (§5).
-  double sorted_cost = ctx_.cost->SortCost(
+  double sorted_cost = ctx_.cost.SortCost(
       cheapest->cost, std::max(cheapest->rows, 1.0), CompositeTupleBytes(full));
   if (cheapest_ordered != nullptr && cheapest_ordered->cost <= sorted_cost) {
     return *cheapest_ordered;
@@ -521,7 +453,6 @@ StatusOr<JoinSolution> JoinEnumerator::Best(
   sort->order = required;
   sort->est_rows = cheapest->rows;
   sort->est_cost = sorted_cost;
-  sort->label = "sort for ORDER/GROUP BY";
   s.plan = sort;
   s.cost = sorted_cost;
   s.order = required;

@@ -49,6 +49,7 @@ class JoinEnumerator {
     JoinMethodForce force = JoinMethodForce::kAuto;
   };
 
+  /// Searches the block of `ctx`, which must outlive the enumerator.
   JoinEnumerator(const PlannerContext& ctx, Options options)
       : ctx_(ctx), options_(options) {}
 
@@ -64,10 +65,6 @@ class JoinEnumerator {
   StatusOr<JoinSolution> Best(const OrderSpec& required,
                               const std::vector<SortKey>& sort_keys) const;
 
-  /// N(mask): estimated composite cardinality — product of cardinalities
-  /// times the selectivities of all applicable predicates (§5).
-  double Rows(uint32_t mask) const;
-
   // --- Search statistics (§7 claims: E8) ---
   size_t solutions_stored() const;
   size_t solutions_generated() const { return solutions_generated_; }
@@ -82,7 +79,6 @@ class JoinEnumerator {
   void BuildInterestingOrders();
   void AddSolution(uint32_t mask, JoinSolution solution);
   bool Eligible(uint32_t mask, int t) const;
-  bool Connected(uint32_t mask, int t) const;
 
   void ExtendNestedLoop(uint32_t mask, int t);
   void ExtendMerge(uint32_t mask, int t);
@@ -93,20 +89,12 @@ class JoinEnumerator {
   /// method without losing DP completeness).
   bool HasEquiJoinWith(uint32_t mask, int t) const;
 
-  /// Residual predicates newly applicable when `t` joins `mask`, excluding
-  /// the simple join predicates already handled (`skip_joins` = true skips
-  /// all simple join predicates, for nested loop where they became SARGs).
-  std::vector<const BoundExpr*> NewResiduals(uint32_t mask, int t,
-                                             bool all_simple_joins_handled,
-                                             const JoinPredInfo* merge_pred) const;
-
   double CompositeTupleBytes(uint32_t mask) const;
 
-  PlannerContext ctx_;
+  const PlannerContext& ctx_;
   Options options_;
   std::map<uint32_t, std::vector<JoinSolution>> dp_;
   std::vector<OrderSpec> interesting_;
-  mutable std::map<uint32_t, double> rows_cache_;
   size_t solutions_generated_ = 0;
   size_t subsets_expanded_ = 0;
 };

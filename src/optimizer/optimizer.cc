@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "optimizer/cnf.h"
-#include "optimizer/feedback.h"
 #include "optimizer/parallel.h"
-#include "optimizer/selectivity.h"
 
 namespace systemr {
 
@@ -56,30 +53,23 @@ OrderSpec Optimizer::RequiredOrder(const BoundQueryBlock& block,
   return required;
 }
 
-Status Optimizer::PlanSubqueriesIn(const BoundExpr& e,
-                                   SubplanMap* subplans) const {
+Status Optimizer::PlanSubqueries(const BoundExpr& e,
+                                 SubplanMap* subplans) const {
   if (e.subquery != nullptr && subplans->count(e.subquery.get()) == 0) {
     ASSIGN_OR_RETURN(BlockPlan sub, PlanBlock(*e.subquery, subplans));
     (*subplans)[e.subquery.get()] = sub.root;
   }
   for (const auto& c : e.children) {
-    RETURN_IF_ERROR(PlanSubqueriesIn(*c, subplans));
+    RETURN_IF_ERROR(PlanSubqueries(*c, subplans));
   }
   return Status::OK();
 }
 
 StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
-    const BoundQueryBlock& block, PlanRef join_root, double join_cost,
-    double join_rows, OrderSpec join_order, const OrderSpec& pre_agg_required,
-    SubplanMap* subplans, bool use_hash_aggregate) const {
-  CostModel cost_model(options_.cost);
-  SelectivityEstimator sel(catalog_, &block, options_.use_column_stats);
-  std::vector<BooleanFactor> factors = ExtractBooleanFactors(block);
-  // `pre_agg_required` documents the order the join phase delivered (the
-  // GROUP BY order when aggregating); the ORDER-BY-vs-GROUP-BY check below
-  // compares against the group_by items directly.
-  (void)pre_agg_required;
-
+    const PlannerContext& ctx, PlanRef join_root, double join_cost,
+    double join_rows, OrderSpec join_order, SubplanMap* subplans,
+    bool use_hash_aggregate) const {
+  const BoundQueryBlock& block = *ctx.block;
   PlanRef plan = std::move(join_root);
   double rows = join_rows;
   double est_cost = join_cost;
@@ -88,36 +78,30 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
   // subquery predicates and correlated predicates (§6). Their subquery
   // blocks are planned recursively here.
   std::vector<const BoundExpr*> leftover;
-  for (const BooleanFactor& f : factors) {
-    if (f.has_subquery || f.correlated || f.tables_mask == 0) {
-      leftover.push_back(f.expr);
-      rows *= sel.FactorSelectivity(*f.expr);
-    }
+  for (const BooleanFactor* f : ctx.Leftovers()) {
+    leftover.push_back(f->expr);
+    rows *= f->selectivity;
+    RETURN_IF_ERROR(PlanSubqueries(*f->expr, subplans));
   }
   if (!leftover.empty()) {
-    for (const BoundExpr* e : leftover) {
-      RETURN_IF_ERROR(PlanSubqueriesIn(*e, subplans));
-    }
     auto filter = NewPlanNode(PlanKind::kFilter);
     filter->left = plan;
     filter->residual = leftover;
     filter->order = join_order;
     filter->est_rows = rows;
     filter->est_cost = est_cost;
-    filter->label = "residual filter (" +
-                    std::to_string(leftover.size()) + " predicate(s))";
     plan = filter;
   }
 
   // Scalar subqueries in the SELECT list are planned too.
   for (const auto& item : block.select_list) {
-    RETURN_IF_ERROR(PlanSubqueriesIn(*item, subplans));
+    RETURN_IF_ERROR(PlanSubqueries(*item, subplans));
   }
 
   if (block.has_aggregates) {
     // Sorted-group aggregation expects input already ordered by the GROUP BY
-    // columns (pre_agg_required was the group order); hash aggregation takes
-    // the input unordered and builds a group table instead.
+    // columns; hash aggregation takes the input unordered and builds a group
+    // table instead.
     auto agg = NewPlanNode(use_hash_aggregate ? PlanKind::kHashAggregate
                                               : PlanKind::kAggregate);
     agg->left = plan;
@@ -128,17 +112,14 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
       agg->agg_select.push_back(item.get());
     }
     if (block.having != nullptr) {
-      RETURN_IF_ERROR(PlanSubqueriesIn(*block.having, subplans));
+      RETURN_IF_ERROR(PlanSubqueries(*block.having, subplans));
       agg->having = block.having.get();
     }
-    double groups = EstimateGroups(sel, block, rows);
+    double groups = EstimateGroups(ctx.sel, block, rows);
     agg->est_rows = groups;
     agg->est_cost = use_hash_aggregate
-                        ? cost_model.HashAggregateCost(est_cost, rows, groups)
-                        : est_cost + options_.cost.w * rows;
-    agg->label = use_hash_aggregate ? "hash aggregate"
-                : block.group_by.empty() ? "scalar aggregate"
-                                          : "grouped aggregate";
+                        ? ctx.cost.HashAggregateCost(est_cost, rows, groups)
+                        : est_cost + ctx.cost.w() * rows;
     plan = agg;
     rows = groups;
     est_cost = agg->est_cost;
@@ -180,14 +161,13 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
         sort->left = plan;
         sort->sort_keys = out_keys;
         sort->est_rows = rows;
-        sort->est_cost = est_cost + cost_model.SortCost(0, rows, 32.0);
-        sort->label = "sort aggregate output";
+        sort->est_cost = est_cost + ctx.cost.SortCost(0, rows, 32.0);
         plan = sort;
         est_cost = sort->est_cost;
       }
     }
     if (block.distinct) {
-      ASSIGN_OR_RETURN(plan, AddDistinct(block, plan, &est_cost, rows));
+      ASSIGN_OR_RETURN(plan, AddDistinct(ctx, plan, &est_cost, rows));
     }
     BlockPlan out;
     out.root = plan;
@@ -204,12 +184,11 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
   }
   project->order = join_order;
   project->est_rows = rows;
-  project->est_cost = est_cost + options_.cost.w * rows;
-  project->label = "project";
+  project->est_cost = est_cost + ctx.cost.w() * rows;
   PlanRef top = project;
   double top_cost = project->est_cost;
   if (block.distinct) {
-    ASSIGN_OR_RETURN(top, AddDistinct(block, top, &top_cost, rows));
+    ASSIGN_OR_RETURN(top, AddDistinct(ctx, top, &top_cost, rows));
   }
   BlockPlan out;
   out.root = top;
@@ -218,12 +197,12 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
   return out;
 }
 
-StatusOr<PlanRef> Optimizer::AddDistinct(const BoundQueryBlock& block,
+StatusOr<PlanRef> Optimizer::AddDistinct(const PlannerContext& ctx,
                                          PlanRef input, double* est_cost,
-                                         double rows) const {
+                                         double rows) {
   // Dedup by sorting the projected output on all columns — with the ORDER BY
   // columns leading, so the required output order survives the dedup sort.
-  CostModel cost_model(options_.cost);
+  const BoundQueryBlock& block = *ctx.block;
   std::vector<SortKey> keys;
   std::vector<bool> used(block.select_list.size(), false);
   for (const BoundOrderItem& o : block.order_by) {
@@ -254,49 +233,21 @@ StatusOr<PlanRef> Optimizer::AddDistinct(const BoundQueryBlock& block,
   sort->sort_keys = std::move(keys);
   sort->distinct = true;
   sort->est_rows = std::max(1.0, rows / 2.0);
-  *est_cost += cost_model.SortCost(0, std::max(rows, 1.0), 32.0);
+  *est_cost += ctx.cost.SortCost(0, std::max(rows, 1.0), 32.0);
   sort->est_cost = *est_cost;
-  sort->label = "distinct";
   return PlanRef(sort);
 }
 
 StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
     const BoundQueryBlock& block, SubplanMap* subplans,
     OptimizedQuery* stats_sink) const {
-  CostModel cost_model(options_.cost);
-  SelectivityEstimator sel(catalog_, &block, options_.use_column_stats);
-  std::vector<BooleanFactor> factors = ExtractBooleanFactors(block);
-  for (BooleanFactor& f : factors) {
-    f.model_selectivity = sel.FactorSelectivity(*f.expr);
-    f.selectivity = f.model_selectivity;
-    if (options_.feedback != nullptr && !f.has_subquery && !f.correlated) {
-      f.signature = FactorSignature(*f.expr, block);
-      if (auto learned = options_.feedback->Lookup(f.signature)) {
-        f.selectivity = ClampSelectivity(SelectivityFeedback::Blend(
-            f.model_selectivity, learned->selectivity, learned->n));
-      }
-    }
-  }
-  OrderClasses classes;
-  for (const BooleanFactor& f : factors) {
-    if (f.join.has_value() && f.join->is_equi()) {
-      classes.Union(f.join->t1, f.join->c1, f.join->t2, f.join->c2);
-    }
-  }
-
-  PlannerContext ctx;
-  ctx.block = &block;
-  ctx.catalog = catalog_;
-  ctx.cost = &cost_model;
-  ctx.sel = &sel;
-  ctx.factors = &factors;
-  ctx.classes = &classes;
-
+  PlannerContext ctx(catalog_, block, options_.cost,
+                     options_.use_column_stats, options_.feedback);
   JoinEnumerator enumerator(ctx, options_.join);
   RETURN_IF_ERROR(enumerator.Run());
 
   std::vector<SortKey> sort_keys;
-  OrderSpec required = RequiredOrder(block, &classes, &sort_keys);
+  OrderSpec required = RequiredOrder(block, &ctx.classes, &sort_keys);
   ASSIGN_OR_RETURN(JoinSolution sol, enumerator.Best(required, sort_keys));
 
   // Grouped aggregation has a second strategy: hash-aggregate over the
@@ -311,12 +262,12 @@ StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
   if (block.has_aggregates && !block.group_by.empty() && hash_allowed) {
     ASSIGN_OR_RETURN(JoinSolution unordered, enumerator.Best({}, {}));
     double rows = std::max(unordered.rows, 0.0);
-    double groups = EstimateGroups(sel, block, rows);
-    double sorted_total = sol.cost + options_.cost.w * rows;
-    double hash_total = cost_model.HashAggregateCost(unordered.cost, rows,
-                                                     groups);
+    double groups = EstimateGroups(ctx.sel, block, rows);
+    double sorted_total = sol.cost + ctx.cost.w() * rows;
+    double hash_total = ctx.cost.HashAggregateCost(unordered.cost, rows,
+                                                   groups);
     if (!block.order_by.empty()) {
-      hash_total += cost_model.SortCost(0, groups, 32.0);
+      hash_total += ctx.cost.SortCost(0, groups, 32.0);
     }
     if (options_.join.force == JoinMethodForce::kHash ||
         hash_total < sorted_total) {
@@ -331,8 +282,8 @@ StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
     stats_sink->search_bytes = enumerator.ApproxBytes();
   }
 
-  return FinishBlockPlan(block, sol.plan, sol.cost, sol.rows, sol.order,
-                         required, subplans, use_hash_agg);
+  return FinishBlockPlan(ctx, sol.plan, sol.cost, sol.rows, sol.order,
+                         subplans, use_hash_agg);
 }
 
 StatusOr<OptimizedQuery> Optimizer::Optimize(

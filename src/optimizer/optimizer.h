@@ -82,30 +82,24 @@ class Optimizer {
                                 SubplanMap* subplans,
                                 OptimizedQuery* stats_sink = nullptr) const;
 
-  /// Shared plan-top construction: residual filter for leftover factors
-  /// (subquery/correlated predicates), aggregation, output ORDER BY sort,
-  /// projection. Used by the DP optimizer and by the baselines, so all
-  /// strategies produce directly comparable full plans.
+  /// Shared plan-top construction: residual filter for the context's
+  /// leftover factors (subquery/correlated predicates), aggregation, output
+  /// ORDER BY sort, projection. Used by the DP optimizer and by the
+  /// baselines, so all strategies produce directly comparable full plans.
   ///
   /// `use_hash_aggregate` switches the aggregation node to kHashAggregate
   /// over unordered input; the join phase then need not deliver the GROUP BY
   /// order, but any ORDER BY must be re-established by an output sort. The
   /// baselines never set it (they always sort to the required order first).
-  StatusOr<BlockPlan> FinishBlockPlan(const BoundQueryBlock& block,
+  StatusOr<BlockPlan> FinishBlockPlan(const PlannerContext& ctx,
                                       PlanRef join_root, double join_cost,
                                       double join_rows, OrderSpec join_order,
-                                      const OrderSpec& pre_agg_required,
                                       SubplanMap* subplans,
                                       bool use_hash_aggregate = false) const;
 
   /// Recursively plans every nested query block inside `e` into `subplans`
   /// (used for SELECT filters and for DML WHERE clauses).
-  Status PlanSubqueries(const BoundExpr& e, SubplanMap* subplans) const {
-    return PlanSubqueriesIn(e, subplans);
-  }
-
-  const OptimizerOptions& options() const { return options_; }
-  const Catalog* catalog() const { return catalog_; }
+  Status PlanSubqueries(const BoundExpr& e, SubplanMap* subplans) const;
 
   /// The order specification the join phase must deliver: GROUP BY when
   /// aggregating, else ORDER BY. Also emits the matching executor sort keys.
@@ -114,9 +108,9 @@ class Optimizer {
                                  std::vector<SortKey>* sort_keys);
 
  private:
-  Status PlanSubqueriesIn(const BoundExpr& e, SubplanMap* subplans) const;
-  StatusOr<PlanRef> AddDistinct(const BoundQueryBlock& block, PlanRef input,
-                                double* est_cost, double rows) const;
+  static StatusOr<PlanRef> AddDistinct(const PlannerContext& ctx,
+                                       PlanRef input, double* est_cost,
+                                       double rows);
 
   const Catalog* catalog_;
   OptimizerOptions options_;

@@ -47,8 +47,6 @@ class OrderClasses {
   /// A representative column of `cls` (for diagnostics).
   std::pair<int, size_t> Representative(int cls) const;
 
-  size_t num_columns() const { return parent_.size(); }
-
  private:
   int Find(int x) const;
 

@@ -145,9 +145,6 @@ PlanRef ParallelizePlan(PlanRef root, const OptimizerOptions& options) {
     exchange->group_offsets = absorbed_agg->group_offsets;
     exchange->agg_select = absorbed_agg->agg_select;
     exchange->having = absorbed_agg->having;
-    exchange->label = "partial aggregation merged at barrier";
-  } else {
-    exchange->label = "gather worker rows";
   }
 
   // Re-root: copy the remaining serial ancestors above the exchange (plan

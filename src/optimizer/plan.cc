@@ -36,13 +36,4 @@ std::string PlanKindName(PlanKind kind) {
   return "?";
 }
 
-size_t PlanNode::ApproxBytes() const {
-  size_t bytes = sizeof(PlanNode) + label.size();
-  bytes += scan.eq_bounds.size() * sizeof(EqBound);
-  bytes += scan.sargs.size() * 64;
-  if (left != nullptr) bytes += left->ApproxBytes();
-  if (right != nullptr) bytes += right->ApproxBytes();
-  return bytes;
-}
-
 }  // namespace systemr

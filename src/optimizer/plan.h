@@ -169,11 +169,6 @@ struct PlanNode {
   double est_rsi = 0.0;
   double est_rows = 0.0;
   OrderSpec order;
-  std::string label;  // Human-readable summary for EXPLAIN.
-
-  /// Memory the optimizer "stores" for this node (the §7 few-thousand-bytes
-  /// claim); computed recursively over the plan tree.
-  size_t ApproxBytes() const;
 };
 
 /// Builders (set common fields and annotations).

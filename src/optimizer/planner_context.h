@@ -1,0 +1,68 @@
+// What the OPTIMIZER works out from one query block before it searches
+// (§4-§5): the block's boolean factors with their selectivity factors, and
+// the order-equivalence classes of its equi-join columns. The DP join
+// enumerator, the baselines and DML target selection all plan from one
+// context per block, so no other module derives factors or selectivities.
+#ifndef SYSTEMR_OPTIMIZER_PLANNER_CONTEXT_H_
+#define SYSTEMR_OPTIMIZER_PLANNER_CONTEXT_H_
+
+#include <cstdint>
+#include <map>
+#include <vector>
+
+#include "optimizer/cnf.h"
+#include "optimizer/cost_model.h"
+#include "optimizer/order_classes.h"
+#include "optimizer/selectivity.h"
+
+namespace systemr {
+
+class SelectivityFeedback;
+
+/// The planning inputs of one query block, built once per optimization.
+struct PlannerContext {
+  /// Extracts the block's boolean factors and gives each its model
+  /// selectivity and its planned one: with a `feedback` store, single-table
+  /// factors are signed and blended with what the store has learned; without
+  /// one, the planned selectivity is the model's. Equi-join columns are
+  /// unioned into order classes.
+  PlannerContext(const Catalog* catalog, const BoundQueryBlock& block,
+                 const CostParams& cost_params, bool use_column_stats,
+                 const SelectivityFeedback* feedback);
+  PlannerContext(const PlannerContext&) = delete;
+  PlannerContext& operator=(const PlannerContext&) = delete;
+
+  /// N(mask): estimated composite cardinality — product of cardinalities
+  /// times the selectivities of all applicable predicates (§5). Memoized.
+  double Rows(uint32_t mask) const;
+
+  /// True when some join predicate links `t` to a table in `mask`.
+  bool Connected(uint32_t mask, int t) const;
+
+  /// Residual predicates newly applicable when `t` joins `mask`, excluding
+  /// the simple join predicates already handled: all of them when
+  /// `all_simple_joins_handled` (nested loop, where they became SARGs),
+  /// else only `merge_pred`, the merge or hash equality itself.
+  std::vector<const BoundExpr*> NewResiduals(
+      uint32_t mask, int t, bool all_simple_joins_handled,
+      const JoinPredInfo* merge_pred) const;
+
+  /// Factors no scan or join applies — subquery, correlated and table-free
+  /// ones; a filter evaluates them above the join tree (§6).
+  std::vector<const BooleanFactor*> Leftovers() const;
+
+  const BoundQueryBlock* block;
+  const Catalog* catalog;
+  CostModel cost;
+  SelectivityEstimator sel;
+  std::vector<BooleanFactor> factors;
+  /// Mutable because ClassOf gives a column its singleton class on first use.
+  mutable OrderClasses classes;
+
+ private:
+  mutable std::map<uint32_t, double> rows_cache_;
+};
+
+}  // namespace systemr
+
+#endif  // SYSTEMR_OPTIMIZER_PLANNER_CONTEXT_H_

@@ -46,6 +46,9 @@ StatusOr<std::unique_ptr<BoundQueryBlock>> Binder::BindBlock(
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM list cannot be empty");
   }
+  if (stmt.from.size() > kMaxBlockRelations) {
+    return Status::InvalidArgument("too many relations in one block");
+  }
   std::set<std::string> correlations;
   size_t offset = 0;
   for (const FromItem& item : stmt.from) {

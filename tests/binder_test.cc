@@ -81,6 +81,20 @@ TEST_F(BinderTest, SelfJoinWithCorrelations) {
   EXPECT_EQ((*block)->row_width, 8u);
 }
 
+// Bind only: planning a 20-table block takes seconds. optimizer_test checks
+// that larger blocks, nested ones included, fail in every planner.
+TEST_F(BinderTest, FromListLimitedToMaxBlockRelations) {
+  std::string sql = "SELECT E0.NAME FROM EMP E0";
+  for (size_t i = 1; i < kMaxBlockRelations; ++i) {
+    sql += ", EMP E" + std::to_string(i);
+  }
+  auto block = Bind(sql);
+  ASSERT_TRUE(block.ok()) << block.status().ToString();
+  EXPECT_EQ((*block)->tables.size(), kMaxBlockRelations);
+  sql += ", EMP E" + std::to_string(kMaxBlockRelations);
+  EXPECT_EQ(Bind(sql).status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(BinderTest, SelectStar) {
   auto block = Bind("SELECT * FROM EMP");
   ASSERT_TRUE(block.ok());

@@ -239,6 +239,12 @@ TEST_F(E2eTest, ExplainProducesTree) {
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("Project"), std::string::npos);
   EXPECT_NE(plan->find("Join"), std::string::npos);
+  // Every entry point plans an EXPLAIN, so one the optimizer rejects fails
+  // through each of them.
+  const std::string bad = "EXPLAIN SELECT DISTINCT NAME FROM EMP ORDER BY SAL";
+  EXPECT_FALSE(db_->Explain(bad).ok());
+  EXPECT_FALSE(db_->Execute(bad).ok());
+  EXPECT_FALSE(db_->ExecuteScript(bad + ";").ok());
 }
 
 TEST_F(E2eTest, ResultToStringRenders) {

@@ -5,10 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+
 #include "db/database.h"
-#include "optimizer/cnf.h"
 #include "optimizer/explain.h"
-#include "optimizer/selectivity.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "workload/datagen.h"
@@ -16,14 +17,11 @@
 namespace systemr {
 namespace {
 
-// Mirrors Optimizer::PlanBlock's setup so tests can inspect the enumerator.
+// The enumerator over one block's PlannerContext, built from the database's
+// options, so tests inspect the optimizer's own search.
 struct Harness {
   std::unique_ptr<BoundQueryBlock> block;
-  CostModel cost_model{CostParams{}};
-  std::unique_ptr<SelectivityEstimator> sel;
-  std::vector<BooleanFactor> factors;
-  OrderClasses classes;
-  PlannerContext ctx;
+  std::unique_ptr<PlannerContext> ctx;
   std::unique_ptr<JoinEnumerator> enumerator;
 
   static StatusOr<std::unique_ptr<Harness>> Make(
@@ -33,21 +31,11 @@ struct Harness {
     ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
     Binder binder(&db->catalog());
     ASSIGN_OR_RETURN(h->block, binder.Bind(*stmt.select));
-    h->cost_model = CostModel(db->options().cost);
-    h->sel = std::make_unique<SelectivityEstimator>(&db->catalog(),
-                                                    h->block.get());
-    h->factors = ExtractBooleanFactors(*h->block);
-    for (BooleanFactor& f : h->factors) {
-      f.selectivity = h->sel->FactorSelectivity(*f.expr);
-    }
-    for (const BooleanFactor& f : h->factors) {
-      if (f.join.has_value() && f.join->is_equi()) {
-        h->classes.Union(f.join->t1, f.join->c1, f.join->t2, f.join->c2);
-      }
-    }
-    h->ctx = PlannerContext{h->block.get(), &db->catalog(), &h->cost_model,
-                            h->sel.get(), &h->factors, &h->classes};
-    h->enumerator = std::make_unique<JoinEnumerator>(h->ctx, options);
+    const OptimizerOptions& opts = db->options();
+    h->ctx = std::make_unique<PlannerContext>(&db->catalog(), *h->block,
+                                              opts.cost, opts.use_column_stats,
+                                              opts.feedback);
+    h->enumerator = std::make_unique<JoinEnumerator>(*h->ctx, options);
     RETURN_IF_ERROR(h->enumerator->Run());
     return h;
   }
@@ -257,11 +245,11 @@ TEST_F(OptimizerTest, DisablingInterestingOrdersNeverWins) {
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   OrderSpec required = {
-      OrderKey{(*with)->classes.ClassOf(0, 1), true}};
+      OrderKey{(*with)->ctx->classes.ClassOf(0, 1), true}};
   std::vector<SortKey> keys = {SortKey{1, true}};
   auto best_with = (*with)->enumerator->Best(required, keys);
   OrderSpec required2 = {
-      OrderKey{(*without)->classes.ClassOf(0, 1), true}};
+      OrderKey{(*without)->ctx->classes.ClassOf(0, 1), true}};
   auto best_without = (*without)->enumerator->Best(required2, keys);
   ASSERT_TRUE(best_with.ok());
   ASSERT_TRUE(best_without.ok());
@@ -307,6 +295,126 @@ TEST_F(OptimizerTest, EstimatedRowsPositive) {
   ASSERT_TRUE(prepared.ok());
   EXPECT_GT(prepared->est_rows, 0);
   EXPECT_GT(prepared->est_cost, 0);
+}
+
+// "EMP E0, EMP E1, ..." — `n` correlations, with a join predicate naming the
+// last one so factor extraction touches every table bit.
+std::string SelfJoinOfEmp(size_t n) {
+  std::string sql = "SELECT E0.NAME FROM EMP E0";
+  for (size_t i = 1; i < n; ++i) sql += ", EMP E" + std::to_string(i);
+  return sql + " WHERE E0.DNO = E" + std::to_string(n - 1) + ".DNO";
+}
+
+TEST_F(OptimizerTest, TooManyRelationsRejectedByEveryPlanner) {
+  for (size_t n : {kMaxBlockRelations + 1, size_t{33}}) {
+    const std::string sql = SelfJoinOfEmp(n);
+    EXPECT_EQ(db_.Prepare(sql).status().code(), StatusCode::kInvalidArgument);
+    for (BaselineKind kind :
+         {BaselineKind::kSyntacticNestedLoop, BaselineKind::kGreedy}) {
+      EXPECT_EQ(db_.PrepareBaseline(sql, kind).status().code(),
+                StatusCode::kInvalidArgument)
+          << n << " tables, " << BaselineName(kind);
+    }
+  }
+  auto deleted = db_.Mutate("DELETE FROM EMP WHERE DNO IN (" +
+                            SelfJoinOfEmp(33) + ")");
+  EXPECT_EQ(deleted.status().code(), StatusCode::kInvalidArgument);
+}
+
+// E4-E6's search tree: the Fig. 1 query over the data of
+// bench_fig2_3_single_paths, bench_fig4_5_pairs and bench_fig6_tree.
+class SearchTreeTest : public ::testing::Test {
+ protected:
+  SearchTreeTest() : db_(256) {
+    DataGen gen(&db_, 1979);
+    EXPECT_TRUE(gen.LoadPaperExample(20000, 100, 50).ok());
+    auto h = Harness::Make(&db_,
+                           "SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB "
+                           "WHERE TITLE = 'CLERK' AND LOC = 'DENVER' "
+                           "AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB");
+    EXPECT_TRUE(h.ok()) << h.status().ToString();
+    if (h.ok()) h_ = std::move(*h);
+  }
+
+  Database db_;
+  std::unique_ptr<Harness> h_;
+};
+
+TEST_F(SearchTreeTest, StoredSolutionsPinned) {
+  ASSERT_NE(h_, nullptr);
+  // Per subset (bit t = FROM item t: EMP, DEPT, JOB), every stored solution
+  // as "C=<cost> order=<order> N=<rows> <describe>".
+  const std::map<uint32_t, std::vector<std::string>> expected = {
+      {0b001,
+       {"C=2247.0 order=unordered N=20000.0 EMP seg. scan",
+        "C=2513.0 order=c0 N=20000.0 index EMP_DNO (non-matching)",
+        "C=2490.0 order=c2 N=20000.0 index EMP_JOB (non-matching)"}},
+      {0b010,
+       {"C=2.0 order=unordered N=10.0 DEPT seg. scan",
+        "C=3.0 order=c0 N=10.0 index DEPT_DNO (non-matching)"}},
+      {0b100,
+       {"C=1.1 order=unordered N=1.0 JOB seg. scan",
+        "C=2.1 order=c2 N=1.0 index JOB_JOB (non-matching)"}},
+      {0b011,
+       {"C=22690.0 order=c2 N=2000.0 NLJ(index EMP_JOB (non-matching) -> "
+        "DEPT seg. scan)",
+        "C=253.3 order=unordered N=2000.0 NLJ(DEPT seg. scan -> index "
+        "EMP_DNO (matching))",
+        "C=254.3 order=c0 N=2000.0 NLJ(index DEPT_DNO (non-matching) -> "
+        "index EMP_DNO (matching))"}},
+      {0b101,
+       {"C=22553.0 order=c0 N=400.0 NLJ(index EMP_DNO (non-matching) -> "
+        "JOB seg. scan)",
+        "C=50.9 order=unordered N=400.0 NLJ(JOB seg. scan -> index EMP_JOB "
+        "(matching))",
+        "C=51.9 order=c2 N=400.0 NLJ(index JOB_JOB (non-matching) -> index "
+        "EMP_JOB (matching))"}},
+      {0b110, {}},  // Not expanded: the join-order heuristic.
+      {0b111,
+       {"C=455.9 order=c2 N=40.0 NLJ(NLJ(index JOB_JOB (non-matching) -> "
+        "index EMP_JOB (matching)) -> DEPT seg. scan)",
+        "C=107.9 order=c0 N=40.0 MJ(sort(NLJ(JOB seg. scan -> index EMP_JOB "
+        "(matching))) = merge-inner index DEPT_DNO (non-matching))",
+        "C=97.9 order=unordered N=40.0 HJ(NLJ(JOB seg. scan -> index EMP_JOB "
+        "(matching)) = build DEPT seg. scan)"}},
+  };
+  for (const auto& [mask, want] : expected) {
+    std::vector<std::string> got;
+    for (const JoinSolution& s : h_->enumerator->SolutionsFor(mask)) {
+      char head[96];
+      std::snprintf(head, sizeof(head), "C=%.1f order=%s N=%.1f ", s.cost,
+                    OrderSpecToString(s.order).c_str(), s.rows);
+      got.push_back(head + s.describe);
+    }
+    EXPECT_EQ(got, want) << "subset " << mask;
+  }
+  EXPECT_EQ(h_->enumerator->solutions_generated(), 71u);
+  EXPECT_EQ(h_->enumerator->solutions_stored(), 16u);
+}
+
+// With nothing learned, every scan's estimate is the model's: EXPLAIN of a
+// stored solution prints no `est=... learned=...`.
+TEST_F(SearchTreeTest, ScansCarryNoLearnedEstimateWithEmptyFeedback) {
+  ASSERT_NE(h_, nullptr);
+  ASSERT_EQ(db_.feedback().size(), 0u);
+  for (uint32_t mask = 1; mask < 8; ++mask) {
+    for (const JoinSolution& s : h_->enumerator->SolutionsFor(mask)) {
+      std::vector<const PlanNode*> stack = {s.plan.get()};
+      while (!stack.empty()) {
+        const PlanNode* node = stack.back();
+        stack.pop_back();
+        if (node->left != nullptr) stack.push_back(node->left.get());
+        if (node->right != nullptr) stack.push_back(node->right.get());
+        if (node->kind != PlanKind::kSegScan &&
+            node->kind != PlanKind::kIndexScan) {
+          continue;
+        }
+        EXPECT_FALSE(node->scan.learned_applied) << s.describe;
+        EXPECT_DOUBLE_EQ(node->scan.est_rows_model, node->est_rows)
+            << s.describe;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -456,6 +456,10 @@ TEST_F(SessionTest, DatabaseRunRejectsUnboundParams) {
   ASSERT_TRUE(query.ok());
   EXPECT_EQ(query->num_params, 1);
   EXPECT_FALSE(db_->Run(*query).ok());
+  // Execute compiles through the same path, so it reports the arity too.
+  Status executed = db_->Execute("SELECT NAME FROM EMP WHERE EMPNO = ?");
+  EXPECT_NE(executed.message().find("takes 1 parameter(s)"), std::string::npos)
+      << executed.ToString();
   auto r = db_->Run(*query, {Value::Int(3)});
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 1u);
