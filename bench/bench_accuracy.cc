@@ -118,7 +118,7 @@ int Main() {
     std::string sql = qgen.RandomSingleTableQuery();
     auto h = Harness::Make(&db, sql, {}, /*run=*/false);
     if (h->block->tables.size() != 1) continue;
-    auto paths = GenerateAccessPaths(*h->ctx, 0, 0);
+    const std::vector<AccessPath>& paths = h->ctx->AccessPaths(0, 0);
     // The optimizer's choice is the cheapest estimated path.
     size_t chosen = 0;
     for (size_t i = 1; i < paths.size(); ++i) {

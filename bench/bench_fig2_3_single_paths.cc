@@ -40,13 +40,15 @@ int Main() {
 
   for (size_t t = 0; t < h->block->tables.size(); ++t) {
     std::printf("\n%s:\n", h->block->tables[t].table->name.c_str());
-    auto paths = GenerateAccessPaths(*h->ctx, static_cast<int>(t), 0);
-    PruneAccessPaths(&paths, interesting);
-    for (const AccessPath& p : paths) {
+    const std::vector<AccessPath>& paths =
+        h->ctx->AccessPaths(static_cast<int>(t), 0);
+    std::vector<bool> pruned = PrunedAccessPaths(paths, interesting);
+    for (size_t i = 0; i < paths.size(); ++i) {
+      const AccessPath& p = paths[i];
       std::printf("  C(%-28s) = %8.1f  order=%-10s rows=%8.1f  %s\n",
                   p.describe.c_str(), p.cost.cost,
                   OrderSpecToString(p.order).c_str(), p.rows,
-                  p.pruned ? "X pruned" : "kept");
+                  pruned[i] ? "X pruned" : "kept");
     }
   }
 

@@ -95,7 +95,7 @@ int Main() {
 
   for (const Probe& probe : probes) {
     auto h = Harness::Make(&db, probe.sql, {}, /*run=*/false);
-    auto paths = GenerateAccessPaths(*h->ctx, 0, 0);
+    const std::vector<AccessPath>& paths = h->ctx->AccessPaths(0, 0);
     const AccessPath* path = FindPath(paths, probe.situation, probe.index);
     if (path == nullptr) {
       std::printf("%-38s: situation not generated!\n", probe.label);
@@ -115,7 +115,7 @@ int Main() {
     db.options().cost.buffer_pages = buffers;
     db.rss().pool().set_capacity(buffers);
     auto h = Harness::Make(&db, "SELECT K FROM T WHERE A = 42", {}, false);
-    auto paths = GenerateAccessPaths(*h->ctx, 0, 0);
+    const std::vector<AccessPath>& paths = h->ctx->AccessPaths(0, 0);
     const AccessPath* path =
         FindPath(paths, AccessSituation::kNonClusteredIndexMatching, "T_A");
     if (path == nullptr) continue;

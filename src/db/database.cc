@@ -45,6 +45,11 @@ StatusOr<OptimizedQuery> Database::Prepare(const std::string& sql) {
 StatusOr<OptimizedQuery> Database::Prepare(const std::string& sql, int max_dop,
                                            bool force_parallel) {
   ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
+  return Prepare(stmt, max_dop, force_parallel);
+}
+
+StatusOr<OptimizedQuery> Database::Prepare(const Statement& stmt, int max_dop,
+                                           bool force_parallel) {
   OptimizerOptions opts = options_;
   opts.max_dop = max_dop;
   opts.force_parallel = force_parallel;

@@ -105,6 +105,10 @@ class Database {
   /// cost (fuzzing).
   StatusOr<OptimizedQuery> Prepare(const std::string& sql, int max_dop,
                                    bool force_parallel = false);
+  /// Same, for a statement already parsed (a Session parses the tokens it
+  /// rendered its cache key from).
+  StatusOr<OptimizedQuery> Prepare(const Statement& stmt, int max_dop,
+                                   bool force_parallel);
   /// Same, with a baseline strategy instead of the DP optimizer.
   StatusOr<OptimizedQuery> PrepareBaseline(const std::string& sql,
                                            BaselineKind kind);

@@ -39,12 +39,8 @@ Status CollectTargets(ExecContext* exec, const OptimizerOptions& options,
   // model selectivities: DML passes no feedback store.
   PlannerContext ctx(catalog, block, options.cost, options.use_column_stats,
                      /*feedback=*/nullptr);
-  std::vector<AccessPath> paths = GenerateAccessPaths(ctx, 0, 0);
-  if (paths.empty()) return Status::Internal("no access path for DML target");
-  const AccessPath* best = &paths[0];
-  for (const AccessPath& p : paths) {
-    if (p.cost.cost < best->cost.cost) best = &p;
-  }
+  const AccessPath* best = CheapestPath(ctx.AccessPaths(0, 0));
+  if (best == nullptr) return Status::Internal("no access path for DML target");
 
   // Predicates the scan cannot apply: subquery / correlated factors.
   Optimizer optimizer(catalog, options);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "optimizer/planner_context.h"
+
 namespace systemr {
 
 namespace {
@@ -154,14 +156,12 @@ uint64_t CoveredOrders(const OrderSpec& produced,
   return covered;
 }
 
-std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
-                                            int table_idx,
-                                            uint32_t outer_mask) {
-  const BoundQueryBlock& block = *ctx.block;
-  const TableInfo& table = *block.tables[table_idx].table;
-  ApplicablePreds preds = CollectPreds(ctx, table_idx, outer_mask);
+std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
+    int table_idx, uint32_t outer_mask) const {
+  const TableInfo& table = *block->tables[table_idx].table;
+  ApplicablePreds preds = CollectPreds(*this, table_idx, outer_mask);
 
-  double ncard = ctx.sel.TableCardinality(table_idx);
+  double ncard = sel.TableCardinality(table_idx);
   double rsicard = ncard * preds.f_sargable;
   double rows = rsicard * preds.f_residual;
 
@@ -185,7 +185,7 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
   std::vector<DynamicSargTerm> dyn_sargs;
   for (const auto& [j, f] : preds.join_preds) {
     dyn_sargs.push_back(DynamicSargTerm{
-        j.c1, j.op, block.OffsetOf(j.t2, j.c2)});
+        j.c1, j.op, block->OffsetOf(j.t2, j.c2)});
   }
   dyn_sargs.insert(dyn_sargs.end(), preds.param_sargs.begin(),
                    preds.param_sargs.end());
@@ -202,7 +202,7 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
     p.node->scan.dyn_sargs = dyn_sargs;
     p.node->scan.residual = preds.residual;
     annotate_scan(&p.node->scan);
-    p.cost = ctx.cost.SegmentScan(table, rsicard);
+    p.cost = cost.SegmentScan(table, rsicard);
     p.rows = rows;
     p.describe = table.name + " seg. scan";
     p.node->est_cost = p.cost.cost;
@@ -214,7 +214,7 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
 
   // --- One path per index ---
   for (IndexId iid : table.indexes) {
-    const IndexInfo& index = *ctx.catalog->index(iid);
+    const IndexInfo& index = *catalog->index(iid);
     AccessPath p;
     p.node = NewPlanNode(PlanKind::kIndexScan);
     ScanSpec& spec = p.node->scan;
@@ -266,7 +266,8 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
       }
       if (dyn != nullptr) {
         EqBound b;
-        b.outer_offset = static_cast<int64_t>(block.OffsetOf(dyn->t2, dyn->c2));
+        b.outer_offset =
+            static_cast<int64_t>(block->OffsetOf(dyn->t2, dyn->c2));
         spec.eq_bounds.push_back(std::move(b));
         f_matching *= dyn_f;
         ++bound_cols;
@@ -328,10 +329,10 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
     bool unique_eq =
         index.unique && bound_cols == index.key_columns.size();
 
-    p.cost = ctx.cost.IndexScan(table, index, matching, f_matching, rsicard,
-                                unique_eq, /*repeated_probe=*/outer_mask != 0);
+    p.cost = cost.IndexScan(table, index, matching, f_matching, rsicard,
+                            unique_eq, /*repeated_probe=*/outer_mask != 0);
     p.rows = rows;
-    p.order = IndexOrder(ctx, table_idx, index);
+    p.order = IndexOrder(*this, table_idx, index);
     p.describe = "index " + index.name +
                  (matching ? " (matching)" : " (non-matching)");
     p.node->est_cost = p.cost.cost;
@@ -344,22 +345,33 @@ std::vector<AccessPath> GenerateAccessPaths(const PlannerContext& ctx,
   return paths;
 }
 
-void PruneAccessPaths(std::vector<AccessPath>* paths,
-                      const std::vector<OrderSpec>& interesting) {
-  for (AccessPath& p : *paths) {
-    uint64_t covered = CoveredOrders(p.order, interesting);
-    for (const AccessPath& q : *paths) {
-      if (&p == &q || q.pruned) continue;
-      uint64_t q_covered = CoveredOrders(q.order, interesting);
+std::vector<bool> PrunedAccessPaths(
+    const std::vector<AccessPath>& paths,
+    const std::vector<OrderSpec>& interesting) {
+  std::vector<bool> pruned(paths.size(), false);
+  for (size_t i = 0; i < paths.size(); ++i) {
+    uint64_t covered = CoveredOrders(paths[i].order, interesting);
+    for (size_t j = 0; j < paths.size(); ++j) {
+      if (j == i || pruned[j]) continue;
+      uint64_t j_covered = CoveredOrders(paths[j].order, interesting);
       bool strictly_better =
-          q.cost.cost < p.cost.cost ||
-          (q.cost.cost == p.cost.cost && &q < &p);  // Tie-break stably.
-      if (strictly_better && (covered & ~q_covered) == 0) {
-        p.pruned = true;
+          paths[j].cost.cost < paths[i].cost.cost ||
+          (paths[j].cost.cost == paths[i].cost.cost && j < i);  // Stable.
+      if (strictly_better && (covered & ~j_covered) == 0) {
+        pruned[i] = true;
         break;
       }
     }
   }
+  return pruned;
+}
+
+const AccessPath* CheapestPath(const std::vector<AccessPath>& paths) {
+  const AccessPath* best = nullptr;
+  for (const AccessPath& p : paths) {
+    if (best == nullptr || p.cost.cost < best->cost.cost) best = &p;
+  }
+  return best;
 }
 
 }  // namespace systemr

@@ -10,15 +10,11 @@ namespace {
 
 const AccessPath* PickPath(const std::vector<AccessPath>& paths,
                            bool segment_only) {
-  const AccessPath* best = nullptr;
+  if (!segment_only) return CheapestPath(paths);
   for (const AccessPath& p : paths) {
-    if (segment_only) {
-      if (p.node->kind == PlanKind::kSegScan) return &p;
-      continue;
-    }
-    if (best == nullptr || p.cost.cost < best->cost.cost) best = &p;
+    if (p.node->kind == PlanKind::kSegScan) return &p;
   }
-  return best;
+  return nullptr;
 }
 
 }  // namespace
@@ -88,8 +84,8 @@ StatusOr<OptimizedQuery> OptimizeBaseline(
   }
 
   // Build the left-deep nested-loop plan along `order`.
-  std::vector<AccessPath> first_paths = GenerateAccessPaths(ctx, order[0], 0);
-  const AccessPath* first = PickPath(first_paths, segment_only);
+  const AccessPath* first =
+      PickPath(ctx.AccessPaths(order[0], 0), segment_only);
   if (first == nullptr) {
     return Status::Internal("no access path for first relation");
   }
@@ -100,8 +96,8 @@ StatusOr<OptimizedQuery> OptimizeBaseline(
 
   for (size_t i = 1; i < n; ++i) {
     int t = order[i];
-    std::vector<AccessPath> inner_paths = GenerateAccessPaths(ctx, t, mask);
-    const AccessPath* inner = PickPath(inner_paths, segment_only);
+    const AccessPath* inner =
+        PickPath(ctx.AccessPaths(t, mask), segment_only);
     if (inner == nullptr) {
       return Status::Internal("no access path for inner relation");
     }

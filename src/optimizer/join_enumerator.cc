@@ -51,31 +51,37 @@ void JoinEnumerator::BuildInterestingOrders() {
   }
 }
 
-void JoinEnumerator::AddSolution(uint32_t mask, JoinSolution solution) {
+template <typename Build>
+void JoinEnumerator::AddSolution(uint32_t mask, double cost, double rows,
+                                 const OrderSpec& order, Build build) {
   ++solutions_generated_;
   std::vector<JoinSolution>& list = dp_[mask];
   if (!options_.use_interesting_orders) {
     // Keep the single cheapest solution (order is never reused).
-    if (list.empty() || solution.cost < list[0].cost) {
-      list.clear();
-      list.push_back(std::move(solution));
+    if (!list.empty() && !(cost < list[0].cost)) return;
+    list.clear();
+  } else {
+    uint64_t covered = CoveredOrders(order, interesting_);
+    // Dominated by an existing solution?
+    for (const JoinSolution& s : list) {
+      uint64_t c = CoveredOrders(s.order, interesting_);
+      if (s.cost <= cost && (covered & ~c) == 0) return;
     }
-    return;
+    // Remove solutions the new one dominates.
+    list.erase(std::remove_if(list.begin(), list.end(),
+                              [&](const JoinSolution& s) {
+                                uint64_t c =
+                                    CoveredOrders(s.order, interesting_);
+                                return cost <= s.cost && (c & ~covered) == 0;
+                              }),
+               list.end());
   }
-  uint64_t covered = CoveredOrders(solution.order, interesting_);
-  // Dominated by an existing solution?
-  for (const JoinSolution& s : list) {
-    uint64_t c = CoveredOrders(s.order, interesting_);
-    if (s.cost <= solution.cost && (covered & ~c) == 0) return;
-  }
-  // Remove solutions the new one dominates.
-  list.erase(std::remove_if(list.begin(), list.end(),
-                            [&](const JoinSolution& s) {
-                              uint64_t c = CoveredOrders(s.order, interesting_);
-                              return solution.cost <= s.cost &&
-                                     (c & ~covered) == 0;
-                            }),
-             list.end());
+  JoinSolution solution;
+  solution.mask = mask;
+  solution.cost = cost;
+  solution.rows = rows;
+  solution.order = order;
+  build(&solution);
   list.push_back(std::move(solution));
 }
 
@@ -99,21 +105,22 @@ Status JoinEnumerator::Run() {
   BuildInterestingOrders();
 
   // Level 1: single-relation access paths (Fig. 2/3).
+  static const OrderSpec kUnordered;
   for (size_t t = 0; t < n; ++t) {
-    std::vector<AccessPath> paths =
-        GenerateAccessPaths(ctx_, static_cast<int>(t), 0);
-    PruneAccessPaths(&paths, interesting_);
+    const std::vector<AccessPath>& paths =
+        ctx_.AccessPaths(static_cast<int>(t), 0);
+    std::vector<bool> pruned = PrunedAccessPaths(paths, interesting_);
     uint32_t mask = 1u << t;
-    for (AccessPath& p : paths) {
-      if (p.pruned) continue;
-      JoinSolution s;
-      s.mask = mask;
-      s.cost = p.cost.cost;
-      s.rows = ctx_.Rows(mask);
-      s.order = options_.use_interesting_orders ? p.order : OrderSpec{};
-      s.plan = p.node;
-      s.describe = p.describe;
-      AddSolution(mask, std::move(s));
+    double rows = ctx_.Rows(mask);
+    for (size_t i = 0; i < paths.size(); ++i) {
+      if (pruned[i]) continue;
+      const AccessPath& p = paths[i];
+      AddSolution(mask, p.cost.cost, rows,
+                  options_.use_interesting_orders ? p.order : kUnordered,
+                  [&p](JoinSolution* s) {
+                    s->plan = p.node;
+                    s->describe = p.describe;
+                  });
     }
   }
   if (n == 1) return Status::OK();
@@ -172,35 +179,31 @@ void JoinEnumerator::ExtendNestedLoop(uint32_t mask, int t) {
   const BoundQueryBlock& block = *ctx_.block;
   uint32_t combined = mask | (1u << t);
   double n_outer = std::max(ctx_.Rows(mask), 1.0);
+  double rows = ctx_.Rows(combined);
 
-  std::vector<AccessPath> inner_paths = GenerateAccessPaths(ctx_, t, mask);
-  PruneAccessPaths(&inner_paths, {});  // Inner order is irrelevant for NL.
+  // Inner order is irrelevant for NL: only the cheapest inner path competes.
+  const AccessPath* inner = CheapestPath(ctx_.AccessPaths(t, mask));
+  if (inner == nullptr) return;
   std::vector<const BoundExpr*> residual =
       ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/true, nullptr);
 
   for (const JoinSolution& outer : dp_[mask]) {
-    for (const AccessPath& p : inner_paths) {
-      if (p.pruned) continue;
-      JoinSolution s;
-      s.mask = combined;
-      // C-nested-loop-join = C-outer + N * C-inner (§5).
-      s.cost = ctx_.cost.JoinCost(outer.cost, n_outer, p.cost.cost);
-      s.rows = ctx_.Rows(combined);
-      s.order = outer.order;  // The outer composite's order is preserved.
-
+    // C-nested-loop-join = C-outer + N * C-inner (§5); the outer composite's
+    // order is preserved.
+    double cost = ctx_.cost.JoinCost(outer.cost, n_outer, inner->cost.cost);
+    AddSolution(combined, cost, rows, outer.order, [&](JoinSolution* s) {
       auto node = NewPlanNode(PlanKind::kNestedLoopJoin);
       node->left = outer.plan;
-      node->right = p.node;
+      node->right = inner->node;
       node->inner_offset = block.tables[t].offset;
       node->inner_width = block.tables[t].table->schema.num_columns();
       node->residual = residual;
-      node->est_cost = s.cost;
-      node->est_rows = s.rows;
-      node->order = s.order;
-      s.plan = node;
-      s.describe = "NLJ(" + outer.describe + " -> " + p.describe + ")";
-      AddSolution(combined, std::move(s));
-    }
+      node->est_cost = s->cost;
+      node->est_rows = s->rows;
+      node->order = s->order;
+      s->plan = node;
+      s->describe = "NLJ(" + outer.describe + " -> " + inner->describe + ")";
+    });
   }
 }
 
@@ -208,6 +211,7 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
   const BoundQueryBlock& block = *ctx_.block;
   uint32_t combined = mask | (1u << t);
   double n_outer = std::max(ctx_.Rows(mask), 1.0);
+  double rows = ctx_.Rows(combined);
 
   // One merge variant per equi-join predicate linking t to the joined set.
   for (const BooleanFactor& f : ctx_.factors) {
@@ -225,12 +229,12 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
     std::vector<const BoundExpr*> residual =
         ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/false, &j);
 
-    // Inner variants.
+    // Inner variants, costed here; their plans are built only for a stored
+    // candidate.
     struct InnerVariant {
-      PlanRef plan;
-      double setup_cost = 0;      // One-time (sorting into a temp list).
-      double per_probe = 0;       // C-inner.
-      std::string describe;
+      const AccessPath* index_path;  // (a), or null for (b)'s sorted inner.
+      double setup_cost;             // One-time (sorting into a temp list).
+      double per_probe;              // C-inner.
     };
     std::vector<InnerVariant> inners;
 
@@ -239,102 +243,86 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
     // merging-scans method synchronizes the two ordered streams, so the
     // inner is read exactly once with only its local predicates applied —
     // costed as one full ordered scan (setup) with no per-probe charge.
-    {
-      std::vector<AccessPath> paths = GenerateAccessPaths(ctx_, t, 0);
-      for (AccessPath& p : paths) {
-        if (p.node->kind != PlanKind::kIndexScan) continue;
-        if (!OrderSatisfies(p.order, required)) continue;
-        InnerVariant v;
-        v.plan = p.node;
-        v.setup_cost = p.cost.cost;
-        v.per_probe = 0.0;
-        v.describe = "merge-inner " + p.describe;
-        inners.push_back(std::move(v));
-      }
+    for (const AccessPath& p : ctx_.AccessPaths(t, 0)) {
+      if (p.node->kind != PlanKind::kIndexScan) continue;
+      if (!OrderSatisfies(p.order, required)) continue;
+      inners.push_back({&p, p.cost.cost, 0.0});
     }
 
     // (b) Sort the inner into a temporary list (C-inner(sorted list), §5).
-    {
-      auto it = dp_.find(1u << t);
-      if (it != dp_.end() && !it->second.empty()) {
-        const JoinSolution* cheapest = &it->second[0];
-        for (const JoinSolution& s : it->second) {
-          if (s.cost < cheapest->cost) cheapest = &s;
-        }
-        double inner_rows = std::max(ctx_.Rows(1u << t), 1.0);
-        double bytes = CostModel::TupleBytes(*block.tables[t].table);
-        double temppages = ctx_.cost.TempPages(inner_rows, bytes);
-        double rsicard_group = inner_rows * f.selectivity;
-
-        InnerVariant v;
-        auto sort = NewPlanNode(PlanKind::kSort);
-        sort->left = cheapest->plan;
-        sort->sort_keys = {SortKey{inner_off, true}};
-        sort->order = required;
-        sort->est_rows = inner_rows;
-        v.setup_cost =
-            ctx_.cost.SortCost(cheapest->cost, inner_rows, bytes);
-        sort->est_cost = v.setup_cost;
-        v.plan = sort;
-        v.per_probe =
-            ctx_.cost.SortedInnerPerProbe(temppages, n_outer, rsicard_group);
-        v.describe = "sort(" + cheapest->describe + ") then merge";
-        inners.push_back(std::move(v));
+    const JoinSolution* cheapest = nullptr;
+    double inner_rows = std::max(ctx_.Rows(1u << t), 1.0);
+    PlanRef sorted_inner;  // Built for the first stored candidate using it.
+    auto it = dp_.find(1u << t);
+    if (it != dp_.end() && !it->second.empty()) {
+      cheapest = &it->second[0];
+      for (const JoinSolution& s : it->second) {
+        if (s.cost < cheapest->cost) cheapest = &s;
       }
+      double bytes = CostModel::TupleBytes(*block.tables[t].table);
+      double temppages = ctx_.cost.TempPages(inner_rows, bytes);
+      double rsicard_group = inner_rows * f.selectivity;
+      inners.push_back(
+          {nullptr, ctx_.cost.SortCost(cheapest->cost, inner_rows, bytes),
+           ctx_.cost.SortedInnerPerProbe(temppages, n_outer, rsicard_group)});
     }
     if (inners.empty()) continue;
 
+    double outer_bytes = CompositeTupleBytes(mask);
     for (const JoinSolution& outer : dp_[mask]) {
-      // Outer variants: use as-is if ordered on the join class, else sort.
-      struct OuterVariant {
-        PlanRef plan;
-        double cost;
-        OrderSpec order;
-        std::string describe;
-      };
-      std::vector<OuterVariant> outers;
-      if (OrderSatisfies(outer.order, required)) {
-        outers.push_back({outer.plan, outer.cost, outer.order,
-                          outer.describe});
-      } else {
-        auto sort = NewPlanNode(PlanKind::kSort);
-        sort->left = outer.plan;
-        sort->sort_keys = {SortKey{outer_off, true}};
-        sort->order = required;
-        sort->est_rows = n_outer;
-        double sorted_cost = ctx_.cost.SortCost(
-            outer.cost, n_outer, CompositeTupleBytes(mask));
-        sort->est_cost = sorted_cost;
-        outers.push_back({sort, sorted_cost, required,
-                          "sort(" + outer.describe + ")"});
-      }
+      // The outer as-is if ordered on the join class, else sorted. Either
+      // way the merge output is ordered by the join column class; the outer
+      // order (which starts with that class) is preserved.
+      bool sort_outer = !OrderSatisfies(outer.order, required);
+      double outer_cost =
+          sort_outer ? ctx_.cost.SortCost(outer.cost, n_outer, outer_bytes)
+                     : outer.cost;
+      const OrderSpec& order = sort_outer ? required : outer.order;
+      PlanRef sorted_outer;  // Built for the first stored candidate using it.
 
-      for (const OuterVariant& ov : outers) {
-        for (const InnerVariant& iv : inners) {
-          JoinSolution s;
-          s.mask = combined;
-          s.cost = iv.setup_cost +
-                   ctx_.cost.JoinCost(ov.cost, n_outer, iv.per_probe);
-          s.rows = ctx_.Rows(combined);
-          // The merge output is ordered by the join column class; the outer
-          // order (which starts with that class) is preserved.
-          s.order = ov.order;
-
+      for (const InnerVariant& iv : inners) {
+        double cost = iv.setup_cost +
+                      ctx_.cost.JoinCost(outer_cost, n_outer, iv.per_probe);
+        AddSolution(combined, cost, rows, order, [&](JoinSolution* s) {
+          if (sort_outer && sorted_outer == nullptr) {
+            auto sort = NewPlanNode(PlanKind::kSort);
+            sort->left = outer.plan;
+            sort->sort_keys = {SortKey{outer_off, true}};
+            sort->order = required;
+            sort->est_rows = n_outer;
+            sort->est_cost = outer_cost;
+            sorted_outer = sort;
+          }
+          if (iv.index_path == nullptr && sorted_inner == nullptr) {
+            auto sort = NewPlanNode(PlanKind::kSort);
+            sort->left = cheapest->plan;
+            sort->sort_keys = {SortKey{inner_off, true}};
+            sort->order = required;
+            sort->est_rows = inner_rows;
+            sort->est_cost = iv.setup_cost;
+            sorted_inner = sort;
+          }
           auto node = NewPlanNode(PlanKind::kMergeJoin);
-          node->left = ov.plan;
-          node->right = iv.plan;
+          node->left = sort_outer ? sorted_outer : outer.plan;
+          node->right = iv.index_path != nullptr ? PlanRef(iv.index_path->node)
+                                                 : sorted_inner;
           node->inner_offset = block.tables[t].offset;
           node->inner_width = block.tables[t].table->schema.num_columns();
           node->merge_outer_offset = outer_off;
           node->merge_inner_offset = inner_off;
           node->residual = residual;
-          node->est_cost = s.cost;
-          node->est_rows = s.rows;
-          node->order = s.order;
-          s.plan = node;
-          s.describe = "MJ(" + ov.describe + " = " + iv.describe + ")";
-          AddSolution(combined, std::move(s));
-        }
+          node->est_cost = s->cost;
+          node->est_rows = s->rows;
+          node->order = s->order;
+          s->plan = node;
+          s->describe = sort_outer ? "MJ(sort(" + outer.describe + ")"
+                                   : "MJ(" + outer.describe;
+          s->describe += " = ";
+          s->describe += iv.index_path != nullptr
+                             ? "merge-inner " + iv.index_path->describe
+                             : "sort(" + cheapest->describe + ") then merge";
+          s->describe += ")";
+        });
       }
     }
   }
@@ -357,6 +345,7 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
   uint32_t combined = mask | (1u << t);
   double n_outer = std::max(ctx_.Rows(mask), 1.0);
   double n_inner = std::max(ctx_.Rows(1u << t), 1.0);
+  double rows = ctx_.Rows(combined);
 
   // The build side is read exactly once with only its local predicates, so
   // the cheapest single-relation path for t is always the right input.
@@ -381,33 +370,29 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
     size_t inner_off = block.OffsetOf(j.t1, j.c1);
     std::vector<const BoundExpr*> residual =
         ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/false, &j);
-    double rows_out = ctx_.Rows(combined);
 
     for (const JoinSolution& outer : dp_[mask]) {
-      JoinSolution s;
-      s.mask = combined;
-      s.cost = ctx_.cost.HashJoinCost(outer.cost, build->cost, n_outer,
-                                      n_inner, rows_out, build_pages);
-      s.rows = rows_out;
+      double cost = ctx_.cost.HashJoinCost(outer.cost, build->cost, n_outer,
+                                           n_inner, rows, build_pages);
       // Hash join delivers no interesting order: rows come out in probe
       // order, but the optimizer must not rely on it (§5's order bookkeeping
       // treats the hash output as unordered).
-      s.order = {};
-
-      auto node = NewPlanNode(PlanKind::kHashJoin);
-      node->left = outer.plan;
-      node->right = build->plan;
-      node->inner_offset = block.tables[t].offset;
-      node->inner_width = block.tables[t].table->schema.num_columns();
-      node->merge_outer_offset = outer_off;
-      node->merge_inner_offset = inner_off;
-      node->residual = residual;
-      node->est_cost = s.cost;
-      node->est_rows = s.rows;
-      node->order = s.order;
-      s.plan = node;
-      s.describe = "HJ(" + outer.describe + " = build " + build->describe + ")";
-      AddSolution(combined, std::move(s));
+      AddSolution(combined, cost, rows, OrderSpec{}, [&](JoinSolution* s) {
+        auto node = NewPlanNode(PlanKind::kHashJoin);
+        node->left = outer.plan;
+        node->right = build->plan;
+        node->inner_offset = block.tables[t].offset;
+        node->inner_width = block.tables[t].table->schema.num_columns();
+        node->merge_outer_offset = outer_off;
+        node->merge_inner_offset = inner_off;
+        node->residual = residual;
+        node->est_cost = s->cost;
+        node->est_rows = s->rows;
+        node->order = s->order;
+        s->plan = node;
+        s->describe =
+            "HJ(" + outer.describe + " = build " + build->describe + ")";
+      });
     }
   }
 }

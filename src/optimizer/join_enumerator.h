@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "optimizer/access_path_gen.h"
+#include "optimizer/planner_context.h"
 
 namespace systemr {
 
@@ -77,7 +77,12 @@ class JoinEnumerator {
 
  private:
   void BuildInterestingOrders();
-  void AddSolution(uint32_t mask, JoinSolution solution);
+  /// Offers a candidate for `mask` by its cost, rows and order. Unless a
+  /// stored solution dominates it, it is stored and `build(&solution)` sets
+  /// its plan and describe; a rejected candidate builds nothing.
+  template <typename Build>
+  void AddSolution(uint32_t mask, double cost, double rows,
+                   const OrderSpec& order, Build build);
   bool Eligible(uint32_t mask, int t) const;
 
   void ExtendNestedLoop(uint32_t mask, int t);

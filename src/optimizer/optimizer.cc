@@ -292,8 +292,8 @@ StatusOr<OptimizedQuery> Optimizer::Optimize(
   ASSIGN_OR_RETURN(BlockPlan plan,
                    PlanBlock(*block, &out.subquery_plans, &out));
   out.block = std::move(block);
-  // Parallel post-pass on the top-level plan only: DML plans its scans
-  // through GenerateAccessPaths directly and nested blocks go through
+  // Parallel post-pass on the top-level plan only: DML takes its scan
+  // straight from its context's access paths and nested blocks go through
   // PlanBlock, so neither can pick up an exchange.
   out.root = ParallelizePlan(plan.root, options_);
   out.est_cost = plan.est_cost;

@@ -13,7 +13,8 @@ PlannerContext::PlannerContext(const Catalog* catalog,
       catalog(catalog),
       cost(cost_params),
       sel(catalog, &query_block, use_column_stats),
-      factors(ExtractBooleanFactors(query_block)) {
+      factors(ExtractBooleanFactors(query_block)),
+      join_neighbours_(query_block.tables.size(), 0) {
   for (BooleanFactor& f : factors) {
     f.model_selectivity = sel.FactorSelectivity(*f.expr);
     f.selectivity = f.model_selectivity;
@@ -24,10 +25,27 @@ PlannerContext::PlannerContext(const Catalog* catalog,
             f.model_selectivity, learned->selectivity, learned->n));
       }
     }
-    if (f.join.has_value() && f.join->is_equi()) {
-      classes.Union(f.join->t1, f.join->c1, f.join->t2, f.join->c2);
+    if (f.join.has_value()) {
+      const JoinPredInfo& j = *f.join;
+      join_neighbours_[j.t1] |= 1u << j.t2;
+      join_neighbours_[j.t2] |= 1u << j.t1;
+      if (j.is_equi()) classes.Union(j.t1, j.c1, j.t2, j.c2);
     }
   }
+}
+
+const std::vector<AccessPath>& PlannerContext::AccessPaths(
+    int t, uint32_t outer) const {
+  // Generation reads `outer` only through the join factors of `t` and
+  // through `outer != 0`; t < kMaxBlockRelations, so the key packs in 64 bits.
+  uint64_t key = (static_cast<uint64_t>(t) << 33) |
+                 (static_cast<uint64_t>(outer != 0) << 32) |
+                 (outer & join_neighbours_[t]);
+  auto it = paths_cache_.find(key);
+  if (it == paths_cache_.end()) {
+    it = paths_cache_.emplace(key, GenerateAccessPaths(t, outer)).first;
+  }
+  return it->second;
 }
 
 double PlannerContext::Rows(uint32_t mask) const {

@@ -1,15 +1,19 @@
 // What the OPTIMIZER works out from one query block before it searches
-// (§4-§5): the block's boolean factors with their selectivity factors, and
-// the order-equivalence classes of its equi-join columns. The DP join
-// enumerator, the baselines and DML target selection all plan from one
-// context per block, so no other module derives factors or selectivities.
+// (§4-§5): the block's boolean factors with their selectivity factors, the
+// order-equivalence classes of its equi-join columns, and — memoized as the
+// search asks for them — composite cardinalities and single-relation access
+// paths. The DP join enumerator, the baselines and DML target selection all
+// plan from one context per block, so no other module derives factors,
+// selectivities or access paths.
 #ifndef SYSTEMR_OPTIMIZER_PLANNER_CONTEXT_H_
 #define SYSTEMR_OPTIMIZER_PLANNER_CONTEXT_H_
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
+#include "optimizer/access_path_gen.h"
 #include "optimizer/cnf.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/order_classes.h"
@@ -36,6 +40,14 @@ struct PlannerContext {
   /// times the selectivities of all applicable predicates (§5). Memoized.
   double Rows(uint32_t mask) const;
 
+  /// Every access path of table `t` (unpruned), with the predicates
+  /// applicable once the tables in `outer` are bound (0 = plain
+  /// single-relation access). Memoized on what the paths depend on: `t`,
+  /// the tables of `outer` that share a join factor with `t`, and whether
+  /// `outer` is empty (a re-probed inner is costed and fed back
+  /// differently). Callers share the result, so it is never mutated.
+  const std::vector<AccessPath>& AccessPaths(int t, uint32_t outer) const;
+
   /// True when some join predicate links `t` to a table in `mask`.
   bool Connected(uint32_t mask, int t) const;
 
@@ -60,7 +72,15 @@ struct PlannerContext {
   mutable OrderClasses classes;
 
  private:
+  /// AccessPaths' generator (access_path_gen.cc): the paths for exactly
+  /// (`table_idx`, `outer_mask`).
+  std::vector<AccessPath> GenerateAccessPaths(int table_idx,
+                                              uint32_t outer_mask) const;
+
+  /// Per table, the tables it shares a join factor with.
+  std::vector<uint32_t> join_neighbours_;
   mutable std::map<uint32_t, double> rows_cache_;
+  mutable std::unordered_map<uint64_t, std::vector<AccessPath>> paths_cache_;
 };
 
 }  // namespace systemr

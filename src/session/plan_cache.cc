@@ -1,39 +1,56 @@
 #include "session/plan_cache.h"
 
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 #include "sql/lexer.h"
 
 namespace systemr {
 
-std::string NormalizeSql(const std::string& sql) {
-  StatusOr<std::vector<Token>> tokens = Lex(sql);
-  if (!tokens.ok()) return sql;
-  std::ostringstream os;
-  bool first = true;
-  for (const Token& t : *tokens) {
+std::string NormalizeSql(const std::vector<Token>& tokens) {
+  std::string key;
+  char num[32];
+  for (const Token& t : tokens) {
     if (t.type == TokenType::kEof) break;
-    if (!first) os << ' ';
-    first = false;
+    if (!key.empty()) key += ' ';
     switch (t.type) {
       case TokenType::kIdentifier:
-        os << t.text;  // Already upper-cased by the lexer.
+        key += t.text;  // Already upper-cased by the lexer.
         break;
-      case TokenType::kIntLiteral:
-        os << t.int_value;
+      case TokenType::kIntLiteral: {
+        char* end = std::to_chars(num, num + sizeof(num), t.int_value).ptr;
+        key.append(num, end - num);
         break;
-      case TokenType::kRealLiteral:
-        os << t.real_value;
+      }
+      case TokenType::kRealLiteral: {
+        // Shortest round-trip digits: distinct doubles never share a key.
+        // ".0" keeps an integral real from reading as the int it equals.
+        char* end = std::to_chars(num, num + sizeof(num), t.real_value).ptr;
+        std::string_view digits(num, end - num);
+        key += digits;
+        if (digits.find_first_of(".e") == std::string_view::npos) key += ".0";
         break;
+      }
       case TokenType::kStringLiteral:
-        os << '\'' << t.text << '\'';
+        key += '\'';
+        for (char c : t.text) {
+          key += c;
+          if (c == '\'') key += '\'';  // Re-escaped as the lexer reads it.
+        }
+        key += '\'';
         break;
       default:
-        os << TokenTypeName(t.type);
+        key += TokenTypeName(t.type);
         break;
     }
   }
-  return os.str();
+  return key;
+}
+
+std::string NormalizeSql(const std::string& sql) {
+  StatusOr<std::vector<Token>> tokens = Lex(sql);
+  if (!tokens.ok()) return sql;
+  return NormalizeSql(*tokens);
 }
 
 std::shared_ptr<const OptimizedQuery> PlanCache::Lookup(

@@ -3,7 +3,8 @@
 // execution until a dependency (an index, the statistics) changed, then
 // recompiled transparently. This cache reproduces that lifecycle in memory:
 //
-//   key          normalized SQL text (re-lexed, canonical casing/spacing)
+//   key          the statement's tokens rendered with canonical casing and
+//                spacing (NormalizeSql below)
 //   entry        the immutable OptimizedQuery, shared_ptr so executions
 //                already running keep their plan alive across an eviction
 //   validity     the catalog version at optimization time; a lookup under a
@@ -26,8 +27,10 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "optimizer/optimizer.h"
+#include "sql/token.h"
 
 namespace systemr {
 
@@ -38,9 +41,15 @@ struct PlanCacheStats {
   uint64_t invalidations = 0;  // Entries dropped on a catalog-version change.
 };
 
-/// Normalizes SQL text into the cache key: re-lex and re-render with
-/// canonical casing and single-space separation, so "select * from T" and
-/// "SELECT  *  FROM t" share one entry. Text that does not lex is returned
+/// Renders lexed tokens as the cache key: canonical casing and one space
+/// between tokens, so "select * from T" and "SELECT  *  FROM t" share one
+/// entry. Literals render exactly — ints as decimal, reals as their shortest
+/// round-trip form with a point or exponent, strings with every quote
+/// doubled — so two statements share a key only if they lex to the same
+/// tokens (DESIGN.md §5).
+std::string NormalizeSql(const std::vector<Token>& tokens);
+
+/// Lex plus the renderer above. Text that does not lex is returned
 /// unchanged (it will miss and fail in the parser with a real error).
 std::string NormalizeSql(const std::string& sql);
 

@@ -5,11 +5,12 @@
 
 #include "optimizer/explain.h"
 #include "optimizer/feedback.h"
+#include "sql/lexer.h"
 
 namespace systemr {
 
 StatusOr<std::shared_ptr<const OptimizedQuery>> Session::PlanFor(
-    const std::string& sql, const std::string& key, uint64_t* version_out,
+    std::vector<Token> tokens, const std::string& key, uint64_t* version_out,
     bool mark_replanned) {
   // The version is read BEFORE optimizing: if DDL lands between the read and
   // the Prepare, the entry is stored under the older version and the next
@@ -23,9 +24,13 @@ StatusOr<std::shared_ptr<const OptimizedQuery>> Session::PlanFor(
       return plan;
     }
   }
-  ASSIGN_OR_RETURN(OptimizedQuery query,
-                   max_dop_ > 1 ? db_->Prepare(sql, max_dop_, force_parallel_)
-                                : db_->Prepare(sql));
+  ASSIGN_OR_RETURN(Statement stmt, Parse(std::move(tokens)));
+  const OptimizerOptions& options = db_->options();
+  ASSIGN_OR_RETURN(
+      OptimizedQuery query,
+      max_dop_ > 1
+          ? db_->Prepare(stmt, max_dop_, force_parallel_)
+          : db_->Prepare(stmt, options.max_dop, options.force_parallel));
   ++stats_.optimizations;
   query.feedback_replanned = mark_replanned;
   auto plan = std::make_shared<const OptimizedQuery>(std::move(query));
@@ -35,7 +40,9 @@ StatusOr<std::shared_ptr<const OptimizedQuery>> Session::PlanFor(
 }
 
 StatusOr<PreparedStatement> Session::Prepare(const std::string& sql) {
-  std::string key = NormalizeSql(sql);
+  // One lex: the tokens render the cache key and, on a miss, are parsed.
+  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
+  std::string key = NormalizeSql(tokens);
   // Parallel plans are distinct cache entries: a session running PARALLEL 4
   // must not serve (or poison) another session's serial plan for the same
   // normalized text.
@@ -45,7 +52,7 @@ StatusOr<PreparedStatement> Session::Prepare(const std::string& sql) {
   }
   uint64_t version = 0;
   ASSIGN_OR_RETURN(std::shared_ptr<const OptimizedQuery> plan,
-                   PlanFor(sql, key, &version));
+                   PlanFor(std::move(tokens), key, &version));
   return PreparedStatement(this, sql, std::move(key), std::move(plan),
                            version);
 }
@@ -118,7 +125,9 @@ StatusOr<QueryResult> PreparedStatement::Execute(
   // re-optimized at the next execution" — detected here by version drift.
   uint64_t current = session_->db()->catalog().version();
   if (current != catalog_version_) {
-    ASSIGN_OR_RETURN(plan_, session_->PlanFor(sql_, key_, &catalog_version_));
+    ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql_));
+    ASSIGN_OR_RETURN(plan_, session_->PlanFor(std::move(tokens), key_,
+                                              &catalog_version_));
     ++session_->stats_.reprepares;
   }
   ASSIGN_OR_RETURN(QueryResult result,
@@ -139,7 +148,9 @@ StatusOr<QueryResult> PreparedStatement::Execute(
     double q = std::max(est / actual, actual / est);
     if (q > kReplanQErrorThreshold) {
       if (session_->cache() != nullptr) session_->cache()->Remove(key_);
-      ASSIGN_OR_RETURN(plan_, session_->PlanFor(sql_, key_, &catalog_version_,
+      ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql_));
+      ASSIGN_OR_RETURN(plan_, session_->PlanFor(std::move(tokens), key_,
+                                                &catalog_version_,
                                                 /*mark_replanned=*/true));
       ++session_->stats_.feedback_replans;
     }

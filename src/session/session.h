@@ -132,14 +132,15 @@ class Session {
  private:
   friend class PreparedStatement;
 
-  /// Plan lookup through the shared cache; optimizes on miss and publishes
-  /// the result. `*version_out` receives the catalog version the returned
-  /// plan is valid for. `mark_replanned` skips the cache lookup, optimizes
-  /// fresh (with whatever the feedback store has learned by now), and stamps
-  /// the plan so estimate divergence can never trigger a second replan.
+  /// Plan lookup through the shared cache under `key`, the rendering of
+  /// `tokens`; on a miss parses `tokens`, optimizes and publishes the
+  /// result. `*version_out` receives the catalog version the returned plan
+  /// is valid for. `mark_replanned` skips the cache lookup, optimizes fresh
+  /// (with whatever the feedback store has learned by now), and stamps the
+  /// plan so estimate divergence can never trigger a second replan.
   StatusOr<std::shared_ptr<const OptimizedQuery>> PlanFor(
-      const std::string& sql, const std::string& key, uint64_t* version_out,
-      bool mark_replanned = false);
+      std::vector<Token> tokens, const std::string& key,
+      uint64_t* version_out, bool mark_replanned = false);
 
   Database* db_;
   PlanCache* cache_;

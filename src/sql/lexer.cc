@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 
 namespace systemr {
@@ -110,13 +111,15 @@ StatusOr<std::vector<Token>> Lex(const std::string& sql) {
         ++i;
         while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
       }
-      std::string num = sql.substr(start, i - start);
-      if (is_real) {
-        tok.type = TokenType::kRealLiteral;
-        tok.real_value = std::stod(num);
-      } else {
-        tok.type = TokenType::kIntLiteral;
-        tok.int_value = std::stoll(num);
+      const char* first = sql.data() + start;
+      const char* last = sql.data() + i;
+      tok.type = is_real ? TokenType::kRealLiteral : TokenType::kIntLiteral;
+      std::errc ec = is_real ? std::from_chars(first, last, tok.real_value).ec
+                             : std::from_chars(first, last, tok.int_value).ec;
+      if (ec != std::errc()) {
+        return Status::InvalidArgument(
+            std::string(is_real ? "real" : "integer") +
+            " literal out of range at offset " + std::to_string(start));
       }
       tokens.push_back(std::move(tok));
       continue;

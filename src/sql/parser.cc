@@ -676,6 +676,10 @@ StatusOr<Statement> Parser::ParseUpdateStatistics() {
 
 StatusOr<Statement> Parse(const std::string& sql) {
   ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
+  return Parse(std::move(tokens));
+}
+
+StatusOr<Statement> Parse(std::vector<Token> tokens) {
   Parser parser(std::move(tokens));
   ASSIGN_OR_RETURN(Statement stmt, parser.ParseStatement());
   if (!parser.AtEof()) {

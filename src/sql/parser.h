@@ -10,11 +10,16 @@
 
 #include "common/status.h"
 #include "sql/ast.h"
+#include "sql/token.h"
 
 namespace systemr {
 
 /// Parses a single statement (a trailing semicolon is allowed).
 StatusOr<Statement> Parse(const std::string& sql);
+
+/// Same, from tokens already lexed (they must end with kEof, as Lex's do):
+/// a caller that needs the tokens too lexes once and parses them.
+StatusOr<Statement> Parse(std::vector<Token> tokens);
 
 /// Parses a semicolon-separated script.
 StatusOr<std::vector<Statement>> ParseScript(const std::string& sql);

@@ -5,14 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "db/database.h"
 #include "optimizer/explain.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "workload/datagen.h"
+#include "workload/querygen.h"
 
 namespace systemr {
 namespace {
@@ -415,6 +419,197 @@ TEST_F(SearchTreeTest, ScansCarryNoLearnedEstimateWithEmptyFeedback) {
       }
     }
   }
+}
+
+// Everything an access path carries, rendered field by field. Orders are
+// rendered by their classes' representative columns, so two contexts that
+// numbered their singleton classes in a different sequence still agree.
+std::string RenderPath(const AccessPath& p, const PlannerContext& ctx) {
+  auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  auto value = [](const Value& v) {
+    return std::to_string(static_cast<int>(v.type())) + ":" + v.ToString();
+  };
+  auto order = [&](const OrderSpec& spec) {
+    std::string out;
+    for (const OrderKey& k : spec) {
+      auto [t, c] = ctx.classes.Representative(k.cls);
+      out += std::to_string(t) + "." + std::to_string(c) +
+             (k.asc ? "+ " : "- ");
+    }
+    return out;
+  };
+  const PlanNode& n = *p.node;
+  const ScanSpec& s = n.scan;
+  std::string r = p.describe + " | kind " +
+                  std::to_string(static_cast<int>(n.kind)) + " cost " +
+                  num(p.cost.cost) + " pages " + num(p.cost.pages) + " rsi " +
+                  num(p.cost.rsi) + " situation " +
+                  std::to_string(static_cast<int>(p.cost.situation)) +
+                  " rows " + num(p.rows) + " order " + order(p.order) +
+                  " | node est " + num(n.est_cost) + " " + num(n.est_pages) +
+                  " " + num(n.est_rsi) + " " + num(n.est_rows) + " order " +
+                  order(n.order);
+  r += " | scan t" + std::to_string(s.table_idx) + " " + s.table->name +
+       " index " + (s.index != nullptr ? s.index->name : "-") + " eq";
+  for (const EqBound& b : s.eq_bounds) {
+    r += " [" + value(b.literal) + " outer " + std::to_string(b.outer_offset) +
+         " param " + std::to_string(b.param_idx) + "]";
+  }
+  r += " lo " + (s.lo.has_value() ? value(*s.lo) : "-") +
+       (s.lo_inclusive ? " incl" : " excl") + " param " +
+       std::to_string(s.lo_param) + " hi " +
+       (s.hi.has_value() ? value(*s.hi) : "-") +
+       (s.hi_inclusive ? " incl" : " excl") + " param " +
+       std::to_string(s.hi_param) + " sargs";
+  for (const Sarg& sarg : s.sargs) {
+    r += " (";
+    for (const auto& conj : sarg.disjuncts) {
+      r += "[";
+      for (const SargTerm& t : conj) {
+        r += std::to_string(t.column) + " " +
+             std::to_string(static_cast<int>(t.op)) + " " + value(t.value) +
+             ";";
+      }
+      r += "]";
+    }
+    r += ")";
+  }
+  r += " dyn";
+  for (const DynamicSargTerm& d : s.dyn_sargs) {
+    r += " [" + std::to_string(d.inner_column) + " " +
+         std::to_string(static_cast<int>(d.op)) + " " +
+         std::to_string(d.outer_offset) + " " + std::to_string(d.param_idx) +
+         "]";
+  }
+  r += " residual";
+  for (const BoundExpr* e : s.residual) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), " %p", static_cast<const void*>(e));
+    r += buf;
+  }
+  r += " feedback";
+  for (const ScanSpec::FeedbackTerm& t : s.feedback_terms) {
+    r += " [" + t.signature + " " + num(t.used_sel) + "]";
+  }
+  r += " base " + num(s.est_base_card) + " used " + num(s.est_sel_used) +
+       " model " + num(s.est_rows_model) +
+       (s.learned_applied ? " learned" : " not-learned") +
+       (s.feedback_eligible ? " eligible" : " not-eligible");
+  return r;
+}
+
+// After a full enumeration, the context's memoized paths for every table t
+// and every outer set without t must equal what a fresh context generates
+// for exactly (t, outer). A memo key that dropped a dimension — the table,
+// its joined neighbours in the outer set, or whether that set is empty —
+// would hand some (t, outer) the paths generated for another.
+void ExpectAccessPathMemoExact(Database* db, const std::string& sql,
+                               size_t* compared) {
+  auto h = Harness::Make(db, sql);
+  ASSERT_TRUE(h.ok()) << sql << ": " << h.status().ToString();
+  const PlannerContext& ctx = *(*h)->ctx;
+  const OptimizerOptions& opts = db->options();
+  int n = static_cast<int>((*h)->block->tables.size());
+  for (int t = 0; t < n; ++t) {
+    for (uint32_t outer = 0; outer < (1u << n); ++outer) {
+      if ((outer >> t) & 1) continue;
+      PlannerContext fresh(&db->catalog(), *(*h)->block, opts.cost,
+                           opts.use_column_stats, opts.feedback);
+      const std::vector<AccessPath>& memo = ctx.AccessPaths(t, outer);
+      const std::vector<AccessPath>& direct = fresh.AccessPaths(t, outer);
+      std::vector<std::string> want;
+      std::vector<std::string> got;
+      for (const AccessPath& p : direct) want.push_back(RenderPath(p, fresh));
+      for (const AccessPath& p : memo) got.push_back(RenderPath(p, ctx));
+      EXPECT_EQ(got, want) << sql << "\n table " << t << " outer " << outer;
+      *compared += got.size();
+    }
+  }
+}
+
+TEST(AccessPathMemoTest, PaperExampleMatchesFreshGeneration) {
+  Database db(256);
+  DataGen gen(&db, 1979);
+  ASSERT_TRUE(gen.LoadPaperExample(20000, 100, 50).ok());
+  size_t compared = 0;
+  for (const char* sql :
+       {"SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB "
+        "WHERE TITLE = 'CLERK' AND LOC = 'DENVER' "
+        "AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB",
+        "SELECT NAME FROM EMP, DEPT, JOB WHERE EMP.DNO = DEPT.DNO "
+        "AND EMP.JOB = JOB.JOB AND SAL > 30000 ORDER BY DNAME",
+        "SELECT NAME FROM EMP, DEPT WHERE EMP.DNO < DEPT.DNO AND "
+        "DEPT.LOC = 'DENVER'"}) {
+    ExpectAccessPathMemoExact(&db, sql, &compared);
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+TEST(AccessPathMemoTest, FuzzSchemasMatchFreshGeneration) {
+  for (FuzzSchema::Family family :
+       {FuzzSchema::Family::kChain, FuzzSchema::Family::kStar,
+        FuzzSchema::Family::kSnowflake}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      FuzzSchema schema = MakeFuzzSchema(family, seed);
+      Database db(64);
+      ASSERT_TRUE(BuildFuzzSchema(&db, schema, seed, true).ok());
+      FuzzQueryGen gen(schema, seed);
+      size_t compared = 0;
+      size_t joins = 0;
+      for (int q = 0; q < 12; ++q) {
+        GeneratedQuery query = gen.Next();
+        joins += query.from.size() > 1;
+        ExpectAccessPathMemoExact(&db, query.Sql(), &compared);
+      }
+      EXPECT_GT(joins, 0u) << "seed " << seed;
+      EXPECT_GT(compared, 0u);
+    }
+  }
+}
+
+// perfbench adhoc_plan's compile shapes: its schema (a 5-table chain from
+// 1000 rows, halving, A/B domain 50, seed 1) and pool, the first 40
+// statements of its seed-1 timed stream in its 1,3,1,4,1,5,1,3,4,5 round of
+// table counts, feedback off. The search counts and a checksum of every
+// EXPLAIN text pin the DP search and its chosen plans; a change here is a
+// plan change. If one is intended, re-pin with the values the failure
+// prints.
+TEST(AdhocCompileShapeTest, SearchCountsAndPlansPinned) {
+  ChainSchemaSpec spec;
+  spec.num_tables = 5;
+  spec.base_rows = 1000;
+  spec.shrink = 0.5;
+  spec.a_domain = 50;
+  spec.b_domain = 50;
+  Database db(256);
+  ASSERT_TRUE(BuildChainSchema(&db, spec, 1).ok());
+  db.set_feedback_enabled(false);
+
+  QueryGen gen(spec, 0x9E3779B97F4A7C15ull);  // Seed 1, stream 0.
+  constexpr int kRound[] = {1, 3, 1, 4, 1, 5, 1, 3, 4, 5};
+  uint64_t generated = 0;
+  uint64_t stored = 0;
+  uint64_t checksum = 1469598103934665603ULL;  // FNV-1a.
+  for (int i = 0; i < 40; ++i) {
+    int k = kRound[i % 10];
+    std::string sql =
+        k == 1 ? gen.RandomSingleTableQuery() : gen.RandomJoinQuery(k);
+    auto q = db.Prepare(sql);
+    ASSERT_TRUE(q.ok()) << sql << ": " << q.status().ToString();
+    generated += q->solutions_generated;
+    stored += q->solutions_stored;
+    for (char c : ExplainPlan(q->root, *q->block)) {
+      checksum = (checksum ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(generated, 4229u) << "new value: " << generated;
+  EXPECT_EQ(stored, 830u) << "new value: " << stored;
+  EXPECT_EQ(checksum, 0xb9b9ceb3128ddf08ULL)
+      << "EXPLAIN checksum changed; new value: 0x" << std::hex << checksum;
 }
 
 }  // namespace

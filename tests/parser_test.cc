@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "sql/lexer.h"
 
 namespace systemr {
@@ -29,6 +32,30 @@ TEST(LexerTest, CommentsAndErrors) {
   ASSERT_TRUE(ok.ok());
   EXPECT_FALSE(Lex("SELECT 'unterminated").ok());
   EXPECT_FALSE(Lex("SELECT #").ok());
+}
+
+// A numeric literal outside its type's range is a lex error naming the
+// literal's offset, never an exception.
+TEST(LexerTest, OutOfRangeLiteralsAreErrors) {
+  auto big_int = Lex("SELECT K FROM T WHERE K = 99999999999999999999");
+  ASSERT_FALSE(big_int.ok());
+  EXPECT_EQ(big_int.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(big_int.status().ToString().find("offset 26"), std::string::npos)
+      << big_int.status().ToString();
+  auto big_real = Lex("SELECT K FROM T WHERE X < " + std::string(400, '9') +
+                      ".5");
+  ASSERT_FALSE(big_real.ok());
+  EXPECT_EQ(big_real.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(big_real.status().ToString().find("offset 26"), std::string::npos)
+      << big_real.status().ToString();
+  auto tiny_real = Lex("SELECT K FROM T WHERE X < 0." + std::string(400, '0') +
+                       "1");
+  EXPECT_FALSE(tiny_real.ok());
+  // The largest int64 still lexes.
+  auto max_int = Lex("SELECT 9223372036854775807");
+  ASSERT_TRUE(max_int.ok());
+  EXPECT_EQ((*max_int)[1].int_value, INT64_MAX);
+  EXPECT_FALSE(Parse("SELECT K FROM T WHERE K = 9223372036854775808").ok());
 }
 
 TEST(ParserTest, PaperFigure1Query) {

@@ -117,6 +117,30 @@ TEST_F(ServingTest, RoundTripQueryDmlPrepareExecute) {
   c.Close();
 }
 
+// A numeric literal out of its type's range is an error reply, not a dead
+// server: the same connection answers the next statement.
+TEST_F(ServingTest, OutOfRangeLiteralIsAnErrorReply) {
+  StartServer({});
+  Client c = Connect();
+  const std::string bad[] = {
+      "SELECT PK FROM T0 WHERE PK = 99999999999999999999",
+      "SELECT PK FROM T0 WHERE PK < " + std::string(400, '9') + ".5",
+      "INSERT INTO T0 VALUES (99999999999999999999, 1)"};
+  for (const std::string& sql : bad) {
+    auto reply = c.Query(sql);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->code, StatusCode::kInvalidArgument) << reply->message;
+    auto rows = c.Query("SELECT PK FROM T0 WHERE PK = 0");
+    ASSERT_TRUE(rows.ok() && rows->ok());
+    EXPECT_EQ(rows->rows.size(), 1u);
+  }
+  auto prepared = c.Prepare("q", bad[0]);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_EQ(prepared->code, StatusCode::kInvalidArgument);
+  EXPECT_TRUE(c.Query("SELECT PK FROM T0 WHERE PK = 0").value().ok());
+  c.Close();
+}
+
 TEST_F(ServingTest, HelloGateAndVersionCheck) {
   StartServer({}, 1, 0);
   // Raw socket: speak frames without the handshake.

@@ -1,6 +1,7 @@
 // Session subsystem tests: parameterized prepared statements, the shared
 // plan cache (hit / invalidation / eviction semantics), and concurrent
 // multi-session execution with race-free per-statement ExecStats.
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -143,6 +144,58 @@ TEST(NormalizeSqlTest, CanonicalizesCaseAndSpacing) {
             NormalizeSql("SELECT * FROM T WHERE A = 2"));
   EXPECT_NE(NormalizeSql("SELECT * FROM T WHERE A = ?"),
             NormalizeSql("SELECT * FROM T WHERE A = 1"));
+  // Literals render exactly: reals past six significant digits, an
+  // integral real against its int, a quote inside a string.
+  EXPECT_NE(NormalizeSql("SELECT * FROM T WHERE X < 0.1234568"),
+            NormalizeSql("SELECT * FROM T WHERE X < 0.1234569"));
+  EXPECT_NE(NormalizeSql("SELECT K + 1 FROM T"),
+            NormalizeSql("SELECT K + 1.0 FROM T"));
+  EXPECT_NE(NormalizeSql("SELECT * FROM T WHERE S IN ('a'' , ''b')"),
+            NormalizeSql("SELECT * FROM T WHERE S IN ('a', 'b')"));
+}
+
+// Statements whose keys used to collide, run through one cached Session in
+// both orders: each must return what an uncached Database::Query returns,
+// value types included.
+TEST_F(SessionTest, DistinctLiteralsNeverShareAPlan) {
+  ASSERT_TRUE(db_->ExecuteScript(R"(
+    CREATE TABLE T (K INT, X REAL, S STRING);
+    INSERT INTO T VALUES (1, 0.1, 'a');
+    INSERT INTO T VALUES (2, 0.12345685, 'b');
+    INSERT INTO T VALUES (3, 0.5, 'a'' , ''b');
+  )").ok());
+  const std::pair<const char*, const char*> pairs[] = {
+      {"SELECT K FROM T WHERE X < 0.1234568",
+       "SELECT K FROM T WHERE X < 0.1234569"},
+      {"SELECT K + 1 FROM T", "SELECT K + 1.0 FROM T"},
+      {"SELECT K FROM T WHERE S IN ('a'' , ''b')",
+       "SELECT K FROM T WHERE S IN ('a', 'b')"}};
+  auto typed_rows = [](const QueryResult& r) {
+    std::vector<std::string> out;
+    for (const Row& row : r.rows) {
+      std::string line;
+      for (const Value& v : row) {
+        line += std::to_string(static_cast<int>(v.type())) + ":" +
+                v.ToString() + " ";
+      }
+      out.push_back(line);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (const auto& [a, b] : pairs) {
+    for (const auto& order : {std::make_pair(a, b), std::make_pair(b, a)}) {
+      PlanCache cache;
+      Session session(db_.get(), &cache);
+      for (const char* sql : {order.first, order.second}) {
+        auto cached = session.ExecuteQuery(sql);
+        auto direct = db_->Query(sql);
+        ASSERT_TRUE(cached.ok() && direct.ok()) << sql;
+        EXPECT_EQ(typed_rows(*cached), typed_rows(*direct)) << sql;
+      }
+      EXPECT_EQ(cache.size(), 2u) << order.first;
+    }
+  }
 }
 
 TEST_F(SessionTest, UpdateStatisticsInvalidatesPlan) {
