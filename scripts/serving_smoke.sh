@@ -32,6 +32,7 @@ BEGIN;
 INSERT INTO T VALUES (4, 40);
 COMMIT;
 SELECT COUNT(*) FROM T;
+EXPLAIN SELECT V FROM T WHERE PK = 2;
 \stats
 \quit
 EOF
@@ -42,13 +43,29 @@ EOF
 grep -q '^20$\|| *20' "$tmp/smoke.out"          # point lookup answer
 grep -q '^30$\|| *30' "$tmp/smoke.out"          # prepared-statement answer
 grep -q '^4$\|| *4'  "$tmp/smoke.out"           # COUNT(*) after the insert
+grep -q '\[cost=' "$tmp/smoke.out"               # EXPLAIN's plan line
 grep -q 'statements:.*admitted=' "$tmp/smoke.out"  # \stats over the wire
 
-# Local mode prints a result's row count once: the table's "(1 row)" line,
-# not again on the stats line below it.
-{ cat "$tmp/init.sql"; echo 'SELECT V FROM T WHERE PK = 2;'; } > "$tmp/local.sql"
+# Local mode runs every statement through its session and prints each
+# result by the kind that ran. A result's row count shows once: the table's
+# "(1 row)" line, not again on the stats line below it.
+cat "$tmp/init.sql" - > "$tmp/local.sql" <<'EOF'
+SELECT V FROM T WHERE PK = 2;
+BEGIN;
+INSERT INTO T VALUES (4, 40);
+COMMIT;
+EXPLAIN SELECT V FROM T WHERE PK = 4;
+ROLLBACK;
+UPDATE STATISTICS T;
+EOF
 "$build/tools/repl" --script "$tmp/local.sql" | tee "$tmp/local.out"
 [ "$(grep -c '(1 row)' "$tmp/local.out")" -eq 1 ]
+grep -qx 'begin' "$tmp/local.out"
+grep -qx '1 row' "$tmp/local.out"                # the INSERT's count
+grep -qx 'commit' "$tmp/local.out"
+grep -q '\[cost=' "$tmp/local.out"               # EXPLAIN's plan line
+grep -q '^error: .*ROLLBACK outside a transaction' "$tmp/local.out"
+[ "$(tail -n 1 "$tmp/local.out")" = ok ]          # UPDATE STATISTICS
 
 # Graceful shutdown: SIGTERM must drain and exit 0, printing final stats.
 kill -TERM "$server_pid"

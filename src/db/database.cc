@@ -10,6 +10,24 @@
 
 namespace systemr {
 
+namespace {
+
+/// What an entry point that takes only a query answers other kinds with.
+Status NotAQuery() {
+  return Status::InvalidArgument("expected a SELECT statement");
+}
+
+/// A statement's `?` markers and the values given for them must match.
+Status CheckParamCount(int num_params, size_t bound) {
+  if (static_cast<size_t>(num_params) == bound) return Status::OK();
+  return Status::InvalidArgument("statement takes " +
+                                 std::to_string(num_params) +
+                                 " parameter(s), " + std::to_string(bound) +
+                                 " bound");
+}
+
+}  // namespace
+
 Database::Database(size_t buffer_pages, OptimizerOptions options)
     : options_(options), rss_(buffer_pages), catalog_(&rss_) {
   options_.cost.buffer_pages = buffer_pages;
@@ -25,7 +43,7 @@ StatusOr<OptimizedQuery> Database::Compile(
     std::optional<BaselineKind> baseline) {
   if (stmt.kind != Statement::Kind::kSelect &&
       stmt.kind != Statement::Kind::kExplain) {
-    return Status::InvalidArgument("expected a SELECT statement");
+    return NotAQuery();
   }
   Binder binder(&catalog_);
   ASSIGN_OR_RETURN(std::unique_ptr<BoundQueryBlock> block,
@@ -50,6 +68,7 @@ StatusOr<OptimizedQuery> Database::Prepare(const std::string& sql, int max_dop,
 
 StatusOr<OptimizedQuery> Database::Prepare(const Statement& stmt, int max_dop,
                                            bool force_parallel) {
+  if (stmt.kind != Statement::Kind::kSelect) return NotAQuery();
   OptimizerOptions opts = options_;
   opts.max_dop = max_dop;
   opts.force_parallel = force_parallel;
@@ -66,32 +85,18 @@ StatusOr<QueryResult> Database::Run(const OptimizedQuery& query) {
   return Run(query, {}, nullptr);
 }
 
-std::vector<RelId> Database::ReferencedRels(const OptimizedQuery& query) {
-  std::vector<RelId> rels;
-  for (const BoundTable& bt : query.block->tables) {
-    rels.push_back(bt.table->id);
-  }
-  for (const auto& [block, plan] : query.subquery_plans) {
-    for (const BoundTable& bt : block->tables) rels.push_back(bt.table->id);
-  }
-  return rels;
-}
-
 StatusOr<QueryResult> Database::Run(const OptimizedQuery& query,
                                     const std::vector<Value>& params,
                                     const ExecLimits* limits, Txn* txn) {
-  if (static_cast<int>(params.size()) != query.num_params) {
-    return Status::InvalidArgument(
-        "statement takes " + std::to_string(query.num_params) +
-        " parameter(s), " + std::to_string(params.size()) + " bound");
-  }
+  RETURN_IF_ERROR(CheckParamCount(query.num_params, params.size()));
   // Shared locks on every relation the plan reads. A transaction keeps them
   // (strict 2PL); an auto-committed read drops them when the run ends.
   TxnId lock_owner =
       txn != nullptr ? txn->id()
                      : next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  RETURN_IF_ERROR(lock_mgr_.AcquireAll(lock_owner, ReferencedRels(query),
-                                       LockMode::kShared));
+  RETURN_IF_ERROR(lock_mgr_.AcquireAll(
+      lock_owner, ReadSet(*query.block, query.subquery_plans),
+      LockMode::kShared));
   struct EphemeralRelease {
     LockManager* mgr;
     TxnId owner;
@@ -159,13 +164,11 @@ void Database::RecordFeedback(const ExecContext& ctx,
 
 StatusOr<QueryResult> Database::Query(const std::string& sql) {
   ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
-  ASSIGN_OR_RETURN(OptimizedQuery prepared, Compile(stmt, options_));
-  if (stmt.kind == Statement::Kind::kSelect) return Run(prepared);
-  QueryResult result;
-  result.plan_text = ExplainPlan(prepared.root, *prepared.block);
-  result.est_cost = prepared.est_cost;
-  result.est_rows = prepared.est_rows;
-  return result;
+  if (stmt.kind != Statement::Kind::kSelect &&
+      stmt.kind != Statement::Kind::kExplain) {
+    return NotAQuery();
+  }
+  return Execute(stmt);
 }
 
 StatusOr<std::string> Database::Explain(const std::string& sql) {
@@ -227,60 +230,50 @@ Status Database::RollbackTxn(Txn* txn) {
   return s;
 }
 
-StatusOr<size_t> Database::DispatchDml(Statement& stmt, Txn* txn,
-                                       const ExecLimits* limits) {
-  if (limits == nullptr) limits = &exec_limits_;
-  switch (stmt.kind) {
-    case Statement::Kind::kInsert:
-      return ExecuteInsertStatement(&catalog_, *stmt.insert, txn, limits);
-    case Statement::Kind::kDelete:
-      return ExecuteDeleteStatement(&catalog_, options_,
-                                    stmt.delete_stmt.get(), txn, limits);
-    case Statement::Kind::kUpdate:
-      return ExecuteUpdateStatement(&catalog_, options_,
-                                    stmt.update_stmt.get(), txn, limits);
-    default:
-      return Status::Internal("not a DML statement");
+Status Database::Begin(std::unique_ptr<Txn>* slot) {
+  if (*slot != nullptr) {
+    return Status::InvalidArgument("transaction already open");
   }
+  *slot = BeginTxn();
+  return Status::OK();
 }
 
-StatusOr<size_t> Database::ExecuteDmlStatement(Statement& stmt, Txn* txn,
-                                               const ExecLimits* limits) {
-  const std::string& table = stmt.kind == Statement::Kind::kInsert
-                                 ? stmt.insert->table
-                                 : stmt.kind == Statement::Kind::kDelete
-                                       ? stmt.delete_stmt->table
-                                       : stmt.update_stmt->table;
-  const TableInfo* info = catalog_.FindTable(table);
-  if (info == nullptr) return Status::NotFound("no such table: " + table);
-
-  if (txn != nullptr) {
-    RETURN_IF_ERROR(
-        lock_mgr_.Acquire(txn->id(), info->id, LockMode::kExclusive));
-    size_t mark = txn->SavepointMark();
-    StatusOr<size_t> result = DispatchDml(stmt, txn, limits);
-    if (!result.ok()) {
-      // Statement-level atomicity: the failed statement's effects vanish,
-      // the transaction lives on.
-      RETURN_IF_ERROR(RollbackToMark(txn, mark));
-    }
-    return result;
+Status Database::Commit(std::unique_ptr<Txn>* slot) {
+  if (*slot == nullptr) {
+    return Status::InvalidArgument("COMMIT outside a transaction");
   }
+  std::unique_ptr<Txn> txn = std::move(*slot);
+  return CommitTxn(txn.get());
+}
 
+Status Database::Rollback(std::unique_ptr<Txn>* slot) {
+  if (*slot == nullptr) {
+    return Status::InvalidArgument("ROLLBACK outside a transaction");
+  }
+  std::unique_ptr<Txn> txn = std::move(*slot);
+  return RollbackTxn(txn.get());
+}
+
+StatusOr<size_t> Database::ExecuteDml(Statement& stmt,
+                                      const std::vector<Value>& params,
+                                      const ExecLimits* limits, Txn* txn) {
+  RETURN_IF_ERROR(CheckParamCount(stmt.num_params, params.size()));
   // Auto-commit: an internal single-statement transaction.
-  std::unique_ptr<Txn> local = BeginTxn();
-  Status lock = lock_mgr_.Acquire(local->id(), info->id, LockMode::kExclusive);
-  if (!lock.ok()) {
-    lock_mgr_.ReleaseAll(local->id());
-    return lock;
+  std::unique_ptr<Txn> local = txn == nullptr ? BeginTxn() : nullptr;
+  Txn* owner = txn != nullptr ? txn : local.get();
+  size_t mark = owner->SavepointMark();
+  StatusOr<size_t> result = systemr::ExecuteDml(
+      &catalog_, &lock_mgr_, options_, &stmt, owner,
+      limits != nullptr ? *limits : exec_limits_, params);
+  if (local != nullptr) {
+    RETURN_IF_ERROR(result.ok() ? CommitTxn(local.get())
+                                : RollbackTxn(local.get()));
+  } else if (!result.ok()) {
+    // Statement-level atomicity: the failed statement's effects vanish,
+    // the transaction lives on.
+    RETURN_IF_ERROR(RollbackToMark(txn, mark));
   }
-  StatusOr<size_t> result = DispatchDml(stmt, local.get(), limits);
-  if (result.ok()) {
-    RETURN_IF_ERROR(CommitTxn(local.get()));
-    return result;
-  }
-  RETURN_IF_ERROR(RollbackTxn(local.get()));
-  return result.status();
+  return result;
 }
 
 StatusOr<size_t> Database::Mutate(const std::string& sql, Txn* txn,
@@ -291,109 +284,101 @@ StatusOr<size_t> Database::Mutate(const std::string& sql, Txn* txn,
       stmt.kind != Statement::Kind::kUpdate) {
     return Status::InvalidArgument("Mutate() takes INSERT, DELETE or UPDATE");
   }
-  return ExecuteDmlStatement(stmt, txn, limits);
+  return ExecuteDml(stmt, {}, limits, txn);
 }
 
-Status Database::ExecuteStatement(Statement& stmt, Txn* txn) {
+StatusOr<QueryResult> Database::Execute(Statement& stmt,
+                                        const std::vector<Value>& params,
+                                        const ExecLimits* limits,
+                                        std::unique_ptr<Txn>* txn) {
+  QueryResult result;
+  Txn* open = txn != nullptr ? txn->get() : nullptr;
   switch (stmt.kind) {
-    case Statement::Kind::kSelect:
+    case Statement::Kind::kSelect: {
+      ASSIGN_OR_RETURN(OptimizedQuery prepared, Compile(stmt, options_));
+      ASSIGN_OR_RETURN(result, Run(prepared, params, limits, open));
+      break;
+    }
     case Statement::Kind::kExplain: {
       ASSIGN_OR_RETURN(OptimizedQuery prepared, Compile(stmt, options_));
-      if (stmt.kind == Statement::Kind::kExplain) return Status::OK();
-      ASSIGN_OR_RETURN(QueryResult ignored, Run(prepared, {}, nullptr, txn));
-      (void)ignored;
-      return Status::OK();
+      result = QueryResult::ForExplain(prepared);
+      break;
     }
     case Statement::Kind::kCreateTable: {
       std::vector<ColumnDef> cols;
       for (const auto& [name, type] : stmt.create_table->columns) {
         cols.push_back(ColumnDef{name, type});
       }
-      ASSIGN_OR_RETURN(TableInfo * ignored,
-                       catalog_.CreateTable(stmt.create_table->name,
-                                            Schema(std::move(cols))));
-      (void)ignored;
-      return Status::OK();
+      RETURN_IF_ERROR(catalog_
+                          .CreateTable(stmt.create_table->name,
+                                       Schema(std::move(cols)))
+                          .status());
+      break;
     }
-    case Statement::Kind::kCreateIndex: {
-      ASSIGN_OR_RETURN(
-          IndexInfo * ignored,
-          catalog_.CreateIndex(stmt.create_index->name,
-                               stmt.create_index->table,
-                               stmt.create_index->columns,
-                               stmt.create_index->unique,
-                               stmt.create_index->clustered));
-      (void)ignored;
-      return Status::OK();
-    }
+    case Statement::Kind::kCreateIndex:
+      RETURN_IF_ERROR(catalog_
+                          .CreateIndex(stmt.create_index->name,
+                                       stmt.create_index->table,
+                                       stmt.create_index->columns,
+                                       stmt.create_index->unique,
+                                       stmt.create_index->clustered)
+                          .status());
+      break;
     case Statement::Kind::kUpdateStatistics:
-      return catalog_.UpdateStatistics(stmt.update_statistics->table);
+      RETURN_IF_ERROR(
+          catalog_.UpdateStatistics(stmt.update_statistics->table));
+      break;
     case Statement::Kind::kInsert:
     case Statement::Kind::kDelete:
     case Statement::Kind::kUpdate: {
-      ASSIGN_OR_RETURN(size_t affected,
-                       ExecuteDmlStatement(stmt, txn, nullptr));
-      (void)affected;
-      return Status::OK();
+      ASSIGN_OR_RETURN(result.affected,
+                       ExecuteDml(stmt, params, limits, open));
+      break;
     }
     case Statement::Kind::kBegin:
     case Statement::Kind::kCommit:
     case Statement::Kind::kRollback:
-      return Status::InvalidArgument(
-          "transaction control is only valid in a session or script");
+      if (txn == nullptr) {
+        return Status::InvalidArgument(
+            "transaction control is only valid in a session or script");
+      }
+      RETURN_IF_ERROR(stmt.kind == Statement::Kind::kBegin    ? Begin(txn)
+                      : stmt.kind == Statement::Kind::kCommit ? Commit(txn)
+                                                              : Rollback(txn));
+      break;
   }
-  return Status::Internal("unhandled statement kind");
+  result.kind = stmt.kind;
+  return result;
 }
 
 Status Database::Execute(const std::string& sql) {
   ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
-  return ExecuteStatement(stmt);
+  return Execute(stmt).status();
 }
 
 Status Database::ExecuteScript(const std::string& sql) {
   ASSIGN_OR_RETURN(std::vector<Statement> stmts, ParseScript(sql));
   std::unique_ptr<Txn> txn;  // Script-local transaction, if BEGIN was seen.
-  auto finish = [&](Status s) {
-    // A transaction still open when the script ends (or fails) rolls back.
-    if (txn != nullptr) {
-      Status rb = RollbackTxn(txn.get());
-      if (s.ok()) s = rb;
-    }
-    return s;
-  };
+  Status s;
   for (Statement& stmt : stmts) {
-    switch (stmt.kind) {
-      case Statement::Kind::kBegin:
-        if (txn != nullptr) {
-          return finish(Status::InvalidArgument("transaction already open"));
-        }
-        txn = BeginTxn();
-        break;
-      case Statement::Kind::kCommit: {
-        if (txn == nullptr) {
-          return Status::InvalidArgument("COMMIT outside a transaction");
-        }
-        Status s = CommitTxn(txn.get());
-        txn.reset();
-        if (!s.ok()) return s;
-        break;
-      }
-      case Statement::Kind::kRollback: {
-        if (txn == nullptr) {
-          return Status::InvalidArgument("ROLLBACK outside a transaction");
-        }
-        Status s = RollbackTxn(txn.get());
-        txn.reset();
-        if (!s.ok()) return s;
-        break;
-      }
-      default: {
-        Status s = ExecuteStatement(stmt, txn.get());
-        if (!s.ok()) return finish(s);
-      }
-    }
+    s = Execute(stmt, {}, nullptr, &txn).status();
+    if (!s.ok()) break;
   }
-  return finish(Status::OK());
+  // A transaction still open when the script ends (or fails) rolls back.
+  if (txn != nullptr) {
+    Status rb = Rollback(&txn);
+    if (s.ok()) s = rb;
+  }
+  return s;
+}
+
+QueryResult QueryResult::ForExplain(const OptimizedQuery& query) {
+  QueryResult result;
+  result.kind = Statement::Kind::kExplain;
+  result.plan_text = ExplainPlan(query.root, *query.block);
+  result.est_cost = query.est_cost;
+  result.est_rows = query.est_rows;
+  return result;
 }
 
 std::string QueryResult::ToString(size_t max_rows) const {

@@ -21,14 +21,22 @@
 
 namespace systemr {
 
+/// What one statement did: the kind that ran, and its rows (SELECT), its
+/// plan text (EXPLAIN) or its affected-row count (INSERT, DELETE, UPDATE).
+/// Other kinds report only that they ran.
 struct QueryResult {
+  Statement::Kind kind = Statement::Kind::kSelect;
   std::vector<std::string> columns;
   std::vector<Row> rows;
+  size_t affected = 0;
   ExecStats stats;
   double actual_cost = 0;
   double est_cost = 0;
   double est_rows = 0;
   std::string plan_text;  // Filled for EXPLAIN.
+
+  /// The EXPLAIN result for a planned query: its plan text and estimates.
+  static QueryResult ForExplain(const OptimizedQuery& query);
 
   /// Renders an aligned result table (up to `max_rows` rows).
   std::string ToString(size_t max_rows = 50) const;
@@ -38,9 +46,18 @@ class Database {
  public:
   explicit Database(size_t buffer_pages = 128, OptimizerOptions options = {});
 
-  /// Executes any statement; SELECT output is discarded. For scripts.
-  /// BEGIN/COMMIT/ROLLBACK are rejected here — transaction state lives in a
-  /// Session (or within one ExecuteScript call).
+  /// The statement router: runs a parsed statement of any kind and reports
+  /// what ran. `params` binds a SELECT's or a DML statement's `?` markers;
+  /// `limits`, when non-null, overrides the database-wide exec limits. `txn`
+  /// is the caller's transaction slot: SELECT and DML join the transaction
+  /// it holds (auto-commit when empty), and BEGIN/COMMIT/ROLLBACK open and
+  /// end it. A null slot rejects transaction control. Consumes a DELETE's or
+  /// UPDATE's WHERE.
+  StatusOr<QueryResult> Execute(Statement& stmt,
+                                const std::vector<Value>& params = {},
+                                const ExecLimits* limits = nullptr,
+                                std::unique_ptr<Txn>* txn = nullptr);
+  /// Parses `sql` and routes it with no slot; a SELECT's rows are discarded.
   Status Execute(const std::string& sql);
   /// Statement sequence; supports BEGIN/COMMIT/ROLLBACK with a script-local
   /// transaction. A transaction still open at end of script is rolled back.
@@ -48,7 +65,7 @@ class Database {
 
   /// Executes an INSERT, DELETE, or UPDATE and returns the number of
   /// affected rows. With `txn` the mutation joins that transaction (its
-  /// X lock is taken under the transaction, effects roll back to the
+  /// locks are taken under the transaction, effects roll back to the
   /// statement savepoint on error); without, the statement auto-commits —
   /// it runs in an internal transaction committed on success and rolled
   /// back (leaving nothing) on failure. `limits`, when non-null, overrides
@@ -71,6 +88,13 @@ class Database {
   /// Rolls back to a statement savepoint (undo-log mark), keeping the
   /// transaction alive.
   Status RollbackToMark(Txn* txn, size_t mark);
+  /// BEGIN, COMMIT and ROLLBACK on a caller's transaction slot (a Session's
+  /// or a script's): Begin fills an empty slot, Commit and Rollback end the
+  /// transaction it holds and empty it. Each fails with kInvalidArgument
+  /// when the slot is in the wrong state.
+  Status Begin(std::unique_ptr<Txn>* slot);
+  Status Commit(std::unique_ptr<Txn>* slot);
+  Status Rollback(std::unique_ptr<Txn>* slot);
 
   LockManager& lock_manager() { return lock_mgr_; }
 
@@ -97,7 +121,8 @@ class Database {
   /// EXPLAIN convenience: the optimizer's chosen plan, rendered.
   StatusOr<std::string> Explain(const std::string& sql);
 
-  /// Parse+bind+optimize without executing (for benches and tests).
+  /// Parse+bind+optimize a SELECT without executing (for benches and
+  /// tests); any other kind, EXPLAIN included, is kInvalidArgument.
   StatusOr<OptimizedQuery> Prepare(const std::string& sql);
   /// Same, overriding the optimizer's degree-of-parallelism knobs for this
   /// one statement (the PARALLEL n session setting). max_dop <= 1 plans
@@ -156,16 +181,11 @@ class Database {
   StatusOr<OptimizedQuery> Compile(
       const Statement& stmt, const OptimizerOptions& options,
       std::optional<BaselineKind> baseline = std::nullopt);
-  Status ExecuteStatement(Statement& stmt, Txn* txn = nullptr);
-  /// X-locks the target, runs the statement under `txn` (or an internal
-  /// auto-commit transaction), rolls back to the statement savepoint on
-  /// error. Null `limits` means the database-wide exec limits.
-  StatusOr<size_t> ExecuteDmlStatement(Statement& stmt, Txn* txn,
-                                       const ExecLimits* limits);
-  StatusOr<size_t> DispatchDml(Statement& stmt, Txn* txn,
-                               const ExecLimits* limits);
-  /// Relations the query reads (main block + nested subquery blocks).
-  static std::vector<RelId> ReferencedRels(const OptimizedQuery& query);
+  /// Mutate for a parsed statement, with `params` bound to its `?` markers:
+  /// the router's DML leg. Null `limits` means the database-wide ones.
+  StatusOr<size_t> ExecuteDml(Statement& stmt,
+                              const std::vector<Value>& params,
+                              const ExecLimits* limits, Txn* txn);
 
   void RecordFeedback(const ExecContext& ctx, const OptimizedQuery& query);
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <map>
 
+#include "sql/lexer.h"
 #include "sql/parser.h"
 
 namespace systemr {
@@ -34,10 +35,24 @@ struct ConnState {
   uint64_t set_deadline_ms = 0;
 };
 
-std::string RowsReplyFor(const QueryResult& r) {
-  return EncodeRowsReply(r.columns, r.rows, r.plan_text, r.stats.page_fetches,
-                         r.stats.buffer_gets, r.stats.rsi_calls, r.est_cost,
-                         r.actual_cost);
+/// The reply for one statement, chosen by what ran: rows or plan text for a
+/// SELECT (QUERY or EXECUTE) or an EXPLAIN, a count for DML, a bare status
+/// for the rest.
+std::string ReplyFor(const StatusOr<QueryResult>& r) {
+  if (!r.ok()) return EncodeStatusReply(r.status());
+  switch (r->kind) {
+    case Statement::Kind::kSelect:
+    case Statement::Kind::kExplain:
+      return EncodeRowsReply(r->columns, r->rows, r->plan_text,
+                             r->stats.page_fetches, r->stats.buffer_gets,
+                             r->stats.rsi_calls, r->est_cost, r->actual_cost);
+    case Statement::Kind::kInsert:
+    case Statement::Kind::kDelete:
+    case Statement::Kind::kUpdate:
+      return EncodeAffectedReply(r->affected);
+    default:
+      return EncodeStatusReply(Status::OK());
+  }
 }
 
 }  // namespace
@@ -168,74 +183,39 @@ void Server::Serve(Conn* conn) {
     return l;
   };
 
-  // Wraps one executing statement in admission control. `fn` returns the
-  // encoded reply; a non-OK admission becomes the reply instead (shedding /
-  // shutdown), and completion counters are bumped by reply status.
-  auto admitted = [&](auto&& fn) -> std::string {
+  // Runs one statement under admission control and encodes its reply. A
+  // non-OK admission becomes the reply instead (shedding / shutdown);
+  // completion counters are bumped by the statement's status.
+  auto admitted = [&](auto&& run) -> std::string {
     if (stopping_.load(std::memory_order_acquire)) {
       return EncodeStatusReply(Status::Cancelled("server shutting down"));
     }
     Status slot = admission_.Admit();
     if (!slot.ok()) return EncodeStatusReply(slot);
     session.set_limits(effective_limits());
-    std::string reply = fn();
+    StatusOr<QueryResult> r = run();
+    ++(r.ok() ? stmts_completed_ : stmts_failed_);
+    std::string reply = ReplyFor(r);
     admission_.Release();
     return reply;
   };
 
-  auto count_result = [&](const Status& s) {
-    if (s.ok()) {
-      ++stmts_completed_;
-    } else {
-      ++stmts_failed_;
-    }
-  };
-
-  // Routes one parsed SQL statement (the QUERY opcode accepts any statement
-  // the repl does). Executing kinds go through admission; transaction
-  // control stays outside it — a COMMIT queued behind statements that are
-  // themselves waiting on this transaction's locks would couple everyone's
-  // latency to the lock timeout.
+  // Runs a QUERY frame's text, lexed once here; the session parses the
+  // tokens at most once. Transaction control stays outside admission — a
+  // COMMIT queued behind statements that are themselves waiting on this
+  // transaction's locks would couple everyone's latency to the lock
+  // timeout. Everything else, EXPLAIN included, is admitted.
   auto run_sql = [&](const std::string& sql,
                      const std::vector<Value>& params) -> std::string {
-    StatusOr<Statement> parsed = Parse(sql);
-    if (!parsed.ok()) return EncodeStatusReply(parsed.status());
-    switch (parsed->kind) {
-      case Statement::Kind::kSelect:
-        return admitted([&] {
-          StatusOr<QueryResult> r = session.ExecuteQuery(sql, params);
-          count_result(r.status());
-          if (!r.ok()) return EncodeStatusReply(r.status());
-          return RowsReplyFor(*r);
-        });
-      case Statement::Kind::kExplain: {
-        StatusOr<QueryResult> r = db_->Query(sql);
-        if (!r.ok()) return EncodeStatusReply(r.status());
-        return RowsReplyFor(*r);
-      }
-      case Statement::Kind::kInsert:
-      case Statement::Kind::kDelete:
-      case Statement::Kind::kUpdate:
-        return admitted([&] {
-          StatusOr<size_t> n = session.Mutate(sql);
-          count_result(n.status());
-          if (!n.ok()) return EncodeStatusReply(n.status());
-          return EncodeAffectedReply(*n);
-        });
-      case Statement::Kind::kBegin:
-        return EncodeStatusReply(session.Begin());
-      case Statement::Kind::kCommit:
-        return EncodeStatusReply(session.Commit());
-      case Statement::Kind::kRollback:
-        return EncodeStatusReply(session.Rollback());
-      default:
-        // DDL / UPDATE STATISTICS: real page work, admission applies.
-        return admitted([&] {
-          Status s = db_->Execute(sql);
-          count_result(s);
-          return EncodeStatusReply(s);
-        });
+    StatusOr<std::vector<Token>> tokens = Lex(sql);
+    if (!tokens.ok()) return EncodeStatusReply(tokens.status());
+    TokenType lead = LeadingToken(*tokens);
+    auto run = [&] { return session.Execute(sql, std::move(*tokens), params); };
+    if (lead == TokenType::kBegin || lead == TokenType::kCommit ||
+        lead == TokenType::kRollback) {
+      return ReplyFor(run());
     }
+    return admitted(run);
   };
 
   while (open) {
@@ -319,12 +299,7 @@ void Server::Serve(Conn* conn) {
                 Status::NotFound("no prepared statement '" + name + "'"));
             break;
           }
-          reply = admitted([&] {
-            StatusOr<QueryResult> r = it->second->Execute(params);
-            count_result(r.status());
-            if (!r.ok()) return EncodeStatusReply(r.status());
-            return RowsReplyFor(*r);
-          });
+          reply = admitted([&] { return it->second->Execute(params); });
           break;
         }
         case Opcode::kBegin:

@@ -286,6 +286,16 @@ StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
                          subplans, use_hash_agg);
 }
 
+std::vector<RelId> ReadSet(const BoundQueryBlock& block,
+                           const SubplanMap& subplans) {
+  std::vector<RelId> rels;
+  for (const BoundTable& bt : block.tables) rels.push_back(bt.table->id);
+  for (const auto& [sub, plan] : subplans) {
+    for (const BoundTable& bt : sub->tables) rels.push_back(bt.table->id);
+  }
+  return rels;
+}
+
 StatusOr<OptimizedQuery> Optimizer::Optimize(
     std::unique_ptr<BoundQueryBlock> block) const {
   OptimizedQuery out;

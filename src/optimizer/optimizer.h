@@ -39,6 +39,12 @@ struct OptimizerOptions {
 /// Plans for every nested query block, keyed by block identity.
 using SubplanMap = std::unordered_map<const BoundQueryBlock*, PlanRef>;
 
+/// Relations a statement reads: `block`'s FROM list and that of every nested
+/// block planned in `subplans`. A statement takes S on all of them before
+/// its first read.
+std::vector<RelId> ReadSet(const BoundQueryBlock& block,
+                           const SubplanMap& subplans);
+
 struct OptimizedQuery {
   std::unique_ptr<BoundQueryBlock> block;  // Owns all nested blocks too.
   PlanRef root;

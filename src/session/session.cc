@@ -40,8 +40,13 @@ StatusOr<std::shared_ptr<const OptimizedQuery>> Session::PlanFor(
 }
 
 StatusOr<PreparedStatement> Session::Prepare(const std::string& sql) {
-  // One lex: the tokens render the cache key and, on a miss, are parsed.
   ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
+  return Prepare(sql, std::move(tokens));
+}
+
+StatusOr<PreparedStatement> Session::Prepare(const std::string& sql,
+                                             std::vector<Token> tokens) {
+  // One lex: the tokens render the cache key and, on a miss, are parsed.
   std::string key = NormalizeSql(tokens);
   // Parallel plans are distinct cache entries: a session running PARALLEL 4
   // must not serve (or poison) another session's serial plan for the same
@@ -63,60 +68,41 @@ StatusOr<QueryResult> Session::ExecuteQuery(const std::string& sql,
   return stmt.Execute(params);
 }
 
-Status Session::Begin() {
-  if (txn_ != nullptr) {
-    return Status::InvalidArgument("transaction already open");
-  }
-  txn_ = db_->BeginTxn();
-  return Status::OK();
-}
+Status Session::Begin() { return db_->Begin(&txn_); }
 
-Status Session::Commit() {
-  if (txn_ == nullptr) {
-    return Status::InvalidArgument("COMMIT outside a transaction");
-  }
-  Status s = db_->CommitTxn(txn_.get());
-  txn_.reset();
-  return s;
-}
+Status Session::Commit() { return db_->Commit(&txn_); }
 
-Status Session::Rollback() {
-  if (txn_ == nullptr) {
-    return Status::InvalidArgument("ROLLBACK outside a transaction");
-  }
-  Status s = db_->RollbackTxn(txn_.get());
-  txn_.reset();
-  return s;
-}
+Status Session::Rollback() { return db_->Rollback(&txn_); }
 
 StatusOr<size_t> Session::Mutate(const std::string& sql) {
   return db_->Mutate(sql, txn_.get(), &limits_);
 }
 
-Status Session::Execute(const std::string& sql) {
-  ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
-  switch (stmt.kind) {
-    case Statement::Kind::kBegin:
-      return Begin();
-    case Statement::Kind::kCommit:
-      return Commit();
-    case Statement::Kind::kRollback:
-      return Rollback();
-    case Statement::Kind::kInsert:
-    case Statement::Kind::kDelete:
-    case Statement::Kind::kUpdate: {
-      ASSIGN_OR_RETURN(size_t affected, Mutate(sql));
-      (void)affected;
-      return Status::OK();
-    }
-    case Statement::Kind::kSelect: {
-      ASSIGN_OR_RETURN(QueryResult ignored, ExecuteQuery(sql));
-      (void)ignored;
-      return Status::OK();
-    }
-    default:
-      return db_->Execute(sql);
+StatusOr<QueryResult> Session::Execute(const std::string& sql,
+                                       const std::vector<Value>& params) {
+  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
+  return Execute(sql, std::move(tokens), params);
+}
+
+StatusOr<QueryResult> Session::Execute(const std::string& sql,
+                                       std::vector<Token> tokens,
+                                       const std::vector<Value>& params) {
+  TokenType lead = LeadingToken(tokens);
+  if (lead == TokenType::kSelect) {
+    ASSIGN_OR_RETURN(PreparedStatement stmt, Prepare(sql, std::move(tokens)));
+    return stmt.Execute(params);
   }
+  if (lead == TokenType::kExplain) {
+    // Without its EXPLAIN the statement is the SELECT it explains, and
+    // shares that SELECT's cache key and plan.
+    tokens.erase(std::find_if(tokens.begin(), tokens.end(), [](const Token& t) {
+      return t.type == TokenType::kExplain;
+    }));
+    ASSIGN_OR_RETURN(PreparedStatement stmt, Prepare(sql, std::move(tokens)));
+    return QueryResult::ForExplain(stmt.plan());
+  }
+  ASSIGN_OR_RETURN(Statement stmt, Parse(std::move(tokens)));
+  return db_->Execute(stmt, params, &limits_, &txn_);
 }
 
 StatusOr<QueryResult> PreparedStatement::Execute(

@@ -6,6 +6,9 @@
 //     values and per-execution limits, re-optimizing transparently when the
 //     catalog version moved (an index appeared, statistics changed) — the
 //     paper's invalidated-access-module recompilation;
+//   - one statement entry point, Execute, that lexes each statement once,
+//     runs a SELECT through the plan cache and every other kind through the
+//     Database's router under the session's limits and transaction;
 //   - per-session statistics distinguishing executions from optimizations.
 //
 // Threading model: one Session per thread. Sessions never share mutable
@@ -82,6 +85,7 @@ class Session {
   }
 
   /// Compiles a SELECT (with optional `?` markers) for repeated execution.
+  /// Any other statement kind fails with kInvalidArgument.
   StatusOr<PreparedStatement> Prepare(const std::string& sql);
 
   /// One-shot convenience: Prepare (through the cache) and Execute. Reads
@@ -106,9 +110,18 @@ class Session {
   /// rows.
   StatusOr<size_t> Mutate(const std::string& sql);
 
-  /// Executes any single statement, including BEGIN/COMMIT/ROLLBACK —
-  /// the REPL's and the fuzzer's statement entry point.
-  Status Execute(const std::string& sql);
+  /// Executes any single statement and reports what ran — the REPL's and
+  /// the server's statement entry point. The text is lexed once. A SELECT
+  /// goes through the plan cache (parsed only on a miss) and binds `params`;
+  /// an EXPLAIN reads its SELECT's cache entry, so it shows the plan this
+  /// session runs; every other kind is parsed from the same tokens and
+  /// routed by the Database under the session's limits and transaction.
+  StatusOr<QueryResult> Execute(const std::string& sql,
+                                const std::vector<Value>& params = {});
+  /// Same, for text the caller has already lexed into `tokens`.
+  StatusOr<QueryResult> Execute(const std::string& sql,
+                                std::vector<Token> tokens,
+                                const std::vector<Value>& params);
 
   /// Per-execution resource limits for statements run via this session.
   void set_limits(const ExecLimits& limits) { limits_ = limits; }
@@ -131,6 +144,10 @@ class Session {
 
  private:
   friend class PreparedStatement;
+
+  /// Prepare, from `sql` already lexed into `tokens`.
+  StatusOr<PreparedStatement> Prepare(const std::string& sql,
+                                      std::vector<Token> tokens);
 
   /// Plan lookup through the shared cache under `key`, the rendering of
   /// `tokens`; on a miss parses `tokens`, optimizes and publishes the

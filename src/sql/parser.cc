@@ -688,6 +688,13 @@ StatusOr<Statement> Parse(std::vector<Token> tokens) {
   return stmt;
 }
 
+TokenType LeadingToken(const std::vector<Token>& tokens) {
+  for (const Token& t : tokens) {
+    if (t.type != TokenType::kSemicolon) return t.type;
+  }
+  return TokenType::kEof;
+}
+
 StatusOr<std::vector<Statement>> ParseScript(const std::string& sql) {
   ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
   Parser parser(std::move(tokens));

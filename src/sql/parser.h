@@ -21,6 +21,11 @@ StatusOr<Statement> Parse(const std::string& sql);
 /// a caller that needs the tokens too lexes once and parses them.
 StatusOr<Statement> Parse(std::vector<Token> tokens);
 
+/// The type of the token a statement starts with: the parser skips leading
+/// semicolons, then picks the statement's kind by this keyword. kEof when
+/// the tokens hold no statement.
+TokenType LeadingToken(const std::vector<Token>& tokens);
+
 /// Parses a semicolon-separated script.
 StatusOr<std::vector<Statement>> ParseScript(const std::string& sql);
 

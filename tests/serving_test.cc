@@ -22,6 +22,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "session/plan_cache.h"
+#include "session/session.h"
 
 namespace systemr {
 namespace {
@@ -114,6 +115,117 @@ TEST_F(ServingTest, RoundTripQueryDmlPrepareExecute) {
   EXPECT_FALSE(bad->ok());  // Parse error travels as a clean status.
   // The connection survives an engine error.
   EXPECT_TRUE(c.Query("SELECT PK FROM T0 WHERE PK = 0").value().ok());
+  c.Close();
+}
+
+// A QUERY frame's values bind the `?` markers of DML too, with the arity
+// check a SELECT gets.
+TEST_F(ServingTest, QueryBindsDmlParameters) {
+  StartServer({});
+  Client c = Connect();
+  ASSERT_TRUE(c.Query("INSERT INTO T0 VALUES (5, 50)").value().ok());
+  auto upd = c.Query("UPDATE T0 SET V = ? WHERE PK = ?",
+                     {Value::Int(42), Value::Int(5)});
+  ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+  ASSERT_TRUE(upd->ok()) << upd->message;
+  EXPECT_EQ(upd->payload, WireResult::Payload::kAffected);
+  EXPECT_EQ(upd->affected, 1u);
+  auto v = c.Query("SELECT V FROM T0 WHERE PK = 5");
+  ASSERT_TRUE(v.ok() && v->ok());
+  ASSERT_EQ(v->rows.size(), 1u);
+  EXPECT_EQ(v->rows[0][0].AsInt(), 42);
+
+  auto short_by_one =
+      c.Query("UPDATE T0 SET V = ? WHERE PK = ?", {Value::Int(7)});
+  ASSERT_TRUE(short_by_one.ok());
+  EXPECT_EQ(short_by_one->code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(short_by_one->message, "statement takes 2 parameter(s), 1 bound");
+  c.Close();
+}
+
+// EXPLAIN over the wire is planned as the connection's session plans its
+// SELECT, SET parallel included; PREPARE takes a SELECT only.
+TEST_F(ServingTest, ExplainShowsTheSessionsPlan) {
+  StartServer({}, 1, 20000);
+  const std::string sql = "SELECT V, COUNT(*) FROM BIG WHERE V < 5 GROUP BY V";
+  Client c = Connect();
+  ASSERT_TRUE(c.Set("parallel", 4).value().ok());
+  auto explain = c.Query("EXPLAIN " + sql);
+  ASSERT_TRUE(explain.ok() && explain->ok()) << explain->message;
+  EXPECT_NE(explain->plan_text.find("Exchange"), std::string::npos)
+      << explain->plan_text;
+  Session dop4(db_.get(), cache_.get());
+  dop4.set_max_dop(4);
+  auto prepared = dop4.Prepare(sql);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_EQ(explain->plan_text, prepared->Explain());
+
+  auto prepare_explain = c.Prepare("q", "EXPLAIN " + sql);
+  ASSERT_TRUE(prepare_explain.ok());
+  EXPECT_EQ(prepare_explain->code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(prepare_explain->message, "expected a SELECT statement");
+  c.Close();
+}
+
+// Every statement kind gets the same answer through Session::Execute and
+// through wire QUERY frames, each on a fresh database, and the statements
+// that succeed leave the same tables as one ExecuteScript of them.
+TEST_F(ServingTest, SurfacesRouteAlike) {
+  const std::vector<std::string> stmts = {
+      "CREATE TABLE R (A INT, B INT)",
+      "INSERT INTO R VALUES (1, 10), (2, 20), (3, 30)",
+      "CREATE INDEX R_A ON R (A)",
+      "UPDATE STATISTICS R",
+      "SELECT A, B FROM R WHERE A >= 2",
+      "EXPLAIN SELECT B FROM R WHERE A = 2",
+      "BEGIN",
+      "UPDATE R SET B = (SELECT MAX(A) FROM R) WHERE A < 3",
+      "COMMIT",
+      "ROLLBACK",
+      "BEGIN",
+      "BEGIN",
+      "SELEC A FROM R",
+      "SELECT A FROM NOPE",
+  };
+  auto table = [](Database* db) {
+    auto r = db->Query("SELECT A, B FROM R ORDER BY A");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->rows : std::vector<Row>{};
+  };
+  auto render = [](const std::vector<Row>& rows) {
+    std::string out;
+    for (const Row& row : rows) {
+      for (const Value& v : row) out += v.ToString() + " ";
+      out += "\n";
+    }
+    return out;
+  };
+
+  Database local_db(64);
+  PlanCache local_cache(32);
+  Session session(&local_db, &local_cache);
+  StartServer({}, 0, 0);
+  Client c = Connect();
+  std::string script;
+  for (const std::string& sql : stmts) {
+    SCOPED_TRACE(sql);
+    StatusOr<QueryResult> mine = session.Execute(sql);
+    StatusOr<WireResult> wire = c.Query(sql);
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    EXPECT_EQ(wire->code, mine.status().code());
+    EXPECT_EQ(wire->message, mine.status().message());
+    if (!mine.ok()) continue;
+    script += sql + ";\n";
+    EXPECT_EQ(render(wire->rows), render(mine->rows));
+    EXPECT_EQ(wire->plan_text, mine->plan_text);
+    EXPECT_EQ(wire->affected, mine->affected);
+  }
+  Database scripted(64);
+  ASSERT_TRUE(scripted.ExecuteScript(script).ok()) << script;
+  std::string expected = render(table(&scripted));
+  EXPECT_EQ(expected, "1 3 \n2 3 \n3 30 \n");
+  EXPECT_EQ(render(table(&local_db)), expected);
+  EXPECT_EQ(render(table(db_.get())), expected);
   c.Close();
 }
 

@@ -502,6 +502,54 @@ TEST_F(SessionTest, SessionLimitsApplyToDml) {
   EXPECT_EQ(*again, 428u);
 }
 
+// Execute binds its values to a DML statement's `?` markers, with the
+// arity check a SELECT gets.
+TEST_F(SessionTest, ExecuteBindsDmlParameters) {
+  Session session(db_.get());
+  auto upd = session.Execute("UPDATE EMP SET SAL = ? WHERE EMPNO = ?",
+                             {Value::Int(42), Value::Int(5)});
+  ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+  EXPECT_EQ(upd->kind, Statement::Kind::kUpdate);
+  EXPECT_EQ(upd->affected, 1u);
+  auto sal = session.ExecuteQuery("SELECT SAL FROM EMP WHERE EMPNO = 5");
+  ASSERT_TRUE(sal.ok()) << sal.status().ToString();
+  ASSERT_EQ(sal->rows.size(), 1u);
+  EXPECT_EQ(sal->rows[0][0].AsInt(), 42);
+
+  auto short_by_one = session.Execute("UPDATE EMP SET SAL = ? WHERE EMPNO = ?",
+                                      {Value::Int(7)});
+  ASSERT_FALSE(short_by_one.ok());
+  EXPECT_EQ(short_by_one.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(short_by_one.status().message(),
+            "statement takes 2 parameter(s), 1 bound");
+}
+
+// An EXPLAIN through a session returns the plan that session runs for its
+// SELECT, at the session's degree of parallelism; Prepare takes a SELECT
+// only, so a prepared EXPLAIN cannot run its query.
+TEST_F(SessionTest, ExplainShowsTheSessionsPlan) {
+  const std::string sql = "SELECT DNO, COUNT(*) FROM EMP GROUP BY DNO";
+  PlanCache cache;
+  Session session(db_.get(), &cache);
+  session.set_max_dop(4);
+  session.set_force_parallel(true);
+  auto explain = session.Execute("EXPLAIN " + sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain->kind, Statement::Kind::kExplain);
+  EXPECT_TRUE(explain->rows.empty());
+  EXPECT_NE(explain->plan_text.find("Exchange"), std::string::npos)
+      << explain->plan_text;
+  auto prepared = session.Prepare(sql);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_EQ(explain->plan_text, prepared->Explain());
+  EXPECT_EQ(session.stats().optimizations, 1u);  // One cache entry for both.
+
+  auto prepare_explain = session.Prepare("EXPLAIN " + sql);
+  ASSERT_FALSE(prepare_explain.ok());
+  EXPECT_EQ(prepare_explain.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(prepare_explain.status().message(), "expected a SELECT statement");
+}
+
 TEST_F(SessionTest, DatabaseRunRejectsUnboundParams) {
   // The plain Run(query) entry point must refuse a parameterized plan
   // instead of executing with dangling markers.

@@ -1,7 +1,8 @@
 // Transactional DML: BEGIN/COMMIT/ROLLBACK through Database, Session, and
 // scripts; statement-level rollback and auto-commit atomicity; in-place
-// undo (rollback never moves rows); relation locks and lock timeouts;
-// ExecLimits firing mid-DML leaving a reusable engine.
+// undo (rollback never moves rows); relation locks and lock timeouts, the S
+// locks of DML subqueries included; ExecLimits firing mid-DML leaving a
+// reusable engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -273,6 +274,77 @@ TEST_F(TxnTest, ExecLimitsAbortInsideTransactionKeepsTxnAlive) {
   ASSERT_TRUE(db_->CommitTxn(txn.get()).ok());
   EXPECT_EQ(Count(), 21);
   EXPECT_EQ(Count("PK = 100"), 1);
+}
+
+// T(A, B) with 100 rows and B = 0; U(V) holding 1, 2 and 3.
+void MakeSubqueryTables(Database* db) {
+  ASSERT_TRUE(db->Execute("CREATE TABLE T (A INT, B INT)").ok());
+  std::string sql = "INSERT INTO T VALUES ";
+  for (int i = 0; i < 100; ++i) {
+    sql += (i == 0 ? "(" : ", (") + std::to_string(i) + ", 0)";
+  }
+  ASSERT_TRUE(db->Execute(sql).ok());
+  ASSERT_TRUE(db->Execute("CREATE TABLE U (V INT)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO U VALUES (1), (2), (3)").ok());
+}
+
+// A DML statement S-locks what its WHERE and SET subqueries read, so it
+// never computes a committed row from another transaction's uncommitted
+// one: while a writer's INSERT into U is open, DML reading U waits, times
+// out and leaves T as it was.
+TEST_F(TxnTest, DmlSubqueriesWaitForUncommittedWriters) {
+  db_ = std::make_unique<Database>(64);
+  MakeSubqueryTables(db_.get());
+  db_->lock_manager().set_timeout(std::chrono::milliseconds(50));
+  const std::string update =
+      "UPDATE T SET B = (SELECT MAX(V) FROM U) WHERE A < 50";
+  Session writer(db_.get());
+  Session reader(db_.get());
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("INSERT INTO U VALUES (1000)").ok());
+  for (const std::string& sql :
+       {update, std::string("DELETE FROM T WHERE A IN (SELECT V FROM U)")}) {
+    auto blocked = reader.Execute(sql);
+    ASSERT_FALSE(blocked.ok()) << sql << " affected " << blocked->affected;
+    EXPECT_EQ(blocked.status().code(), StatusCode::kResourceExhausted) << sql;
+    EXPECT_EQ(Count(), 100);
+    EXPECT_EQ(Count("B = 0"), 100);
+  }
+  ASSERT_TRUE(writer.Execute("ROLLBACK").ok());
+  auto updated = reader.Execute(update);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(updated->affected, 50u);
+  EXPECT_EQ(Count("B = 3"), 50);
+}
+
+// The concurrent form: one session's UPDATE reads U through a subquery
+// while another auto-commits inserts into U. The S lock keeps the
+// subquery's scan off pages the writer is changing (the ThreadSanitizer
+// target), and every statement succeeds.
+TEST_F(TxnTest, DmlSubqueryReaderAndConcurrentWriter) {
+  db_ = std::make_unique<Database>(64);
+  MakeSubqueryTables(db_.get());
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < 4000; ++i) {
+      if (!db_->Mutate("INSERT INTO U VALUES (" + std::to_string(i) + ")")
+               .ok()) {
+        ++failures;
+      }
+    }
+  });
+  Session reader(db_.get());
+  for (int i = 0; i < 200; ++i) {
+    auto r = reader.Execute(
+        "UPDATE T SET B = (SELECT MAX(V) FROM U) WHERE A < 50");
+    if (!r.ok() || r->affected != 50) ++failures;
+  }
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_TRUE(
+      reader.Execute("UPDATE T SET B = (SELECT MAX(V) FROM U) WHERE A < 50")
+          .ok());
+  EXPECT_EQ(Count("B = 3999"), 50);
 }
 
 TEST_F(TxnTest, GroupCommitBatchesFsyncsAndSurvivesCrash) {

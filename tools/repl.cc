@@ -11,8 +11,10 @@
 // the server, like every other limit.
 //
 // Statements end with ';' and may span lines. The SQL surface is the
-// engine's own (CREATE TABLE / CREATE INDEX / INSERT / UPDATE STATISTICS /
-// SELECT, with `?` host-variable markers in SELECT). On top of that:
+// engine's own (CREATE TABLE / CREATE INDEX / INSERT / UPDATE / DELETE /
+// UPDATE STATISTICS / SELECT / EXPLAIN / BEGIN / COMMIT / ROLLBACK, with `?`
+// host-variable markers in SELECT), each statement run by the session. On
+// top of that:
 //
 //   PREPARE <name> AS <select>;      compile once, through the plan cache
 //   EXECUTE <name> [(v1, v2, ...)];  run with host variables bound
@@ -160,45 +162,24 @@ class Repl {
     return true;
   }
 
+  // The shell's own commands are PREPARE, EXECUTE and EXPLAIN of a
+  // prepared statement; every SQL statement goes to the session.
   void HandleStatement(const std::string& stmt) {
     size_t rest = 0;
     std::string verb = FirstWord(stmt, &rest);
     if (verb.empty()) return;
+    auto named = prepared_.end();
+    if (verb == "EXPLAIN") {
+      named = prepared_.find(FirstWord(stmt.substr(rest), nullptr));
+    }
     if (verb == "PREPARE") {
       DoPrepare(stmt.substr(rest));
     } else if (verb == "EXECUTE") {
       DoExecute(stmt.substr(rest));
-    } else if (verb == "EXPLAIN") {
-      DoExplain(stmt.substr(rest));
-    } else if (verb == "SELECT") {
-      auto r = session_.ExecuteQuery(stmt);
-      PrintResult(r);
-    } else if (verb == "BEGIN" || verb == "COMMIT" || verb == "ROLLBACK") {
-      Status s = session_.Execute(stmt);
-      if (!s.ok()) {
-        std::printf("error: %s\n", s.ToString().c_str());
-      } else {
-        std::printf("%s\n", verb == "BEGIN" ? "begin" : verb == "COMMIT"
-                                ? "commit" : "rollback");
-      }
-    } else if (verb == "INSERT" || verb == "DELETE" ||
-               (verb == "UPDATE" &&
-                FirstWord(stmt.substr(rest), nullptr) != "STATISTICS")) {
-      // DML joins the session's open transaction (auto-commits without one).
-      auto n = session_.Mutate(stmt);
-      if (!n.ok()) {
-        std::printf("error: %s\n", n.status().ToString().c_str());
-      } else {
-        std::printf("%zu row%s\n", *n, *n == 1 ? "" : "s");
-      }
+    } else if (named != prepared_.end()) {
+      std::printf("%s", named->second->Explain().c_str());
     } else {
-      // DDL / UPDATE STATISTICS go straight to the database.
-      Status s = db_.Execute(stmt);
-      if (!s.ok()) {
-        std::printf("error: %s\n", s.ToString().c_str());
-      } else {
-        std::printf("ok\n");
-      }
+      PrintResult(session_.Execute(stmt));
     }
   }
 
@@ -242,25 +223,31 @@ class Repl {
     PrintResult(it->second->Execute(params));
   }
 
-  void DoExplain(const std::string& rest) {
-    std::string name = FirstWord(rest, nullptr);
-    auto it = prepared_.find(name);
-    if (it != prepared_.end()) {
-      std::printf("%s", it->second->Explain().c_str());
-      return;
-    }
-    auto stmt = session_.Prepare(rest);
-    if (!stmt.ok()) {
-      std::printf("error: %s\n", stmt.status().ToString().c_str());
-      return;
-    }
-    std::printf("%s", stmt->Explain().c_str());
-  }
-
+  // Prints a statement's result by the kind that ran.
   void PrintResult(const StatusOr<QueryResult>& r) {
     if (!r.ok()) {
       std::printf("error: %s\n", r.status().ToString().c_str());
       return;
+    }
+    switch (r->kind) {
+      case Statement::Kind::kSelect:
+        break;
+      case Statement::Kind::kExplain:
+        std::printf("%s", r->plan_text.c_str());
+        return;
+      case Statement::Kind::kInsert:
+      case Statement::Kind::kDelete:
+      case Statement::Kind::kUpdate:
+        std::printf("%zu row%s\n", r->affected, r->affected == 1 ? "" : "s");
+        return;
+      default: {
+        Statement::Kind k = r->kind;
+        std::printf("%s\n", k == Statement::Kind::kBegin      ? "begin"
+                            : k == Statement::Kind::kCommit   ? "commit"
+                            : k == Statement::Kind::kRollback ? "rollback"
+                                                              : "ok");
+        return;
+      }
     }
     // ToString already ends with the row count.
     std::printf("%s", r->ToString().c_str());
