@@ -1,5 +1,6 @@
 #include "common/value.h"
 
+#include <bit>
 #include <cstring>
 #include <sstream>
 
@@ -21,16 +22,26 @@ int TypeRank(ValueType t) {
   return 3;
 }
 
-void AppendBigEndian64(uint64_t v, std::string* out) {
-  for (int i = 7; i >= 0; --i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+// Big-endian byte order for stored and wire integers. One 8-byte move plus a
+// byte swap: GCC compiles the shift-and-or loop to eight byte loads.
+uint64_t ToBigEndian64(uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(v);
   }
+  return v;
+}
+
+void AppendBigEndian64(uint64_t v, std::string* out) {
+  char bytes[8];
+  v = ToBigEndian64(v);
+  std::memcpy(bytes, &v, sizeof(v));
+  out->append(bytes, sizeof(bytes));
 }
 
 uint64_t ReadBigEndian64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return ToBigEndian64(v);
 }
 
 // IEEE-754 trick: flips bits so that the unsigned big-endian comparison of
@@ -71,23 +82,41 @@ const char* ValueTypeName(ValueType t) {
   return "?";
 }
 
-int Value::Compare(const Value& other) const {
+Value Value::Str(std::string v) {
+  Value x;
+  x.u_.s = new std::string(std::move(v));
+  x.type_ = ValueType::kString;
+  return x;
+}
+
+void Value::AssignStr(const char* data, size_t size) {
+  if (type_ == ValueType::kString) {
+    u_.s->assign(data, size);
+  } else {
+    u_.s = new std::string(data, size);
+    type_ = ValueType::kString;
+  }
+}
+
+void Value::FreeStr() noexcept { delete u_.s; }
+
+const std::string& Value::EmptyStr() {
+  static const std::string empty;
+  return empty;
+}
+
+int Value::CompareMixed(const Value& other) const {
   int r1 = TypeRank(type_);
   int r2 = TypeRank(other.type_);
   if (r1 != r2) return r1 < r2 ? -1 : 1;
   switch (type_) {
     case ValueType::kNull:
       return 0;
-    case ValueType::kInt64:
-      if (other.type_ == ValueType::kInt64) {
-        if (int_ == other.int_) return 0;
-        return int_ < other.int_ ? -1 : 1;
-      }
-      break;
+    case ValueType::kInt64:  // INT against INT is Compare's inline case.
     case ValueType::kDouble:
       break;
     case ValueType::kString: {
-      int c = str_.compare(other.str_);
+      int c = u_.s->compare(*other.u_.s);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
   }
@@ -106,7 +135,7 @@ void Value::EncodeKey(std::string* out) const {
     case ValueType::kInt64: {
       out->push_back(0x01);
       // Flip sign bit so big-endian bytes order like signed ints.
-      AppendBigEndian64(static_cast<uint64_t>(int_) ^ (1ull << 63), out);
+      AppendBigEndian64(static_cast<uint64_t>(u_.i) ^ (1ull << 63), out);
       return;
     }
     case ValueType::kDouble: {
@@ -114,14 +143,14 @@ void Value::EncodeKey(std::string* out) const {
       // columns are homogeneously typed, so distinct tags keep decode exact
       // while preserving per-type order.
       out->push_back(0x02);
-      AppendBigEndian64(DoubleToOrderedBits(double_), out);
+      AppendBigEndian64(DoubleToOrderedBits(u_.d), out);
       return;
     }
     case ValueType::kString: {
       out->push_back(0x03);
       // Escape 0x00 as (0x00, 0xff); terminate with (0x00, 0x00). Preserves
       // order: a shorter string that is a prefix sorts first.
-      for (char c : str_) {
+      for (char c : *u_.s) {
         out->push_back(c);
         if (c == '\0') out->push_back(static_cast<char>(0xff));
       }
@@ -184,19 +213,20 @@ void Value::Serialize(std::string* out) const {
     case ValueType::kNull:
       return;
     case ValueType::kInt64:
-      AppendBigEndian64(static_cast<uint64_t>(int_), out);
+      AppendBigEndian64(static_cast<uint64_t>(u_.i), out);
       return;
     case ValueType::kDouble: {
       uint64_t bits;
-      std::memcpy(&bits, &double_, sizeof(bits));
+      std::memcpy(&bits, &u_.d, sizeof(bits));
       AppendBigEndian64(bits, out);
       return;
     }
     case ValueType::kString: {
-      uint32_t len = static_cast<uint32_t>(str_.size());
+      // Callers keep strings within kMaxStringBytes (see value.h).
+      uint32_t len = static_cast<uint32_t>(u_.s->size());
       out->push_back(static_cast<char>(len & 0xff));
       out->push_back(static_cast<char>((len >> 8) & 0xff));
-      out->append(str_);
+      out->append(*u_.s);
       return;
     }
   }
@@ -210,7 +240,7 @@ size_t Value::SerializedSize() const {
     case ValueType::kDouble:
       return 9;
     case ValueType::kString:
-      return 3 + str_.size();
+      return 3 + u_.s->size();
   }
   return 1;
 }
@@ -221,14 +251,14 @@ bool Value::Deserialize(const char* data, size_t size, size_t* pos,
   ValueType t = static_cast<ValueType>(data[(*pos)++]);
   switch (t) {
     case ValueType::kNull:
-      *out = Value::Null();
+      out->SetNull();
       return true;
     case ValueType::kInt64: {
       if (*pos + 8 > size) return false;
       uint64_t raw = ReadBigEndian64(
           reinterpret_cast<const unsigned char*>(data + *pos));
       *pos += 8;
-      *out = Value::Int(static_cast<int64_t>(raw));
+      out->SetInt(static_cast<int64_t>(raw));
       return true;
     }
     case ValueType::kDouble: {
@@ -238,7 +268,7 @@ bool Value::Deserialize(const char* data, size_t size, size_t* pos,
       *pos += 8;
       double d;
       std::memcpy(&d, &raw, sizeof(d));
-      *out = Value::Real(d);
+      out->SetReal(d);
       return true;
     }
     case ValueType::kString: {
@@ -247,7 +277,7 @@ bool Value::Deserialize(const char* data, size_t size, size_t* pos,
                      (static_cast<uint8_t>(data[*pos + 1]) << 8);
       *pos += 2;
       if (*pos + len > size) return false;
-      *out = Value::Str(std::string(data + *pos, len));
+      out->AssignStr(data + *pos, len);
       *pos += len;
       return true;
     }
@@ -260,14 +290,14 @@ std::string Value::ToString() const {
     case ValueType::kNull:
       return "NULL";
     case ValueType::kInt64:
-      return std::to_string(int_);
+      return std::to_string(u_.i);
     case ValueType::kDouble: {
       std::ostringstream os;
-      os << double_;
+      os << u_.d;
       return os.str();
     }
     case ValueType::kString:
-      return "'" + str_ + "'";
+      return "'" + *u_.s + "'";
   }
   return "?";
 }

@@ -512,6 +512,15 @@ Status ExprProgram::EvalBool(ExecContext* ctx, const Row& row, bool* out,
 
 Status ExprProgram::EvalValue(ExecContext* ctx, const Row& row, Value* out,
                               const Value* aggs) {
+  if (steps_.size() == 1 && steps_[0].op == Op::kPushColumn) {
+    // A bare column (a projection, SUM(R0.A)'s argument, SET V = W) is a
+    // copy of the row's value; the check is kPushColumn's.
+    if (steps_[0].a >= row.size()) {
+      return Status::Internal("column offset out of range");
+    }
+    *out = row[steps_[0].a];
+    return Status::OK();
+  }
   const Value* top = nullptr;
   RETURN_IF_ERROR(Run(ctx, row, aggs, &top));
   *out = *top;

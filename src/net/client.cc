@@ -29,6 +29,21 @@ Status ParseHostPort(const std::string& spec, std::string* host,
   return Status::OK();
 }
 
+namespace {
+
+Status CheckParams(const std::vector<Value>& params) {
+  for (const Value& v : params) {
+    if (!FitsWire(v)) {
+      return Status::InvalidArgument("parameter value longer than " +
+                                     std::to_string(Value::kMaxStringBytes) +
+                                     " bytes");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
@@ -105,6 +120,7 @@ StatusOr<WireResult> Client::RoundTrip(Opcode op, std::string_view body) {
 
 StatusOr<WireResult> Client::Query(const std::string& sql,
                                    const std::vector<Value>& params) {
+  RETURN_IF_ERROR(CheckParams(params));
   return RoundTrip(Opcode::kQuery, EncodeQuery(sql, params));
 }
 
@@ -115,6 +131,7 @@ StatusOr<WireResult> Client::Prepare(const std::string& name,
 
 StatusOr<WireResult> Client::Execute(const std::string& name,
                                      const std::vector<Value>& params) {
+  RETURN_IF_ERROR(CheckParams(params));
   return RoundTrip(Opcode::kExecute, EncodeExecute(name, params));
 }
 

@@ -39,7 +39,9 @@ class Client {
   bool connected() const { return fd_ >= 0; }
 
   /// One SQL statement (any kind the repl accepts), optionally with `?`
-  /// parameters. A non-OK Status means the connection itself failed.
+  /// parameters. A non-OK Status means the connection itself failed, or
+  /// (kInvalidArgument, nothing sent) that a parameter does not FitsWire;
+  /// Execute refuses such a parameter the same way.
   StatusOr<WireResult> Query(const std::string& sql,
                              const std::vector<Value>& params = {});
   StatusOr<WireResult> Prepare(const std::string& name, const std::string& sql);

@@ -242,13 +242,20 @@ std::string EncodeRowsReply(const std::vector<std::string>& columns,
                             uint64_t page_fetches, uint64_t buffer_gets,
                             uint64_t rsi_calls, double est_cost,
                             double actual_cost) {
+  static const Value kNull;
   std::string out = ReplyHeader(Status::OK(), WireResult::Payload::kRows);
   PutU16(&out, static_cast<uint16_t>(columns.size()));
   for (const std::string& c : columns) PutString(&out, c);
   PutU32(&out, static_cast<uint32_t>(rows.size()));
   for (const Row& row : rows) {
     for (size_t c = 0; c < columns.size(); ++c) {
-      (c < row.size() ? row[c] : Value::Null()).Serialize(&out);
+      const Value& v = c < row.size() ? row[c] : kNull;
+      if (!FitsWire(v)) {
+        return EncodeStatusReply(Status::InvalidArgument(
+            "result value longer than " +
+            std::to_string(Value::kMaxStringBytes) + " bytes"));
+      }
+      v.Serialize(&out);
     }
   }
   PutString(&out, plan_text);

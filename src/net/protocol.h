@@ -116,6 +116,15 @@ struct WireResult {
   }
 };
 
+/// Whether `v` can travel as a wire value: a STRING's length is encoded in
+/// 16 bits (Value::Serialize), so one longer than Value::kMaxStringBytes
+/// cannot. The client refuses such a parameter, and the server answers a
+/// result holding one with an error reply.
+inline bool FitsWire(const Value& v) {
+  return v.type() != ValueType::kString ||
+         v.AsStr().size() <= Value::kMaxStringBytes;
+}
+
 // --- Request body codecs ---
 
 std::string EncodeHello();
@@ -139,7 +148,8 @@ bool DecodeSet(std::string_view body, std::string* key, int64_t* value);
 std::string EncodeStatusReply(const Status& status);
 std::string EncodeHelloReply(uint8_t version);
 std::string EncodeAffectedReply(uint64_t affected);
-/// Row batch with the ExecStats counters the bench and repl surface.
+/// Row batch with the ExecStats counters the bench and repl surface; a
+/// kInvalidArgument status reply instead if a value does not FitsWire.
 std::string EncodeRowsReply(const std::vector<std::string>& columns,
                             const std::vector<Row>& rows,
                             const std::string& plan_text,

@@ -1,7 +1,6 @@
 #include "rss/buffer_pool.h"
 
 #include <chrono>
-#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -28,33 +27,13 @@ StatusOr<Page*> BufferPool::FetchImpl(PageId id, bool write_intent) {
     // Hit path: trusted memory, no disk read, no faults. Only the page's
     // last-use tick is refreshed, so a shared lock suffices.
     std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = resident_.find(id);
-    if (it != resident_.end()) {
-      it->second.store(NextTick(), std::memory_order_relaxed);
-      Page* page = store_->Get(id);
-      if (page == nullptr) {
-        return Status::Internal("resident page " + std::to_string(id) +
-                                " missing from store");
-      }
-      if (write_intent) store_->MarkDirty(id);
-      return page;
-    }
+    if (TouchIfResidentLocked(id)) return ResidentPage(id, write_intent);
   }
 
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = resident_.find(id);
-  if (it != resident_.end()) {
-    // Another session faulted the page in between our two lookups; that
-    // session paid the fetch, this one scores a hit.
-    it->second.store(NextTick(), std::memory_order_relaxed);
-    Page* page = store_->Get(id);
-    if (page == nullptr) {
-      return Status::Internal("resident page " + std::to_string(id) +
-                              " missing from store");
-    }
-    if (write_intent) store_->MarkDirty(id);
-    return page;
-  }
+  // Another session may have faulted the page in between our two lookups;
+  // that session paid the fetch, this one scores a hit.
+  if (TouchIfResidentLocked(id)) return ResidentPage(id, write_intent);
 
   uint32_t latency = sim_fetch_latency_us_.load(std::memory_order_relaxed);
   if (latency > 0) {
@@ -63,18 +42,9 @@ StatusOr<Page*> BufferPool::FetchImpl(PageId id, bool write_intent) {
     lock.unlock();
     std::this_thread::sleep_for(std::chrono::microseconds(latency));
     lock.lock();
-    auto again = resident_.find(id);
-    if (again != resident_.end()) {
-      // Someone else read the same page while we "waited on the device".
-      again->second.store(NextTick(), std::memory_order_relaxed);
-      Page* page = store_->Get(id);
-      if (page == nullptr) {
-        return Status::Internal("resident page " + std::to_string(id) +
-                                " missing from store");
-      }
-      if (write_intent) store_->MarkDirty(id);
-      return page;
-    }
+    // Someone else may have read the same page while we "waited on the
+    // device".
+    if (TouchIfResidentLocked(id)) return ResidentPage(id, write_intent);
   }
 
   // Miss: simulated disk read.
@@ -138,6 +108,23 @@ StatusOr<Page*> BufferPool::FetchImpl(PageId id, bool write_intent) {
   return page;
 }
 
+bool BufferPool::TouchIfResidentLocked(PageId id) {
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return false;
+  frames_[it->second].tick.store(NextTick(), std::memory_order_relaxed);
+  return true;
+}
+
+StatusOr<Page*> BufferPool::ResidentPage(PageId id, bool write_intent) {
+  Page* page = store_->Get(id);
+  if (page == nullptr) {
+    return Status::Internal("resident page " + std::to_string(id) +
+                            " missing from store");
+  }
+  if (write_intent) store_->MarkDirty(id);
+  return page;
+}
+
 Page* BufferPool::ShadowFor(const Page& src) {
   Page* s = &shadow_ring_[shadow_idx_];
   shadow_idx_ = (shadow_idx_ + 1) % shadow_ring_.size();
@@ -157,14 +144,16 @@ PageId BufferPool::NewPage() {
 void BufferPool::Discard(PageId id) {
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    resident_.erase(id);
+    auto it = slot_of_.find(id);
+    if (it != slot_of_.end()) RemoveFrameLocked(it->second);
   }
   store_->Free(id);
 }
 
 void BufferPool::FlushAll() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  resident_.clear();
+  slot_of_.clear();
+  frames_.clear();
 }
 
 void BufferPool::set_capacity(size_t c) {
@@ -174,26 +163,43 @@ void BufferPool::set_capacity(size_t c) {
 }
 
 void BufferPool::TouchLocked(PageId id) {
-  resident_[id].store(NextTick(), std::memory_order_relaxed);
+  uint64_t tick = NextTick();
+  auto [it, inserted] =
+      slot_of_.try_emplace(id, static_cast<uint32_t>(frames_.size()));
+  if (inserted) {
+    frames_.emplace_back(id, tick);
+  } else {
+    frames_[it->second].tick.store(tick, std::memory_order_relaxed);
+  }
   ShrinkLocked();
 }
 
 void BufferPool::ShrinkLocked() {
   size_t cap = capacity_.load(std::memory_order_relaxed);
-  while (resident_.size() > cap) {
-    // Exact LRU: evict the minimum last-use tick. Linear in the resident
-    // set, which is bounded by the (small) frame budget of §4.
-    auto victim = resident_.begin();
-    uint64_t victim_tick = victim->second.load(std::memory_order_relaxed);
-    for (auto it = std::next(resident_.begin()); it != resident_.end(); ++it) {
-      uint64_t t = it->second.load(std::memory_order_relaxed);
+  while (frames_.size() > cap) {
+    // Exact LRU: evict the minimum last-use tick (ticks are unique). One
+    // pass over the packed frames, which the (small) frame budget of §4
+    // bounds.
+    uint32_t victim = 0;
+    uint64_t victim_tick = frames_[0].tick.load(std::memory_order_relaxed);
+    for (uint32_t i = 1; i < frames_.size(); ++i) {
+      uint64_t t = frames_[i].tick.load(std::memory_order_relaxed);
       if (t < victim_tick) {
-        victim = it;
+        victim = i;
         victim_tick = t;
       }
     }
-    resident_.erase(victim);
+    RemoveFrameLocked(victim);
   }
+}
+
+void BufferPool::RemoveFrameLocked(uint32_t slot) {
+  slot_of_.erase(frames_[slot].page);
+  if (slot + 1 < frames_.size()) {
+    frames_[slot] = frames_.back();
+    slot_of_[frames_[slot].page] = slot;
+  }
+  frames_.pop_back();
 }
 
 }  // namespace systemr

@@ -17,7 +17,8 @@
 // fault: resident frames are trusted memory.
 //
 // The pool is shared by every concurrent session: counters are atomics,
-// residency is a tick-stamped map under a shared_mutex (hits refresh a tick
+// residency is a page -> frame-slot map plus a packed array of frames, each
+// stamped with its last-use tick, under a shared_mutex (hits refresh a tick
 // under the shared lock; misses and eviction serialize on the unique lock),
 // and per-statement accounting goes to the calling thread's ExecStats
 // (rss/meter.h) so sessions never race on statement-level stats.
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <shared_mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "rss/fault_injector.h"
@@ -88,7 +90,13 @@ class BufferPool {
   void set_capacity(size_t c);
   size_t resident() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    return resident_.size();
+    return frames_.size();
+  }
+  /// Whether `id` is in the resident set. Unmetered, and it refreshes no
+  /// tick: an observer for tests.
+  bool is_resident(PageId id) const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    return slot_of_.count(id) != 0;
   }
   /// Pool-wide counters, by value (they are shared atomics; per-statement
   /// accounting uses the thread's ExecStats instead — see rss/meter.h).
@@ -129,10 +137,19 @@ class BufferPool {
   /// issuing further fetches, so a small ring suffices. Requires mu_ held
   /// exclusively.
   Page* ShadowFor(const Page& src);
+  /// If `id` is resident, stamps its frame with a fresh tick and returns
+  /// true. Requires mu_ held (either mode).
+  bool TouchIfResidentLocked(PageId id);
+  /// A buffer hit's page (kInternal if the store lost it), marked dirty
+  /// under write intent.
+  StatusOr<Page*> ResidentPage(PageId id, bool write_intent);
   /// Inserts `id` into the resident set at the current tick and evicts down
   /// to capacity. Requires mu_ held exclusively.
   void TouchLocked(PageId id);
   void ShrinkLocked();
+  /// Removes frame `slot`: the last frame moves into its place. Requires
+  /// mu_ held exclusively.
+  void RemoveFrameLocked(uint32_t slot);
   uint64_t NextTick() {
     return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
@@ -147,14 +164,34 @@ class BufferPool {
   std::array<Page, 4> shadow_ring_{};
   size_t shadow_idx_ = 0;
 
-  // Residency is a page-id -> last-use-tick map rather than an intrusive
-  // LRU list, so a buffer hit only stores a fresh tick (shared lock + the
-  // per-entry atomic); misses and eviction take the exclusive lock. Ticks
-  // come from one atomic counter, so "evict the minimum tick" is exact LRU —
-  // single-threaded behaviour is identical to the old list implementation.
+  // One resident page: its id and last-use tick. A hit stores a fresh tick
+  // under the shared lock; frames are copied only under the exclusive lock
+  // (the vector growing, or a swap-remove), so the copies read and write the
+  // tick relaxed.
+  struct Frame {
+    Frame(PageId p, uint64_t t) : page(p), tick(t) {}
+    Frame(const Frame& o)
+        : page(o.page), tick(o.tick.load(std::memory_order_relaxed)) {}
+    Frame& operator=(const Frame& o) {
+      page = o.page;
+      tick.store(o.tick.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+      return *this;
+    }
+    PageId page;
+    std::atomic<uint64_t> tick;
+  };
+
+  // Residency is a page-id -> frame-slot map plus a contiguous frame array
+  // rather than an intrusive LRU list, so a buffer hit only stores a fresh
+  // tick (shared lock + the frame's atomic); misses and eviction take the
+  // exclusive lock. Ticks come from one atomic counter, so "evict the
+  // minimum tick" — one pass over the packed frames — is exact LRU:
+  // single-threaded behaviour is identical to a list implementation.
   mutable std::shared_mutex mu_;
   std::atomic<uint64_t> tick_{0};
-  std::unordered_map<PageId, std::atomic<uint64_t>> resident_;
+  std::unordered_map<PageId, uint32_t> slot_of_;
+  std::vector<Frame> frames_;
 };
 
 }  // namespace systemr

@@ -6,18 +6,29 @@
 namespace systemr {
 
 uint32_t PageChecksum(const Page& page) {
-  // FNV-1a over 64-bit words (then folded to 32 bits). Word-wise instead of
-  // byte-wise because this runs on every simulated disk read: the chain
-  // h' = (h ^ w) * prime is bijective in w for fixed h, so any change to a
-  // single word — hence any bit flip — always changes the result.
-  uint64_t h = 14695981039346656037ull;
+  // Four FNV-1a lanes over interleaved 64-bit words (lane j takes words j,
+  // j+4, j+8, ...), folded into one value and then to 32 bits. Word-wise
+  // because this runs on every simulated disk read, and four lanes so the
+  // CPU overlaps four multiply chains instead of waiting on one. Each step
+  // h' = (h ^ w) * prime is bijective in w for fixed h, and so is each step
+  // of the fold in its lane, so any change to a single word — hence any bit
+  // flip — changes the 64-bit result.
+  constexpr uint64_t kPrime = 1099511628211ull;
+  uint64_t h[4] = {14695981039346656037ull, 14695981039346656037ull,
+                   14695981039346656037ull, 14695981039346656037ull};
   const char* p = page.bytes.data();
-  for (size_t i = 0; i < kPageSize; i += 8) {
-    uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    h = (h ^ w) * 1099511628211ull;
+  for (size_t i = 0; i < kPageSize; i += 32) {
+    for (size_t lane = 0; lane < 4; ++lane) {
+      uint64_t w;
+      std::memcpy(&w, p + i + 8 * lane, 8);
+      h[lane] = (h[lane] ^ w) * kPrime;
+    }
   }
-  return static_cast<uint32_t>(h ^ (h >> 32));
+  uint64_t folded = h[0];
+  for (size_t lane = 1; lane < 4; ++lane) {
+    folded = (folded ^ h[lane]) * kPrime;
+  }
+  return static_cast<uint32_t>(folded ^ (folded >> 32));
 }
 
 PageStore::~PageStore() {

@@ -5,9 +5,10 @@
 // A Page is a raw byte buffer. Data pages use the slotted layout implemented
 // by SlottedPage; B+-tree pages use their own node layout (see btree.cc).
 // PageStore is the "disk": it owns every page ever allocated, plus per-page
-// integrity metadata — a checksum sealed when a page's content is first read
-// back after mutation and verified on every later simulated disk read. All
-// metered access goes through the BufferPool.
+// integrity metadata — a checksum (PageChecksum: four-lane FNV-1a) sealed
+// when a page's content is first read back after mutation and verified on
+// every later simulated disk read. All metered access goes through the
+// BufferPool.
 #ifndef SYSTEMR_RSS_PAGE_H_
 #define SYSTEMR_RSS_PAGE_H_
 
@@ -30,7 +31,11 @@ struct Page {
   std::array<char, kPageSize> bytes{};
 };
 
-/// Content checksum of a whole page (FNV-1a over all 4096 bytes).
+/// Content checksum of a whole page: four interleaved FNV-1a lanes over its
+/// 512 64-bit words, folded to 32 bits. A change to any one word changes
+/// the value before its final 32-bit fold.
+/// Checksums live only in memory (PageStore seals and verifies them within
+/// one process), so the function can change without a migration.
 uint32_t PageChecksum(const Page& page);
 
 /// Tuple identifier: (page, slot), packed to 8 bytes for index leaf entries.

@@ -1,6 +1,12 @@
 #include "rss/buffer_pool.h"
 
+#include <algorithm>
+#include <list>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace systemr {
 namespace {
@@ -84,6 +90,75 @@ TEST(BufferPoolTest, CapacityShrinkEvicts) {
   EXPECT_EQ(pool.resident(), 8u);
   pool.set_capacity(3);
   EXPECT_EQ(pool.resident(), 3u);
+}
+
+// The pool against a list-based reference LRU (most recent use first) over
+// a seeded mix of every call that changes residency. After each call the
+// resident set, its size and the fetch count must equal the model's: the
+// pool is exact LRU, so it evicts the same victims.
+TEST(BufferPoolTest, MatchesAReferenceLruOverRandomCalls) {
+  PageStore store;
+  size_t capacity = 6;
+  BufferPool pool(&store, capacity);
+  std::list<PageId> lru;
+  std::vector<PageId> live;
+  uint64_t fetches = 0;
+  auto trim = [&] {
+    while (lru.size() > capacity) lru.pop_back();
+  };
+  auto use = [&](PageId id) {
+    auto it = std::find(lru.begin(), lru.end(), id);
+    if (it == lru.end()) {
+      ++fetches;
+    } else {
+      lru.erase(it);
+    }
+    lru.push_front(id);
+    trim();
+  };
+
+  Rng rng(2026);
+  // Half the picks come from the 16 newest pages, so hits are common too.
+  auto pick = [&]() -> size_t {
+    int64_t n = static_cast<int64_t>(live.size());
+    if (rng.Bernoulli(0.5)) {
+      return n - 1 - rng.Uniform(0, std::min<int64_t>(15, n - 1));
+    }
+    return rng.Uniform(0, n - 1);
+  };
+  for (int call = 0; call < 10000; ++call) {
+    int64_t op = live.empty() ? 0 : rng.Uniform(0, 99);
+    if (op < 15) {
+      PageId id = pool.NewPage();
+      live.push_back(id);
+      lru.push_front(id);
+      trim();
+    } else if (op < 65) {
+      PageId id = live[pick()];
+      ASSERT_TRUE(pool.Fetch(id).ok());
+      use(id);
+    } else if (op < 80) {
+      PageId id = live[pick()];
+      ASSERT_TRUE(pool.FetchMut(id).ok());
+      use(id);
+    } else if (op < 90) {
+      size_t i = pick();
+      pool.Discard(live[i]);
+      lru.remove(live[i]);
+      live.erase(live.begin() + i);
+    } else {
+      capacity = static_cast<size_t>(rng.Uniform(0, 12));
+      pool.set_capacity(capacity);
+      trim();
+    }
+    ASSERT_EQ(pool.resident(), lru.size()) << "call " << call;
+    ASSERT_EQ(pool.stats().fetches, fetches) << "call " << call;
+    for (PageId id : live) {
+      bool want = std::find(lru.begin(), lru.end(), id) != lru.end();
+      ASSERT_EQ(pool.is_resident(id), want) << "page " << id << ", call "
+                                            << call;
+    }
+  }
 }
 
 }  // namespace

@@ -166,6 +166,117 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// olap_mix's seven statement classes (perfbench/src/olap.cc, MakeClasses)
+// with fixed windows, on that workload's chain schema and 128-frame pool.
+// The pool holds under half of the 399 data pages, so page fetches and
+// buffer hits here depend on the exact LRU victim order: this is the tier-1
+// guard for the buffer pool's eviction path as well as for olap_mix's plans.
+constexpr size_t kOlapPoolPages = 128;
+
+struct OlapShape {
+  const char* name;
+  const char* sql;
+  uint64_t rows;
+  ExecStats stats;
+};
+
+void PrintTo(const OlapShape& s, std::ostream* os) { *os << s.name; }
+
+class OlapShapesTest : public ::testing::TestWithParam<OlapShape> {
+ protected:
+  static void SetUpTestSuite() {
+    db_ = new Database(kOlapPoolPages);
+    ChainSchemaSpec spec;
+    spec.num_tables = 3;
+    spec.base_rows = 20000;
+    spec.shrink = 0.5;
+    spec.a_domain = 100;
+    spec.b_domain = 100;
+    ASSERT_TRUE(BuildChainSchema(db_, spec, 1979).ok());
+    db_->set_feedback_enabled(false);
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+  static Database* db_;
+};
+
+Database* OlapShapesTest::db_ = nullptr;
+
+TEST_P(OlapShapesTest, CountersArePinned) {
+  const OlapShape& s = GetParam();
+  auto q = db_->Prepare(s.sql);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  db_->rss().pool().FlushAll();
+  auto r = db_->Run(*q);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), s.rows);
+  for (const auto& [counter, field] : kCounters) {
+    EXPECT_EQ(r->stats.*field, s.stats.*field) << counter;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OlapMix, OlapShapesTest,
+    ::testing::Values(
+        OlapShape{"scan",
+                  "SELECT R0.PK, R0.A, R0.B FROM R0 WHERE R0.A + R0.B < 60 "
+                  "OR R0.PK BETWEEN 0 AND 1999",
+                  5384,
+                  ExecStats{.page_fetches = 228, .rsi_calls = 20000,
+                            .buffer_gets = 246, .buffer_hits = 18,
+                            .batches = 20, .batch_rows_in = 20000,
+                            .batch_rows_out = 5384}},
+        OlapShape{"join3",
+                  "SELECT R0.PK, R2.A FROM R0, R1, R2 WHERE R0.FK = R1.PK "
+                  "AND R1.FK = R2.PK AND R0.B BETWEEN 0 AND 14 AND "
+                  "R0.A + R2.B < 70",
+                  763,
+                  ExecStats{.page_fetches = 582, .rsi_calls = 18038,
+                            .buffer_gets = 15412, .buffer_hits = 14830,
+                            .batches = 15007, .batch_rows_in = 21076,
+                            .batch_rows_out = 18801, .hash_build_rows = 3038,
+                            .hash_probe_rows = 10000}},
+        OlapShape{"hjoin",
+                  "SELECT R1.PK, R2.PK FROM R1, R2 WHERE R1.B = R2.B AND "
+                  "R1.A BETWEEN 0 AND 9",
+                  50774,
+                  ExecStats{.page_fetches = 182, .rsi_calls = 6014,
+                            .buffer_gets = 1087, .buffer_hits = 905,
+                            .batches = 57, .batch_rows_in = 56788,
+                            .batch_rows_out = 56788, .hash_build_rows = 5000,
+                            .hash_probe_rows = 1014}},
+        OlapShape{"hagg",
+                  "SELECT R0.B, COUNT(*), SUM(R0.A) FROM R0 GROUP BY R0.B",
+                  100,
+                  ExecStats{.page_fetches = 228, .rsi_calls = 20000,
+                            .buffer_gets = 246, .buffer_hits = 18,
+                            .batches = 20, .batch_rows_in = 20000,
+                            .batch_rows_out = 20000}},
+        OlapShape{"count", "SELECT COUNT(*) FROM R0", 1,
+                  ExecStats{.page_fetches = 228, .rsi_calls = 20000,
+                            .buffer_gets = 246, .buffer_hits = 18,
+                            .batches = 20, .batch_rows_in = 20000,
+                            .batch_rows_out = 20000}},
+        OlapShape{"sort", "SELECT R1.PK, R1.B FROM R1 ORDER BY R1.B", 10000,
+                  ExecStats{.page_fetches = 169, .page_writes = 115,
+                            .rsi_calls = 10000, .buffer_gets = 20350,
+                            .buffer_hits = 20181, .batches = 10,
+                            .batch_rows_in = 10000, .batch_rows_out = 10000}},
+        OlapShape{"subq",
+                  "SELECT X.PK FROM R1 X WHERE X.A BETWEEN 0 AND 4 AND "
+                  "X.B <= (SELECT MAX(Y.B) FROM R2 Y WHERE Y.A = X.A)",
+                  502,
+                  ExecStats{.page_fetches = 176, .rsi_calls = 25504,
+                            .subquery_evals = 5, .subquery_cache_hits = 499,
+                            .buffer_gets = 816, .buffer_hits = 640,
+                            .batches = 26, .batch_rows_in = 25504,
+                            .batch_rows_out = 732}}),
+    [](const ::testing::TestParamInfo<OlapShape>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(ExecCountersGate, NestedLoopInnerIsAnIndexProbe) {
   std::unique_ptr<Database> db = BuildDb();
   db->options().join.force = JoinMethodForce::kNestedLoop;

@@ -194,6 +194,22 @@ TEST_F(FeaturesTest, AggregateLeafWithoutSlotIsInternalError) {
   EXPECT_EQ(program.EvalBool(nullptr, row, &b).code(), StatusCode::kInternal);
 }
 
+// A bare column reference is copied without running the interpreter, but
+// it keeps the interpreter's bounds check.
+TEST_F(FeaturesTest, BareColumnOnAShortRowIsInternalError) {
+  auto prepared = db_->Prepare("SELECT SAL FROM EMP");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ExprProgram program;
+  program.CompileExpr(prepared->block->select_list[0].get());
+  Row row(prepared->block->row_width);
+  Value v;
+  ASSERT_TRUE(program.EvalValue(nullptr, row, &v).ok());
+  Row short_row;
+  Status s = program.EvalValue(nullptr, short_row, &v);
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_EQ(s.message(), "column offset out of range");
+}
+
 TEST_F(FeaturesTest, LikeTypeChecked) {
   EXPECT_FALSE(db_->Query("SELECT EMPNO FROM EMP WHERE SAL LIKE '1%'").ok());
 }

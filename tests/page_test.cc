@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace systemr {
 namespace {
 
@@ -108,6 +110,21 @@ TEST(PageChecksumTest, SensitiveToEveryByte) {
   page.bytes[kPageSize - 1] ^= 1;
   EXPECT_NE(PageChecksum(page), base);
   page.bytes[kPageSize - 1] ^= 1;
+  EXPECT_EQ(PageChecksum(page), base);
+}
+
+// Every single-bit flip of a page changes its checksum, whichever of the
+// four lanes the flipped word feeds.
+TEST(PageChecksumTest, EverySingleBitFlipChangesIt) {
+  Page page;
+  Rng rng(4096);
+  for (char& c : page.bytes) c = static_cast<char>(rng.Uniform(0, 255));
+  const uint32_t base = PageChecksum(page);
+  for (size_t bit = 0; bit < kPageSize * 8; ++bit) {
+    page.bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    ASSERT_NE(PageChecksum(page), base) << "bit " << bit;
+    page.bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+  }
   EXPECT_EQ(PageChecksum(page), base);
 }
 

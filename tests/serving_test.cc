@@ -253,6 +253,40 @@ TEST_F(ServingTest, OutOfRangeLiteralIsAnErrorReply) {
   c.Close();
 }
 
+// A wire value's STRING length is 16 bits. The longest string that fits
+// comes back intact; a longer result value is an error reply on a
+// connection that stays usable, and a longer parameter never leaves the
+// client.
+TEST_F(ServingTest, StringLongerThanTheWireLimitIsRefused) {
+  StartServer({});
+  Client c = Connect();
+  const std::string fits(Value::kMaxStringBytes, 'y');
+  auto ok = c.Query("SELECT '" + fits + "' FROM T0");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_TRUE(ok->ok()) << ok->message;
+  ASSERT_EQ(ok->rows.size(), 1u);
+  EXPECT_EQ(ok->rows[0][0].AsStr(), fits);
+
+  const std::string too_long(Value::kMaxStringBytes + 1, 'y');
+  auto reply = c.Query("SELECT '" + too_long + "' FROM T0");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->code, StatusCode::kInvalidArgument) << reply->message;
+  auto after = c.Query("SELECT PK FROM T0 WHERE PK = 0");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_TRUE(after->ok()) << after->message;
+  EXPECT_EQ(after->rows.size(), 1u);
+
+  auto param = c.Query("SELECT PK FROM T0 WHERE PK = ?",
+                       {Value::Str(too_long)});
+  EXPECT_EQ(param.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(c.Prepare("q", "SELECT PK FROM T0 WHERE PK = ?").value().ok());
+  auto exec = c.Execute("q", {Value::Str(too_long)});
+  EXPECT_EQ(exec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(c.connected());
+  EXPECT_TRUE(c.Query("SELECT PK FROM T0 WHERE PK = 0").value().ok());
+  c.Close();
+}
+
 TEST_F(ServingTest, HelloGateAndVersionCheck) {
   StartServer({}, 1, 0);
   // Raw socket: speak frames without the handshake.

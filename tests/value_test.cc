@@ -1,6 +1,9 @@
 #include "common/value.h"
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,6 +134,142 @@ TEST(ValueTest, CompositeKeyOrdersLexicographically) {
   std::string k3 = EncodeCompositeKey({Value::Str("SMYTH"), Value::Int(0)});
   EXPECT_LT(k1, k2);
   EXPECT_LT(k2, k3);
+}
+
+// The longest string Serialize can encode: its 16-bit length is full.
+TEST(ValueTest, LongestSerializableStringRoundTrips) {
+  std::string s(Value::kMaxStringBytes, 'x');
+  s.front() = 'a';
+  s.back() = 'z';
+  const Value v = Value::Str(s);
+  std::string buf;
+  v.Serialize(&buf);
+  EXPECT_EQ(buf.size(), v.SerializedSize());
+  size_t pos = 0;
+  Value out;
+  ASSERT_TRUE(Value::Deserialize(buf.data(), buf.size(), &pos, &out));
+  EXPECT_EQ(out.AsStr(), s);
+  EXPECT_EQ(pos, buf.size());
+}
+
+// --- The 16-byte layout: a tag plus a union with an out-of-line string ---
+
+// One value of each type. The string is too long for a small-string buffer,
+// so its copies and moves go through the heap (and ASan sees them).
+std::vector<Value> OneOfEachType() {
+  std::vector<Value> v;
+  v.push_back(Value::Null());
+  v.push_back(Value::Int(-7));
+  v.push_back(Value::Real(2.5));
+  v.push_back(Value::Str(std::string(40, 's')));
+  return v;
+}
+
+::testing::AssertionResult Same(const Value& a, const Value& b) {
+  if (a.type() == b.type() && a.Compare(b) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << a.ToString() << " vs " << b.ToString();
+}
+
+TEST(ValueLayoutTest, IsSixteenBytes) { EXPECT_EQ(sizeof(Value), 16u); }
+
+TEST(ValueLayoutTest, CopyAndMoveAcrossEveryPairOfTypes) {
+  const std::vector<Value> all = OneOfEachType();
+  for (const Value& src : all) {
+    Value copied(src);
+    EXPECT_TRUE(Same(copied, src));
+    Value moved(std::move(copied));
+    EXPECT_TRUE(Same(moved, src));
+    EXPECT_TRUE(copied.is_null()) << "a move leaves NULL behind";
+    for (const Value& init : all) {
+      Value dst = init;
+      dst = src;
+      EXPECT_TRUE(Same(dst, src)) << "copy-assign over " << init.ToString();
+      Value from = src;
+      Value dst2 = init;
+      dst2 = std::move(from);
+      EXPECT_TRUE(Same(dst2, src)) << "move-assign over " << init.ToString();
+      EXPECT_TRUE(from.is_null());
+    }
+  }
+  // Growing a vector moves its Values; the moves must not throw.
+  EXPECT_TRUE(std::is_nothrow_move_constructible_v<Value>);
+  EXPECT_TRUE(std::is_nothrow_move_assignable_v<Value>);
+}
+
+TEST(ValueLayoutTest, SelfAssignmentAndSelfMoveKeepTheValue) {
+  for (const Value& v : OneOfEachType()) {
+    Value x = v;
+    Value& alias = x;
+    x = alias;
+    EXPECT_TRUE(Same(x, v));
+    x = std::move(alias);
+    EXPECT_TRUE(Same(x, v));
+  }
+}
+
+// Each accessor reads zero of its kind on a value of another type, which
+// Truthy (a REAL is false) and the reference executor rely on.
+TEST(ValueLayoutTest, AccessorsReadZeroOnOtherTypes) {
+  EXPECT_EQ(Value::Null().AsInt(), 0);
+  EXPECT_EQ(Value::Real(2.5).AsInt(), 0);
+  EXPECT_EQ(Value::Str("9").AsInt(), 0);
+  EXPECT_EQ(Value::Null().AsReal(), 0.0);
+  EXPECT_EQ(Value::Int(3).AsReal(), 0.0);
+  EXPECT_EQ(Value::Str("x").AsReal(), 0.0);
+  EXPECT_EQ(Value::Null().AsStr(), "");
+  EXPECT_EQ(Value::Int(3).AsStr(), "");
+  EXPECT_EQ(Value::Real(1.5).AsStr(), "");
+  EXPECT_EQ(Value::Null().AsNumber(), 0.0);
+  EXPECT_EQ(Value::Str("x").AsNumber(), 0.0);
+  EXPECT_EQ(Value::Int(3).AsNumber(), 3.0);
+  EXPECT_EQ(Value::Real(1.5).AsNumber(), 1.5);
+}
+
+TEST(ValueLayoutTest, DeserializeOverwritesEveryTypeInPlace) {
+  const std::vector<Value> all = OneOfEachType();
+  for (const Value& init : all) {
+    for (const Value& v : all) {
+      std::string buf;
+      v.Serialize(&buf);
+      Value slot = init;
+      size_t pos = 0;
+      ASSERT_TRUE(Value::Deserialize(buf.data(), buf.size(), &pos, &slot));
+      EXPECT_TRUE(Same(slot, v)) << "decoded over " << init.ToString();
+      EXPECT_EQ(pos, buf.size());
+    }
+  }
+}
+
+TEST(ValueLayoutTest, DeserializeReusesTheSlotsString) {
+  Value slot = Value::Str(std::string(100, 'a'));
+  const char* buffer = slot.AsStr().data();
+  std::string buf;
+  Value::Str(std::string(60, 'b')).Serialize(&buf);
+  size_t pos = 0;
+  ASSERT_TRUE(Value::Deserialize(buf.data(), buf.size(), &pos, &slot));
+  EXPECT_EQ(slot.AsStr(), std::string(60, 'b'));
+  EXPECT_EQ(slot.AsStr().data(), buffer);
+}
+
+// NULL < numbers < strings; INT and REAL compare numerically, INT 1 equal
+// to REAL 1.0, whichever side the INT is on.
+TEST(ValueLayoutTest, CompareOrdersAcrossTypes) {
+  const std::vector<Value> ordered = {
+      Value::Null(),   Value::Int(-5), Value::Real(-4.5), Value::Int(1),
+      Value::Real(1.5), Value::Int(2), Value::Str(""),    Value::Str("a")};
+  for (size_t i = 0; i < ordered.size(); ++i) {
+    for (size_t j = 0; j < ordered.size(); ++j) {
+      int want = i < j ? -1 : (i > j ? 1 : 0);
+      EXPECT_EQ(ordered[i].Compare(ordered[j]), want)
+          << ordered[i].ToString() << " vs " << ordered[j].ToString();
+    }
+  }
+  EXPECT_EQ(Value::Int(1).Compare(Value::Real(1.0)), 0);
+  EXPECT_EQ(Value::Real(1.0).Compare(Value::Int(1)), 0);
+  EXPECT_LT(Value::Int(INT64_MIN).Compare(Value::Int(INT64_MAX)), 0);
 }
 
 TEST(ValueTest, ToString) {
