@@ -79,7 +79,7 @@ ModeResult RunMode(Database* db, const Workload& w, int dop, int iters) {
   // Pin the requested dop: this bench measures executor scaling at fixed
   // dop, not the cost model's choice (that policy is covered by the
   // optimizer tests).
-  session.set_force_parallel(dop > 1);
+  db->options().force_parallel = dop > 1;
   PreparedStatement stmt = Unwrap(session.Prepare(w.sql));
 
   ModeResult r;
@@ -126,7 +126,8 @@ int Main(int argc, char** argv) {
   // Heap-only tables: morsel fragments drive segment scans, and the equi
   // join must hash (a nested loop over an index-less inner would drown the
   // measurement; merge would serialize behind its sorts).
-  db.options().join.force = JoinMethodForce::kHash;
+  db.options().join.enable_nested_loop = false;
+  db.options().join.enable_merge_join = false;
   Die(db.ExecuteScript(R"(
     CREATE TABLE BIG (A INT, B INT);
     CREATE TABLE DIM (K INT, V STRING);

@@ -76,7 +76,8 @@ StatusOr<IndexInfo*> Catalog::CreateIndex(
   info->unique = unique;
   info->clustered = clustered;
 
-  // Bulk-load from existing tuples.
+  // Index the existing tuples one key at a time (a BTree::Insert each; no
+  // sorted bottom-up load).
   RETURN_IF_ERROR(ScanAll(rss_->OpenSegmentScan(table->id, {}).get(),
                           [&](Row& row, Tid tid) {
                             return btree->Insert(ExtractKey(*info, row), tid);

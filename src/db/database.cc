@@ -57,21 +57,15 @@ StatusOr<OptimizedQuery> Database::Compile(
 }
 
 StatusOr<OptimizedQuery> Database::Prepare(const std::string& sql) {
-  return Prepare(sql, options_.max_dop, options_.force_parallel);
-}
-
-StatusOr<OptimizedQuery> Database::Prepare(const std::string& sql, int max_dop,
-                                           bool force_parallel) {
   ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
-  return Prepare(stmt, max_dop, force_parallel);
+  return Prepare(stmt, options_.max_dop);
 }
 
-StatusOr<OptimizedQuery> Database::Prepare(const Statement& stmt, int max_dop,
-                                           bool force_parallel) {
+StatusOr<OptimizedQuery> Database::Prepare(const Statement& stmt,
+                                           int max_dop) {
   if (stmt.kind != Statement::Kind::kSelect) return NotAQuery();
   OptimizerOptions opts = options_;
   opts.max_dop = max_dop;
-  opts.force_parallel = force_parallel;
   return Compile(stmt, opts);
 }
 

@@ -124,16 +124,11 @@ class Database {
   /// Parse+bind+optimize a SELECT without executing (for benches and
   /// tests); any other kind, EXPLAIN included, is kInvalidArgument.
   StatusOr<OptimizedQuery> Prepare(const std::string& sql);
-  /// Same, overriding the optimizer's degree-of-parallelism knobs for this
-  /// one statement (the PARALLEL n session setting). max_dop <= 1 plans
-  /// serially; force_parallel wraps every eligible fragment regardless of
-  /// cost (fuzzing).
-  StatusOr<OptimizedQuery> Prepare(const std::string& sql, int max_dop,
-                                   bool force_parallel = false);
   /// Same, for a statement already parsed (a Session parses the tokens it
-  /// rendered its cache key from).
-  StatusOr<OptimizedQuery> Prepare(const Statement& stmt, int max_dop,
-                                   bool force_parallel);
+  /// rendered its cache key from), overriding the optimizer's max_dop for
+  /// this one statement (the PARALLEL n session setting; <= 1 plans
+  /// serially).
+  StatusOr<OptimizedQuery> Prepare(const Statement& stmt, int max_dop);
   /// Same, with a baseline strategy instead of the DP optimizer.
   StatusOr<OptimizedQuery> PrepareBaseline(const std::string& sql,
                                            BaselineKind kind);

@@ -15,23 +15,18 @@ ExecContext::ExecContext(Rss* rss, const Catalog* catalog,
 
 ExecContext::~ExecContext() { ReleaseTempPages(); }
 
-std::unique_ptr<Operator>& ExecContext::SubqueryOpFor(
-    const BoundQueryBlock* block) {
-  return subquery_ops_[block];
-}
-
 const PlanRef* ExecContext::SubplanFor(const BoundQueryBlock* block) const {
   if (subplans_ == nullptr) return nullptr;
   auto it = subplans_->find(block);
   return it == subplans_->end() ? nullptr : &it->second;
 }
 
-const std::vector<std::pair<int, size_t>>& ExecContext::OuterRefsFor(
+ExecContext::SubqueryState& ExecContext::SubqueryStateFor(
     const BoundQueryBlock* block) {
-  auto it = outer_refs_.find(block);
-  if (it != outer_refs_.end()) return it->second;
+  auto [it, inserted] = subqueries_.try_emplace(block);
+  if (!inserted) return it->second;
 
-  std::vector<std::pair<int, size_t>> refs;
+  std::vector<std::pair<int, size_t>>& refs = it->second.outer_refs;
   std::function<void(const BoundExpr&, int)> walk = [&](const BoundExpr& e,
                                                         int depth) {
     if (e.kind == BoundExprKind::kColumn && e.outer_level > depth) {
@@ -47,7 +42,7 @@ const std::vector<std::pair<int, size_t>>& ExecContext::OuterRefsFor(
   for (const auto& item : block->select_list) walk(*item, 0);
   if (block->where != nullptr) walk(*block->where, 0);
   if (block->having != nullptr) walk(*block->having, 0);
-  return outer_refs_[block] = std::move(refs);
+  return it->second;
 }
 
 void ExecContext::ConfigureParallelWorker(

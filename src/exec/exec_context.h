@@ -45,8 +45,8 @@ struct ExecLimits {
 class ExecContext {
  public:
   // Constructor and destructor are out-of-line: both would otherwise
-  // instantiate the subquery_ops_ map's cleanup, which needs Operator to be
-  // a complete type.
+  // instantiate the subqueries_ map's cleanup, which needs Operator to be a
+  // complete type.
   ExecContext(Rss* rss, const Catalog* catalog, const SubplanMap* subplans,
               double w);
   ExecContext(const ExecContext&) = delete;
@@ -90,14 +90,13 @@ class ExecContext {
   /// outlive execution). Null when the statement has no parameters.
   void set_params(const std::vector<Value>* params) { params_ = params; }
   const std::vector<Value>* params() const { return params_; }
-  /// The value bound to parameter `idx`, or an error if unbound.
-  Status ParamValue(int idx, Value* out) const {
-    if (params_ == nullptr || idx < 0 ||
-        static_cast<size_t>(idx) >= params_->size()) {
+  /// The value bound to parameter `idx` (0-based), or an error if unbound.
+  Status ParamValue(size_t idx, const Value** out) const {
+    if (params_ == nullptr || idx >= params_->size()) {
       return Status::InvalidArgument("parameter ?" + std::to_string(idx + 1) +
                                      " is not bound");
     }
-    *out = (*params_)[idx];
+    *out = &(*params_)[idx];
     return Status::OK();
   }
 
@@ -114,27 +113,25 @@ class ExecContext {
   }
 
   // --- Subquery machinery (§6) ---
-  struct SubqueryCache {
+  /// Everything one nested block keeps across its evaluations.
+  struct SubqueryState {
+    /// (levels-up, offset) pairs of the outer values the block references:
+    /// the re-evaluation cache key.
+    std::vector<std::pair<int, size_t>> outer_refs;
+    /// The block's operator tree: built on the first evaluation and
+    /// re-opened via Rebind() thereafter, so correlated subqueries don't
+    /// rebuild their plan per outer row.
+    std::unique_ptr<Operator> op;
     bool valid = false;
-    std::vector<Value> key;       // Referenced outer values at evaluation.
-    Value scalar;                 // Scalar result.
-    std::vector<Value> list;      // IN-subquery temporary list (sorted).
+    std::vector<Value> key;   // Referenced outer values at evaluation.
+    Value scalar;             // Scalar result.
+    std::vector<Value> list;  // IN-subquery temporary list (sorted).
   };
-  SubqueryCache& CacheFor(const BoundQueryBlock* block) {
-    return caches_[block];
-  }
-
-  /// (levels-up, offset) pairs of the outer values `block` references; used
-  /// as the re-evaluation cache key. Computed once per block.
-  const std::vector<std::pair<int, size_t>>& OuterRefsFor(
-      const BoundQueryBlock* block);
-
-  /// Cached operator tree for a nested block: built on the first evaluation
-  /// and re-opened via Rebind() thereafter, so correlated subqueries don't
-  /// rebuild their plan per outer row. Returns the owning slot (null until
-  /// the first evaluation fills it). Out-of-line: the map insertion needs
-  /// Operator to be a complete type.
-  std::unique_ptr<Operator>& SubqueryOpFor(const BoundQueryBlock* block);
+  /// The state of `block`, created (with its outer references) on first
+  /// use. References stay valid while nested evaluations add deeper
+  /// blocks. Out-of-line: the insertion needs Operator to be a complete
+  /// type.
+  SubqueryState& SubqueryStateFor(const BoundQueryBlock* block);
 
   // --- Per-statement limits (graceful degradation) ---
   void set_limits(const ExecLimits& limits) {
@@ -201,12 +198,9 @@ class ExecContext {
   WorkerPool* worker_pool_ = nullptr;
   const std::vector<Value>* params_ = nullptr;
   std::vector<const Row*> ancestors_;
-  std::map<const BoundQueryBlock*, SubqueryCache> caches_;
-  // Node-based map: references returned by SubqueryOpFor stay valid while
-  // nested evaluations insert entries for deeper blocks.
-  std::map<const BoundQueryBlock*, std::unique_ptr<Operator>> subquery_ops_;
-  std::map<const BoundQueryBlock*, std::vector<std::pair<int, size_t>>>
-      outer_refs_;
+  // Node-based map: references returned by SubqueryStateFor stay valid
+  // while nested evaluations insert entries for deeper blocks.
+  std::map<const BoundQueryBlock*, SubqueryState> subqueries_;
   Status CheckInterruptsSlow();
 
   std::vector<PageId> temp_pages_;

@@ -355,16 +355,9 @@ Status ExprProgram::Run(ExecContext* ctx, const Row& row, const Value* aggs,
       case Op::kPushConst:
         stack[sp++].ref = &consts_[s.a];
         break;
-      case Op::kPushParam: {
-        const std::vector<Value>* params = ctx->params();
-        if (params == nullptr || s.a >= params->size()) {
-          return Status::InvalidArgument("parameter ?" +
-                                         std::to_string(s.a + 1) +
-                                         " is not bound");
-        }
-        stack[sp++].ref = &(*params)[s.a];
+      case Op::kPushParam:
+        RETURN_IF_ERROR(ctx->ParamValue(s.a, &stack[sp++].ref));
         break;
-      }
       case Op::kCompare: {
         const Value& rhs = *stack[--sp].ref;
         const Value& lhs = *stack[--sp].ref;

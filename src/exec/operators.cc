@@ -1,8 +1,40 @@
 #include "exec/operators.h"
 
+#include <cmath>
+#include <cstdint>
+
 #include "exec/parallel/morsel.h"
 
 namespace systemr {
+
+namespace {
+
+// Appends `v` as the key of a `key_type` column. INT and REAL compare by
+// value but encode under different tags, so a numeric of the other type is
+// converted first: an INT becomes its double, and a REAL rounds down (up
+// when `round_up`) to an INT, saturating at the int64 limits. Returns false
+// when the encoded value differs from `v`: the caller then makes its range
+// end inclusive, so rounding only widens the range, and the scan's SARGs,
+// which hold the same comparison, reject the extra keys.
+bool EncodeBound(const Value& v, ValueType key_type, bool round_up,
+                 std::string* out) {
+  if (v.type() == ValueType::kInt64 && key_type == ValueType::kDouble) {
+    Value::Real(static_cast<double>(v.AsInt())).EncodeKey(out);
+    return true;
+  }
+  if (v.type() != ValueType::kDouble || key_type != ValueType::kInt64) {
+    v.EncodeKey(out);
+    return true;
+  }
+  double d = round_up ? std::ceil(v.AsReal()) : std::floor(v.AsReal());
+  int64_t i = !(d >= -0x1p63)  ? INT64_MIN  // Also NaN.
+              : d >= 0x1p63    ? INT64_MAX
+                               : static_cast<int64_t>(d);
+  Value::Int(i).EncodeKey(out);
+  return static_cast<double>(i) == v.AsReal();
+}
+
+}  // namespace
 
 Status RowCursor::Pull(Operator* child) {
   row_ = nullptr;
@@ -31,9 +63,9 @@ ScanOp::ScanOp(ExecContext* ctx, const BoundQueryBlock* block,
   // Build the scan once, with placeholder values in the dynamic SARG slots;
   // Open()/Rebind() fill them in before the scan position is reset.
   SargList sargs = spec.sargs;
-  for (const DynamicSargTerm& d : spec.dyn_sargs) {
+  for (const ScanTerm& d : spec.dyn_sargs) {
     Sarg s;
-    s.AddConjunct({SargTerm{d.inner_column, d.op, Value::Null()}});
+    s.AddConjunct({SargTerm{d.column, d.op, Value::Null()}});
     sargs.push_back(std::move(s));
   }
   const RowSlice slice{offset_, block_->row_width};
@@ -72,71 +104,65 @@ Status ScanOp::OpenScan() {
   return AdvanceMorsel(&got);
 }
 
+Status ScanOp::Resolve(const ScanOperand& operand, const Value** value) const {
+  switch (operand.source) {
+    case ScanOperand::Source::kLiteral:
+      *value = &operand.literal;
+      return Status::OK();
+    case ScanOperand::Source::kParam:
+      return ctx_->ParamValue(operand.index, value);
+    case ScanOperand::Source::kOuter:
+      if (binding_ == nullptr) {
+        return Status::Internal("dynamic scan opened without an outer row");
+      }
+      *value = &(*binding_)[operand.index];
+      return Status::OK();
+  }
+  return Status::Internal("unknown scan operand source");
+}
+
 Status ScanOp::BindDynamic() {
   const ScanSpec& spec = node_->scan;
-  bool needs_outer = false;
-  for (const DynamicSargTerm& d : spec.dyn_sargs) {
-    if (d.param_idx < 0) needs_outer = true;
-  }
-  for (const EqBound& b : spec.eq_bounds) {
-    if (b.outer_offset >= 0) needs_outer = true;
-  }
-  if (needs_outer && binding_ == nullptr) {
-    return Status::Internal("dynamic scan opened without an outer row");
-  }
+  const Value* v = nullptr;
   if (!spec.dyn_sargs.empty()) {
     SargList* sargs = scan_->mutable_sargs();
     for (size_t i = 0; i < spec.dyn_sargs.size(); ++i) {
-      const DynamicSargTerm& d = spec.dyn_sargs[i];
-      Value& slot = (*sargs)[static_sargs_ + i].disjuncts[0][0].value;
-      if (d.param_idx >= 0) {
-        RETURN_IF_ERROR(ctx_->ParamValue(d.param_idx, &slot));
-      } else {
-        slot = (*binding_)[d.outer_offset];
-      }
+      RETURN_IF_ERROR(Resolve(spec.dyn_sargs[i].value, &v));
+      (*sargs)[static_sargs_ + i].disjuncts[0][0].value = *v;
     }
   }
   if (spec.index == nullptr) return Status::OK();
 
-  // Index bounds: the equality prefix (in key-column order), then an
-  // optional range on the next key column.
+  // Index bounds, each encoded as its key column's type: the equality
+  // prefix (in key-column order), then an optional range on the next key
+  // column.
+  auto key_type = [&spec](size_t k) {
+    return spec.table->schema.column(spec.index->key_columns[k]).type;
+  };
   std::string prefix;
-  Value v;
-  for (const EqBound& b : spec.eq_bounds) {
-    if (b.param_idx >= 0) {
-      RETURN_IF_ERROR(ctx_->ParamValue(b.param_idx, &v));
-      v.EncodeKey(&prefix);
-    } else if (b.outer_offset >= 0) {
-      (*binding_)[b.outer_offset].EncodeKey(&prefix);
-    } else {
-      b.literal.EncodeKey(&prefix);
-    }
+  for (size_t k = 0; k < spec.eq_bounds.size(); ++k) {
+    RETURN_IF_ERROR(Resolve(spec.eq_bounds[k], &v));
+    EncodeBound(*v, key_type(k), /*round_up=*/false, &prefix);
   }
   KeyRange range;
-  if (spec.lo.has_value() || spec.lo_param >= 0) {
+  if (spec.lo.has_value()) {
+    RETURN_IF_ERROR(Resolve(spec.lo->value, &v));
     std::string k = prefix;
-    if (spec.lo_param >= 0) {
-      RETURN_IF_ERROR(ctx_->ParamValue(spec.lo_param, &v));
-      v.EncodeKey(&k);
-    } else {
-      spec.lo->EncodeKey(&k);
-    }
+    bool exact = EncodeBound(*v, key_type(spec.eq_bounds.size()),
+                             /*round_up=*/false, &k);
     range.start = std::move(k);
-    range.start_inclusive = spec.lo_inclusive;
+    range.start_inclusive = spec.lo->inclusive || !exact;
   } else if (!prefix.empty()) {
     range.start = prefix;
     range.start_inclusive = true;
   }
-  if (spec.hi.has_value() || spec.hi_param >= 0) {
+  if (spec.hi.has_value()) {
+    RETURN_IF_ERROR(Resolve(spec.hi->value, &v));
     std::string k = prefix;
-    if (spec.hi_param >= 0) {
-      RETURN_IF_ERROR(ctx_->ParamValue(spec.hi_param, &v));
-      v.EncodeKey(&k);
-    } else {
-      spec.hi->EncodeKey(&k);
-    }
+    bool exact = EncodeBound(*v, key_type(spec.eq_bounds.size()),
+                             /*round_up=*/true, &k);
     range.stop = std::move(k);
-    range.stop_inclusive = spec.hi_inclusive;
+    range.stop_inclusive = spec.hi->inclusive || !exact;
   } else if (!prefix.empty()) {
     // Prefix match: the stop bound is the prefix itself (inclusive covers
     // every key extending it).

@@ -104,8 +104,11 @@ class ScanOp : public Operator {
   const std::vector<Tid>& tids() const { return tids_; }
 
  private:
-  /// Writes the current binding's values into the scan's dynamic SARG slots
-  /// and (for index scans) recomputes the key range.
+  /// The value of `operand` for this open: the literal, the bound ? value
+  /// or the current outer row's column. It stays valid until the next open.
+  Status Resolve(const ScanOperand& operand, const Value** value) const;
+  /// Writes the resolved operands into the scan's dynamic SARG slots and
+  /// (for index scans) recomputes the key range.
   Status BindDynamic();
   /// Positions the scan (morsel mode claims the first page range; a drained
   /// dispenser leaves the scan empty).

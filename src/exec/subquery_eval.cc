@@ -12,10 +12,10 @@ namespace {
 // Gathers the outer values the block references, resolved against the
 // current evaluation state — this is the re-evaluation cache key (§6).
 std::vector<Value> CorrelationKey(ExecContext* ctx,
-                                  const BoundQueryBlock* block,
+                                  const ExecContext::SubqueryState& state,
                                   const Row& outer_row) {
   std::vector<Value> key;
-  for (const auto& [levels, offset] : ctx->OuterRefsFor(block)) {
+  for (const auto& [levels, offset] : state.outer_refs) {
     // Level 1 = the row being evaluated right now; deeper levels come from
     // the ancestor stack.
     if (levels == 1) {
@@ -37,17 +37,18 @@ bool KeysEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
 
 // Runs the subquery plan, returning its projected rows. The current outer
 // row is pushed onto the ancestor stack for correlated references. The
-// operator tree is built once per statement and cached in the ExecContext;
+// operator tree is built once per statement and kept in the block's state;
 // re-evaluations only Rebind() it (reset scan positions, re-derive dynamic
 // bounds) instead of rebuilding the whole tree per outer row.
 Status RunSubquery(ExecContext* ctx, const BoundQueryBlock* block,
-                   const Row& outer_row, std::vector<Row>* rows) {
+                   ExecContext::SubqueryState* state, const Row& outer_row,
+                   std::vector<Row>* rows) {
   const PlanRef* plan = ctx->SubplanFor(block);
   if (plan == nullptr) {
     return Status::Internal("no plan recorded for nested query block");
   }
   ctx->ancestors().push_back(&outer_row);
-  std::unique_ptr<Operator>& op = ctx->SubqueryOpFor(block);
+  std::unique_ptr<Operator>& op = state->op;
   Status st;
   if (op == nullptr) {
     op = BuildOperator(ctx, block, plan->get(), nullptr);
@@ -67,52 +68,62 @@ Status RunSubquery(ExecContext* ctx, const BoundQueryBlock* block,
   return st;
 }
 
+// The §6 step both subquery kinds share: keys the block's state on the
+// outer values it references now. A hit counts and returns true, leaving
+// the previous result in the state. A miss runs the block into *rows,
+// counts the evaluation and re-keys the state; the caller stores the
+// result it derives from the rows.
+StatusOr<bool> CachedOrRun(ExecContext* ctx, const BoundQueryBlock* block,
+                           ExecContext::SubqueryState* state,
+                           const Row& outer_row, std::vector<Row>* rows) {
+  std::vector<Value> key = CorrelationKey(ctx, *state, outer_row);
+  if (state->valid && KeysEqual(state->key, key)) {
+    ++ctx->stats().subquery_cache_hits;
+    return true;
+  }
+  RETURN_IF_ERROR(RunSubquery(ctx, block, state, outer_row, rows));
+  ++ctx->stats().subquery_evals;
+  state->valid = true;
+  state->key = std::move(key);
+  return false;
+}
+
 }  // namespace
 
 StatusOr<Value> EvalScalarSubquery(ExecContext* ctx,
                                    const BoundQueryBlock* block,
                                    const Row& outer_row) {
-  ExecContext::SubqueryCache& cache = ctx->CacheFor(block);
-  std::vector<Value> key = CorrelationKey(ctx, block, outer_row);
-  if (cache.valid && KeysEqual(cache.key, key)) {
-    ++ctx->stats().subquery_cache_hits;
-    return cache.scalar;
-  }
+  ExecContext::SubqueryState& state = ctx->SubqueryStateFor(block);
   std::vector<Row> rows;
-  RETURN_IF_ERROR(RunSubquery(ctx, block, outer_row, &rows));
-  ++ctx->stats().subquery_evals;
-  if (rows.size() > 1) {
-    return Status::InvalidArgument(
-        "scalar subquery returned more than one row");
+  ASSIGN_OR_RETURN(bool hit, CachedOrRun(ctx, block, &state, outer_row, &rows));
+  if (!hit) {
+    if (rows.size() > 1) {
+      // The statement fails; the state must not serve this key again.
+      state.valid = false;
+      return Status::InvalidArgument(
+          "scalar subquery returned more than one row");
+    }
+    state.scalar = rows.empty() ? Value::Null() : std::move(rows[0][0]);
   }
-  Value result = rows.empty() ? Value::Null() : rows[0][0];
-  cache.valid = true;
-  cache.key = std::move(key);
-  cache.scalar = result;
-  return result;
+  return state.scalar;
 }
 
 StatusOr<const std::vector<Value>*> EvalInSubqueryList(
     ExecContext* ctx, const BoundQueryBlock* block, const Row& outer_row) {
-  ExecContext::SubqueryCache& cache = ctx->CacheFor(block);
-  std::vector<Value> key = CorrelationKey(ctx, block, outer_row);
-  if (cache.valid && KeysEqual(cache.key, key)) {
-    ++ctx->stats().subquery_cache_hits;
-    return &cache.list;
-  }
+  ExecContext::SubqueryState& state = ctx->SubqueryStateFor(block);
   std::vector<Row> rows;
-  RETURN_IF_ERROR(RunSubquery(ctx, block, outer_row, &rows));
-  ++ctx->stats().subquery_evals;
-  // Returned "in a temporary list, an internal form which is more efficient
-  // than a relation" (§6) — kept sorted so membership tests are cheap.
-  cache.list.clear();
-  cache.list.reserve(rows.size());
-  for (Row& r : rows) cache.list.push_back(std::move(r[0]));
-  std::sort(cache.list.begin(), cache.list.end(),
-            [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-  cache.valid = true;
-  cache.key = std::move(key);
-  return &cache.list;
+  ASSIGN_OR_RETURN(bool hit, CachedOrRun(ctx, block, &state, outer_row, &rows));
+  if (!hit) {
+    // Returned "in a temporary list, an internal form which is more
+    // efficient than a relation" (§6) — kept sorted so membership tests are
+    // cheap.
+    state.list.clear();
+    state.list.reserve(rows.size());
+    for (Row& r : rows) state.list.push_back(std::move(r[0]));
+    std::sort(state.list.begin(), state.list.end(),
+              [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
+  }
+  return &state.list;
 }
 
 }  // namespace systemr

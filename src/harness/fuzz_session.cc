@@ -149,8 +149,8 @@ SeedResult RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
                              " oracle=schema-build " + built.message());
     return out;
   }
-  db.options().join.force = options.force;
-  twin.options().join.force = options.force;
+  db.options().join = options.join;
+  twin.options().join = options.join;
   db.options().use_column_stats = options.use_column_stats;
   twin.options().use_column_stats = options.use_column_stats;
   if (options.max_dop > 1) {
@@ -325,7 +325,8 @@ SeedResult RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
 
 SeedResult RunConcurrentFuzzSeed(uint64_t seed, int threads,
                                  int queries_per_thread,
-                                 JoinMethodForce force, int max_dop) {
+                                 const JoinEnumerator::Options& join,
+                                 int max_dop) {
   SeedResult out;
   out.seed = seed;
 
@@ -338,7 +339,7 @@ SeedResult RunConcurrentFuzzSeed(uint64_t seed, int threads,
                              " oracle=schema-build " + built.message());
     return out;
   }
-  db.options().join.force = force;
+  db.options().join = join;
   if (max_dop > 1) {
     db.options().max_dop = max_dop;
     db.options().force_parallel = true;

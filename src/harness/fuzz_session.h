@@ -54,11 +54,12 @@ struct FuzzOptions {
   bool use_column_stats = true;  // Equi-depth histograms in the estimator.
   bool use_feedback = true;      // Execution-feedback selectivity learning.
 
-  /// Join-method override applied to the engine (and the index-less twin)
-  /// before planning: targeted differential coverage of one join operator
-  /// (e.g. kHash runs every multi-table query through the hash join wherever
-  /// an equi predicate allows). The reference executor is unaffected.
-  JoinMethodForce force = JoinMethodForce::kAuto;
+  /// Join options applied to the engine (and the index-less twin) before
+  /// planning: one enabled method is targeted differential coverage of that
+  /// join operator (hash alone runs every multi-table query through the
+  /// hash join wherever an equi predicate allows). The reference executor
+  /// is unaffected.
+  JoinEnumerator::Options join;
 
   /// Degree of parallelism for the engine (and the index-less twin): with
   /// max_dop > 1 every eligible query plans a morsel-parallel fragment —
@@ -98,9 +99,10 @@ SeedResult RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
 /// so this catches cross-statement races the single-threaded oracles
 /// cannot: torn buffer-pool state, catalog lookups under contention, plan
 /// sharing through the session plan cache.
-SeedResult RunConcurrentFuzzSeed(
-    uint64_t seed, int threads, int queries_per_thread,
-    JoinMethodForce force = JoinMethodForce::kAuto, int max_dop = 1);
+SeedResult RunConcurrentFuzzSeed(uint64_t seed, int threads,
+                                 int queries_per_thread,
+                                 const JoinEnumerator::Options& join = {},
+                                 int max_dop = 1);
 
 }  // namespace systemr
 

@@ -23,27 +23,21 @@ struct ApplicablePreds {
   double f_local_used = 1.0;
   double f_local_model = 1.0;
   std::vector<ScanSpec::FeedbackTerm> feedback_terms;
-  // Parameter (host-variable) terms applied as dynamic SARGs, values filled
-  // at execute time.
-  std::vector<DynamicSargTerm> param_sargs;
-  // Factor lookup for index matching: single-term equality and range factors
-  // by column, with their selectivities. param_idx >= 0 marks a ? term whose
-  // value is bound at execute time.
+  // Host-variable terms applied as dynamic SARGs, values filled at execute
+  // time.
+  std::vector<ScanTerm> param_sargs;
+  // Factor lookup for index matching: single-term factors, and `>=` with
+  // `<=` or `<` on one column (BETWEEN, LIKE prefix), with their
+  // selectivities.
   struct SimpleTerm {
-    size_t column;
-    CompareOp op;
-    Value value;
+    const ScanTerm* term;
     double selectivity;
-    int param_idx = -1;
   };
-  std::vector<SimpleTerm> simple_terms;  // From single-conjunct factors.
+  std::vector<SimpleTerm> simple_terms;
   struct BetweenTerm {
-    size_t column;
-    Value lo, hi;
-    bool hi_inclusive = true;
+    const ScanTerm* lo;
+    const ScanTerm* hi;
     double selectivity;
-    int lo_param = -1;
-    int hi_param = -1;
   };
   std::vector<BetweenTerm> betweens;
 };
@@ -73,57 +67,36 @@ ApplicablePreds CollectPreds(const PlannerContext& ctx, int table_idx,
       continue;
     }
     if (f.sargable && f.sarg_table == table_idx) {
+      // Literal terms form the factor's static SARG; ? terms (only ever in
+      // a one-conjunct factor) become dynamic SARGs.
       Sarg s;
-      s.disjuncts = f.dnf;
-      out.sargs.push_back(std::move(s));
+      s.disjuncts.reserve(f.dnf.size());
+      for (const std::vector<ScanTerm>& conj : f.dnf) {
+        std::vector<SargTerm> literals;
+        literals.reserve(conj.size());
+        for (const ScanTerm& t : conj) {
+          if (t.value.source == ScanOperand::Source::kLiteral) {
+            literals.push_back(SargTerm{t.column, t.op, t.value.literal});
+          } else {
+            out.param_sargs.push_back(t);
+          }
+        }
+        if (!literals.empty()) s.AddConjunct(std::move(literals));
+      }
+      if (!s.empty()) out.sargs.push_back(std::move(s));
       out.f_sargable *= f.selectivity;
       track_local(f);
       // Single-conjunct factors can bound an index scan.
       if (f.dnf.size() == 1) {
-        const auto& conj = f.dnf[0];
+        const std::vector<ScanTerm>& conj = f.dnf[0];
         if (conj.size() == 1) {
-          out.simple_terms.push_back({conj[0].column, conj[0].op,
-                                      conj[0].value, f.selectivity});
+          out.simple_terms.push_back({&conj[0], f.selectivity});
         } else if (conj.size() == 2 && conj[0].column == conj[1].column &&
                    conj[0].op == CompareOp::kGe &&
                    (conj[1].op == CompareOp::kLe ||
                     conj[1].op == CompareOp::kLt)) {
-          out.betweens.push_back({conj[0].column, conj[0].value,
-                                  conj[1].value,
-                                  conj[1].op == CompareOp::kLe,
-                                  f.selectivity});
+          out.betweens.push_back({&conj[0], &conj[1], f.selectivity});
         }
-      }
-      continue;
-    }
-    if (!f.param_terms.empty() && f.sarg_table == table_idx) {
-      // Host-variable factor: parameter terms become dynamic SARGs filled at
-      // execute time; literal halves of mixed BETWEENs stay static SARGs.
-      for (const auto& t : f.param_terms) {
-        if (t.param_idx >= 0) {
-          out.param_sargs.push_back(
-              DynamicSargTerm{t.column, t.op, 0, t.param_idx});
-        } else {
-          Sarg s;
-          s.AddConjunct({SargTerm{t.column, t.op, t.value}});
-          out.sargs.push_back(std::move(s));
-        }
-      }
-      out.f_sargable *= f.selectivity;
-      track_local(f);
-      // Index-matching entries: a single comparison, or a BETWEEN shape.
-      if (f.param_terms.size() == 1) {
-        const auto& t = f.param_terms[0];
-        out.simple_terms.push_back(
-            {t.column, t.op, t.value, f.selectivity, t.param_idx});
-      } else if (f.param_terms.size() == 2 &&
-                 f.param_terms[0].column == f.param_terms[1].column &&
-                 f.param_terms[0].op == CompareOp::kGe &&
-                 f.param_terms[1].op == CompareOp::kLe) {
-        out.betweens.push_back({f.param_terms[0].column,
-                                f.param_terms[0].value, f.param_terms[1].value,
-                                true, f.selectivity, f.param_terms[0].param_idx,
-                                f.param_terms[1].param_idx});
       }
       continue;
     }
@@ -182,10 +155,10 @@ std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
 
   // Dynamic SARG terms: join predicates (outer-row sourced, all comparison
   // ops) plus host-variable terms (parameter sourced).
-  std::vector<DynamicSargTerm> dyn_sargs;
+  std::vector<ScanTerm> dyn_sargs;
   for (const auto& [j, f] : preds.join_preds) {
-    dyn_sargs.push_back(DynamicSargTerm{
-        j.c1, j.op, block->OffsetOf(j.t2, j.c2)});
+    dyn_sargs.push_back(ScanTerm{
+        j.c1, j.op, ScanOperand::Outer(block->OffsetOf(j.t2, j.c2))});
   }
   dyn_sargs.insert(dyn_sargs.end(), preds.param_sargs.begin(),
                    preds.param_sargs.end());
@@ -236,19 +209,13 @@ std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
       // Equality on this key column: a literal or ? parameter factor?
       const ApplicablePreds::SimpleTerm* eq = nullptr;
       for (const auto& t : preds.simple_terms) {
-        if (t.column == col && t.op == CompareOp::kEq) {
+        if (t.term->column == col && t.term->op == CompareOp::kEq) {
           eq = &t;
           break;
         }
       }
       if (eq != nullptr) {
-        EqBound b;
-        if (eq->param_idx >= 0) {
-          b.param_idx = eq->param_idx;
-        } else {
-          b.literal = eq->value;
-        }
-        spec.eq_bounds.push_back(std::move(b));
+        spec.eq_bounds.push_back(eq->term->value);
         f_matching *= eq->selectivity;
         ++bound_cols;
         matching = true;
@@ -265,10 +232,8 @@ std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
         }
       }
       if (dyn != nullptr) {
-        EqBound b;
-        b.outer_offset =
-            static_cast<int64_t>(block->OffsetOf(dyn->t2, dyn->c2));
-        spec.eq_bounds.push_back(std::move(b));
+        spec.eq_bounds.push_back(
+            ScanOperand::Outer(block->OffsetOf(dyn->t2, dyn->c2)));
         f_matching *= dyn_f;
         ++bound_cols;
         matching = true;
@@ -276,47 +241,23 @@ std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
       }
       // Range bounds on the first unbound column end the prefix.
       for (const auto& t : preds.simple_terms) {
-        if (t.column != col) continue;
-        if (t.op == CompareOp::kGt || t.op == CompareOp::kGe) {
-          if (!spec.lo.has_value() && spec.lo_param < 0) {
-            if (t.param_idx >= 0) {
-              spec.lo_param = t.param_idx;
-            } else {
-              spec.lo = t.value;
-            }
-            spec.lo_inclusive = t.op == CompareOp::kGe;
-            f_matching *= t.selectivity;
-            matching = true;
-          }
-        } else if (t.op == CompareOp::kLt || t.op == CompareOp::kLe) {
-          if (!spec.hi.has_value() && spec.hi_param < 0) {
-            if (t.param_idx >= 0) {
-              spec.hi_param = t.param_idx;
-            } else {
-              spec.hi = t.value;
-            }
-            spec.hi_inclusive = t.op == CompareOp::kLe;
-            f_matching *= t.selectivity;
-            matching = true;
-          }
+        if (t.term->column != col) continue;
+        CompareOp op = t.term->op;
+        std::optional<KeyBound>* end = nullptr;
+        if (op == CompareOp::kGt || op == CompareOp::kGe) end = &spec.lo;
+        if (op == CompareOp::kLt || op == CompareOp::kLe) end = &spec.hi;
+        if (end != nullptr && !end->has_value()) {
+          *end = KeyBound{t.term->value,
+                          op == CompareOp::kGe || op == CompareOp::kLe};
+          f_matching *= t.selectivity;
+          matching = true;
         }
       }
-      if (!spec.lo.has_value() && spec.lo_param < 0 && !spec.hi.has_value() &&
-          spec.hi_param < 0) {
+      if (!spec.lo.has_value() && !spec.hi.has_value()) {
         for (const auto& b : preds.betweens) {
-          if (b.column == col) {
-            if (b.lo_param >= 0) {
-              spec.lo_param = b.lo_param;
-            } else {
-              spec.lo = b.lo;
-            }
-            spec.lo_inclusive = true;
-            if (b.hi_param >= 0) {
-              spec.hi_param = b.hi_param;
-            } else {
-              spec.hi = b.hi;
-            }
-            spec.hi_inclusive = b.hi_inclusive;
+          if (b.lo->column == col) {
+            spec.lo = KeyBound{b.lo->value, true};
+            spec.hi = KeyBound{b.hi->value, b.hi->op == CompareOp::kLe};
             f_matching *= b.selectivity;
             matching = true;
             break;

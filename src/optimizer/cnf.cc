@@ -23,67 +23,63 @@ void CollectMask(const BoundExpr& e, int depth, uint32_t* mask) {
   }
 }
 
-// Tries to express `e` as a DNF of (column op literal) terms on one table.
-// On success appends conjuncts to `dnf` and sets/validates `*table`.
-bool ToSargDnf(const BoundExpr& e, int* table,
-               std::vector<std::vector<SargTerm>>* dnf);
-
-// A single sargable term: col op literal (either orientation).
-std::optional<SargTerm> AsSargTerm(const BoundExpr& e, int* table) {
-  if (e.kind != BoundExprKind::kCompare) return std::nullopt;
-  const BoundExpr* lhs = e.children[0].get();
-  const BoundExpr* rhs = e.children[1].get();
-  CompareOp op = e.op;
-  if (lhs->kind == BoundExprKind::kLiteral &&
-      rhs->kind == BoundExprKind::kColumn) {
-    std::swap(lhs, rhs);
-    op = MirrorOp(op);
-  }
-  if (lhs->kind != BoundExprKind::kColumn ||
-      rhs->kind != BoundExprKind::kLiteral) {
-    return std::nullopt;
-  }
-  if (lhs->outer_level != 0) return std::nullopt;
-  if (*table >= 0 && *table != lhs->table_idx) return std::nullopt;
-  *table = lhs->table_idx;
-  return SargTerm{lhs->column, op, rhs->literal};
+// The value side of a sargable leaf: a literal, or a ? host variable (which
+// sets *saw_param).
+std::optional<ScanOperand> AsOperand(const BoundExpr& e, bool* saw_param) {
+  if (e.kind == BoundExprKind::kLiteral) return ScanOperand::Literal(e.literal);
+  if (e.kind != BoundExprKind::kParameter) return std::nullopt;
+  *saw_param = true;
+  return ScanOperand::Param(static_cast<size_t>(e.param_idx));
 }
 
+// Claims `col` for the factor's one table: false unless it is a column of
+// this block on the table the factor's other leaves use.
+bool OnFactorTable(const BoundExpr& col, int* table) {
+  if (col.kind != BoundExprKind::kColumn || col.outer_level != 0) return false;
+  if (*table >= 0 && *table != col.table_idx) return false;
+  *table = col.table_idx;
+  return true;
+}
+
+// Tries to express `e` as a DNF of (column op value) terms on one table,
+// the values literals or ? host variables (in comparison and BETWEEN leaves
+// only; *saw_param reports one). On success appends conjuncts to `dnf` and
+// sets/validates `*table`.
 bool ToSargDnf(const BoundExpr& e, int* table,
-               std::vector<std::vector<SargTerm>>* dnf) {
+               std::vector<std::vector<ScanTerm>>* dnf, bool* saw_param) {
   switch (e.kind) {
     case BoundExprKind::kCompare: {
-      auto term = AsSargTerm(e, table);
-      if (!term.has_value()) return false;
-      dnf->push_back({*term});
+      // col op value, either orientation.
+      const BoundExpr* lhs = e.children[0].get();
+      const BoundExpr* rhs = e.children[1].get();
+      CompareOp op = e.op;
+      if (lhs->kind != BoundExprKind::kColumn) {
+        std::swap(lhs, rhs);
+        op = MirrorOp(op);
+      }
+      std::optional<ScanOperand> value = AsOperand(*rhs, saw_param);
+      if (!value.has_value() || !OnFactorTable(*lhs, table)) return false;
+      dnf->push_back({ScanTerm{lhs->column, op, std::move(*value)}});
       return true;
     }
     case BoundExprKind::kBetween: {
       const BoundExpr* col = e.children[0].get();
-      const BoundExpr* lo = e.children[1].get();
-      const BoundExpr* hi = e.children[2].get();
-      if (col->kind != BoundExprKind::kColumn || col->outer_level != 0 ||
-          lo->kind != BoundExprKind::kLiteral ||
-          hi->kind != BoundExprKind::kLiteral) {
+      std::optional<ScanOperand> lo = AsOperand(*e.children[1], saw_param);
+      std::optional<ScanOperand> hi = AsOperand(*e.children[2], saw_param);
+      if (!lo.has_value() || !hi.has_value() || !OnFactorTable(*col, table)) {
         return false;
       }
-      if (*table >= 0 && *table != col->table_idx) return false;
-      *table = col->table_idx;
-      dnf->push_back({SargTerm{col->column, CompareOp::kGe, lo->literal},
-                      SargTerm{col->column, CompareOp::kLe, hi->literal}});
+      dnf->push_back({ScanTerm{col->column, CompareOp::kGe, std::move(*lo)},
+                      ScanTerm{col->column, CompareOp::kLe, std::move(*hi)}});
       return true;
     }
     case BoundExprKind::kInList: {
-      const BoundExpr* col = e.children[0].get();
-      if (col->kind != BoundExprKind::kColumn || col->outer_level != 0) {
-        return false;
-      }
-      if (*table >= 0 && *table != col->table_idx) return false;
-      *table = col->table_idx;
+      if (!OnFactorTable(*e.children[0], table)) return false;
+      size_t column = e.children[0]->column;
       for (size_t i = 1; i < e.children.size(); ++i) {
         if (e.children[i]->kind != BoundExprKind::kLiteral) return false;
-        dnf->push_back(
-            {SargTerm{col->column, CompareOp::kEq, e.children[i]->literal}});
+        dnf->push_back({ScanTerm{column, CompareOp::kEq,
+                                 ScanOperand::Literal(e.children[i]->literal)}});
       }
       return true;
     }
@@ -94,8 +90,7 @@ bool ToSargDnf(const BoundExpr& e, int* table,
       if (e.negated) return false;
       const BoundExpr* col = e.children[0].get();
       const BoundExpr* pat = e.children[1].get();
-      if (col->kind != BoundExprKind::kColumn || col->outer_level != 0 ||
-          pat->kind != BoundExprKind::kLiteral ||
+      if (pat->kind != BoundExprKind::kLiteral ||
           pat->literal.type() != ValueType::kString) {
         return false;
       }
@@ -109,84 +104,37 @@ bool ToSargDnf(const BoundExpr& e, int* table,
       std::string next = prefix;
       if (static_cast<unsigned char>(next.back()) == 0xff) return false;
       next.back() = static_cast<char>(next.back() + 1);
-      if (*table >= 0 && *table != col->table_idx) return false;
-      *table = col->table_idx;
-      dnf->push_back({SargTerm{col->column, CompareOp::kGe,
-                               Value::Str(std::move(prefix))},
-                      SargTerm{col->column, CompareOp::kLt,
-                               Value::Str(std::move(next))}});
+      if (!OnFactorTable(*col, table)) return false;
+      dnf->push_back(
+          {ScanTerm{col->column, CompareOp::kGe,
+                    ScanOperand::Literal(Value::Str(std::move(prefix)))},
+           ScanTerm{col->column, CompareOp::kLt,
+                    ScanOperand::Literal(Value::Str(std::move(next)))}});
       return true;
     }
     case BoundExprKind::kOr: {
       // OR of sargable parts: union of their disjuncts.
-      return ToSargDnf(*e.children[0], table, dnf) &&
-             ToSargDnf(*e.children[1], table, dnf);
+      return ToSargDnf(*e.children[0], table, dnf, saw_param) &&
+             ToSargDnf(*e.children[1], table, dnf, saw_param);
     }
     case BoundExprKind::kAnd: {
       // AND inside a factor: distribute (a1|a2|..)&(b1|b2|..). Keep the
       // common cheap case bounded: bail out beyond 64 product conjuncts.
-      std::vector<std::vector<SargTerm>> left, right;
-      if (!ToSargDnf(*e.children[0], table, &left) ||
-          !ToSargDnf(*e.children[1], table, &right)) {
+      std::vector<std::vector<ScanTerm>> left, right;
+      if (!ToSargDnf(*e.children[0], table, &left, saw_param) ||
+          !ToSargDnf(*e.children[1], table, &right, saw_param)) {
         return false;
       }
       if (left.size() * right.size() > 64) return false;
       for (const auto& l : left) {
         for (const auto& r : right) {
-          std::vector<SargTerm> combined = l;
+          std::vector<ScanTerm> combined = l;
           combined.insert(combined.end(), r.begin(), r.end());
           dnf->push_back(std::move(combined));
         }
       }
       return true;
     }
-    default:
-      return false;
-  }
-}
-
-// Tries to express `e` as a conjunction of column-vs-(? | literal) terms on
-// one table: a single comparison against a ?, or a BETWEEN with at least one
-// parameter endpoint. Sets *saw_param if any term is a host variable.
-bool ToParamSargTerms(const BoundExpr& e, int* table,
-                      std::vector<BooleanFactor::ParamSargTerm>* terms,
-                      bool* saw_param) {
-  auto add = [&](const BoundExpr* col, CompareOp op, const BoundExpr* rhs) {
-    if (col->kind != BoundExprKind::kColumn || col->outer_level != 0) {
-      return false;
-    }
-    if (rhs->kind != BoundExprKind::kParameter &&
-        rhs->kind != BoundExprKind::kLiteral) {
-      return false;
-    }
-    if (*table >= 0 && *table != col->table_idx) return false;
-    *table = col->table_idx;
-    BooleanFactor::ParamSargTerm t;
-    t.column = col->column;
-    t.op = op;
-    if (rhs->kind == BoundExprKind::kParameter) {
-      t.param_idx = rhs->param_idx;
-      *saw_param = true;
-    } else {
-      t.value = rhs->literal;
-    }
-    terms->push_back(std::move(t));
-    return true;
-  };
-  switch (e.kind) {
-    case BoundExprKind::kCompare: {
-      const BoundExpr* lhs = e.children[0].get();
-      const BoundExpr* rhs = e.children[1].get();
-      CompareOp op = e.op;
-      if (lhs->kind != BoundExprKind::kColumn) {
-        std::swap(lhs, rhs);
-        op = MirrorOp(op);
-      }
-      return add(lhs, op, rhs);
-    }
-    case BoundExprKind::kBetween:
-      return add(e.children[0].get(), CompareOp::kGe, e.children[1].get()) &&
-             add(e.children[0].get(), CompareOp::kLe, e.children[2].get());
     default:
       return false;
   }
@@ -233,22 +181,16 @@ std::vector<BooleanFactor> ExtractBooleanFactors(const BoundQueryBlock& block) {
     if (!f.has_subquery && !f.correlated) {
       f.join = AsJoinPred(*e);
       int table = -1;
-      std::vector<std::vector<SargTerm>> dnf;
-      if (!f.join.has_value() && ToSargDnf(*e, &table, &dnf)) {
+      bool saw_param = false;
+      std::vector<std::vector<ScanTerm>> dnf;
+      // A ? is sargable only in a factor that is one comparison or one
+      // BETWEEN: one conjunct, whose ? terms become dynamic SARGs.
+      if (!f.join.has_value() && ToSargDnf(*e, &table, &dnf, &saw_param) &&
+          (!saw_param || e->kind == BoundExprKind::kCompare ||
+           e->kind == BoundExprKind::kBetween)) {
         f.sargable = true;
         f.sarg_table = table;
         f.dnf = std::move(dnf);
-      }
-      if (!f.join.has_value() && !f.sargable) {
-        // Host-variable factors (§2): sargable with the value substituted
-        // at execute time.
-        int ptable = -1;
-        std::vector<BooleanFactor::ParamSargTerm> pterms;
-        bool saw_param = false;
-        if (ToParamSargTerms(*e, &ptable, &pterms, &saw_param) && saw_param) {
-          f.sarg_table = ptable;
-          f.param_terms = std::move(pterms);
-        }
       }
     }
     factors.push_back(std::move(f));

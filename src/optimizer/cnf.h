@@ -3,7 +3,8 @@
 // satisfy every boolean factor. This module extracts the factors and analyzes
 // each one:
 //   - sargable single-table factors become DNF search arguments ("a boolean
-//     factor may be an entire tree of predicates headed by an OR"),
+//     factor may be an entire tree of predicates headed by an OR") whose
+//     values are literals or ? host variables,
 //   - two-table column comparisons become join predicates,
 //   - everything else stays a residual predicate evaluated above the RSS.
 #ifndef SYSTEMR_OPTIMIZER_CNF_H_
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "optimizer/bound_expr.h"
+#include "optimizer/plan.h"
 #include "rss/sarg.h"
 
 namespace systemr {
@@ -51,27 +53,15 @@ struct BooleanFactor {
   /// Set if the factor is a single join predicate between two tables.
   std::optional<JoinPredInfo> join;
 
-  /// Set if the factor is sargable: every leaf is `column op literal` on one
-  /// single table. `dnf` uses table-local column ordinals.
+  /// Set if the factor is sargable: every leaf is `column op value` on one
+  /// single table, the value a literal or a ? host variable. Like the
+  /// paper's pre-bound host variables, a ? is sargable with the default
+  /// Table-1 selectivities and its value substituted at execute time, but
+  /// only in a factor that is one comparison or one BETWEEN. `dnf` uses
+  /// table-local column ordinals.
   bool sargable = false;
   int sarg_table = -1;
-  std::vector<std::vector<SargTerm>> dnf;
-
-  /// One term of a parameter-sargable factor: `column op ?` or one bound of
-  /// a BETWEEN with a parameter endpoint. param_idx < 0 means `value` holds
-  /// the compile-time literal half of a mixed BETWEEN.
-  struct ParamSargTerm {
-    size_t column = 0;
-    CompareOp op = CompareOp::kEq;
-    int param_idx = -1;
-    Value value;
-  };
-  /// Non-empty if the factor is a conjunction of column-vs-(? | literal)
-  /// terms on one table with at least one ? host variable. Like the paper's
-  /// pre-bound host variables, these are sargable with default Table-1
-  /// selectivities; the values are substituted at execute time. Uses
-  /// sarg_table for the table.
-  std::vector<ParamSargTerm> param_terms;
+  std::vector<std::vector<ScanTerm>> dnf;
 };
 
 /// Splits the block's WHERE tree into boolean factors and analyzes each.

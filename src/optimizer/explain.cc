@@ -103,40 +103,21 @@ std::string DescribeScan(const ScanSpec& spec, const BoundQueryBlock& block) {
     os << corr << " (segment scan)";
   } else {
     os << corr << " via " << spec.index->name;
-    if (!spec.eq_bounds.empty() || spec.lo.has_value() || spec.lo_param >= 0 ||
-        spec.hi.has_value() || spec.hi_param >= 0) {
-      os << " [";
-      bool first = true;
-      for (const EqBound& b : spec.eq_bounds) {
-        if (!first) os << ", ";
-        if (b.param_idx >= 0) {
-          os << "=?" << (b.param_idx + 1);
-        } else if (b.outer_offset >= 0) {
-          os << "=outer#" << b.outer_offset;
-        } else {
-          os << "=" << b.literal.ToString();
-        }
-        first = false;
+    if (!spec.eq_bounds.empty() || spec.lo.has_value() ||
+        spec.hi.has_value()) {
+      const char* sep = " [";
+      for (const ScanOperand& b : spec.eq_bounds) {
+        os << sep << "=" << b.ToString();
+        sep = ", ";
       }
-      if (spec.lo.has_value() || spec.lo_param >= 0) {
-        if (!first) os << ", ";
-        os << (spec.lo_inclusive ? ">=" : ">");
-        if (spec.lo_param >= 0) {
-          os << "?" << (spec.lo_param + 1);
-        } else {
-          os << spec.lo->ToString();
-        }
-        first = false;
+      if (spec.lo.has_value()) {
+        os << sep << (spec.lo->inclusive ? ">=" : ">")
+           << spec.lo->value.ToString();
+        sep = ", ";
       }
-      if (spec.hi.has_value() || spec.hi_param >= 0) {
-        if (!first) os << ", ";
-        os << (spec.hi_inclusive ? "<=" : "<");
-        if (spec.hi_param >= 0) {
-          os << "?" << (spec.hi_param + 1);
-        } else {
-          os << spec.hi->ToString();
-        }
-        first = false;
+      if (spec.hi.has_value()) {
+        os << sep << (spec.hi->inclusive ? "<=" : "<")
+           << spec.hi->value.ToString();
       }
       os << "]";
     }
@@ -149,15 +130,9 @@ std::string DescribeScan(const ScanSpec& spec, const BoundQueryBlock& block) {
     }
     os << ")";
   }
-  for (const DynamicSargTerm& d : spec.dyn_sargs) {
-    os << " dynsarg(" << spec.table->schema.column(d.inner_column).name
-       << CompareOpName(d.op);
-    if (d.param_idx >= 0) {
-      os << "?" << (d.param_idx + 1);
-    } else {
-      os << "outer#" << d.outer_offset;
-    }
-    os << ")";
+  for (const ScanTerm& d : spec.dyn_sargs) {
+    os << " dynsarg(" << spec.table->schema.column(d.column).name
+       << CompareOpName(d.op) << d.value.ToString() << ")";
   }
   if (!spec.residual.empty()) {
     os << " where(";

@@ -136,36 +136,15 @@ Status JoinEnumerator::Run() {
     for (uint32_t mask : masks) {
       ++subsets_expanded_;
       for (size_t t = 0; t < n; ++t) {
-        if (!Eligible(mask, static_cast<int>(t))) continue;
-        bool nl = options_.enable_nested_loop;
-        bool mj = options_.enable_merge_join;
-        bool hj = options_.enable_hash_join;
-        if (options_.force != JoinMethodForce::kAuto) {
-          // A forced method only applies where an equi predicate makes it
-          // possible; elsewhere nested loop keeps the enumeration complete.
-          bool equi = HasEquiJoinWith(mask, static_cast<int>(t));
-          switch (options_.force) {
-            case JoinMethodForce::kAuto:
-              break;
-            case JoinMethodForce::kNestedLoop:
-              mj = hj = false;
-              nl = true;
-              break;
-            case JoinMethodForce::kMerge:
-              hj = false;
-              nl = !equi;
-              mj = true;
-              break;
-            case JoinMethodForce::kHash:
-              mj = false;
-              nl = !equi;
-              hj = true;
-              break;
-          }
+        int inner = static_cast<int>(t);
+        if (!Eligible(mask, inner)) continue;
+        // Nested loop also joins what no equi predicate links, so a
+        // disabled method never loses DP completeness.
+        if (options_.enable_nested_loop || !HasEquiJoinWith(mask, inner)) {
+          ExtendNestedLoop(mask, inner);
         }
-        if (nl) ExtendNestedLoop(mask, static_cast<int>(t));
-        if (mj) ExtendMerge(mask, static_cast<int>(t));
-        if (hj) ExtendHash(mask, static_cast<int>(t));
+        if (options_.enable_merge_join) ExtendMerge(mask, inner);
+        if (options_.enable_hash_join) ExtendHash(mask, inner);
       }
     }
   }

@@ -17,12 +17,6 @@
 
 namespace systemr {
 
-/// Forced join-method override (fuzz_driver --join-method). kAuto is the
-/// normal cost-based competition; a specific method restricts the DP extend
-/// step to that method wherever an equi predicate allows it, falling back to
-/// nested loop elsewhere so the enumeration stays complete.
-enum class JoinMethodForce { kAuto, kNestedLoop, kMerge, kHash };
-
 struct JoinSolution {
   uint32_t mask = 0;
   double cost = 0;
@@ -41,12 +35,16 @@ class JoinEnumerator {
     /// Keep per-order solutions; off = keep only the cheapest per subset
     /// (ablation: forces re-sorts before merges and ORDER BY).
     bool use_interesting_orders = true;
+    /// The join methods the DP extend step may use. Nested loop still joins
+    /// a relation that no equi predicate links to the joined set, whatever
+    /// these say, so the enumeration stays complete; a single enabled
+    /// method is how tests and fuzz_driver --join-method force one.
     bool enable_merge_join = true;
     bool enable_nested_loop = true;
-    /// Hash join as a third method (and hash aggregation above the join):
-    /// off reverts to the paper's two-method §5 enumeration (ablation).
+    /// Hash join as a third method (and hash aggregation above the join,
+    /// forced when hash join is the only method enabled): off reverts to
+    /// the paper's two-method §5 enumeration (ablation).
     bool enable_hash_join = true;
-    JoinMethodForce force = JoinMethodForce::kAuto;
   };
 
   /// Searches the block of `ctx`, which must outlive the enumerator.
@@ -90,8 +88,8 @@ class JoinEnumerator {
   void ExtendHash(uint32_t mask, int t);
 
   /// True when some equi-join predicate links `t` to the joined set — the
-  /// precondition for merge and hash variants (and for honoring a forced
-  /// method without losing DP completeness).
+  /// precondition for merge and hash variants (elsewhere nested loop joins
+  /// `t` whatever the method switches say).
   bool HasEquiJoinWith(uint32_t mask, int t) const;
 
   double CompositeTupleBytes(uint32_t mask) const;

@@ -256,10 +256,9 @@ StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
   // for one). When a cheap access path delivers the group order anyway, the
   // sorted-group plan wins because it skips the per-row hashing charge.
   bool use_hash_agg = false;
-  bool hash_allowed = options_.join.enable_hash_join &&
-                      options_.join.force != JoinMethodForce::kNestedLoop &&
-                      options_.join.force != JoinMethodForce::kMerge;
-  if (block.has_aggregates && !block.group_by.empty() && hash_allowed) {
+  const JoinEnumerator::Options& join = options_.join;
+  if (block.has_aggregates && !block.group_by.empty() &&
+      join.enable_hash_join) {
     ASSIGN_OR_RETURN(JoinSolution unordered, enumerator.Best({}, {}));
     double rows = std::max(unordered.rows, 0.0);
     double groups = EstimateGroups(ctx.sel, block, rows);
@@ -269,8 +268,8 @@ StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
     if (!block.order_by.empty()) {
       hash_total += ctx.cost.SortCost(0, groups, 32.0);
     }
-    if (options_.join.force == JoinMethodForce::kHash ||
-        hash_total < sorted_total) {
+    bool hash_only = !join.enable_nested_loop && !join.enable_merge_join;
+    if (hash_only || hash_total < sorted_total) {
       use_hash_agg = true;
       sol = unordered;
     }

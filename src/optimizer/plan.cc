@@ -2,6 +2,18 @@
 
 namespace systemr {
 
+std::string ScanOperand::ToString() const {
+  switch (source) {
+    case Source::kLiteral:
+      return literal.ToString();
+    case Source::kParam:
+      return "?" + std::to_string(index + 1);
+    case Source::kOuter:
+      return "outer#" + std::to_string(index);
+  }
+  return "?";
+}
+
 std::shared_ptr<PlanNode> NewPlanNode(PlanKind kind) {
   auto node = std::make_shared<PlanNode>();
   node->kind = kind;

@@ -42,25 +42,41 @@ enum class PlanKind {
   kExchange,       // Morsel-parallel fragment barrier (left = fragment).
 };
 
-/// One equality bound on an index key column, in key-column order. Exactly
-/// one source is active: a compile-time literal (the default), the block-row
-/// offset of an outer join column (the nested-loop "join predicate as search
-/// argument" mechanism, §5), or a ? host-variable ordinal bound at execute
-/// time (§2).
-struct EqBound {
-  Value literal;
-  int64_t outer_offset = -1;  // >= 0: value taken from the outer row.
-  int param_idx = -1;         // >= 0: value taken from the parameter vector.
+/// The value side of a search argument or index bound (§4): a compile-time
+/// literal, a ? host variable bound at execute time (§2), or a column of the
+/// current outer row — the nested-loop join predicate used as a search
+/// argument (§5). The executor resolves every operand in one place before
+/// each scan open.
+struct ScanOperand {
+  enum class Source { kLiteral, kParam, kOuter };
+  Source source = Source::kLiteral;
+  Value literal;     // kLiteral.
+  size_t index = 0;  // kParam: the ? ordinal; kOuter: the block-row offset.
+
+  static ScanOperand Literal(Value v) {
+    return {Source::kLiteral, std::move(v), 0};
+  }
+  static ScanOperand Param(size_t ordinal) {
+    return {Source::kParam, Value(), ordinal};
+  }
+  static ScanOperand Outer(size_t offset) {
+    return {Source::kOuter, Value(), offset};
+  }
+  /// EXPLAIN form: the literal, `?n` (1-based) or `outer#k`.
+  std::string ToString() const;
 };
 
-/// A predicate applied as a SARG on the scan with the value substituted at
-/// run time: from the current outer row (join predicates) or from the
-/// execute-time parameter vector (host variables).
-struct DynamicSargTerm {
-  size_t inner_column = 0;  // Table-local column ordinal.
+/// One search-argument term `column op value` (table-local column ordinal).
+struct ScanTerm {
+  size_t column = 0;
   CompareOp op = CompareOp::kEq;
-  size_t outer_offset = 0;  // Block-row offset of the outer column.
-  int param_idx = -1;       // >= 0: parameter source; outer_offset unused.
+  ScanOperand value;
+};
+
+/// One end of an index key range.
+struct KeyBound {
+  ScanOperand value;
+  bool inclusive = true;
 };
 
 /// Everything needed to open one RSS scan on one table.
@@ -70,20 +86,16 @@ struct ScanSpec {
   const IndexInfo* index = nullptr;  // Null for a segment scan.
 
   // Index bounds: equality bounds on the leading key columns (in key-column
-  // order), then an optional range on the next key column. Range endpoints
-  // are literals, or parameters when lo_param/hi_param >= 0.
-  std::vector<EqBound> eq_bounds;
-  std::optional<Value> lo;
-  bool lo_inclusive = true;
-  int lo_param = -1;
-  std::optional<Value> hi;
-  bool hi_inclusive = true;
-  int hi_param = -1;
+  // order), then an optional range on the next key column.
+  std::vector<ScanOperand> eq_bounds;
+  std::optional<KeyBound> lo;
+  std::optional<KeyBound> hi;
 
   /// Static SARGs (conjunction of DNF boolean factors; table-local columns).
   SargList sargs;
-  /// Join predicates bound as SARGs at run time.
-  std::vector<DynamicSargTerm> dyn_sargs;
+  /// SARG terms whose values are bound before each open: join predicates
+  /// (outer operands), then host-variable terms (parameter operands).
+  std::vector<ScanTerm> dyn_sargs;
   /// Non-sargable single-table predicates, evaluated on the block row right
   /// after this scan (no subqueries, no correlation).
   std::vector<const BoundExpr*> residual;

@@ -25,12 +25,9 @@ StatusOr<std::shared_ptr<const OptimizedQuery>> Session::PlanFor(
     }
   }
   ASSIGN_OR_RETURN(Statement stmt, Parse(std::move(tokens)));
-  const OptimizerOptions& options = db_->options();
   ASSIGN_OR_RETURN(
       OptimizedQuery query,
-      max_dop_ > 1
-          ? db_->Prepare(stmt, max_dop_, force_parallel_)
-          : db_->Prepare(stmt, options.max_dop, options.force_parallel));
+      db_->Prepare(stmt, max_dop_ > 1 ? max_dop_ : db_->options().max_dop));
   ++stats_.optimizations;
   query.feedback_replanned = mark_replanned;
   auto plan = std::make_shared<const OptimizedQuery>(std::move(query));
@@ -53,7 +50,7 @@ StatusOr<PreparedStatement> Session::Prepare(const std::string& sql,
   // normalized text.
   if (max_dop_ > 1) {
     key += "#dop=" + std::to_string(max_dop_);
-    if (force_parallel_) key += "!";
+    if (db_->options().force_parallel) key += "!";
   }
   uint64_t version = 0;
   ASSIGN_OR_RETURN(std::shared_ptr<const OptimizedQuery> plan,

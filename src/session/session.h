@@ -129,14 +129,12 @@ class Session {
 
   /// PARALLEL n: maximum degree of parallelism for statements prepared by
   /// this session from here on (already-prepared statements keep their
-  /// plans). Values <= 1 plan serially. Parallel and serial plans of the
-  /// same SQL coexist in the shared cache under dop-suffixed keys.
+  /// plans). Values <= 1 plan serially; the database's other optimizer
+  /// options, force_parallel included, still apply. Parallel and serial
+  /// plans of the same SQL coexist in the shared cache under dop-suffixed
+  /// keys.
   void set_max_dop(int dop) { max_dop_ = dop < 1 ? 1 : dop; }
   int max_dop() const { return max_dop_; }
-  /// Fuzzing knob: wrap every structurally eligible plan in an exchange
-  /// regardless of cost. Only meaningful with max_dop > 1.
-  void set_force_parallel(bool force) { force_parallel_ = force; }
-  bool force_parallel() const { return force_parallel_; }
 
   const SessionStats& stats() const { return stats_; }
   Database* db() { return db_; }
@@ -164,7 +162,6 @@ class Session {
   ExecLimits limits_;
   SessionStats stats_;
   int max_dop_ = 1;
-  bool force_parallel_ = false;
   std::unique_ptr<Txn> txn_;  // Open transaction, if any.
 };
 

@@ -44,10 +44,24 @@ const PlanNode* Find(const PlanNode* n, PlanKind kind) {
   return l != nullptr ? l : Find(n->right.get(), kind);
 }
 
+// Join options with only the given methods enabled.
+JoinEnumerator::Options Methods(bool nested_loop, bool merge, bool hash) {
+  JoinEnumerator::Options join;
+  join.enable_nested_loop = nested_loop;
+  join.enable_merge_join = merge;
+  join.enable_hash_join = hash;
+  return join;
+}
+
+const JoinEnumerator::Options kAllJoins = Methods(true, true, true);
+const JoinEnumerator::Options kNestedLoopOnly = Methods(true, false, false);
+const JoinEnumerator::Options kMergeOnly = Methods(false, true, false);
+const JoinEnumerator::Options kHashOnly = Methods(false, false, true);
+
 struct Shape {
   const char* name;
   const char* sql;
-  JoinMethodForce force;
+  JoinEnumerator::Options join;
   int forced_dop;      // > 0: plan with every eligible fragment parallel.
   PlanKind exercised;  // The operator whose pull loop this shape covers.
   uint64_t rows;
@@ -87,10 +101,14 @@ Database* ExecCountersTest::db_ = nullptr;
 
 TEST_P(ExecCountersTest, CountersArePinned) {
   const Shape& s = GetParam();
-  db_->options().join.force = s.force;
-  auto q = s.forced_dop > 0 ? db_->Prepare(s.sql, s.forced_dop, true)
-                            : db_->Prepare(s.sql);
-  db_->options().join.force = JoinMethodForce::kAuto;
+  const OptimizerOptions defaults = db_->options();
+  db_->options().join = s.join;
+  if (s.forced_dop > 0) {
+    db_->options().max_dop = s.forced_dop;
+    db_->options().force_parallel = true;
+  }
+  auto q = db_->Prepare(s.sql);
+  db_->options() = defaults;
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   ASSERT_TRUE(Contains(q->root.get(), s.exercised))
       << ExplainPlan(q->root, *q->block);
@@ -106,13 +124,13 @@ TEST_P(ExecCountersTest, CountersArePinned) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ExecCountersTest,
     ::testing::Values(
-        Shape{"count", "SELECT COUNT(*) FROM R0", JoinMethodForce::kAuto, 0,
+        Shape{"count", "SELECT COUNT(*) FROM R0", kAllJoins, 0,
               PlanKind::kAggregate, 1,
               ExecStats{.page_fetches = 23, .rsi_calls = 2000,
                         .buffer_gets = 24, .buffer_hits = 1, .batches = 2,
                         .batch_rows_in = 2000, .batch_rows_out = 2000}},
         Shape{"sort", "SELECT R1.PK, R1.B FROM R1 ORDER BY R1.B",
-              JoinMethodForce::kAuto, 0, PlanKind::kSort, 1000,
+              kAllJoins, 0, PlanKind::kSort, 1000,
               ExecStats{.page_fetches = 12, .page_writes = 12,
                         .rsi_calls = 1000, .buffer_gets = 2035,
                         .buffer_hits = 2023, .batches = 1,
@@ -120,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{"subquery",
               "SELECT X.PK FROM R1 X WHERE X.A BETWEEN 10 AND 14 AND "
               "X.B <= (SELECT MAX(Y.B) FROM R2 Y WHERE Y.A = X.A)",
-              JoinMethodForce::kAuto, 0, PlanKind::kFilter, 94,
+              kAllJoins, 0, PlanKind::kFilter, 94,
               ExecStats{.page_fetches = 22, .rsi_calls = 2603,
                         .subquery_evals = 5, .subquery_cache_hits = 98,
                         .buffer_gets = 138, .buffer_hits = 116, .batches = 6,
@@ -128,7 +146,7 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{"nlj",
               "SELECT R0.PK, R1.A FROM R0, R1 WHERE R0.FK = R1.PK AND "
               "R0.B < 10",
-              JoinMethodForce::kNestedLoop, 0, PlanKind::kNestedLoopJoin, 391,
+              kNestedLoopOnly, 0, PlanKind::kNestedLoopJoin, 391,
               ExecStats{.page_fetches = 62, .rsi_calls = 1391,
                         .buffer_gets = 6040, .buffer_hits = 5978,
                         .batches = 1327, .batch_rows_in = 1391,
@@ -136,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{"merge",
               "SELECT R0.PK, R1.A FROM R0, R1 WHERE R0.FK = R1.PK AND "
               "R0.B < 10",
-              JoinMethodForce::kMerge, 0, PlanKind::kMergeJoin, 391,
+              kMergeOnly, 0, PlanKind::kMergeJoin, 391,
               ExecStats{.page_fetches = 71, .rsi_calls = 1385,
                         .buffer_gets = 3032, .buffer_hits = 2961,
                         .batches = 1385, .batch_rows_in = 1385,
@@ -144,20 +162,20 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{"hash",
               "SELECT R1.PK, R2.PK FROM R1, R2 WHERE R1.B = R2.B AND "
               "R1.A BETWEEN 10 AND 19",
-              JoinMethodForce::kHash, 0, PlanKind::kHashJoin, 2232,
+              kHashOnly, 0, PlanKind::kHashJoin, 2232,
               ExecStats{.page_fetches = 22, .rsi_calls = 722,
                         .buffer_gets = 233, .buffer_hits = 211, .batches = 6,
                         .batch_rows_in = 2954, .batch_rows_out = 2954,
                         .hash_build_rows = 500, .hash_probe_rows = 222}},
         Shape{"hash_group", "SELECT R0.B, COUNT(*) FROM R0 GROUP BY R0.B",
-              JoinMethodForce::kHash, 0, PlanKind::kHashAggregate, 50,
+              kHashOnly, 0, PlanKind::kHashAggregate, 50,
               ExecStats{.page_fetches = 23, .rsi_calls = 2000,
                         .buffer_gets = 24, .buffer_hits = 1, .batches = 2,
                         .batch_rows_in = 2000, .batch_rows_out = 2000}},
         // Two workers share R0's three 8-page morsels; their blocks are
         // added to the statement's at the exchange barrier.
         Shape{"parallel_group", "SELECT R0.B, COUNT(*) FROM R0 GROUP BY R0.B",
-              JoinMethodForce::kAuto, 2, PlanKind::kExchange, 50,
+              kAllJoins, 2, PlanKind::kExchange, 50,
               ExecStats{.page_fetches = 23, .rsi_calls = 2000,
                         .buffer_gets = 23, .batches = 3,
                         .batch_rows_in = 2000, .batch_rows_out = 2000,
@@ -279,7 +297,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ExecCountersGate, NestedLoopInnerIsAnIndexProbe) {
   std::unique_ptr<Database> db = BuildDb();
-  db->options().join.force = JoinMethodForce::kNestedLoop;
+  db->options().join = kNestedLoopOnly;
   auto q = db->Prepare(
       "SELECT R0.PK, R1.A FROM R0, R1 WHERE R0.FK = R1.PK AND R0.B < 10");
   ASSERT_TRUE(q.ok()) << q.status().ToString();

@@ -1,14 +1,18 @@
 // Executor operator tests: external sort (spill, multi-run merge, DISTINCT),
-// merge-scan join edge cases, join-method equivalence, and the §6 subquery
-// re-evaluation cache.
+// merge-scan join edge cases, join-method equivalence, the §6 subquery
+// re-evaluation cache, and index bounds of the other numeric type.
 #include <algorithm>
+#include <cstring>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "db/database.h"
 #include "exec/executor.h"
+#include "optimizer/explain.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -120,8 +124,10 @@ TEST_F(JoinEquivalenceTest, MergeEqualsNestedLoopWithDuplicates) {
 
   OptimizerOptions nl_only = db_->options();
   nl_only.join.enable_merge_join = false;
+  nl_only.join.enable_hash_join = false;
   OptimizerOptions mj_only = db_->options();
   mj_only.join.enable_nested_loop = false;
+  mj_only.join.enable_hash_join = false;
 
   Database& db = *db_;
   Binder binder(&db.catalog());
@@ -137,6 +143,10 @@ TEST_F(JoinEquivalenceTest, MergeEqualsNestedLoopWithDuplicates) {
   };
   OptimizedQuery nl = make(nl_only);
   OptimizedQuery mj = make(mj_only);
+  EXPECT_NE(ExplainPlan(nl.root, *nl.block).find("method=nested-loop"),
+            std::string::npos);
+  EXPECT_NE(ExplainPlan(mj.root, *mj.block).find("method=merge"),
+            std::string::npos);
   EXPECT_EQ(RowsOf(nl), RowsOf(mj));
   EXPECT_FALSE(RowsOf(nl).empty());
 }
@@ -228,6 +238,137 @@ TEST_F(SubqueryCacheTest, UncorrelatedSubqueryEvaluatedOnce) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.subquery_evals, 1u)
       << "§6: uncorrelated subqueries are evaluated only once";
+}
+
+// --- Index bounds against a key of the other numeric type ---
+//
+// INT and REAL compare by value, but an index key encodes each under its own
+// tag, so a literal, host-variable or outer-row bound must take its key
+// column's type before it is encoded. Each statement returns the rows it
+// returns without an index, whichever index its plan probes.
+
+// T(K INT, V INT) holds K = 1..300; U(R REAL, W INT) holds R = 0.5..150.0 in
+// steps of 0.5. `indexes` is the DDL that tells the two databases apart.
+std::unique_ptr<Database> MixedNumericDb(const std::string& indexes) {
+  auto db = std::make_unique<Database>(64);
+  EXPECT_TRUE(db->ExecuteScript("CREATE TABLE T (K INT, V INT);"
+                                "CREATE TABLE U (R REAL, W INT);")
+                  .ok());
+  for (int i = 1; i <= 300; ++i) {
+    EXPECT_TRUE(db->Execute("INSERT INTO T VALUES (" + std::to_string(i) +
+                            ", " + std::to_string(10 * i) + ")")
+                    .ok());
+    EXPECT_TRUE(db->Execute("INSERT INTO U VALUES (" + std::to_string(i / 2) +
+                            (i % 2 == 0 ? ".0" : ".5") + ", " +
+                            std::to_string(i) + ")")
+                    .ok());
+  }
+  EXPECT_TRUE(db->ExecuteScript(indexes +
+                                "UPDATE STATISTICS T; UPDATE STATISTICS U;")
+                  .ok())
+      << indexes;
+  // Joins run as nested loops: the inner scan's key takes the outer value.
+  db->options().join.enable_merge_join = false;
+  db->options().join.enable_hash_join = false;
+  return db;
+}
+
+// The DDL of the two indexed variants: INT keys, then REAL keys.
+constexpr const char* kIndexTK = "CREATE CLUSTERED INDEX T_K ON T (K);";
+constexpr const char* kIndexUR = "CREATE INDEX U_R ON U (R);";
+
+struct MixedProbe {
+  const char* sql;
+  std::vector<Value> params;
+  size_t rows;  // Result rows, or an UPDATE's or DELETE's affected count.
+};
+
+const MixedProbe kMixedProbes[] = {
+    {"SELECT K FROM T WHERE K = 2.0", {}, 1},
+    {"SELECT K FROM T WHERE K > 1.5", {}, 299},
+    {"SELECT K FROM T WHERE K > 297.5", {}, 3},
+    {"SELECT K FROM T WHERE K < 2.5", {}, 2},
+    {"SELECT K FROM T WHERE K BETWEEN 1.5 AND 3.5", {}, 2},
+    {"SELECT K FROM T WHERE K = ?", {Value::Real(2.0)}, 1},
+    {"SELECT K FROM T WHERE K = ?", {Value::Real(2.5)}, 0},
+    {"SELECT K FROM T WHERE K = ?", {Value::Real(1e30)}, 0},
+    {"SELECT K FROM T WHERE K = ?", {Value::Null()}, 0},
+    {"SELECT K FROM T WHERE K > ? AND K < 5", {Value::Real(-1e30)}, 4},
+    {"SELECT K FROM T WHERE K >= ? AND K < 5", {Value::Real(1.5)}, 3},
+    {"SELECT K FROM T WHERE K < ? AND K > 296", {Value::Real(1e30)}, 4},
+    {"SELECT K FROM T WHERE K <= ? AND K > 296", {Value::Real(298.5)}, 2},
+    {"SELECT R FROM U WHERE R = 2", {}, 1},
+    {"SELECT R FROM U WHERE R > 148", {}, 4},
+    {"SELECT R FROM U WHERE R = ?", {Value::Int(2)}, 1},
+    {"SELECT T.V, U.W FROM T, U WHERE T.K = U.R", {}, 150},
+    {"UPDATE T SET V = 0 WHERE K = 2.0", {}, 1},
+    {"DELETE FROM T WHERE K > 298.5", {}, 2},
+    {"SELECT K, V FROM T", {}, 298},
+};
+
+// A SELECT's rows, or an UPDATE's or DELETE's affected count.
+std::multiset<std::string> RunMixedProbe(Database* db, const MixedProbe& p) {
+  std::multiset<std::string> out;
+  if (std::strncmp(p.sql, "SELECT", 6) != 0) {
+    auto n = db->Mutate(p.sql);
+    EXPECT_TRUE(n.ok()) << p.sql << ": " << n.status().ToString();
+    if (n.ok()) out.insert("affected " + std::to_string(*n));
+    return out;
+  }
+  auto q = db->Prepare(p.sql);
+  EXPECT_TRUE(q.ok()) << p.sql << ": " << q.status().ToString();
+  if (!q.ok()) return out;
+  auto r = db->Run(*q, p.params);
+  EXPECT_TRUE(r.ok()) << p.sql << ": " << r.status().ToString();
+  if (r.ok()) {
+    for (const Row& row : r->rows) out.insert(RowToString(row));
+  }
+  return out;
+}
+
+TEST(MixedNumericBoundTest, IndexedScansMatchUnindexed) {
+  for (const char* indexes : {kIndexTK, kIndexUR}) {
+    std::unique_ptr<Database> plain = MixedNumericDb("");
+    std::unique_ptr<Database> indexed = MixedNumericDb(indexes);
+    for (const MixedProbe& p : kMixedProbes) {
+      std::multiset<std::string> want = RunMixedProbe(plain.get(), p);
+      if (std::strncmp(p.sql, "SELECT", 6) == 0) {
+        EXPECT_EQ(want.size(), p.rows) << p.sql;
+      } else {
+        EXPECT_EQ(want, std::multiset<std::string>{
+                            "affected " + std::to_string(p.rows)})
+            << p.sql;
+      }
+      EXPECT_EQ(RunMixedProbe(indexed.get(), p), want)
+          << indexes << " " << p.sql;
+    }
+  }
+}
+
+// The probes above reach the index with every operand source, and bound it
+// on both sides of a saturated range.
+TEST(MixedNumericBoundTest, ProbesBoundTheIndex) {
+  std::unique_ptr<Database> t_k = MixedNumericDb(kIndexTK);
+  std::unique_ptr<Database> u_r = MixedNumericDb(kIndexUR);
+  const std::tuple<Database*, const char*, const char*> kPlans[] = {
+      {t_k.get(), "SELECT K FROM T WHERE K = 2.0", "via T_K [=2]"},
+      {t_k.get(), "SELECT K FROM T WHERE K > 297.5", "via T_K [>297.5]"},
+      {t_k.get(), "SELECT K FROM T WHERE K = ?", "via T_K [=?1]"},
+      {t_k.get(), "SELECT K FROM T WHERE K > ? AND K < 5", "via T_K [>?1, <5]"},
+      {t_k.get(), "SELECT K FROM T WHERE K < ? AND K > 296",
+       "via T_K [>296, <?1]"},
+      {t_k.get(), "SELECT T.V, U.W FROM T, U WHERE T.K = U.R",
+       "via T_K [=outer#2]"},
+      {u_r.get(), "SELECT R FROM U WHERE R = ?", "via U_R [=?1]"},
+      {u_r.get(), "SELECT T.V, U.W FROM T, U WHERE T.K = U.R",
+       "via U_R [=outer#0]"},
+  };
+  for (const auto& [db, sql, scan] : kPlans) {
+    auto q = db->Prepare(sql);
+    ASSERT_TRUE(q.ok()) << sql << ": " << q.status().ToString();
+    std::string plan = ExplainPlan(q->root, *q->block);
+    EXPECT_NE(plan.find(scan), std::string::npos) << sql << "\n" << plan;
+  }
 }
 
 }  // namespace

@@ -234,11 +234,10 @@ class AggExprTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     db_ = std::make_unique<Database>(64);
-    if (GetParam()) {
-      db_->options().join.force = JoinMethodForce::kHash;
-    } else {
-      db_->options().join.enable_hash_join = false;
-    }
+    // Hash join alone forces hash aggregation; without it, sorted.
+    db_->options().join.enable_nested_loop = !GetParam();
+    db_->options().join.enable_merge_join = !GetParam();
+    db_->options().join.enable_hash_join = GetParam();
     // Groups by A: 1 -> B {10, 20}, S {xa, ya}; 2 -> B {NULL}, S {xb};
     // 3 -> B {5, 6, 7}, S {zz, yb, xc}; 4 -> B {NULL, NULL}, S {ya, yc}.
     ASSERT_TRUE(db_->ExecuteScript(R"(

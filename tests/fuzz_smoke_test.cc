@@ -116,11 +116,10 @@ TEST(FuzzSmokeTest, AggregateExpressionsMatchReference) {
   };
   for (bool hash : {false, true}) {
     Database db(64);
-    if (hash) {
-      db.options().join.force = JoinMethodForce::kHash;
-    } else {
-      db.options().join.enable_hash_join = false;
-    }
+    // Hash join alone forces hash aggregation; without it, sorted.
+    db.options().join.enable_nested_loop = !hash;
+    db.options().join.enable_merge_join = !hash;
+    db.options().join.enable_hash_join = hash;
     ASSERT_TRUE(db.ExecuteScript(R"(
       CREATE TABLE G (A INT, B INT, S STRING);
       INSERT INTO G VALUES (1, 10, 'xa');
@@ -152,12 +151,12 @@ TEST(FuzzSmokeTest, AggregateExpressionsMatchReference) {
 }
 
 // Targeted join differential runs: 200 seeds with every multi-table query
-// forced through one join method wherever the query allows it (under kMerge
-// and kHash non-equi joins keep nested loop — forcing must never lose DP
-// completeness). Baselines and metamorphic variants are off: this is pure
-// engine-vs-reference coverage of each join operator's batch loop; kHash
-// also forces hash aggregation for GROUP BY blocks.
-class ForcedJoinFuzzTest : public ::testing::TestWithParam<JoinMethodForce> {};
+// joined by the one enabled method wherever the query allows it (with merge
+// or hash alone, non-equi joins keep nested loop — a disabled method must
+// never lose DP completeness). Baselines and metamorphic variants are off:
+// this is pure engine-vs-reference coverage of each join operator's batch
+// loop; hash alone also forces hash aggregation for GROUP BY blocks.
+class ForcedJoinFuzzTest : public ::testing::TestWithParam<PlanKind> {};
 
 TEST_P(ForcedJoinFuzzTest, TwoHundredSeedsClean) {
   FuzzOptions options;
@@ -165,7 +164,9 @@ TEST_P(ForcedJoinFuzzTest, TwoHundredSeedsClean) {
   options.check_baselines = false;
   options.metamorphic = false;
   options.record_calibration = true;
-  options.force = GetParam();
+  options.join.enable_nested_loop = GetParam() == PlanKind::kNestedLoopJoin;
+  options.join.enable_merge_join = GetParam() == PlanKind::kMergeJoin;
+  options.join.enable_hash_join = GetParam() == PlanKind::kHashJoin;
   FuzzReport report;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     SeedResult result = RunFuzzSeed(seed, options, &report);
@@ -175,7 +176,7 @@ TEST_P(ForcedJoinFuzzTest, TwoHundredSeedsClean) {
   }
   EXPECT_EQ(report.seeds, 200u);
   EXPECT_EQ(report.queries, 600u);
-  if (GetParam() != JoinMethodForce::kHash) return;
+  if (GetParam() != PlanKind::kHashJoin) return;
   // The forced runs must actually exercise the hash table: across 600
   // queries at least some joins build and probe.
   uint64_t build = 0, probe = 0;
@@ -189,16 +190,11 @@ TEST_P(ForcedJoinFuzzTest, TwoHundredSeedsClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     FuzzSmokeTest, ForcedJoinFuzzTest,
-    ::testing::Values(JoinMethodForce::kNestedLoop, JoinMethodForce::kMerge,
-                      JoinMethodForce::kHash),
-    [](const ::testing::TestParamInfo<JoinMethodForce>& info) {
-      switch (info.param) {
-        case JoinMethodForce::kNestedLoop: return std::string("NestedLoop");
-        case JoinMethodForce::kMerge: return std::string("Merge");
-        case JoinMethodForce::kHash: return std::string("Hash");
-        case JoinMethodForce::kAuto: break;
-      }
-      return std::string("Auto");
+    ::testing::Values(PlanKind::kNestedLoopJoin, PlanKind::kMergeJoin,
+                      PlanKind::kHashJoin),
+    [](const ::testing::TestParamInfo<PlanKind>& info) {
+      std::string name = PlanKindName(info.param);
+      return name.substr(0, name.size() - 4);  // Drop "Join".
     });
 
 TEST(FuzzSmokeTest, Deterministic) {

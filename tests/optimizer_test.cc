@@ -156,13 +156,12 @@ TEST_F(OptimizerTest, MergeJoinStillWinsWhenInterestingOrderPays) {
 TEST_F(OptimizerTest, ForcedJoinMethodRespectedWhereApplicable) {
   const std::string sql =
       "SELECT NAME FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO";
-  for (auto [force, expect] :
-       {std::pair<JoinMethodForce, PlanKind>{JoinMethodForce::kHash,
-                                             PlanKind::kHashJoin},
-        {JoinMethodForce::kMerge, PlanKind::kMergeJoin},
-        {JoinMethodForce::kNestedLoop, PlanKind::kNestedLoopJoin}}) {
+  for (PlanKind expect : {PlanKind::kHashJoin, PlanKind::kMergeJoin,
+                          PlanKind::kNestedLoopJoin}) {
     JoinEnumerator::Options options;
-    options.force = force;
+    options.enable_nested_loop = expect == PlanKind::kNestedLoopJoin;
+    options.enable_merge_join = expect == PlanKind::kMergeJoin;
+    options.enable_hash_join = expect == PlanKind::kHashJoin;
     auto h = Harness::Make(&db_, sql, options);
     ASSERT_TRUE(h.ok()) << h.status().ToString();
     auto best = (*h)->enumerator->Best({}, {});
@@ -433,6 +432,12 @@ std::string RenderPath(const AccessPath& p, const PlannerContext& ctx) {
   auto value = [](const Value& v) {
     return std::to_string(static_cast<int>(v.type())) + ":" + v.ToString();
   };
+  auto operand = [&](const ScanOperand& o) {
+    return std::to_string(static_cast<int>(o.source)) + ":" +
+           (o.source == ScanOperand::Source::kLiteral
+                ? value(o.literal)
+                : std::to_string(o.index));
+  };
   auto order = [&](const OrderSpec& spec) {
     std::string out;
     for (const OrderKey& k : spec) {
@@ -455,16 +460,13 @@ std::string RenderPath(const AccessPath& p, const PlannerContext& ctx) {
                   order(n.order);
   r += " | scan t" + std::to_string(s.table_idx) + " " + s.table->name +
        " index " + (s.index != nullptr ? s.index->name : "-") + " eq";
-  for (const EqBound& b : s.eq_bounds) {
-    r += " [" + value(b.literal) + " outer " + std::to_string(b.outer_offset) +
-         " param " + std::to_string(b.param_idx) + "]";
-  }
-  r += " lo " + (s.lo.has_value() ? value(*s.lo) : "-") +
-       (s.lo_inclusive ? " incl" : " excl") + " param " +
-       std::to_string(s.lo_param) + " hi " +
-       (s.hi.has_value() ? value(*s.hi) : "-") +
-       (s.hi_inclusive ? " incl" : " excl") + " param " +
-       std::to_string(s.hi_param) + " sargs";
+  for (const ScanOperand& b : s.eq_bounds) r += " [" + operand(b) + "]";
+  auto bound = [&](const std::optional<KeyBound>& b) {
+    return b.has_value() ? operand(b->value) +
+                               (b->inclusive ? " incl" : " excl")
+                         : std::string("-");
+  };
+  r += " lo " + bound(s.lo) + " hi " + bound(s.hi) + " sargs";
   for (const Sarg& sarg : s.sargs) {
     r += " (";
     for (const auto& conj : sarg.disjuncts) {
@@ -479,10 +481,9 @@ std::string RenderPath(const AccessPath& p, const PlannerContext& ctx) {
     r += ")";
   }
   r += " dyn";
-  for (const DynamicSargTerm& d : s.dyn_sargs) {
-    r += " [" + std::to_string(d.inner_column) + " " +
-         std::to_string(static_cast<int>(d.op)) + " " +
-         std::to_string(d.outer_offset) + " " + std::to_string(d.param_idx) +
+  for (const ScanTerm& d : s.dyn_sargs) {
+    r += " [" + std::to_string(d.column) + " " +
+         std::to_string(static_cast<int>(d.op)) + " " + operand(d.value) +
          "]";
   }
   r += " residual";

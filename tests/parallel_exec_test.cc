@@ -171,8 +171,9 @@ class ParallelExecTest : public ::testing::Test {
 
     Session parallel(db_.get());
     parallel.set_max_dop(dop);
-    parallel.set_force_parallel(true);
+    db_->options().force_parallel = true;
     auto p = parallel.ExecuteQuery(sql);
+    db_->options().force_parallel = false;
     EXPECT_TRUE(p.ok()) << sql << "\n" << p.status().ToString();
     if (!s.ok() || !p.ok()) return QueryResult{};
     EXPECT_TRUE(SameRowMultiset(s->rows, p->rows))
@@ -213,7 +214,7 @@ TEST_F(ParallelExecTest, ParallelHavingAndDuplicateGroupsMatchSerial) {
 TEST_F(ParallelExecTest, OrderByAboveExchangeStaysSorted) {
   Session parallel(db_.get());
   parallel.set_max_dop(4);
-  parallel.set_force_parallel(true);
+  db_->options().force_parallel = true;
   auto r = parallel.ExecuteQuery(
       "SELECT B, COUNT(*) FROM BIG GROUP BY B ORDER BY B");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -239,7 +240,7 @@ TEST_F(ParallelExecTest, EmptyTableUnderForcedParallel) {
 TEST_F(ParallelExecTest, CancelAbortsWorkersAndPoolStaysUsable) {
   Session session(db_.get());
   session.set_max_dop(4);
-  session.set_force_parallel(true);
+  db_->options().force_parallel = true;
   std::atomic<bool> cancel{true};
   ExecLimits limits;
   limits.cancel = &cancel;
@@ -259,7 +260,7 @@ TEST_F(ParallelExecTest, CancelAbortsWorkersAndPoolStaysUsable) {
 TEST_F(ParallelExecTest, DeadlineAbortsWorkers) {
   Session session(db_.get());
   session.set_max_dop(4);
-  session.set_force_parallel(true);
+  db_->options().force_parallel = true;
   ExecLimits limits;
   limits.has_deadline = true;
   limits.deadline = std::chrono::steady_clock::now() -
@@ -277,7 +278,7 @@ TEST_F(ParallelExecTest, DeadlineAbortsWorkers) {
 TEST_F(ParallelExecTest, BufferBudgetIsSharedAcrossWorkers) {
   Session session(db_.get());
   session.set_max_dop(4);
-  session.set_force_parallel(true);
+  db_->options().force_parallel = true;
   ExecLimits limits;
   limits.max_buffer_gets = 8;  // Far below one worker's share of the scan.
   session.set_limits(limits);

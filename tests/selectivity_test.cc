@@ -386,6 +386,33 @@ TEST_F(CnfTest, BetweenIsSargableConjunct) {
   EXPECT_EQ(factors[0].dnf[0].size(), 2u);
 }
 
+TEST_F(CnfTest, HostVariableSargableOnlyAsOneComparisonOrBetween) {
+  // A ? is an operand like a literal in one comparison or one BETWEEN.
+  auto factors =
+      Extract("SELECT K FROM T WHERE ? = A AND B BETWEEN ? AND 4");
+  ASSERT_EQ(factors.size(), 2u);
+  ASSERT_TRUE(factors[0].sargable);
+  ASSERT_EQ(factors[0].dnf.size(), 1u);
+  ASSERT_EQ(factors[0].dnf[0].size(), 1u);
+  EXPECT_EQ(factors[0].dnf[0][0].column, 1u);
+  EXPECT_EQ(factors[0].dnf[0][0].value.source, ScanOperand::Source::kParam);
+  EXPECT_EQ(factors[0].dnf[0][0].value.ToString(), "?1");
+  ASSERT_TRUE(factors[1].sargable);
+  ASSERT_EQ(factors[1].dnf.size(), 1u);
+  ASSERT_EQ(factors[1].dnf[0].size(), 2u);
+  EXPECT_EQ(factors[1].dnf[0][0].value.ToString(), "?2");
+  EXPECT_EQ(factors[1].dnf[0][1].value.source, ScanOperand::Source::kLiteral);
+  EXPECT_EQ(factors[1].dnf[0][1].value.ToString(), "4");
+  // Anywhere else it leaves its factor residual. (The parser takes only
+  // literals in an IN list, and the binder only a string LIKE pattern.)
+  for (const char* where :
+       {"A = ? OR B = 1", "(A = ? AND B = 1) OR B = 2", "NOT A = ?"}) {
+    auto residual = Extract(std::string("SELECT K FROM T WHERE ") + where);
+    ASSERT_EQ(residual.size(), 1u) << where;
+    EXPECT_FALSE(residual[0].sargable) << where;
+  }
+}
+
 TEST_F(CnfTest, JoinPredicateDetected) {
   auto factors = Extract("SELECT T.K FROM T, U WHERE T.A = U.A AND T.B = 1");
   ASSERT_EQ(factors.size(), 2u);

@@ -1,9 +1,12 @@
-// Session subsystem tests: parameterized prepared statements, the shared
-// plan cache (hit / invalidation / eviction semantics), and concurrent
-// multi-session execution with race-free per-statement ExecStats.
+// Session subsystem tests: parameterized prepared statements and the
+// operands they hand the scans, the shared plan cache (hit / invalidation /
+// eviction semantics), and concurrent multi-session execution with
+// race-free per-statement ExecStats.
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -532,7 +535,7 @@ TEST_F(SessionTest, ExplainShowsTheSessionsPlan) {
   PlanCache cache;
   Session session(db_.get(), &cache);
   session.set_max_dop(4);
-  session.set_force_parallel(true);
+  db_->options().force_parallel = true;
   auto explain = session.Execute("EXPLAIN " + sql);
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_EQ(explain->kind, Statement::Kind::kExplain);
@@ -565,6 +568,151 @@ TEST_F(SessionTest, DatabaseRunRejectsUnboundParams) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 1u);
   EXPECT_EQ(r->rows[0][0].AsStr(), "E3");
+}
+
+// Search-argument operands: a `?` host variable (§2) or an outer-row column
+// (§5) in every position a literal can take — an equality or range index
+// bound, a static SARG beside a dynamic one, a dynamic SARG alone.
+class ScanOperandTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>(64);
+    ASSERT_TRUE(db_->ExecuteScript(R"(
+      CREATE TABLE T (K INT, A INT, B INT, S STRING, V INT);
+      CREATE TABLE U (K INT, W INT);
+    )").ok());
+    // T: K = i, A = i%25, B = i%16, S = two letters then i, V = i%37.
+    for (int i = 0; i < 400; ++i) {
+      std::string s = {static_cast<char>('a' + i % 3),
+                       static_cast<char>('a' + i % 5)};
+      ASSERT_TRUE(db_->Execute("INSERT INTO T VALUES (" + std::to_string(i) +
+                               ", " + std::to_string(i % 25) + ", " +
+                               std::to_string(i % 16) + ", '" + s +
+                               std::to_string(i) + "', " +
+                               std::to_string(i % 37) + ")")
+                      .ok());
+    }
+    // U: K = 3i, W = i; no index.
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(db_->Execute("INSERT INTO U VALUES (" +
+                               std::to_string(3 * i) + ", " +
+                               std::to_string(i) + ")")
+                      .ok());
+    }
+    ASSERT_TRUE(db_->ExecuteScript(R"(
+      CREATE INDEX T_K ON T (K);
+      CREATE INDEX T_AB ON T (A, B);
+      CREATE INDEX T_S ON T (S);
+      UPDATE STATISTICS T;
+      UPDATE STATISTICS U;
+    )").ok());
+  }
+
+  // Joins run as nested loops, so the inner scan takes outer operands.
+  void NestedLoopOnly() {
+    db_->options().join.enable_merge_join = false;
+    db_->options().join.enable_hash_join = false;
+  }
+
+  std::multiset<std::string> Rows(Session* session, const std::string& sql,
+                                  const std::vector<Value>& params) {
+    std::multiset<std::string> out;
+    auto r = session->Execute(sql, params);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (r.ok()) {
+      for (const Row& row : r->rows) out.insert(RowToString(row));
+    }
+    return out;
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(ScanOperandTest, ExplainRendersEveryOperandSource) {
+  NestedLoopOnly();
+  const std::pair<const char*, const char*> kPins[] = {
+      {"SELECT V FROM T WHERE K BETWEEN ? AND ?",
+       "IndexScan T via T_K [>=?1, <=?2] dynsarg(K>=?1) dynsarg(K<=?2)"},
+      {"SELECT V FROM T WHERE K BETWEEN ? AND 4",
+       "IndexScan T via T_K [>=?1, <=4] sargs(K<=4) dynsarg(K>=?1)"},
+      {"SELECT V FROM T WHERE K > ? AND K < 5",
+       "IndexScan T via T_K [>?1, <5] sargs(K<5) dynsarg(K>?1)"},
+      {"SELECT V FROM T WHERE A = ? AND B >= ?",
+       "IndexScan T via T_AB [=?1, >=?2] dynsarg(A=?1) dynsarg(B>=?2)"},
+      {"SELECT V FROM T WHERE A = 20 AND B <= ?",
+       "IndexScan T via T_AB [=20, <=?1] sargs(A=20) dynsarg(B<=?1)"},
+      {"SELECT V FROM T WHERE S LIKE 'ab%' AND B < ?",
+       "IndexScan T via T_S [>='ab', <'ac'] sargs(S>='ab' AND S<'ac') "
+       "dynsarg(B<?1)"},
+      {"SELECT T.V FROM U, T WHERE U.K = T.K",
+       "IndexScan T via T_K [=outer#0] dynsarg(K=outer#0)"},
+      {"SELECT U.W FROM T, U WHERE T.K = ? AND T.V = U.K",
+       "SegScan U (segment scan) dynsarg(K=outer#4)"},
+  };
+  Session session(db_.get());
+  for (const auto& [sql, line] : kPins) {
+    auto stmt = session.Prepare(sql);
+    ASSERT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
+    EXPECT_NE(stmt->Explain().find(line), std::string::npos)
+        << sql << "\n" << stmt->Explain();
+  }
+}
+
+TEST_F(ScanOperandTest, PreparedMatchesLiteralTwin) {
+  NestedLoopOnly();
+  struct Twin {
+    const char* prepared;
+    std::vector<Value> params;
+    const char* literal;
+  };
+  const Twin kTwins[] = {
+      {"SELECT V FROM T WHERE K BETWEEN ? AND ?",
+       {Value::Int(10), Value::Int(20)},
+       "SELECT V FROM T WHERE K BETWEEN 10 AND 20"},
+      {"SELECT V FROM T WHERE K BETWEEN ? AND ?",
+       {Value::Int(20), Value::Int(10)},
+       "SELECT V FROM T WHERE K BETWEEN 20 AND 10"},
+      {"SELECT V FROM T WHERE K BETWEEN ? AND 4", {Value::Int(1)},
+       "SELECT V FROM T WHERE K BETWEEN 1 AND 4"},
+      {"SELECT V FROM T WHERE K > ? AND K < 5", {Value::Int(1)},
+       "SELECT V FROM T WHERE K > 1 AND K < 5"},
+      {"SELECT V FROM T WHERE A = ? AND B >= ?",
+       {Value::Int(7), Value::Int(5)},
+       "SELECT V FROM T WHERE A = 7 AND B >= 5"},
+      {"SELECT V FROM T WHERE A = 20 AND B <= ?", {Value::Int(9)},
+       "SELECT V FROM T WHERE A = 20 AND B <= 9"},
+      {"SELECT V FROM T WHERE S LIKE 'ab%' AND B < ?", {Value::Int(8)},
+       "SELECT V FROM T WHERE S LIKE 'ab%' AND B < 8"},
+      {"SELECT V FROM T WHERE ? < K", {Value::Int(390)},
+       "SELECT V FROM T WHERE 390 < K"},
+      {"SELECT U.W FROM T, U WHERE T.K = ? AND T.V = U.K", {Value::Int(42)},
+       "SELECT U.W FROM T, U WHERE T.K = 42 AND T.V = U.K"},
+      {"SELECT T.V, U.W FROM U, T WHERE U.K = T.K AND T.B < ?",
+       {Value::Int(6)},
+       "SELECT T.V, U.W FROM U, T WHERE U.K = T.K AND T.B < 6"},
+      {"SELECT V FROM T WHERE K = ?", {Value::Null()},
+       "SELECT V FROM T WHERE K = NULL"},
+  };
+  Session session(db_.get());
+  for (const Twin& t : kTwins) {
+    std::multiset<std::string> literal = Rows(&session, t.literal, {});
+    EXPECT_EQ(Rows(&session, t.prepared, t.params), literal) << t.literal;
+  }
+}
+
+TEST_F(ScanOperandTest, DmlRangeMatchesLiteralTwin) {
+  Session session(db_.get());
+  const std::string all = "SELECT K, V FROM T";
+  std::multiset<std::string> before = Rows(&session, all, {});
+  auto up = session.Execute("UPDATE T SET V = V + 100 WHERE K BETWEEN ? AND ?",
+                            {Value::Int(30), Value::Int(45)});
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  EXPECT_EQ(up->affected, 16u);
+  auto down = session.Execute(
+      "UPDATE T SET V = V - 100 WHERE K BETWEEN 30 AND 45");
+  ASSERT_TRUE(down.ok()) << down.status().ToString();
+  EXPECT_EQ(down->affected, up->affected);
+  EXPECT_EQ(Rows(&session, all, {}), before);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //               [--no-baselines] [--no-metamorphic] [--threads T]
 //               [--dop N] [--join-method nlj|merge|hash|auto]
 //
-// `--join-method` forces one join algorithm wherever predicates allow it
-// (equi joins for merge/hash; nested loop always applies), for targeted
+// `--join-method` leaves one join method enabled: merge or hash wherever an
+// equi predicate allows it, nested loop everywhere else — targeted
 // differential coverage of a single operator.
 //
 // `--dop N` (N > 1) forces morsel-driven parallel plans on the engine —
@@ -107,15 +107,13 @@ int main(int argc, char** argv) {
           static_cast<int>(std::strtol(need_value("--dop"), nullptr, 10));
     } else if (std::strcmp(argv[i], "--join-method") == 0) {
       const char* m = need_value("--join-method");
-      if (std::strcmp(m, "nlj") == 0) {
-        options.force = systemr::JoinMethodForce::kNestedLoop;
-      } else if (std::strcmp(m, "merge") == 0) {
-        options.force = systemr::JoinMethodForce::kMerge;
-      } else if (std::strcmp(m, "hash") == 0) {
-        options.force = systemr::JoinMethodForce::kHash;
-      } else if (std::strcmp(m, "auto") == 0) {
-        options.force = systemr::JoinMethodForce::kAuto;
-      } else {
+      bool all = std::strcmp(m, "auto") == 0;
+      systemr::JoinEnumerator::Options& join = options.join;
+      join.enable_nested_loop = all || std::strcmp(m, "nlj") == 0;
+      join.enable_merge_join = all || std::strcmp(m, "merge") == 0;
+      join.enable_hash_join = all || std::strcmp(m, "hash") == 0;
+      if (!join.enable_nested_loop && !join.enable_merge_join &&
+          !join.enable_hash_join) {
         std::fprintf(stderr, "bad --join-method %s (nlj|merge|hash|auto)\n", m);
         return 2;
       }
@@ -181,7 +179,7 @@ int main(int argc, char** argv) {
     uint64_t failed_seeds = 0, queries = 0, violations = 0;
     for (uint64_t seed = start; seed < start + seeds; ++seed) {
       systemr::SeedResult result = systemr::RunConcurrentFuzzSeed(
-          seed, threads, options.queries_per_seed, options.force,
+          seed, threads, options.queries_per_seed, options.join,
           options.max_dop);
       queries += result.queries;
       violations += result.violations.size();
