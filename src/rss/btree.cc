@@ -10,11 +10,15 @@ namespace {
 
 constexpr size_t kNodeHeader = 1 + 2 + 4;  // is_leaf, count, next.
 
+// Allocated at its exact length (growing a string rounds its capacity up):
+// an insert moves the key into a cached node, which keeps it.
 std::string MakeStoredKey(const std::string& user_key, Tid tid) {
-  std::string stored = user_key;
+  std::string stored(user_key.size() + 8, '\0');
+  std::memcpy(stored.data(), user_key.data(), user_key.size());
   uint64_t packed = tid.Pack();
-  for (int i = 7; i >= 0; --i) {
-    stored.push_back(static_cast<char>((packed >> (8 * i)) & 0xff));
+  for (int i = 0; i < 8; ++i) {
+    stored[user_key.size() + i] =
+        static_cast<char>((packed >> (8 * (7 - i))) & 0xff);
   }
   return stored;
 }
@@ -32,6 +36,35 @@ Status NodeCorrupt(PageId pid, const char* what) {
                           what);
 }
 
+// Inserts `x` at `idx`, growing `v` by exactly one element: the
+// reallocation, if any, moves the elements and leaves no spare capacity.
+template <typename T>
+void InsertExact(std::vector<T>* v, size_t idx, T x) {
+  v->reserve(v->size() + 1);
+  v->insert(v->begin() + idx, std::move(x));
+}
+
+// Inserts `x` at `idx` and splits the result: `v` keeps its first `keep`
+// elements and `right` (empty, sized exactly) receives the rest. Elements
+// move; none is copied, and `v` keeps its capacity.
+template <typename T>
+void InsertAndSplit(std::vector<T>* v, size_t idx, T x, size_t keep,
+                    std::vector<T>* right) {
+  auto move = [](auto it) { return std::make_move_iterator(it); };
+  right->reserve(v->size() + 1 - keep);
+  if (idx >= keep) {
+    right->insert(right->end(), move(v->begin() + keep),
+                  move(v->begin() + idx));
+    right->push_back(std::move(x));
+    right->insert(right->end(), move(v->begin() + idx), move(v->end()));
+    v->erase(v->begin() + keep, v->end());
+  } else {
+    right->insert(right->end(), move(v->begin() + keep - 1), move(v->end()));
+    v->erase(v->begin() + keep - 1, v->end());
+    v->insert(v->begin() + idx, std::move(x));
+  }
+}
+
 }  // namespace
 
 size_t BTree::Node::SerializedSize() const {
@@ -45,24 +78,43 @@ size_t BTree::Node::SerializedSize() const {
   return size;
 }
 
+void BTree::Node::InsertAt(size_t slot, std::string key, uint64_t payload) {
+  InsertExact(&keys, slot, std::move(key));
+  if (is_leaf) {
+    InsertExact(&tids, slot, payload);
+  } else {
+    InsertExact(&children, slot + 1, static_cast<PageId>(payload));
+  }
+}
+
+std::string BTree::Node::SplitInsert(size_t slot, std::string key,
+                                     uint64_t payload, Node* right) {
+  right->is_leaf = is_leaf;
+  size_t mid = (keys.size() + 1) / 2;
+  if (is_leaf) {
+    InsertAndSplit(&keys, slot, std::move(key), mid, &right->keys);
+    InsertAndSplit(&tids, slot, payload, mid, &right->tids);
+    return right->keys.front();
+  }
+  // The middle key moves up; it routes but is not stored in either half.
+  InsertAndSplit(&keys, slot, std::move(key), mid + 1, &right->keys);
+  std::string separator = std::move(keys.back());
+  keys.pop_back();
+  InsertAndSplit(&children, slot + 1, static_cast<PageId>(payload), mid + 1,
+                 &right->children);
+  return separator;
+}
+
 BTree::BTree(BufferPool* pool, IndexId id, bool unique)
     : pool_(pool), id_(id), unique_(unique) {
-  root_ = AllocNode(/*leaf=*/true);
-  Node empty;
-  // The fresh root is resident (NewPage pins it), so this write cannot fail.
-  Status st = WriteNode(root_, empty);
-  assert(st.ok());
-  (void)st;
+  root_ = pool_->NewPage();
+  num_pages_ = num_leaf_pages_ = 1;
+  // The fresh root is resident (NewPage pins it), so this fetch cannot fail.
+  StatusOr<Page*> page = pool_->FetchMut(root_);
+  WriteNode(node_cache_[root_], *page);
 }
 
-PageId BTree::AllocNode(bool leaf) {
-  PageId pid = pool_->NewPage();
-  ++num_pages_;
-  if (leaf) ++num_leaf_pages_;
-  return pid;
-}
-
-StatusOr<const BTree::Node*> BTree::GetNode(PageId pid) const {
+StatusOr<BTree::Node*> BTree::GetNode(PageId pid) const {
   // The fetch is issued unconditionally so metering (buffer gets, simulated
   // page fetches, LRU state) is identical whether or not the decoded form is
   // cached; the cache only skips re-deserialization. Fetch failures (I/O
@@ -70,7 +122,7 @@ StatusOr<const BTree::Node*> BTree::GetNode(PageId pid) const {
   // simulated disk read did fail.
   ASSIGN_OR_RETURN(const Page* page, pool_->Fetch(pid));
   auto [it, inserted] = node_cache_.try_emplace(pid);
-  if (!inserted) return const_cast<const Node*>(&it->second);
+  if (!inserted) return &it->second;
 
   Node* node = &it->second;
   const char* p = page->bytes.data();
@@ -131,19 +183,11 @@ StatusOr<const BTree::Node*> BTree::GetNode(PageId pid) const {
       node->children.push_back(child);
     }
   }
-  return const_cast<const Node*>(node);
+  return node;
 }
 
-Status BTree::WriteNode(PageId pid, const Node& node) {
+void BTree::WriteNode(const Node& node, Page* page) {
   assert(node.SerializedSize() <= kPageSize);
-  // Keep the decoded cache coherent (updated in place: stable addresses).
-  auto it = node_cache_.find(pid);
-  if (it == node_cache_.end()) {
-    node_cache_.emplace(pid, node);
-  } else if (&it->second != &node) {
-    it->second = node;
-  }
-  ASSIGN_OR_RETURN(Page * page, pool_->FetchMut(pid));
   char* p = page->bytes.data();
   p[0] = node.is_leaf ? 1 : 0;
   uint16_t count = static_cast<uint16_t>(node.keys.size());
@@ -168,7 +212,6 @@ Status BTree::WriteNode(PageId pid, const Node& node) {
       pos += 4;
     }
   }
-  return Status::OK();
 }
 
 Status BTree::Insert(const std::string& user_key, Tid tid) {
@@ -180,109 +223,128 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
   if (stored.size() + 32 > kPageSize / 4) {
     return Status::InvalidArgument("index key too large");
   }
-  ASSIGN_OR_RETURN(std::optional<SplitResult> split,
-                   InsertRec(root_, stored, tid.Pack()));
-  if (split.has_value()) {
-    // Grow a new root.
-    Node new_root;
-    new_root.is_leaf = false;
-    new_root.children.push_back(root_);
-    new_root.keys.push_back(split->separator);
-    new_root.children.push_back(split->right);
-    PageId pid = AllocNode(/*leaf=*/false);
-    RETURN_IF_ERROR(WriteNode(pid, new_root));
-    root_ = pid;
-    ++height_;
+  std::vector<PathStep> path;
+  RETURN_IF_ERROR(FindLeaf(stored, &path).status());
+  std::reverse(path.begin(), path.end());  // Leaf first.
+
+  // Decide from byte sizes alone how many levels split, leaf first: a level
+  // splits when its node plus the entry arriving from below overflows the
+  // page, and only a split sends an entry (its separator) further up. If
+  // every level splits, a new root grows above the old one.
+  size_t splits = 0;
+  size_t key_len = stored.size();
+  for (const PathStep& step : path) {
+    const Node& node = *step.node;
+    size_t entry = 2 + key_len + (node.is_leaf ? 8 : 4);
+    if (node.SerializedSize() + entry <= kPageSize) break;
+    ++splits;
+    // The separator is the key at the middle slot once the entry is in.
+    size_t mid = (node.keys.size() + 1) / 2;
+    if (mid != step.slot) {
+      key_len = node.keys[mid < step.slot ? mid : mid - 1].size();
+    }
   }
+  const bool grow_root = splits == path.size();
+
+  // Obtain every page the write touches before changing anything, in the
+  // order the pool has always seen: for each splitting level its new right
+  // sibling (NewPage), the node and the sibling (FetchMut); then the level
+  // that absorbs the entry, or the new root. A failed FetchMut discards the
+  // new pages and leaves the tree, its pages and NINDX as they were.
+  std::vector<PageId> fresh;
+  std::vector<Page*> pages;
+  auto acquire = [&](PageId pid) -> Status {
+    StatusOr<Page*> page = pool_->FetchMut(pid);
+    if (!page.ok()) {
+      for (PageId p : fresh) pool_->Discard(p);
+      return page.status();
+    }
+    pages.push_back(*page);
+    return Status::OK();
+  };
+  for (size_t i = 0; i < splits; ++i) {
+    fresh.push_back(pool_->NewPage());
+    RETURN_IF_ERROR(acquire(path[i].pid));
+    RETURN_IF_ERROR(acquire(fresh.back()));
+  }
+  if (grow_root) {
+    fresh.push_back(pool_->NewPage());
+    RETURN_IF_ERROR(acquire(fresh.back()));
+  } else {
+    RETURN_IF_ERROR(acquire(path[splits].pid));
+  }
+
+  // Nothing below can fail: change the cached nodes in place, leaf first,
+  // and write each into its page.
+  std::string key = std::move(stored);
+  uint64_t payload = tid.Pack();  // Then the new right sibling's page id.
+  for (size_t i = 0; i < splits; ++i) {
+    Node& node = *path[i].node;
+    Node& right = node_cache_[fresh[i]];
+    key = node.SplitInsert(path[i].slot, std::move(key), payload, &right);
+    if (node.is_leaf) {
+      right.next = node.next;
+      node.next = fresh[i];
+    }
+    WriteNode(node, pages[2 * i]);
+    WriteNode(right, pages[2 * i + 1]);
+    payload = fresh[i];
+  }
+  if (grow_root) {
+    Node& root = node_cache_[fresh.back()];
+    root.is_leaf = false;
+    root.keys.push_back(std::move(key));
+    root.children = {root_, static_cast<PageId>(payload)};
+    WriteNode(root, pages.back());
+    root_ = fresh.back();
+    ++height_;
+  } else {
+    path[splits].node->InsertAt(path[splits].slot, std::move(key), payload);
+    WriteNode(*path[splits].node, pages.back());
+  }
+  num_pages_ += fresh.size();
+  if (splits > 0) ++num_leaf_pages_;
   ++num_entries_;
   return Status::OK();
-}
-
-StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
-    PageId pid, const std::string& stored, uint64_t tid) {
-  ASSIGN_OR_RETURN(const Node* cached, GetNode(pid));
-  Node node = *cached;  // Mutable working copy.
-  if (node.is_leaf) {
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), stored);
-    size_t idx = static_cast<size_t>(it - node.keys.begin());
-    node.keys.insert(it, stored);
-    node.tids.insert(node.tids.begin() + idx, tid);
-  } else {
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), stored);
-    size_t child_idx = static_cast<size_t>(it - node.keys.begin());
-    ASSIGN_OR_RETURN(std::optional<SplitResult> split,
-                     InsertRec(node.children[child_idx], stored, tid));
-    if (!split.has_value()) return std::optional<SplitResult>();
-    node.keys.insert(node.keys.begin() + child_idx, split->separator);
-    node.children.insert(node.children.begin() + child_idx + 1, split->right);
-  }
-
-  if (node.SerializedSize() <= kPageSize) {
-    RETURN_IF_ERROR(WriteNode(pid, node));
-    return std::optional<SplitResult>();
-  }
-
-  // Split: move the upper half into a fresh right sibling.
-  size_t mid = node.keys.size() / 2;
-  Node right;
-  right.is_leaf = node.is_leaf;
-  SplitResult result;
-  if (node.is_leaf) {
-    right.keys.assign(node.keys.begin() + mid, node.keys.end());
-    right.tids.assign(node.tids.begin() + mid, node.tids.end());
-    node.keys.resize(mid);
-    node.tids.resize(mid);
-    result.separator = right.keys.front();
-    result.right = AllocNode(/*leaf=*/true);
-    right.next = node.next;
-    node.next = result.right;
-  } else {
-    // The middle key moves up; it routes but is not stored in either half.
-    result.separator = node.keys[mid];
-    right.keys.assign(node.keys.begin() + mid + 1, node.keys.end());
-    right.children.assign(node.children.begin() + mid + 1,
-                          node.children.end());
-    node.keys.resize(mid);
-    node.children.resize(mid + 1);
-    result.right = AllocNode(/*leaf=*/false);
-  }
-  RETURN_IF_ERROR(WriteNode(pid, node));
-  RETURN_IF_ERROR(WriteNode(result.right, right));
-  return std::optional<SplitResult>(result);
 }
 
 Status BTree::Delete(const std::string& user_key, Tid tid) {
   std::string stored = MakeStoredKey(user_key, tid);
   ASSIGN_OR_RETURN(PageId leaf, FindLeaf(stored));
-  ASSIGN_OR_RETURN(const Node* cached, GetNode(leaf));
-  Node node = *cached;  // Mutable working copy.
-  auto it = std::lower_bound(node.keys.begin(), node.keys.end(), stored);
-  if (it == node.keys.end() || *it != stored) {
+  ASSIGN_OR_RETURN(Node * node, GetNode(leaf));
+  auto it = std::lower_bound(node->keys.begin(), node->keys.end(), stored);
+  if (it == node->keys.end() || *it != stored) {
     return Status::NotFound("index entry not found");
   }
-  size_t idx = static_cast<size_t>(it - node.keys.begin());
-  node.keys.erase(it);
-  node.tids.erase(node.tids.begin() + idx);
-  RETURN_IF_ERROR(WriteNode(leaf, node));
+  // The page first: a failed FetchMut leaves the node as it was.
+  ASSIGN_OR_RETURN(Page * page, pool_->FetchMut(leaf));
+  size_t idx = static_cast<size_t>(it - node->keys.begin());
+  node->keys.erase(it);
+  node->tids.erase(node->tids.begin() + idx);
+  WriteNode(*node, page);
   --num_entries_;
   return Status::OK();
 }
 
-StatusOr<PageId> BTree::FindLeaf(const std::string& target) const {
+StatusOr<PageId> BTree::FindLeaf(const std::string& target,
+                                 std::vector<PathStep>* path) const {
   PageId pid = root_;
   // Any well-formed descent terminates within the tree's height; bound the
   // walk so a corrupt-but-plausible child loop cannot spin forever.
   for (int depth = 0; depth <= height_ + 1; ++depth) {
-    ASSIGN_OR_RETURN(const Node* node, GetNode(pid));
-    if (node->is_leaf) return pid;
+    ASSIGN_OR_RETURN(Node * node, GetNode(pid));
+    if (node->is_leaf && path == nullptr) return pid;
     // lower_bound routing: keys equal to a separator live in the right
     // subtree (separators are first-keys of right siblings), but a *seek*
     // target is a bare user key, always strictly shorter than any stored key
     // with that user prefix, so lower_bound routing finds the leftmost
-    // candidate.
+    // candidate. For a stored key this is upper_bound: in a leaf, the slot
+    // an insert takes.
     auto it = std::lower_bound(node->keys.begin(), node->keys.end(), target);
     size_t idx = static_cast<size_t>(it - node->keys.begin());
     if (it != node->keys.end() && *it == target) ++idx;
+    if (path != nullptr) path->push_back(PathStep{pid, node, idx});
+    if (node->is_leaf) return pid;
     pid = node->children[idx];
   }
   return Status::DataLoss("B-tree descent exceeded height " +

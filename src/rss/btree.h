@@ -10,13 +10,12 @@
 // encoding is prefix-free. All page accesses are metered via the BufferPool
 // and every operation propagates storage failures as Status: an unreadable or
 // structurally invalid node surfaces as kIoError/kDataLoss instead of
-// undefined behaviour.
+// undefined behaviour, and a write that fails changes nothing.
 #ifndef SYSTEMR_RSS_BTREE_H_
 #define SYSTEMR_RSS_BTREE_H_
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,9 +91,10 @@ class BTree {
     bool valid_ = false;
     PageId leaf_ = kInvalidPage;
     // Current leaf in the tree's decoded-node cache. Stable: the cache is
-    // node-based, entries are updated in place and never evicted, and no
-    // cursor is ever live across an index write (DML collects its targets
-    // before mutating).
+    // node-based and never evicts, and writes change cached nodes in place
+    // rather than replacing them. No cursor is ever live across an index
+    // write (DML collects its targets before mutating), so none sees a node
+    // change under it.
     const Node* node_ = nullptr;
     size_t pos_ = 0;
     std::string user_key_;
@@ -117,32 +117,48 @@ class BTree {
     std::vector<PageId> children;           // Internal: keys.size() + 1.
 
     size_t SerializedSize() const;
+    /// Inserts `key` at `slot` with its payload: the TID in a leaf, the
+    /// child to the key's right in an internal node. Each vector grows by
+    /// exactly one element.
+    void InsertAt(size_t slot, std::string key, uint64_t payload);
+    /// The same insert, splitting the result in half: the upper half moves
+    /// into the empty `right`, and the separator the parent must route by
+    /// is returned (a leaf's is a copy of right's first key; an internal
+    /// node's middle key moves up and stays in neither half).
+    std::string SplitInsert(size_t slot, std::string key, uint64_t payload,
+                            Node* right);
+  };
+
+  /// One level of a descent: the node and the slot the target routes to
+  /// (the child taken in an internal node; in a leaf, the slot an insert of
+  /// the target takes).
+  struct PathStep {
+    PageId pid;
+    Node* node;
+    size_t slot;
   };
 
   /// Returns the decoded node for `pid`, decoding and caching it on first
   /// access. Every call is metered as one buffer-pool fetch, exactly like the
   /// raw page read it replaces; the cache only elides re-deserialization.
-  /// Entries are updated in place by WriteNode and never evicted, so the
-  /// returned pointer stays valid for the lifetime of the tree. Decode
-  /// validates the node structurally — header flag, entry bounds, strictly
-  /// ascending stored keys, child/next page ids in range — and returns
-  /// kDataLoss on any inconsistency without caching the bad decode.
-  StatusOr<const Node*> GetNode(PageId pid) const;
-  Status WriteNode(PageId pid, const Node& node);
-  PageId AllocNode(bool leaf);
+  /// Entries are never evicted, so the returned pointer stays valid for the
+  /// lifetime of the tree. Writers change the returned node in place, and
+  /// only once FetchMut has succeeded for every page the write touches, so a
+  /// failed write leaves the cache as it was. Decode validates the node
+  /// structurally — header flag, entry bounds, strictly ascending stored
+  /// keys, child/next page ids in range — and returns kDataLoss on any
+  /// inconsistency without caching the bad decode.
+  StatusOr<Node*> GetNode(PageId pid) const;
+  /// Serializes `node` over the start of `page`, which the caller obtained
+  /// with FetchMut before changing the node: a write's last step, and one
+  /// that cannot fail.
+  static void WriteNode(const Node& node, Page* page);
 
-  struct SplitResult {
-    std::string separator;  // First stored key of the right node.
-    PageId right;
-  };
-  /// Inserts into the subtree rooted at `pid`; returns a split if `pid`
-  /// overflowed.
-  StatusOr<std::optional<SplitResult>> InsertRec(PageId pid,
-                                                 const std::string& stored,
-                                                 uint64_t tid);
-
-  /// Descends to the leaf that may contain the first stored key >= target.
-  StatusOr<PageId> FindLeaf(const std::string& target) const;
+  /// Descends to the leaf that may contain the first stored key >= target,
+  /// visiting at most height + 2 nodes (kDataLoss beyond: a cyclic child
+  /// link). With `path`, records every node visited, root first.
+  StatusOr<PageId> FindLeaf(const std::string& target,
+                            std::vector<PathStep>* path = nullptr) const;
 
   BufferPool* pool_;
   IndexId id_;

@@ -5,6 +5,18 @@
 namespace systemr {
 
 Status DataGen::CreateAndLoad(const TableSpec& spec) {
+  RETURN_IF_ERROR(CreateAndInsertRows(spec));
+  for (const IndexSpec& idx : spec.indexes) {
+    ASSIGN_OR_RETURN(IndexInfo * ignored,
+                     db_->catalog().CreateIndex(idx.name, spec.name,
+                                                idx.columns, idx.unique,
+                                                idx.clustered));
+    (void)ignored;
+  }
+  return db_->catalog().UpdateStatistics(spec.name);
+}
+
+Status DataGen::CreateAndInsertRows(const TableSpec& spec) {
   std::vector<ColumnDef> cols;
   for (const ColumnSpec& c : spec.columns) {
     cols.push_back(ColumnDef{c.name, c.type});
@@ -71,14 +83,7 @@ Status DataGen::CreateAndLoad(const TableSpec& spec) {
   for (const Row& row : rows) {
     RETURN_IF_ERROR(db_->catalog().Insert(spec.name, row));
   }
-  for (const IndexSpec& idx : spec.indexes) {
-    ASSIGN_OR_RETURN(IndexInfo * ignored,
-                     db_->catalog().CreateIndex(idx.name, spec.name,
-                                                idx.columns, idx.unique,
-                                                idx.clustered));
-    (void)ignored;
-  }
-  return db_->catalog().UpdateStatistics(spec.name);
+  return Status::OK();
 }
 
 Status DataGen::LoadPaperExample(int64_t emps, int64_t depts, int64_t jobs) {

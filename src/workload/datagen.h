@@ -50,6 +50,9 @@ class DataGen {
   /// (statistics are initialized by index creation), and runs UPDATE
   /// STATISTICS.
   Status CreateAndLoad(const TableSpec& spec);
+  /// CreateAndLoad's first step: creates the table and loads its rows, with
+  /// no index and no statistics yet.
+  Status CreateAndInsertRows(const TableSpec& spec);
 
   /// Loads the Fig.-1 database: EMP(NAME,DNO,JOB,SAL), DEPT(DNO,DNAME,LOC),
   /// JOB(JOB,TITLE), with the access paths the paper's example assumes

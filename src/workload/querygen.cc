@@ -4,9 +4,8 @@
 
 namespace systemr {
 
-Status BuildChainSchema(Database* db, const ChainSchemaSpec& spec,
-                        uint64_t seed) {
-  DataGen gen(db, seed);
+std::vector<TableSpec> ChainTableSpecs(const ChainSchemaSpec& spec) {
+  std::vector<TableSpec> tables;
   int64_t rows = spec.base_rows;
   for (int i = 0; i < spec.num_tables; ++i) {
     int64_t next_rows = std::max<int64_t>(
@@ -30,8 +29,17 @@ Status BuildChainSchema(Database* db, const ChainSchemaSpec& spec,
         {t.name + "_A", {"A"}, false, false},
     };
     if (spec.cluster_fk) t.cluster_by = "FK";
-    RETURN_IF_ERROR(gen.CreateAndLoad(t));
+    tables.push_back(std::move(t));
     rows = next_rows;
+  }
+  return tables;
+}
+
+Status BuildChainSchema(Database* db, const ChainSchemaSpec& spec,
+                        uint64_t seed) {
+  DataGen gen(db, seed);
+  for (const TableSpec& t : ChainTableSpecs(spec)) {
+    RETURN_IF_ERROR(gen.CreateAndLoad(t));
   }
   return Status::OK();
 }

@@ -23,8 +23,12 @@ struct ChainSchemaSpec {
   bool cluster_fk = true;      // Cluster each table on FK.
 };
 
-/// Builds the chain schema tables R0..R(n-1) with indexes on PK (unique),
+/// The chain schema's tables R0..R(n-1), each with indexes on PK (unique),
 /// FK, and A.
+std::vector<TableSpec> ChainTableSpecs(const ChainSchemaSpec& spec);
+
+/// Builds the chain schema: CreateAndLoad of each ChainTableSpecs table, in
+/// order, with one DataGen seeded by `seed`.
 Status BuildChainSchema(Database* db, const ChainSchemaSpec& spec,
                         uint64_t seed);
 

@@ -1,10 +1,15 @@
 // Catalog + statistics tests: NCARD/TCARD/P/ICARD/NINDX semantics from §4,
-// clustering measurement, and index scans through catalog-created indexes.
+// clustering measurement, index scans through catalog-created indexes, and
+// the pinned shape and metering of olap_mix's index builds.
 #include "catalog/catalog.h"
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "db/database.h"
+#include "workload/querygen.h"
 
 namespace systemr {
 namespace {
@@ -223,6 +228,123 @@ TEST_F(CatalogTest, IndexScanRangeBounds) {
             ref_count([](int64_t v) { return v <= 5; }));
   EXPECT_EQ(count_range(95, true, std::nullopt, true),
             ref_count([](int64_t v) { return v >= 95; }));
+}
+
+// FNV-1a over the live bytes of every node of the B-tree rooted at `pid`,
+// depth first with children in key order: each node's header (leaf flag,
+// count, leaf chain), leftmost child and entries (key length, key, TID or
+// child id), but not the unused tail of its page, which holds whatever
+// earlier writes left there. Reads the store directly: unmetered.
+uint64_t HashLiveNodes(const PageStore& store, PageId pid,
+                       uint64_t h = 14695981039346656037ull) {
+  const char* p = store.Get(pid)->bytes.data();
+  const bool leaf = p[0] != 0;
+  uint16_t count;
+  std::memcpy(&count, p + 1, 2);
+  size_t pos = 7;
+  std::vector<PageId> children;
+  auto child_at = [&](size_t at) {
+    PageId c;
+    std::memcpy(&c, p + at, 4);
+    children.push_back(c);
+  };
+  if (!leaf) {
+    child_at(pos);
+    pos += 4;
+  }
+  for (uint16_t i = 0; i < count; ++i) {
+    uint16_t klen;
+    std::memcpy(&klen, p + pos, 2);
+    pos += 2 + klen;
+    if (leaf) {
+      pos += 8;
+    } else {
+      child_at(pos);
+      pos += 4;
+    }
+  }
+  for (size_t i = 0; i < pos; ++i) {
+    h = (h ^ static_cast<uint8_t>(p[i])) * 1099511628211ull;
+  }
+  for (PageId c : children) h = HashLiveNodes(store, c, h);
+  return h;
+}
+
+// olap_mix's set-up (perfbench's olap_mix: the chain schema with 3 tables,
+// 20000 base rows, shrink 0.5, domains of 100, seed 1, a 128-frame pool),
+// run step by step as BuildChainSchema runs it, so that the nine CREATE
+// INDEX calls can be metered on their own. Pins every index's shape and the
+// pool's counters over those calls, measured before B-tree writes changed
+// nodes in place: how the B-tree writes may change, but not the tree it
+// builds (NINDX and every estimate follow from it) nor the pages it gets,
+// fetches and writes.
+TEST(CreateIndexPinTest, OlapMixChainIndexesArePinned) {
+  Database db(128);
+  ChainSchemaSpec spec;
+  spec.num_tables = 3;
+  spec.base_rows = 20000;
+  spec.shrink = 0.5;
+  spec.a_domain = 100;
+  spec.b_domain = 100;
+  DataGen gen(&db, 1);
+  BufferPool& pool = db.rss().pool();
+  BufferStats create_index;
+  for (const TableSpec& t : ChainTableSpecs(spec)) {
+    ASSERT_TRUE(gen.CreateAndInsertRows(t).ok());
+    for (const IndexSpec& idx : t.indexes) {
+      BufferStats before = pool.stats();
+      ASSERT_TRUE(db.catalog()
+                      .CreateIndex(idx.name, t.name, idx.columns, idx.unique,
+                                   idx.clustered)
+                      .ok());
+      BufferStats d = pool.stats() - before;
+      create_index.fetches += d.fetches;
+      create_index.writes += d.writes;
+      create_index.logical_gets += d.logical_gets;
+    }
+    ASSERT_TRUE(db.catalog().UpdateStatistics(t.name).ok());
+  }
+  EXPECT_EQ(create_index.fetches, 5778u);
+  EXPECT_EQ(create_index.writes, 1176u);
+  EXPECT_EQ(create_index.logical_gets, 438682u);
+
+  struct Shape {
+    const char* name;
+    size_t pages;
+    size_t leaf_pages;
+    int height;
+    uint64_t entries;
+    uint64_t hash;
+  };
+  const Shape kShapes[] = {
+      {"R0_PK", 198, 195, 3, 20000, 679656732501290934ull},
+      {"R0_FK", 266, 263, 3, 20000, 16865345123061841122ull},
+      {"R0_A", 213, 210, 3, 20000, 7767625279007034773ull},
+      {"R1_PK", 102, 101, 2, 10000, 2711910690836354872ull},
+      {"R1_FK", 132, 131, 2, 10000, 15194263981113176749ull},
+      {"R1_A", 101, 100, 2, 10000, 14846362311077332427ull},
+      {"R2_PK", 52, 51, 2, 5000, 7030020652330254043ull},
+      {"R2_FK", 66, 65, 2, 5000, 5898073841691374264ull},
+      {"R2_A", 46, 45, 2, 5000, 11410171032898924795ull},
+  };
+  size_t checked = 0;
+  for (const Shape& want : kShapes) {
+    SCOPED_TRACE(want.name);
+    std::string table(want.name, 2);
+    const TableInfo* info = db.catalog().FindTable(table);
+    ASSERT_NE(info, nullptr);
+    for (IndexId id : info->indexes) {
+      if (db.catalog().index(id)->name != want.name) continue;
+      const BTree& tree = *db.rss().index(id);
+      EXPECT_EQ(tree.num_pages(), want.pages);
+      EXPECT_EQ(tree.num_leaf_pages(), want.leaf_pages);
+      EXPECT_EQ(tree.height(), want.height);
+      EXPECT_EQ(tree.num_entries(), want.entries);
+      EXPECT_EQ(HashLiveNodes(*pool.store(), tree.root()), want.hash);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 9u);
 }
 
 }  // namespace

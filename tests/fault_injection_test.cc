@@ -4,19 +4,27 @@
 //     errors into kIoError (after bounded retries), and corruption into
 //     kDataLoss — never a crash, and never corrupted durable state;
 //   - B-tree structural validation rejects corrupted nodes (flipped key
-//     bytes, out-of-range child ids) as kDataLoss;
+//     bytes, out-of-range child ids, cyclic child links) as kDataLoss;
+//   - a B-tree write that fails leaves the tree, its pages and NINDX as
+//     they were;
 //   - per-statement limits (page budget, row limit, cancel flag, deadline)
 //     abort cleanly and leave the same Database instance fully usable;
 //   - the fault-injection fuzz protocol itself is deterministic per seed.
 #include "rss/fault_injector.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "db/database.h"
 #include "harness/fuzz_session.h"
 #include "rss/btree.h"
@@ -316,6 +324,174 @@ TEST(BTreeCorruptionTest, BadHeaderFlagIsDataLossNotCrash) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kDataLoss);
 }
+
+TEST(BTreeCorruptionTest, CyclicChildLinkIsDataLossOnWrite) {
+  PageStore store;
+  BufferPool pool(&store, 256);
+  BTree tree(&pool, 0, /*unique=*/false);
+  for (int64_t k = 0; k < 1000; ++k) {
+    ASSERT_TRUE(tree.Insert(IntKey(k), Tid{static_cast<PageId>(k), 0}).ok());
+  }
+  ASSERT_GT(tree.height(), 1) << "need an internal root for this test";
+
+  // Point the root's leftmost child at the root itself and RESEAL: the id is
+  // in range and the checksum consistent, so only the descent's height bound
+  // can catch the cycle. Keys below the first separator route into it.
+  PageId root = tree.root();
+  std::memcpy(store.Get(root)->bytes.data() + 7, &root, 4);
+  store.Seal(root);
+  tree.DropNodeCaches();
+  pool.FlushAll();
+
+  Status insert = tree.Insert(IntKey(-1), Tid{1000, 0});
+  EXPECT_EQ(insert.code(), StatusCode::kDataLoss) << insert.ToString();
+  Status remove = tree.Delete(IntKey(0), Tid{0, 0});
+  EXPECT_EQ(remove.code(), StatusCode::kDataLoss) << remove.ToString();
+  EXPECT_EQ(tree.num_entries(), 1000u);
+  auto cursor = tree.NewCursor();
+  EXPECT_EQ(cursor.SeekToFirst().code(), StatusCode::kDataLoss);
+}
+
+// --- Failed B-tree writes ---
+
+using Entry = std::pair<std::string, PageId>;  // (user key, TID page).
+
+// Scans `tree` through its cursor and checks that it yields exactly
+// `expect`, in order: OK, the storage error that stopped the scan, or
+// kInternal naming the first difference.
+template <typename Entries>
+Status ScanEquals(const BTree& tree, const Entries& expect) {
+  auto cursor = tree.NewCursor();
+  RETURN_IF_ERROR(cursor.SeekToFirst());
+  size_t i = 0;
+  for (const Entry& e : expect) {
+    if (!cursor.Valid()) {
+      return Status::Internal("scan ended after " + std::to_string(i) +
+                              " of " + std::to_string(expect.size()) +
+                              " entries");
+    }
+    if (cursor.user_key() != e.first || cursor.tid().page != e.second) {
+      return Status::Internal("entry " + std::to_string(i) + " differs");
+    }
+    RETURN_IF_ERROR(cursor.Next());
+    ++i;
+  }
+  if (cursor.Valid()) {
+    return Status::Internal("scan has more than " + std::to_string(i) +
+                            " entries");
+  }
+  return Status::OK();
+}
+
+TEST(BTreeFailedWriteTest, FailedRootSplitLeavesTheTreeAsItWas) {
+  PageStore store;
+  BufferPool pool(&store, 1);
+  BTree tree(&pool, 0, /*unique=*/false);
+  std::vector<Entry> expect;
+  for (int64_t k = 0; k < 151; ++k) {
+    ASSERT_TRUE(tree.Insert(IntKey(k), Tid{static_cast<PageId>(k), 0}).ok());
+    expect.emplace_back(IntKey(k), static_cast<PageId>(k));
+  }
+  ASSERT_EQ(tree.num_pages(), 1u) << "151 INT keys fill the root leaf";
+
+  // The 152nd key splits the root leaf. NewPage for the right sibling evicts
+  // the root from the one frame, so the root's FetchMut misses and fails.
+  FaultConfig config;
+  config.io_error_rate = 1.0;
+  config.persistent_fraction = 1.0;
+  FaultInjector injector(1, config);
+  pool.set_fault_injector(&injector);
+  injector.Arm();
+  Status st = tree.Insert(IntKey(151), Tid{151, 0});
+  injector.Disarm();
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  EXPECT_EQ(tree.num_pages(), 1u);
+  EXPECT_EQ(tree.height(), 1);
+  EXPECT_EQ(tree.num_entries(), 151u);
+
+  Status decoded = ScanEquals(tree, expect);
+  EXPECT_TRUE(decoded.ok()) << "decoded nodes: " << decoded.ToString();
+  tree.DropNodeCaches();
+  pool.FlushAll();
+  Status from_pages = ScanEquals(tree, expect);
+  EXPECT_TRUE(from_pages.ok()) << "page bytes: " << from_pages.ToString();
+
+  // Without the fault the same insert splits the root as usual.
+  ASSERT_TRUE(tree.Insert(IntKey(151), Tid{151, 0}).ok());
+  expect.emplace_back(IntKey(151), 151);
+  EXPECT_EQ(tree.num_pages(), 3u);
+  EXPECT_EQ(tree.height(), 2);
+  Status grown = ScanEquals(tree, expect);
+  EXPECT_TRUE(grown.ok()) << grown.ToString();
+}
+
+// Random inserts and deletes on a pool of GetParam() frames, so writes miss
+// and FetchMut fails on I/O errors (30% of misses). After every operation
+// the index must hold exactly the reference's entries, whether the
+// operation succeeded or failed, and a failed one must allocate no page.
+// Keys are an INT key padded to 209 bytes, so 18 entries fill a node and
+// the tree reaches height 3: failed writes hit internal splits too.
+class BTreeFailedWriteFuzzTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BTreeFailedWriteFuzzTest, FailedWritesLeaveTheTreeAsItWas) {
+  int max_height = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PageStore store;
+    BufferPool pool(&store, GetParam());
+    BTree tree(&pool, 0, /*unique=*/false);
+    FaultConfig config;
+    config.io_error_rate = 0.3;
+    FaultInjector injector(seed, config);
+    pool.set_fault_injector(&injector);
+    Rng rng(seed);
+    std::multiset<Entry> reference;
+    PageId next_id = 0;
+    int failures = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const size_t pages_before = tree.num_pages();
+      const bool insert = reference.empty() || rng.Bernoulli(0.6);
+      Entry entry;
+      if (insert) {
+        entry = {IntKey(rng.Uniform(0, 200)) + std::string(200, 'Z'),
+                 next_id++};
+      } else {
+        auto it = reference.begin();
+        std::advance(it, rng.Uniform(0, reference.size() - 1));
+        entry = *it;
+      }
+      injector.Arm();
+      Status st = insert ? tree.Insert(entry.first, Tid{entry.second, 0})
+                         : tree.Delete(entry.first, Tid{entry.second, 0});
+      injector.Disarm();
+      if (st.ok()) {
+        if (insert) {
+          reference.insert(entry);
+        } else {
+          reference.erase(reference.find(entry));
+        }
+      } else {
+        ++failures;
+        ASSERT_EQ(st.code(), StatusCode::kIoError) << "op " << op;
+        ASSERT_EQ(tree.num_pages(), pages_before) << "op " << op;
+      }
+      Status scan = ScanEquals(tree, reference);
+      ASSERT_TRUE(scan.ok()) << "op " << op << (st.ok() ? "" : " (failed)")
+                             << ": " << scan.ToString();
+      ASSERT_EQ(tree.num_entries(), reference.size()) << "op " << op;
+    }
+    EXPECT_GT(failures, 0) << "faults must fire";
+    max_height = std::max(max_height, tree.height());
+    tree.DropNodeCaches();
+    pool.FlushAll();
+    Status from_pages = ScanEquals(tree, reference);
+    EXPECT_TRUE(from_pages.ok()) << "page bytes: " << from_pages.ToString();
+  }
+  EXPECT_EQ(max_height, 3) << "internal nodes must split under faults too";
+}
+
+INSTANTIATE_TEST_SUITE_P(Frames, BTreeFailedWriteFuzzTest,
+                         ::testing::Values(1, 2, 3));
 
 // --- Per-statement limits through the Database facade ---
 
