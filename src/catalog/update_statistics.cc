@@ -112,14 +112,14 @@ Status Catalog::UpdateStatisticsLocked(const std::string& table_name) {
     BTree::Cursor cursor = btree->NewCursor();
     RETURN_IF_ERROR(cursor.SeekToFirst());
     while (cursor.Valid()) {
-      const std::string& key = cursor.user_key();
+      std::string_view key = cursor.user_key();
       // Leading key column: decode to find its encoding boundary and value.
       size_t pos = 0;
       Value leading;
       if (!Value::DecodeKey(key, &pos, &leading)) {
         return Status::Internal("corrupt index key in " + info->name);
       }
-      std::string leading_prefix = key.substr(0, pos);
+      std::string leading_prefix(key.substr(0, pos));
 
       if (first || key != prev_full) ++icard;
       if (first || leading_prefix != prev_leading) ++icard_leading;

@@ -1,8 +1,9 @@
 #include "common/value.h"
 
 #include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstring>
-#include <sstream>
 
 namespace systemr {
 
@@ -161,7 +162,7 @@ void Value::EncodeKey(std::string* out) const {
   }
 }
 
-bool Value::DecodeKey(const std::string& data, size_t* pos, Value* out) {
+bool Value::DecodeKey(std::string_view data, size_t* pos, Value* out) {
   if (*pos >= data.size()) return false;
   uint8_t tag = static_cast<uint8_t>(data[(*pos)++]);
   switch (tag) {
@@ -292,9 +293,9 @@ std::string Value::ToString() const {
     case ValueType::kInt64:
       return std::to_string(u_.i);
     case ValueType::kDouble: {
-      std::ostringstream os;
-      os << u_.d;
-      return os.str();
+      std::string s;
+      AppendShortestReal(u_.d, &s);
+      return s;
     }
     case ValueType::kString:
       return "'" + *u_.s + "'";
@@ -306,6 +307,17 @@ std::string EncodeCompositeKey(const std::vector<Value>& values) {
   std::string out;
   for (const Value& v : values) v.EncodeKey(&out);
   return out;
+}
+
+void AppendShortestReal(double d, std::string* out) {
+  char num[32];
+  char* end = std::to_chars(num, num + sizeof(num), d).ptr;
+  std::string_view digits(num, end - num);
+  out->append(digits);
+  if (std::isfinite(d) &&
+      digits.find_first_of(".e") == std::string_view::npos) {
+    *out += ".0";
+  }
 }
 
 }  // namespace systemr

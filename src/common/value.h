@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace systemr {
@@ -122,7 +123,7 @@ class Value {
 
   /// Decodes one value from `data` starting at *pos; advances *pos.
   /// Returns false on corrupt input.
-  static bool DecodeKey(const std::string& data, size_t* pos, Value* out);
+  static bool DecodeKey(std::string_view data, size_t* pos, Value* out);
 
   /// The longest STRING that Serialize can encode: its length is stored in
   /// 16 bits. Storage never meets a longer one (a record must fit a 4 KiB
@@ -179,6 +180,11 @@ static_assert(sizeof(Value) == 16, "Value is a tag plus an 8-byte union");
 
 /// Encodes a composite key (one value per index key column).
 std::string EncodeCompositeKey(const std::vector<Value>& values);
+
+/// Appends `d` in the shortest form that reads back as the same double
+/// (distinct doubles never print alike), with ".0" after an integral one so
+/// that it does not read as the INT it equals.
+void AppendShortestReal(double d, std::string* out);
 
 }  // namespace systemr
 

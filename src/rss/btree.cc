@@ -1,7 +1,6 @@
 #include "rss/btree.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 namespace systemr {
@@ -9,101 +8,239 @@ namespace systemr {
 namespace {
 
 constexpr size_t kNodeHeader = 1 + 2 + 4;  // is_leaf, count, next.
+constexpr size_t kTidBytes = 8;            // The TID that ends a stored key.
 
-// Allocated at its exact length (growing a string rounds its capacity up):
-// an insert moves the key into a cached node, which keeps it.
-std::string MakeStoredKey(const std::string& user_key, Tid tid) {
-  std::string stored(user_key.size() + 8, '\0');
-  std::memcpy(stored.data(), user_key.data(), user_key.size());
+template <typename T>
+T Load(const char* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void Store(char* p, T v) {
+  std::memcpy(p, &v, sizeof(v));
+}
+
+// The user key followed by the big-endian packed TID.
+std::string MakeStoredKey(std::string_view user_key, Tid tid) {
+  std::string stored(user_key);
   uint64_t packed = tid.Pack();
-  for (int i = 0; i < 8; ++i) {
-    stored[user_key.size() + i] =
-        static_cast<char>((packed >> (8 * (7 - i))) & 0xff);
+  for (int i = 7; i >= 0; --i) {
+    stored.push_back(static_cast<char>((packed >> (8 * i)) & 0xff));
   }
   return stored;
 }
 
-uint64_t ReadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-void WriteU64(char* p, uint64_t v) { std::memcpy(p, &v, 8); }
+constexpr char kBadHeader[] = "header flag not 0/1, or count overruns page";
 
 Status NodeCorrupt(PageId pid, const char* what) {
   return Status::DataLoss("corrupt B-tree node " + std::to_string(pid) + ": " +
                           what);
 }
 
-// Inserts `x` at `idx`, growing `v` by exactly one element: the
-// reallocation, if any, moves the elements and leaves no spare capacity.
-template <typename T>
-void InsertExact(std::vector<T>* v, size_t idx, T x) {
-  v->reserve(v->size() + 1);
-  v->insert(v->begin() + idx, std::move(x));
+// A node read in place from its page (layout in btree.h). Callers check the
+// header (HeaderOk) before anything else, and an entry (EntryOk) before
+// reading its key, payload or the child it holds.
+class NodeView {
+ public:
+  explicit NodeView(const Page* page) : p_(page->bytes.data()) {}
+
+  bool leaf() const { return p_[0] != 0; }
+  size_t count() const { return Load<uint16_t>(p_ + 1); }
+  PageId next() const { return Load<PageId>(p_ + 3); }
+  size_t payload() const { return leaf() ? 8 : 4; }
+  // Where the end offsets start, and the entry area after them.
+  size_t ends() const { return leaf() ? kNodeHeader : kNodeHeader + 4; }
+  size_t area() const { return ends() + 2 * count(); }
+  // Where entry i ends and starts, counted from the entry area.
+  size_t end(size_t i) const { return Load<uint16_t>(p_ + ends() + 2 * i); }
+  size_t begin(size_t i) const { return i == 0 ? 0 : end(i - 1); }
+  size_t used() const { return count() == 0 ? 0 : end(count() - 1); }
+  // The node's byte count, which the split rule weighs.
+  size_t size() const { return area() + used(); }
+
+  // The leaf flag is 0 or 1, and the end offsets fit in the page.
+  bool HeaderOk() const {
+    return static_cast<uint8_t>(p_[0]) <= 1 && area() <= kPageSize;
+  }
+  // Entry i lies in the page, after entry i-1, and holds a key of at least
+  // the TID before its payload.
+  bool EntryOk(size_t i) const {
+    return begin(i) + kTidBytes + payload() <= end(i) &&
+           area() + end(i) <= kPageSize;
+  }
+  // The bytes from entry i to the node's end, which an insert or erase in
+  // place moves, lie in the page.
+  bool TailOk(size_t i) const {
+    return begin(i) <= used() && size() <= kPageSize;
+  }
+  // Entry i whole (stored key, then payload), its key, and a leaf's TID.
+  std::string_view entry(size_t i) const {
+    return {p_ + area() + begin(i), end(i) - begin(i)};
+  }
+  std::string_view key(size_t i) const {
+    return entry(i).substr(0, end(i) - begin(i) - payload());
+  }
+  uint64_t tid(size_t i) const {
+    return Load<uint64_t>(p_ + area() + end(i) - 8);
+  }
+  // Child i of an internal node: the leftmost, or entry i-1's payload.
+  PageId child(size_t i) const {
+    return Load<PageId>(i == 0 ? p_ + kNodeHeader
+                               : p_ + area() + end(i - 1) - 4);
+  }
+
+ private:
+  const char* p_;
+};
+
+// The check a node's page passes each time the pool reads it from the store.
+Status CheckNode(const PageStore& store, PageId pid, const Page& page) {
+  NodeView node(&page);
+  if (!node.HeaderOk()) return NodeCorrupt(pid, kBadHeader);
+  const size_t pages = store.num_pages();
+  if (node.leaf() && node.next() != kInvalidPage && node.next() >= pages) {
+    return NodeCorrupt(pid, "leaf chain points past the store");
+  }
+  if (!node.leaf() && node.child(0) >= pages) {
+    return NodeCorrupt(pid, "child id out of range");
+  }
+  for (size_t i = 0; i < node.count(); ++i) {
+    if (!node.EntryOk(i)) return NodeCorrupt(pid, "entry overruns page");
+    if (i > 0 && node.key(i) <= node.key(i - 1)) {
+      return NodeCorrupt(pid, "keys not strictly ascending");
+    }
+    if (!node.leaf() && node.child(i + 1) >= pages) {
+      return NodeCorrupt(pid, "child id out of range");
+    }
+  }
+  return Status::OK();
 }
 
-// Inserts `x` at `idx` and splits the result: `v` keeps its first `keep`
-// elements and `right` (empty, sized exactly) receives the rest. Elements
-// move; none is copied, and `v` keeps its capacity.
-template <typename T>
-void InsertAndSplit(std::vector<T>* v, size_t idx, T x, size_t keep,
-                    std::vector<T>* right) {
-  auto move = [](auto it) { return std::make_move_iterator(it); };
-  right->reserve(v->size() + 1 - keep);
-  if (idx >= keep) {
-    right->insert(right->end(), move(v->begin() + keep),
-                  move(v->begin() + idx));
-    right->push_back(std::move(x));
-    right->insert(right->end(), move(v->begin() + idx), move(v->end()));
-    v->erase(v->begin() + keep, v->end());
-  } else {
-    right->insert(right->end(), move(v->begin() + keep - 1), move(v->end()));
-    v->erase(v->begin() + keep - 1, v->end());
-    v->insert(v->begin() + idx, std::move(x));
+// The first slot whose key is >= target, or > target with `upper`. Reads
+// only entries it checks; a returned slot s > 0 has had entry s-1 checked.
+StatusOr<size_t> Search(const NodeView& node, PageId pid,
+                        std::string_view target, bool upper) {
+  size_t lo = 0;
+  size_t hi = node.count();
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (!node.EntryOk(mid)) return NodeCorrupt(pid, "entry overruns page");
+    int c = node.key(mid).compare(target);
+    if (c < 0 || (upper && c == 0)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
+  return lo;
+}
+
+// A stored key followed by its payload: a TID in a leaf, a child id above.
+std::string MakeEntry(std::string_view key, uint64_t payload, bool leaf) {
+  std::string entry(key);
+  entry.resize(key.size() + (leaf ? 8 : 4));
+  if (leaf) {
+    Store<uint64_t>(entry.data() + key.size(), payload);
+  } else {
+    Store<PageId>(entry.data() + key.size(), static_cast<PageId>(payload));
+  }
+  return entry;
+}
+
+// Writes a node holding `n` entries (each a stored key and its payload) over
+// the start of `page`.
+void WriteEntries(Page* page, bool leaf, PageId next, PageId leftmost,
+                  const std::string_view* entries, size_t n) {
+  char* p = page->bytes.data();
+  p[0] = leaf ? 1 : 0;
+  Store<uint16_t>(p + 1, static_cast<uint16_t>(n));
+  Store<PageId>(p + 3, next);
+  if (!leaf) Store<PageId>(p + kNodeHeader, leftmost);
+  char* ends = p + NodeView(page).ends();
+  char* area = ends + 2 * n;
+  size_t used = 0;
+  for (size_t i = 0; i < n; ++i) {
+    std::memcpy(area + used, entries[i].data(), entries[i].size());
+    used += entries[i].size();
+    Store<uint16_t>(ends + 2 * i, static_cast<uint16_t>(used));
+  }
+}
+
+// Inserts `entry` at `slot` of the node in `page`, which has room for it:
+// the entries from `slot` on move up by the entry and its end offset, those
+// before it by the offset alone.
+void InsertEntry(Page* page, size_t slot, std::string_view entry) {
+  NodeView node(page);
+  const size_t count = node.count();
+  const size_t begin = node.begin(slot);
+  char* p = page->bytes.data();
+  char* area = p + node.area();
+  std::memmove(area + 2 + begin + entry.size(), area + begin,
+               node.used() - begin);
+  std::memmove(area + 2, area, begin);
+  std::memcpy(area + 2 + begin, entry.data(), entry.size());
+  char* ends = p + node.ends();
+  for (size_t i = count; i > slot; --i) {
+    Store<uint16_t>(ends + 2 * i,
+                    static_cast<uint16_t>(node.end(i - 1) + entry.size()));
+  }
+  Store<uint16_t>(ends + 2 * slot,
+                  static_cast<uint16_t>(begin + entry.size()));
+  Store<uint16_t>(p + 1, static_cast<uint16_t>(count + 1));
+}
+
+// Removes entry `slot` of the node in `page`: the entries after it move down
+// by the entry and its end offset, those before it by the offset alone.
+void EraseEntry(Page* page, size_t slot) {
+  NodeView node(page);
+  const size_t count = node.count();
+  const size_t begin = node.begin(slot);
+  const size_t end = node.end(slot);
+  const size_t used = node.used();
+  char* p = page->bytes.data();
+  char* ends = p + node.ends();
+  char* area = p + node.area();
+  for (size_t i = slot; i + 1 < count; ++i) {
+    Store<uint16_t>(ends + 2 * i,
+                    static_cast<uint16_t>(node.end(i + 1) - (end - begin)));
+  }
+  std::memmove(area - 2, area, begin);
+  std::memmove(area - 2 + begin, area + end, used - end);
+  Store<uint16_t>(p + 1, static_cast<uint16_t>(count - 1));
+}
+
+// Inserts `entry` at `slot` of the node in `page` and splits the result in
+// half: the upper half moves to the empty page `right` (id `right_id`), and
+// the separator the parent must route by is returned. A leaf's separator is
+// a copy of right's first key; an internal node's middle key moves up and
+// stays in neither half, and its child becomes right's leftmost.
+std::string SplitEntry(Page* page, PageId right_id, Page* right, size_t slot,
+                       std::string_view entry) {
+  const Page old = *page;  // Both halves are written from this copy.
+  NodeView node(&old);
+  std::vector<std::string_view> entries;
+  entries.reserve(node.count() + 1);
+  for (size_t i = 0; i < node.count(); ++i) entries.push_back(node.entry(i));
+  entries.insert(entries.begin() + slot, entry);
+  const size_t mid = (node.count() + 1) / 2;
+  const std::string_view up = entries[mid];
+  std::string separator(up.substr(0, up.size() - node.payload()));
+  if (node.leaf()) {
+    WriteEntries(page, true, right_id, kInvalidPage, entries.data(), mid);
+    WriteEntries(right, true, node.next(), kInvalidPage, entries.data() + mid,
+                 entries.size() - mid);
+  } else {
+    WriteEntries(page, false, node.next(), node.child(0), entries.data(), mid);
+    WriteEntries(right, false, kInvalidPage,
+                 Load<PageId>(up.data() + separator.size()),
+                 entries.data() + mid + 1, entries.size() - mid - 1);
+  }
+  return separator;
 }
 
 }  // namespace
-
-size_t BTree::Node::SerializedSize() const {
-  size_t size = kNodeHeader;
-  if (is_leaf) {
-    for (size_t i = 0; i < keys.size(); ++i) size += 2 + keys[i].size() + 8;
-  } else {
-    size += 4;  // Leftmost child.
-    for (size_t i = 0; i < keys.size(); ++i) size += 2 + keys[i].size() + 4;
-  }
-  return size;
-}
-
-void BTree::Node::InsertAt(size_t slot, std::string key, uint64_t payload) {
-  InsertExact(&keys, slot, std::move(key));
-  if (is_leaf) {
-    InsertExact(&tids, slot, payload);
-  } else {
-    InsertExact(&children, slot + 1, static_cast<PageId>(payload));
-  }
-}
-
-std::string BTree::Node::SplitInsert(size_t slot, std::string key,
-                                     uint64_t payload, Node* right) {
-  right->is_leaf = is_leaf;
-  size_t mid = (keys.size() + 1) / 2;
-  if (is_leaf) {
-    InsertAndSplit(&keys, slot, std::move(key), mid, &right->keys);
-    InsertAndSplit(&tids, slot, payload, mid, &right->tids);
-    return right->keys.front();
-  }
-  // The middle key moves up; it routes but is not stored in either half.
-  InsertAndSplit(&keys, slot, std::move(key), mid + 1, &right->keys);
-  std::string separator = std::move(keys.back());
-  keys.pop_back();
-  InsertAndSplit(&children, slot + 1, static_cast<PageId>(payload), mid + 1,
-                 &right->children);
-  return separator;
-}
 
 BTree::BTree(BufferPool* pool, IndexId id, bool unique)
     : pool_(pool), id_(id), unique_(unique) {
@@ -111,110 +248,20 @@ BTree::BTree(BufferPool* pool, IndexId id, bool unique)
   num_pages_ = num_leaf_pages_ = 1;
   // The fresh root is resident (NewPage pins it), so this fetch cannot fail.
   StatusOr<Page*> page = pool_->FetchMut(root_);
-  WriteNode(node_cache_[root_], *page);
+  WriteEntries(*page, /*leaf=*/true, kInvalidPage, kInvalidPage, nullptr, 0);
 }
 
-StatusOr<BTree::Node*> BTree::GetNode(PageId pid) const {
-  // The fetch is issued unconditionally so metering (buffer gets, simulated
-  // page fetches, LRU state) is identical whether or not the decoded form is
-  // cached; the cache only skips re-deserialization. Fetch failures (I/O
-  // error, checksum mismatch) propagate even when a decode is cached — the
-  // simulated disk read did fail.
-  ASSIGN_OR_RETURN(const Page* page, pool_->Fetch(pid));
-  auto [it, inserted] = node_cache_.try_emplace(pid);
-  if (!inserted) return &it->second;
-
-  Node* node = &it->second;
-  const char* p = page->bytes.data();
-  const size_t num_store_pages = pool_->store()->num_pages();
-  // Structural validation: every field read below is first bounds-checked so
-  // a corrupt page (delivered by an injected fault or a real bug) becomes
-  // kDataLoss, never an out-of-bounds read. On failure the provisional cache
-  // entry is dropped — a bad decode must not be served later.
-  auto reject = [&](const char* what) -> Status {
-    node_cache_.erase(it);
-    return NodeCorrupt(pid, what);
-  };
-  uint8_t leaf_byte = static_cast<uint8_t>(p[0]);
-  if (leaf_byte > 1) return reject("header flag not 0/1");
-  node->is_leaf = leaf_byte != 0;
-  uint16_t count;
-  std::memcpy(&count, p + 1, 2);
-  std::memcpy(&node->next, p + 3, 4);
-  if (node->is_leaf && node->next != kInvalidPage &&
-      node->next >= num_store_pages) {
-    return reject("leaf chain points past the store");
+StatusOr<const Page*> BTree::FetchNode(PageId pid) const {
+  if (pid >= pool_->store()->num_pages()) {
+    return Status::DataLoss("B-tree link to page " + std::to_string(pid) +
+                            " points past the store");
   }
-  size_t pos = kNodeHeader;
-  if (!node->is_leaf) {
-    if (pos + 4 > kPageSize) return reject("truncated leftmost child");
-    PageId child;
-    std::memcpy(&child, p + pos, 4);
-    pos += 4;
-    if (child >= num_store_pages) return reject("child id out of range");
-    node->children.push_back(child);
-  }
-  node->keys.reserve(count);
-  if (node->is_leaf) {
-    node->tids.reserve(count);
-  } else {
-    node->children.reserve(count + 1);
-  }
-  for (uint16_t i = 0; i < count; ++i) {
-    if (pos + 2 > kPageSize) return reject("entry overruns page");
-    uint16_t klen;
-    std::memcpy(&klen, p + pos, 2);
-    pos += 2;
-    size_t payload = node->is_leaf ? 8 : 4;
-    if (pos + klen + payload > kPageSize) return reject("entry overruns page");
-    node->keys.emplace_back(p + pos, klen);
-    pos += klen;
-    if (i > 0 && node->keys[i] <= node->keys[i - 1]) {
-      return reject("keys not strictly ascending");
-    }
-    if (node->is_leaf) {
-      node->tids.push_back(ReadU64(p + pos));
-      pos += 8;
-    } else {
-      PageId child;
-      std::memcpy(&child, p + pos, 4);
-      pos += 4;
-      if (child >= num_store_pages) return reject("child id out of range");
-      node->children.push_back(child);
-    }
-  }
-  return node;
+  ASSIGN_OR_RETURN(const Page* page, pool_->Fetch(pid, &CheckNode));
+  if (!NodeView(page).HeaderOk()) return NodeCorrupt(pid, kBadHeader);
+  return page;
 }
 
-void BTree::WriteNode(const Node& node, Page* page) {
-  assert(node.SerializedSize() <= kPageSize);
-  char* p = page->bytes.data();
-  p[0] = node.is_leaf ? 1 : 0;
-  uint16_t count = static_cast<uint16_t>(node.keys.size());
-  std::memcpy(p + 1, &count, 2);
-  std::memcpy(p + 3, &node.next, 4);
-  size_t pos = kNodeHeader;
-  if (!node.is_leaf) {
-    std::memcpy(p + pos, &node.children[0], 4);
-    pos += 4;
-  }
-  for (size_t i = 0; i < node.keys.size(); ++i) {
-    uint16_t klen = static_cast<uint16_t>(node.keys[i].size());
-    std::memcpy(p + pos, &klen, 2);
-    pos += 2;
-    std::memcpy(p + pos, node.keys[i].data(), klen);
-    pos += klen;
-    if (node.is_leaf) {
-      WriteU64(p + pos, node.tids[i]);
-      pos += 8;
-    } else {
-      std::memcpy(p + pos, &node.children[i + 1], 4);
-      pos += 4;
-    }
-  }
-}
-
-Status BTree::Insert(const std::string& user_key, Tid tid) {
+Status BTree::Insert(std::string_view user_key, Tid tid) {
   if (unique_) {
     ASSIGN_OR_RETURN(bool exists, ContainsKey(user_key));
     if (exists) return Status::AlreadyExists("duplicate key in unique index");
@@ -234,14 +281,21 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
   size_t splits = 0;
   size_t key_len = stored.size();
   for (const PathStep& step : path) {
-    const Node& node = *step.node;
-    size_t entry = 2 + key_len + (node.is_leaf ? 8 : 4);
-    if (node.SerializedSize() + entry <= kPageSize) break;
+    NodeView node(step.page);
+    if (node.size() + 2 + key_len + node.payload() <= kPageSize) {
+      // The entry goes in place, moving the entries after its slot.
+      if (!node.TailOk(step.slot)) {
+        return NodeCorrupt(step.pid, "entry overruns page");
+      }
+      break;
+    }
+    // A split rewrites every entry, so the whole node must check out.
+    RETURN_IF_ERROR(CheckNode(*pool_->store(), step.pid, *step.page));
     ++splits;
     // The separator is the key at the middle slot once the entry is in.
-    size_t mid = (node.keys.size() + 1) / 2;
+    size_t mid = (node.count() + 1) / 2;
     if (mid != step.slot) {
-      key_len = node.keys[mid < step.slot ? mid : mid - 1].size();
+      key_len = node.key(mid < step.slot ? mid : mid - 1).size();
     }
   }
   const bool grow_root = splits == path.size();
@@ -274,33 +328,20 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     RETURN_IF_ERROR(acquire(path[splits].pid));
   }
 
-  // Nothing below can fail: change the cached nodes in place, leaf first,
-  // and write each into its page.
-  std::string key = std::move(stored);
-  uint64_t payload = tid.Pack();  // Then the new right sibling's page id.
+  // Nothing below can fail: write each level in its page, leaf first.
+  std::string entry = MakeEntry(stored, tid.Pack(), /*leaf=*/true);
   for (size_t i = 0; i < splits; ++i) {
-    Node& node = *path[i].node;
-    Node& right = node_cache_[fresh[i]];
-    key = node.SplitInsert(path[i].slot, std::move(key), payload, &right);
-    if (node.is_leaf) {
-      right.next = node.next;
-      node.next = fresh[i];
-    }
-    WriteNode(node, pages[2 * i]);
-    WriteNode(right, pages[2 * i + 1]);
-    payload = fresh[i];
+    std::string separator = SplitEntry(pages[2 * i], fresh[i],
+                                       pages[2 * i + 1], path[i].slot, entry);
+    entry = MakeEntry(separator, fresh[i], /*leaf=*/false);
   }
   if (grow_root) {
-    Node& root = node_cache_[fresh.back()];
-    root.is_leaf = false;
-    root.keys.push_back(std::move(key));
-    root.children = {root_, static_cast<PageId>(payload)};
-    WriteNode(root, pages.back());
+    std::string_view only = entry;
+    WriteEntries(pages.back(), /*leaf=*/false, kInvalidPage, root_, &only, 1);
     root_ = fresh.back();
     ++height_;
   } else {
-    path[splits].node->InsertAt(path[splits].slot, std::move(key), payload);
-    WriteNode(*path[splits].node, pages.back());
+    InsertEntry(pages.back(), path[splits].slot, entry);
   }
   num_pages_ += fresh.size();
   if (splits > 0) ++num_leaf_pages_;
@@ -308,50 +349,50 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
   return Status::OK();
 }
 
-Status BTree::Delete(const std::string& user_key, Tid tid) {
+Status BTree::Delete(std::string_view user_key, Tid tid) {
   std::string stored = MakeStoredKey(user_key, tid);
   ASSIGN_OR_RETURN(PageId leaf, FindLeaf(stored));
-  ASSIGN_OR_RETURN(Node * node, GetNode(leaf));
-  auto it = std::lower_bound(node->keys.begin(), node->keys.end(), stored);
-  if (it == node->keys.end() || *it != stored) {
+  ASSIGN_OR_RETURN(const Page* page, FetchNode(leaf));
+  NodeView node(page);
+  ASSIGN_OR_RETURN(size_t slot, Search(node, leaf, stored, /*upper=*/false));
+  if (slot < node.count() && !(node.EntryOk(slot) && node.TailOk(slot + 1))) {
+    return NodeCorrupt(leaf, "entry overruns page");
+  }
+  if (slot == node.count() || node.key(slot) != stored) {
     return Status::NotFound("index entry not found");
   }
   // The page first: a failed FetchMut leaves the node as it was.
-  ASSIGN_OR_RETURN(Page * page, pool_->FetchMut(leaf));
-  size_t idx = static_cast<size_t>(it - node->keys.begin());
-  node->keys.erase(it);
-  node->tids.erase(node->tids.begin() + idx);
-  WriteNode(*node, page);
+  ASSIGN_OR_RETURN(Page * writable, pool_->FetchMut(leaf));
+  EraseEntry(writable, slot);
   --num_entries_;
   return Status::OK();
 }
 
-StatusOr<PageId> BTree::FindLeaf(const std::string& target,
+StatusOr<PageId> BTree::FindLeaf(std::string_view target,
                                  std::vector<PathStep>* path) const {
   PageId pid = root_;
   // Any well-formed descent terminates within the tree's height; bound the
   // walk so a corrupt-but-plausible child loop cannot spin forever.
   for (int depth = 0; depth <= height_ + 1; ++depth) {
-    ASSIGN_OR_RETURN(Node * node, GetNode(pid));
-    if (node->is_leaf && path == nullptr) return pid;
-    // lower_bound routing: keys equal to a separator live in the right
-    // subtree (separators are first-keys of right siblings), but a *seek*
-    // target is a bare user key, always strictly shorter than any stored key
-    // with that user prefix, so lower_bound routing finds the leftmost
-    // candidate. For a stored key this is upper_bound: in a leaf, the slot
-    // an insert takes.
-    auto it = std::lower_bound(node->keys.begin(), node->keys.end(), target);
-    size_t idx = static_cast<size_t>(it - node->keys.begin());
-    if (it != node->keys.end() && *it == target) ++idx;
-    if (path != nullptr) path->push_back(PathStep{pid, node, idx});
-    if (node->is_leaf) return pid;
-    pid = node->children[idx];
+    ASSIGN_OR_RETURN(const Page* page, FetchNode(pid));
+    NodeView node(page);
+    if (node.leaf() && path == nullptr) return pid;
+    // Route to the first key > target: separators are first keys of right
+    // siblings, so a key equal to one lives in the right subtree. A seek
+    // target is a bare user key, shorter than any stored key with that user
+    // prefix, so this finds the leftmost candidate; for a stored key, in a
+    // leaf, it is the slot an insert takes.
+    ASSIGN_OR_RETURN(size_t slot, Search(node, pid, target, /*upper=*/true));
+    if (path != nullptr) path->push_back(PathStep{pid, page, slot});
+    if (node.leaf()) return pid;
+    // Search checked entry slot-1, the child's; FetchNode checks the id.
+    pid = node.child(slot);
   }
   return Status::DataLoss("B-tree descent exceeded height " +
                           std::to_string(height_) + " (cyclic child links?)");
 }
 
-StatusOr<bool> BTree::ContainsKey(const std::string& user_key) const {
+StatusOr<bool> BTree::ContainsKey(std::string_view user_key) const {
   Cursor c = NewCursor();
   RETURN_IF_ERROR(c.Seek(user_key));
   return c.Valid() && c.user_key() == user_key;
@@ -359,55 +400,43 @@ StatusOr<bool> BTree::ContainsKey(const std::string& user_key) const {
 
 Status BTree::Cursor::LoadLeaf(PageId leaf) {
   leaf_ = leaf;
-  ASSIGN_OR_RETURN(node_, tree_->GetNode(leaf));
-  if (!node_->is_leaf) {
+  ASSIGN_OR_RETURN(page_, tree_->FetchNode(leaf));
+  if (!NodeView(page_).leaf()) {
     return NodeCorrupt(leaf, "leaf chain reached an internal node");
   }
   return Status::OK();
 }
 
-void BTree::Cursor::LoadEntry() {
-  const std::string& stored = node_->keys[pos_];
-  user_key_.assign(stored, 0, stored.size() - 8);
-  tid_ = Tid::Unpack(node_->tids[pos_]);
+Status BTree::Cursor::Settle() {
+  valid_ = false;
+  while (pos_ >= NodeView(page_).count()) {
+    PageId next = NodeView(page_).next();
+    if (next == kInvalidPage) return Status::OK();  // Past the last entry.
+    RETURN_IF_ERROR(LoadLeaf(next));
+    pos_ = 0;
+  }
+  NodeView node(page_);
+  if (!node.EntryOk(pos_)) return NodeCorrupt(leaf_, "entry overruns page");
+  std::string_view stored = node.key(pos_);
+  user_key_ = stored.substr(0, stored.size() - kTidBytes);
+  tid_ = Tid::Unpack(node.tid(pos_));
+  valid_ = true;
+  return Status::OK();
 }
 
-Status BTree::Cursor::Seek(const std::string& start) {
+Status BTree::Cursor::Seek(std::string_view start) {
   valid_ = false;
   ASSIGN_OR_RETURN(PageId leaf, tree_->FindLeaf(start));
   RETURN_IF_ERROR(LoadLeaf(leaf));
-  auto it = std::lower_bound(node_->keys.begin(), node_->keys.end(), start);
-  pos_ = static_cast<size_t>(it - node_->keys.begin());
-  // The first matching entry may be at the start of the next leaf.
-  while (pos_ >= node_->keys.size()) {
-    if (node_->next == kInvalidPage) {
-      return Status::OK();  // Past the last entry; cursor stays invalid.
-    }
-    RETURN_IF_ERROR(LoadLeaf(node_->next));
-    pos_ = 0;
-  }
-  valid_ = true;
-  LoadEntry();
-  return Status::OK();
+  ASSIGN_OR_RETURN(pos_,
+                   Search(NodeView(page_), leaf, start, /*upper=*/false));
+  return Settle();
 }
 
 Status BTree::Cursor::Next() {
   if (!valid_) return Status::OK();
   ++pos_;
-  while (pos_ >= node_->keys.size()) {
-    if (node_->next == kInvalidPage) {
-      valid_ = false;
-      return Status::OK();
-    }
-    Status st = LoadLeaf(node_->next);
-    if (!st.ok()) {
-      valid_ = false;
-      return st;
-    }
-    pos_ = 0;
-  }
-  LoadEntry();
-  return Status::OK();
+  return Settle();
 }
 
 }  // namespace systemr

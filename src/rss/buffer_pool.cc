@@ -9,15 +9,16 @@
 
 namespace systemr {
 
-StatusOr<Page*> BufferPool::Fetch(PageId id) {
-  return FetchImpl(id, /*write_intent=*/false);
+StatusOr<Page*> BufferPool::Fetch(PageId id, PageCheck check) {
+  return FetchImpl(id, /*write_intent=*/false, check);
 }
 
 StatusOr<Page*> BufferPool::FetchMut(PageId id) {
-  return FetchImpl(id, /*write_intent=*/true);
+  return FetchImpl(id, /*write_intent=*/true, /*check=*/nullptr);
 }
 
-StatusOr<Page*> BufferPool::FetchImpl(PageId id, bool write_intent) {
+StatusOr<Page*> BufferPool::FetchImpl(PageId id, bool write_intent,
+                                      PageCheck check) {
   logical_gets_.fetch_add(1, std::memory_order_relaxed);
   if (ExecStats* m = CurrentMeter()) ++m->buffer_gets;
   if (id == kInvalidPage) {
@@ -97,6 +98,8 @@ StatusOr<Page*> BufferPool::FetchImpl(PageId id, bool write_intent) {
     return Status::DataLoss("checksum mismatch reading page " +
                             std::to_string(id));
   }
+  // A page that fails its check is not cached: the next access re-reads it.
+  if (check != nullptr) RETURN_IF_ERROR(check(*store_, id, *delivered));
 
   if (delivered != page) {
     // Corrupt delivery: do not cache. The next access re-reads the device

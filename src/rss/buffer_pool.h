@@ -58,16 +58,25 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
+  /// A structural check of a page's bytes, run when the pool reads the page
+  /// from the store; a non-OK result rejects the read.
+  using PageCheck = Status (*)(const PageStore& store, PageId id,
+                               const Page& page);
+
   /// Metered read access. Counts a fetch if the page is not resident. On a
   /// miss the page's checksum is verified (sealing it first if this is the
-  /// first read since it was written); failures surface as:
+  /// first read since it was written), then `check`, if given, runs on the
+  /// delivered bytes; failures surface as:
   ///   kInternal  - invalid/freed page id,
   ///   kIoError   - injected device read failure that outlived the retries,
-  ///   kDataLoss  - checksum mismatch (real or injected bit flips).
+  ///   kDataLoss  - checksum mismatch (real or injected bit flips),
+  ///   or the error `check` returned; the page then stays non-resident, so
+  ///   the next Fetch reads and checks it again.
   /// An injected header corruption instead delivers a corrupt shadow copy —
-  /// callers' structural validation (SlottedPage, B-tree decode) turns it
-  /// into kDataLoss without touching the stored bytes.
-  StatusOr<Page*> Fetch(PageId id);
+  /// structural validation (`check`, or SlottedPage's for heap pages) turns
+  /// it into kDataLoss without touching the stored bytes. A hit runs no
+  /// check: resident frames are trusted memory.
+  StatusOr<Page*> Fetch(PageId id, PageCheck check = nullptr);
 
   /// Metered write access: like Fetch, but marks the page's checksum stale
   /// because the caller is about to mutate it in place. Never delivers
@@ -131,7 +140,7 @@ class BufferPool {
  private:
   static constexpr int kMaxIoRetries = 3;
 
-  StatusOr<Page*> FetchImpl(PageId id, bool write_intent);
+  StatusOr<Page*> FetchImpl(PageId id, bool write_intent, PageCheck check);
   /// Copies `src` into the next shadow frame and returns it. Shadow frames
   /// are short-lived by contract: callers validate a delivered page before
   /// issuing further fetches, so a small ring suffices. Requires mu_ held

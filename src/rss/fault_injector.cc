@@ -37,7 +37,8 @@ void FaultInjector::Corrupt(FaultKind kind, Page* shadow) {
     //  - SlottedPage: slot_count = 0xFFFF fails ValidateHeader
     //    (directory would exceed the page);
     //  - B-tree node: is_leaf byte 0xFF is neither 0 nor 1, rejected by
-    //    node decode before any entry is touched.
+    //    the node check the pool runs on the read, before any entry is
+    //    touched.
     for (size_t i = 0; i < 7; ++i) shadow->bytes[i] = static_cast<char>(0xff);
     return;
   }

@@ -64,8 +64,8 @@ class FaultInjector {
 
   /// Applies `kind` (a corruption kind) to `shadow`, a copy of the stored
   /// page. kCorruptHeader overwrites the first bytes with 0xFF — a pattern
-  /// provably rejected by both SlottedPage header validation and B-tree node
-  /// decode. kCorruptBits flips 1-8 random bits anywhere in the page.
+  /// provably rejected by both SlottedPage header validation and the B-tree
+  /// node check. kCorruptBits flips 1-8 random bits anywhere in the page.
   void Corrupt(FaultKind kind, Page* shadow);
 
   uint64_t reads_seen() const { return reads_seen_; }

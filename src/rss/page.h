@@ -3,7 +3,7 @@
 // tuple spans a page" (§3).
 //
 // A Page is a raw byte buffer. Data pages use the slotted layout implemented
-// by SlottedPage; B+-tree pages use their own node layout (see btree.cc).
+// by SlottedPage; B+-tree pages use their own node layout (see btree.h).
 // PageStore is the "disk": it owns every page ever allocated, plus per-page
 // integrity metadata — a checksum (PageChecksum: four-lane FNV-1a) sealed
 // when a page's content is first read back after mutation and verified on

@@ -6,7 +6,7 @@ namespace systemr {
 
 namespace {
 
-bool HasPrefix(const std::string& s, const std::string& prefix) {
+bool HasPrefix(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() &&
          s.compare(0, prefix.size(), prefix) == 0;
 }
@@ -104,7 +104,7 @@ Status IndexScan::Open() {
 
 bool IndexScan::InRange() const {
   if (!range_.stop.has_value()) return true;
-  const std::string& key = cursor_.user_key();
+  std::string_view key = cursor_.user_key();
   const std::string& stop = *range_.stop;
   if (HasPrefix(key, stop)) return range_.stop_inclusive;
   return key.compare(stop) < 0;

@@ -1,8 +1,8 @@
 #include "session/plan_cache.h"
 
 #include <charconv>
-#include <string_view>
 
+#include "common/value.h"
 #include "sql/lexer.h"
 
 namespace systemr {
@@ -22,15 +22,10 @@ std::string NormalizeSql(const std::vector<Token>& tokens) {
         key.append(num, end - num);
         break;
       }
-      case TokenType::kRealLiteral: {
-        // Shortest round-trip digits: distinct doubles never share a key.
-        // ".0" keeps an integral real from reading as the int it equals.
-        char* end = std::to_chars(num, num + sizeof(num), t.real_value).ptr;
-        std::string_view digits(num, end - num);
-        key += digits;
-        if (digits.find_first_of(".e") == std::string_view::npos) key += ".0";
+      case TokenType::kRealLiteral:
+        // Distinct doubles never share a key.
+        AppendShortestReal(t.real_value, &key);
         break;
-      }
       case TokenType::kStringLiteral:
         key += '\'';
         for (char c : t.text) {

@@ -1,7 +1,11 @@
 #include "rss/btree.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -243,6 +247,218 @@ TEST_P(BTreeDeleteFuzzTest, MatchesMultisetReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeDeleteFuzzTest,
                          ::testing::Values(1, 2, 3, 4));
+
+// --- Variable-length keys ---
+
+using Entry = std::pair<std::string, PageId>;  // (user key, TID page).
+
+bool HasPrefix(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+// One fuzz case: a seed, a key shape, and the shapes its two trees (the
+// non-unique one and the unique one) must end with.
+struct VarKeyCase {
+  uint64_t seed;
+  bool composite;  // (INT, STRING) keys; otherwise one STRING column.
+  size_t pages, leaf_pages;
+  int height;
+  size_t unique_pages, unique_leaf_pages;
+  int unique_height;
+};
+
+// Seeded inserts and deletes of variable-length keys, checked against a
+// std::multiset: STRING keys of 0-200 bytes (their encoding escapes NUL, so
+// the alphabet has one), or (INT, STRING) composite keys, drawn from a pool
+// so that keys repeat. Every key length on a page comes from the node's end
+// offsets, so every check reads them.
+class BTreeVarKeyFuzzTest : public ::testing::TestWithParam<VarKeyCase> {
+ protected:
+  // A STRING of 0-200 bytes over {a, b, NUL}; the one in four of at most
+  // 3 bytes are prefixes of many others.
+  static std::string RandomString(Rng* rng) {
+    static constexpr char kAlphabet[] = {'a', 'b', '\0'};
+    size_t len = rng->Uniform(0, rng->Bernoulli(0.25) ? 3 : 200);
+    std::string s;
+    for (size_t i = 0; i < len; ++i) s.push_back(kAlphabet[rng->Uniform(0, 2)]);
+    return s;
+  }
+  // The leading column's encoding (the prefix an exclusive start skips)
+  // and the whole key's.
+  std::pair<std::string, std::string> RandomKey(Rng* rng) const {
+    std::string leading, key;
+    if (GetParam().composite) {
+      Value::Int(rng->Uniform(0, 30)).EncodeKey(&leading);
+      key = leading;
+      Value::Str(RandomString(rng)).EncodeKey(&key);
+    } else {
+      Value::Str(RandomString(rng)).EncodeKey(&leading);
+      key = leading;
+    }
+    return {leading, key};
+  }
+};
+
+// Scans the whole tree through its cursor.
+std::vector<Entry> ScanEntries(const BTree& tree) {
+  std::vector<Entry> out;
+  auto cursor = tree.NewCursor();
+  EXPECT_TRUE(cursor.SeekToFirst().ok());
+  while (cursor.Valid()) {
+    out.emplace_back(std::string(cursor.user_key()), cursor.tid().page);
+    EXPECT_TRUE(cursor.Next().ok());
+  }
+  return out;
+}
+
+TEST_P(BTreeVarKeyFuzzTest, MatchesMultisetReference) {
+  const VarKeyCase& c = GetParam();
+  PageStore store;
+  BufferPool pool(&store, 4096);
+  BTree tree(&pool, 0, /*unique=*/false);
+  BTree unique_tree(&pool, 1, /*unique=*/true);
+  Rng rng(c.seed);
+  std::vector<std::pair<std::string, std::string>> key_pool;
+  for (int i = 0; i < 600; ++i) key_pool.push_back(RandomKey(&rng));
+  std::multiset<Entry> reference;
+  std::map<std::string, PageId> unique_reference;
+  PageId next_id = 0;
+
+  auto check = [&](const std::string& when) {
+    SCOPED_TRACE(when);
+    std::vector<Entry> want(reference.begin(), reference.end());
+    ASSERT_EQ(ScanEntries(tree), want);
+    ASSERT_EQ(tree.num_entries(), reference.size());
+    std::vector<Entry> unique_want(unique_reference.begin(),
+                                   unique_reference.end());
+    ASSERT_EQ(ScanEntries(unique_tree), unique_want);
+    for (int probe = 0; probe < 100; ++probe) {
+      auto [leading, key] = rng.Bernoulli(0.5)
+                                ? key_pool[rng.Uniform(0, key_pool.size() - 1)]
+                                : RandomKey(&rng);
+      // Seek: the first entry whose user key is >= the probe.
+      auto cursor = tree.NewCursor();
+      ASSERT_TRUE(cursor.Seek(key).ok());
+      auto it = reference.lower_bound(Entry{key, 0});
+      ASSERT_EQ(cursor.Valid(), it != reference.end()) << "probe " << probe;
+      if (cursor.Valid()) {
+        ASSERT_EQ(Entry(std::string(cursor.user_key()), cursor.tid().page),
+                  *it);
+      }
+      // An exclusive start, as IndexScan::Open applies it: seek to the
+      // leading column, then skip the entries it prefixes.
+      ASSERT_TRUE(cursor.Seek(leading).ok());
+      while (cursor.Valid() &&
+             HasPrefix(std::string(cursor.user_key()), leading)) {
+        ASSERT_TRUE(cursor.Next().ok());
+      }
+      it = reference.lower_bound(Entry{leading, 0});
+      while (it != reference.end() && HasPrefix(it->first, leading)) ++it;
+      ASSERT_EQ(cursor.Valid(), it != reference.end()) << "probe " << probe;
+      if (cursor.Valid()) {
+        ASSERT_EQ(Entry(std::string(cursor.user_key()), cursor.tid().page),
+                  *it);
+      }
+    }
+  };
+
+  for (int op = 1; op <= 4000; ++op) {
+    if (reference.empty() || rng.Bernoulli(0.65)) {
+      const std::string& key =
+          key_pool[rng.Uniform(0, key_pool.size() - 1)].second;
+      const PageId id = next_id++;
+      ASSERT_TRUE(tree.Insert(key, Tid{id, 0}).ok());
+      reference.emplace(key, id);
+      Status st = unique_tree.Insert(key, Tid{id, 0});
+      if (unique_reference.count(key) != 0) {
+        ASSERT_EQ(st.code(), StatusCode::kAlreadyExists) << "op " << op;
+      } else {
+        ASSERT_TRUE(st.ok()) << "op " << op << ": " << st.ToString();
+        unique_reference.emplace(key, id);
+      }
+    } else {
+      auto it = reference.begin();
+      std::advance(it, rng.Uniform(0, reference.size() - 1));
+      ASSERT_TRUE(tree.Delete(it->first, Tid{it->second, 0}).ok());
+      auto u = unique_reference.find(it->first);
+      if (u != unique_reference.end() && rng.Bernoulli(0.5)) {
+        ASSERT_TRUE(unique_tree.Delete(u->first, Tid{u->second, 0}).ok());
+        unique_reference.erase(u);
+      }
+      reference.erase(it);
+    }
+    if (op % 1000 == 0) check("after op " + std::to_string(op));
+  }
+  EXPECT_EQ(tree.num_pages(), c.pages);
+  EXPECT_EQ(tree.num_leaf_pages(), c.leaf_pages);
+  EXPECT_EQ(tree.height(), c.height);
+  EXPECT_EQ(unique_tree.num_pages(), c.unique_pages);
+  EXPECT_EQ(unique_tree.num_leaf_pages(), c.unique_leaf_pages);
+  EXPECT_EQ(unique_tree.height(), c.unique_height);
+}
+
+// Shapes measured when each node was searched in a decoded copy: the
+// in-page layout keeps every node's byte count, so the same operations build
+// the same trees.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, BTreeVarKeyFuzzTest,
+    ::testing::Values(VarKeyCase{1, false, 60, 56, 3, 22, 21, 2},
+                      VarKeyCase{2, false, 56, 53, 3, 21, 20, 2},
+                      VarKeyCase{3, false, 57, 54, 3, 21, 20, 2},
+                      VarKeyCase{1, true, 57, 53, 3, 24, 23, 2},
+                      VarKeyCase{2, true, 64, 60, 3, 23, 22, 2},
+                      VarKeyCase{3, true, 62, 58, 3, 27, 24, 3}),
+    [](const ::testing::TestParamInfo<VarKeyCase>& info) {
+      return std::string(info.param.composite ? "Composite" : "String") +
+             std::to_string(info.param.seed);
+    });
+
+// --- Concurrent readers ---
+
+// Four threads run cursor scans and point seeks on one tree through a pool
+// far smaller than the tree, so their reads miss and check nodes at the
+// same time. Each thread must see exactly what one thread alone sees.
+TEST(BTreeConcurrencyTest, ConcurrentReadersMatchASerialRun) {
+  PageStore store;
+  BufferPool pool(&store, 1024);
+  BTree tree(&pool, 0, /*unique=*/false);
+  Rng rng(7);
+  for (PageId i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(tree.Insert(IntKey(rng.Uniform(0, 5000)), Tid{i, 0}).ok());
+  }
+  pool.set_capacity(16);
+  ASSERT_GT(tree.num_pages(), 16u * 4);
+
+  // One run: a full scan, then a seek to every 7th key with the entry found.
+  auto run = [&tree]() {
+    std::vector<Entry> seen = ScanEntries(tree);
+    auto cursor = tree.NewCursor();
+    for (int64_t k = 0; k <= 5000; k += 7) {
+      Status st = cursor.Seek(IntKey(k));
+      if (!st.ok() || !cursor.Valid()) {
+        seen.emplace_back(st.ToString(), kInvalidPage);
+        continue;
+      }
+      seen.emplace_back(std::string(cursor.user_key()), cursor.tid().page);
+    }
+    return seen;
+  };
+  const std::vector<Entry> serial = run();
+  ASSERT_EQ(serial.size(), 20000u + 715u);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Entry>> results(kThreads * 3);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&results, &run, t]() {
+      for (int rep = 0; rep < 3; ++rep) results[t * 3 + rep] = run();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i] == serial) << "run " << i;
+  }
+}
 
 }  // namespace
 }  // namespace systemr

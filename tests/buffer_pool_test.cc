@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <list>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +82,42 @@ TEST(BufferPoolTest, DiscardRemovesResidency) {
   pool.Discard(a);
   EXPECT_EQ(pool.resident(), 0u);
   EXPECT_EQ(store.Get(a), nullptr);
+}
+
+int check_calls = 0;
+
+Status FirstByteIsZero(const PageStore&, PageId id, const Page& page) {
+  ++check_calls;
+  if (page.bytes[0] == 0) return Status::OK();
+  return Status::DataLoss("page " + std::to_string(id) + " fails the check");
+}
+
+// A check passed to Fetch runs on each read from the store and never on a
+// hit; a page that fails it stays non-resident, so the next Fetch reads and
+// checks it again.
+TEST(BufferPoolTest, FetchCheckRunsOncePerReadFromTheStore) {
+  PageStore store;
+  BufferPool pool(&store, 4);
+  PageId good = pool.NewPage();
+  PageId bad = pool.NewPage();
+  store.Get(bad)->bytes[0] = 1;
+  pool.FlushAll();
+  pool.ResetStats();
+
+  ASSERT_TRUE(pool.Fetch(good, &FirstByteIsZero).ok());  // Miss: checked.
+  ASSERT_TRUE(pool.Fetch(good, &FirstByteIsZero).ok());  // Hit: trusted.
+  EXPECT_EQ(check_calls, 1);
+  EXPECT_TRUE(pool.is_resident(good));
+  for (int i = 0; i < 2; ++i) {
+    StatusOr<Page*> page = pool.Fetch(bad, &FirstByteIsZero);
+    EXPECT_EQ(page.status().code(), StatusCode::kDataLoss);
+    EXPECT_FALSE(pool.is_resident(bad));
+  }
+  EXPECT_EQ(check_calls, 3);
+  EXPECT_EQ(pool.stats().fetches, 3u);
+  // Unchecked, the same bytes read as usual.
+  EXPECT_TRUE(pool.Fetch(bad).ok());
+  EXPECT_TRUE(pool.is_resident(bad));
 }
 
 TEST(BufferPoolTest, CapacityShrinkEvicts) {

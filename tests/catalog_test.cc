@@ -238,33 +238,40 @@ TEST_F(CatalogTest, IndexScanRangeBounds) {
 uint64_t HashLiveNodes(const PageStore& store, PageId pid,
                        uint64_t h = 14695981039346656037ull) {
   const char* p = store.Get(pid)->bytes.data();
+  auto feed = [&](const char* bytes, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ static_cast<uint8_t>(bytes[i])) * 1099511628211ull;
+    }
+  };
   const bool leaf = p[0] != 0;
   uint16_t count;
   std::memcpy(&count, p + 1, 2);
   size_t pos = 7;
   std::vector<PageId> children;
-  auto child_at = [&](size_t at) {
+  auto child_at = [&](const char* at) {
     PageId c;
-    std::memcpy(&c, p + at, 4);
+    std::memcpy(&c, at, 4);
     children.push_back(c);
   };
   if (!leaf) {
-    child_at(pos);
+    child_at(p + pos);
     pos += 4;
   }
+  feed(p, pos);
+  // Each entry's key length, key and payload, in the byte stream the
+  // key-length-prefixed layout stored: the node's end offsets give the
+  // lengths.
+  const size_t payload = leaf ? 8 : 4;
+  const char* area = p + pos + 2 * count;
+  uint16_t begin = 0;
   for (uint16_t i = 0; i < count; ++i) {
-    uint16_t klen;
-    std::memcpy(&klen, p + pos, 2);
-    pos += 2 + klen;
-    if (leaf) {
-      pos += 8;
-    } else {
-      child_at(pos);
-      pos += 4;
-    }
-  }
-  for (size_t i = 0; i < pos; ++i) {
-    h = (h ^ static_cast<uint8_t>(p[i])) * 1099511628211ull;
+    uint16_t end;
+    std::memcpy(&end, p + pos + 2 * i, 2);
+    uint16_t klen = static_cast<uint16_t>(end - begin - payload);
+    feed(reinterpret_cast<const char*>(&klen), 2);
+    feed(area + begin, end - begin);
+    if (!leaf) child_at(area + end - 4);
+    begin = end;
   }
   for (PageId c : children) h = HashLiveNodes(store, c, h);
   return h;

@@ -346,12 +346,17 @@ TEST(MixedNumericBoundTest, IndexedScansMatchUnindexed) {
 }
 
 // The probes above reach the index with every operand source, and bound it
-// on both sides of a saturated range.
+// on both sides of a saturated range. A REAL bound prints in full: the two
+// 2^53-scale probes differ in their last digit.
 TEST(MixedNumericBoundTest, ProbesBoundTheIndex) {
   std::unique_ptr<Database> t_k = MixedNumericDb(kIndexTK);
   std::unique_ptr<Database> u_r = MixedNumericDb(kIndexUR);
   const std::tuple<Database*, const char*, const char*> kPlans[] = {
-      {t_k.get(), "SELECT K FROM T WHERE K = 2.0", "via T_K [=2]"},
+      {t_k.get(), "SELECT K FROM T WHERE K = 2.0", "via T_K [=2.0]"},
+      {t_k.get(), "SELECT K FROM T WHERE K = 9007199254740992.0",
+       "via T_K [=9007199254740992.0] sargs(K=9007199254740992.0)"},
+      {t_k.get(), "SELECT K FROM T WHERE K = 9007199254740994.0",
+       "via T_K [=9007199254740994.0] sargs(K=9007199254740994.0)"},
       {t_k.get(), "SELECT K FROM T WHERE K > 297.5", "via T_K [>297.5]"},
       {t_k.get(), "SELECT K FROM T WHERE K = ?", "via T_K [=?1]"},
       {t_k.get(), "SELECT K FROM T WHERE K > ? AND K < 5", "via T_K [>?1, <5]"},

@@ -266,7 +266,6 @@ TEST(BTreeCorruptionTest, FlippedKeyByteIsDataLossNotCrash) {
   // Flip one byte in the middle of the root page without resealing: the
   // checksum catches it on the next simulated disk read.
   store.Get(tree.root())->bytes[100] ^= 0x40;
-  tree.DropNodeCaches();
   pool.FlushAll();
   Status st = cursor.Seek(IntKey(500));
   ASSERT_FALSE(st.ok());
@@ -275,7 +274,6 @@ TEST(BTreeCorruptionTest, FlippedKeyByteIsDataLossNotCrash) {
 
   // Heal the byte: the same tree works again (no durable damage).
   store.Get(tree.root())->bytes[100] ^= 0x40;
-  tree.DropNodeCaches();
   pool.FlushAll();
   ASSERT_TRUE(cursor.Seek(IntKey(500)).ok());
   ASSERT_TRUE(cursor.Valid());
@@ -294,11 +292,10 @@ TEST(BTreeCorruptionTest, OutOfRangeChildIdIsDataLossNotCrash) {
   // Overwrite the root's leftmost child id (node layout: is_leaf u8, count
   // u16, next u32, then the leftmost child u32) with an id far past the
   // store, and RESEAL so the checksum is consistent: only the structural
-  // validation in node decode can catch this one.
+  // node check on the read can catch this one.
   PageId bogus = 0x7fffffff;
   std::memcpy(store.Get(tree.root())->bytes.data() + 7, &bogus, 4);
   store.Seal(tree.root());
-  tree.DropNodeCaches();
   pool.FlushAll();
 
   auto cursor = tree.NewCursor();
@@ -318,7 +315,6 @@ TEST(BTreeCorruptionTest, BadHeaderFlagIsDataLossNotCrash) {
 
   store.Get(tree.root())->bytes[0] = static_cast<char>(0xff);
   store.Seal(tree.root());  // Checksum-consistent, structurally invalid.
-  tree.DropNodeCaches();
   pool.FlushAll();
   Status st = cursor.SeekToFirst();
   ASSERT_FALSE(st.ok());
@@ -340,7 +336,6 @@ TEST(BTreeCorruptionTest, CyclicChildLinkIsDataLossOnWrite) {
   PageId root = tree.root();
   std::memcpy(store.Get(root)->bytes.data() + 7, &root, 4);
   store.Seal(root);
-  tree.DropNodeCaches();
   pool.FlushAll();
 
   Status insert = tree.Insert(IntKey(-1), Tid{1000, 0});
@@ -350,6 +345,77 @@ TEST(BTreeCorruptionTest, CyclicChildLinkIsDataLossOnWrite) {
   EXPECT_EQ(tree.num_entries(), 1000u);
   auto cursor = tree.NewCursor();
   EXPECT_EQ(cursor.SeekToFirst().code(), StatusCode::kDataLoss);
+}
+
+// Two keys swapped in place, with every offset still in bounds, pass the
+// per-access bounds checks: only the node check the pool runs on a read from
+// the store finds them out of order.
+TEST(BTreeCorruptionTest, UnorderedKeysAreDataLossOnRead) {
+  PageStore store;
+  BufferPool pool(&store, 256);
+  BTree tree(&pool, 0, /*unique=*/false);
+  for (int64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(tree.Insert(IntKey(k), Tid{static_cast<PageId>(k), 0}).ok());
+  }
+  ASSERT_EQ(tree.num_pages(), 1u);
+  // One leaf: a 7-byte header, 100 u16 end offsets, then 100 entries of a
+  // 17-byte stored key and an 8-byte TID. Swap entries 10 and 11, reseal.
+  char* area = store.Get(tree.root())->bytes.data() + 7 + 2 * 100;
+  std::swap_ranges(area + 10 * 25, area + 11 * 25, area + 11 * 25);
+  store.Seal(tree.root());
+  pool.FlushAll();
+  auto cursor = tree.NewCursor();
+  Status st = cursor.SeekToFirst();
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+  EXPECT_NE(st.message().find("not strictly ascending"), std::string::npos);
+}
+
+// A buffer hit runs no node check (resident frames are trusted memory), so
+// bytes changed under a resident node reach the B-tree unchecked. Every
+// access bounds-checks the offsets and ids it uses: a wild entry count, child
+// id or end offset is kDataLoss for a seek, an insert and a delete alike,
+// never an out-of-bounds read.
+TEST(BTreeCorruptionTest, ResidentNodeBytesAreBoundsChecked) {
+  enum Field { kCount, kChild, kLeafOffsets };
+  for (Field field : {kCount, kChild, kLeafOffsets}) {
+    SCOPED_TRACE("field " + std::to_string(field));
+    PageStore store;
+    BufferPool pool(&store, 256);
+    BTree tree(&pool, 0, /*unique=*/false);
+    for (int64_t k = 0; k < 1000; ++k) {
+      ASSERT_TRUE(tree.Insert(IntKey(k), Tid{static_cast<PageId>(k), 0}).ok());
+    }
+    ASSERT_EQ(tree.height(), 2);
+    // Internal root: is_leaf u8, count u16, next u32, leftmost child u32.
+    char* root = store.Get(tree.root())->bytes.data();
+    PageId first_leaf;
+    std::memcpy(&first_leaf, root + 7, 4);
+    ASSERT_TRUE(pool.is_resident(tree.root()));
+    ASSERT_TRUE(pool.is_resident(first_leaf));
+    if (field == kCount) {
+      uint16_t count = 0xffff;
+      std::memcpy(root + 1, &count, 2);
+    } else if (field == kChild) {
+      PageId bogus = 0x7fffffff;
+      std::memcpy(root + 7, &bogus, 4);
+    } else {
+      // Leaf: the u16 end offsets follow the 7-byte header.
+      char* leaf = store.Get(first_leaf)->bytes.data();
+      uint16_t count;
+      std::memcpy(&count, leaf + 1, 2);
+      uint16_t wild = 0xfff0;
+      for (uint16_t i = 0; i < count; ++i) {
+        std::memcpy(leaf + 7 + 2 * i, &wild, 2);
+      }
+    }
+    auto cursor = tree.NewCursor();
+    EXPECT_EQ(cursor.Seek(IntKey(0)).code(), StatusCode::kDataLoss);
+    EXPECT_FALSE(cursor.Valid());
+    EXPECT_EQ(tree.Insert(IntKey(-1), Tid{1000, 0}).code(),
+              StatusCode::kDataLoss);
+    EXPECT_EQ(tree.Delete(IntKey(1), Tid{1, 0}).code(), StatusCode::kDataLoss);
+    EXPECT_EQ(tree.num_entries(), 1000u);
+  }
 }
 
 // --- Failed B-tree writes ---
@@ -411,7 +477,6 @@ TEST(BTreeFailedWriteTest, FailedRootSplitLeavesTheTreeAsItWas) {
 
   Status decoded = ScanEquals(tree, expect);
   EXPECT_TRUE(decoded.ok()) << "decoded nodes: " << decoded.ToString();
-  tree.DropNodeCaches();
   pool.FlushAll();
   Status from_pages = ScanEquals(tree, expect);
   EXPECT_TRUE(from_pages.ok()) << "page bytes: " << from_pages.ToString();
@@ -482,8 +547,7 @@ TEST_P(BTreeFailedWriteFuzzTest, FailedWritesLeaveTheTreeAsItWas) {
     }
     EXPECT_GT(failures, 0) << "faults must fire";
     max_height = std::max(max_height, tree.height());
-    tree.DropNodeCaches();
-    pool.FlushAll();
+      pool.FlushAll();
     Status from_pages = ScanEquals(tree, reference);
     EXPECT_TRUE(from_pages.ok()) << "page bytes: " << from_pages.ToString();
   }

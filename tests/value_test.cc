@@ -1,6 +1,9 @@
 #include "common/value.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -276,6 +279,27 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Int(5).ToString(), "5");
   EXPECT_EQ(Value::Null().ToString(), "NULL");
   EXPECT_EQ(Value::Str("x").ToString(), "'x'");
+}
+
+// A REAL prints in the shortest form that reads back as the same double, so
+// two different values never print alike; an integral one keeps ".0".
+TEST(ValueTest, RealToStringRoundTrips) {
+  EXPECT_EQ(Value::Real(9007199254740992.0).ToString(), "9007199254740992.0");
+  EXPECT_EQ(Value::Real(9007199254740994.0).ToString(), "9007199254740994.0");
+  EXPECT_EQ(Value::Real(2.0).ToString(), "2.0");
+  EXPECT_EQ(Value::Real(297.5).ToString(), "297.5");
+  EXPECT_EQ(Value::Real(0.1).ToString(), "0.1");
+  EXPECT_EQ(Value::Real(1.0 / 3).ToString(), "0.3333333333333333");
+  EXPECT_EQ(Value::Real(-0.0).ToString(), "-0.0");
+  EXPECT_EQ(Value::Real(1e300).ToString(), "1e+300");
+  EXPECT_EQ(Value::Real(std::numeric_limits<double>::infinity()).ToString(),
+            "inf");
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    double d = (rng.NextDouble() - 0.5) * std::pow(10.0, rng.Uniform(-20, 20));
+    std::string text = Value::Real(d).ToString();
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), d) << text;
+  }
 }
 
 }  // namespace
