@@ -145,7 +145,7 @@ int Main() {
       std::vector<Candidate> cands;
       for (const JoinSolution& s : h->enumerator->SolutionsFor(full)) {
         ExecResult exec = ExecuteCold(&db, *h->block, s.plan);
-        cands.push_back(Candidate{s.cost, exec.stats.ActualCost(w),
+        cands.push_back(Candidate{s.cost.cost, exec.stats.ActualCost(w),
                                   s.describe == best.describe});
       }
       joins.Account(cands);

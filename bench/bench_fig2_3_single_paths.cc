@@ -58,7 +58,7 @@ int Main() {
     std::printf("{%s}:\n", h->block->tables[t].table->name.c_str());
     for (const JoinSolution& s : h->enumerator->SolutionsFor(mask)) {
       std::printf("  C(%-28s) = %8.1f  order=%-10s N=%0.1f\n",
-                  s.describe.c_str(), s.cost,
+                  s.describe.c_str(), s.cost.cost,
                   OrderSpecToString(s.order).c_str(), s.rows);
     }
   }

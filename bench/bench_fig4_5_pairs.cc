@@ -51,7 +51,7 @@ int Main() {
     std::printf("\n%s%s:\n", mask_name(mask).c_str(),
                 sols.empty() ? "  [not expanded: join-order heuristic]" : "");
     for (const JoinSolution& s : sols) {
-      std::printf("  C = %10.1f  order=%-10s N=%-10.1f %s\n", s.cost,
+      std::printf("  C = %10.1f  order=%-10s N=%-10.1f %s\n", s.cost.cost,
                   OrderSpecToString(s.order).c_str(), s.rows,
                   s.describe.c_str());
     }

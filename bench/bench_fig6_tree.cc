@@ -26,7 +26,7 @@ int Main() {
   Header("Figure 6 — complete (three-relation) solutions");
   const auto& sols = h->enumerator->SolutionsFor(full);
   for (const JoinSolution& s : sols) {
-    std::printf("  C = %10.1f  order=%-10s N=%-8.1f %s\n", s.cost,
+    std::printf("  C = %10.1f  order=%-10s N=%-8.1f %s\n", s.cost.cost,
                 OrderSpecToString(s.order).c_str(), s.rows,
                 s.describe.c_str());
   }
@@ -34,7 +34,7 @@ int Main() {
   JoinSolution best = Unwrap(h->enumerator->Best({}, {}));
   Header("Winning solution");
   std::printf("%s  (estimated cost %.1f)\n\n", best.describe.c_str(),
-              best.cost);
+              best.cost.cost);
   std::printf("%s", ExplainPlan(best.plan, *h->block).c_str());
 
   // Execute every stored complete solution and verify the estimate ranking
@@ -46,7 +46,7 @@ int Main() {
   for (const JoinSolution& s : sols) {
     ExecResult exec = ExecuteCold(&db, *h->block, s.plan);
     double actual = exec.stats.ActualCost(db.options().cost.w);
-    std::printf("%10.1f %12.1f   %s\n", s.cost, actual, s.describe.c_str());
+    std::printf("%10.1f %12.1f   %s\n", s.cost.cost, actual, s.describe.c_str());
     if (best_actual < 0 || actual < best_actual) best_actual = actual;
     if (s.describe == best.describe) chosen_actual = actual;
   }

@@ -16,6 +16,8 @@ CREATE TABLE T (PK INT, V INT);
 INSERT INTO T VALUES (1, 10), (2, 20), (3, 30);
 CREATE UNIQUE INDEX T_PK ON T (PK);
 UPDATE STATISTICS T;
+CREATE TABLE S (K STRING, N INT);
+INSERT INTO S VALUES ('it''s', -7), ('it''s', -7);
 EOF
 
 "$build/tools/serverd" --port 0 --port-file "$tmp/port" \
@@ -28,6 +30,10 @@ cat > "$tmp/smoke.sql" <<'EOF'
 SELECT V FROM T WHERE PK = 2;
 PREPARE pt AS SELECT V FROM T WHERE PK = ?;
 EXECUTE pt (3);
+PREPARE ps AS SELECT N FROM S WHERE K = ?;
+EXECUTE ps ('it''s');
+PREPARE pn AS SELECT K FROM S WHERE N = ?;
+EXECUTE pn (-7);
 BEGIN;
 INSERT INTO T VALUES (4, 40);
 COMMIT;
@@ -42,6 +48,9 @@ EOF
 
 grep -q '^20$\|| *20' "$tmp/smoke.out"          # point lookup answer
 grep -q '^30$\|| *30' "$tmp/smoke.out"          # prepared-statement answer
+# EXECUTE lists lex like SQL: a quoted quote, and a negative INT.
+[ "$(grep -c '| -7 ' "$tmp/smoke.out")" -eq 2 ]
+[ "$(grep -c "| 'it's' " "$tmp/smoke.out")" -eq 2 ]
 grep -q '^4$\|| *4'  "$tmp/smoke.out"           # COUNT(*) after the insert
 grep -q '\[cost=' "$tmp/smoke.out"               # EXPLAIN's plan line
 grep -q 'statements:.*admitted=' "$tmp/smoke.out"  # \stats over the wire
@@ -51,6 +60,10 @@ grep -q 'statements:.*admitted=' "$tmp/smoke.out"  # \stats over the wire
 # "(1 row)" line, not again on the stats line below it.
 cat "$tmp/init.sql" - > "$tmp/local.sql" <<'EOF'
 SELECT V FROM T WHERE PK = 2;
+PREPARE ps AS SELECT N FROM S WHERE K = ?;
+EXECUTE ps ('it''s');
+PREPARE pn AS SELECT K FROM S WHERE N = ?;
+EXECUTE pn (-7);
 BEGIN;
 INSERT INTO T VALUES (4, 40);
 COMMIT;
@@ -60,6 +73,8 @@ UPDATE STATISTICS T;
 EOF
 "$build/tools/repl" --script "$tmp/local.sql" | tee "$tmp/local.out"
 [ "$(grep -c '(1 row)' "$tmp/local.out")" -eq 1 ]
+[ "$(grep -c '| -7 ' "$tmp/local.out")" -eq 2 ]
+[ "$(grep -c "| 'it's' " "$tmp/local.out")" -eq 2 ]
 grep -qx 'begin' "$tmp/local.out"
 grep -qx '1 row' "$tmp/local.out"                # the INSERT's count
 grep -qx 'commit' "$tmp/local.out"

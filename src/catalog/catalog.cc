@@ -124,22 +124,26 @@ Status Catalog::InsertRowLocked(TableInfo* table, const Row& row,
   if (row.size() != table->schema.num_columns()) {
     return Status::InvalidArgument("row arity does not match schema");
   }
+  // Every value takes its column's type; a row that has them all already is
+  // stored as given, without a copy.
+  Row coerced;
   for (size_t i = 0; i < row.size(); ++i) {
-    if (!row[i].is_null() && row[i].type() != table->schema.column(i).type) {
-      return Status::InvalidArgument("type mismatch in column " +
-                                     table->schema.column(i).name);
-    }
+    const ColumnDef& column = table->schema.column(i);
+    if (row[i].is_null() || row[i].type() == column.type) continue;
+    if (coerced.empty()) coerced = row;
+    RETURN_IF_ERROR(CoerceToColumn(column, &coerced[i]));
   }
-  ASSIGN_OR_RETURN(Tid tid, rss_->heap(table->id)->Insert(row, wal_txn));
+  const Row& stored = coerced.empty() ? row : coerced;
+  ASSIGN_OR_RETURN(Tid tid, rss_->heap(table->id)->Insert(stored, wal_txn));
   for (size_t k = 0; k < table->indexes.size(); ++k) {
     const IndexInfo& info = *indexes_[table->indexes[k]];
-    Status s = rss_->index(info.id)->Insert(ExtractKey(info, row), tid);
+    Status s = rss_->index(info.id)->Insert(ExtractKey(info, stored), tid);
     if (!s.ok()) {
       // Row-level atomicity: take back the index entries already made and
       // the heap tuple, so a unique-key violation leaves nothing behind.
       for (size_t j = 0; j < k; ++j) {
         const IndexInfo& prev = *indexes_[table->indexes[j]];
-        (void)rss_->index(prev.id)->Delete(ExtractKey(prev, row), tid);
+        (void)rss_->index(prev.id)->Delete(ExtractKey(prev, stored), tid);
       }
       (void)rss_->heap(table->id)->Delete(tid, wal_txn);
       return s;

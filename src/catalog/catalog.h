@@ -168,7 +168,8 @@ class Catalog {
   TableInfo* FindTableLocked(const std::string& name);
   const TableInfo* FindTableLocked(const std::string& name) const;
   /// Heap + index insert with internal compensation: on index failure the
-  /// already-made entries and the heap tuple are removed again.
+  /// already-made entries and the heap tuple are removed again. Each value
+  /// is first coerced to its column (CoerceToColumn).
   Status InsertRowLocked(TableInfo* table, const Row& row, TxnId wal_txn,
                          Tid* out_tid);
   /// Index + heap delete with internal compensation; `*old_row` receives the

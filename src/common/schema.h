@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/value.h"
 
 namespace systemr {
@@ -37,6 +38,13 @@ class Schema {
 
 /// A tuple: one Value per schema column.
 using Row = std::vector<Value>;
+
+/// Gives `*v` the type of `column`: the one rule for every value stored.
+/// NULL and values of the column's type pass; an INT into a REAL column
+/// becomes its double; a REAL into an INT column truncates toward zero, and
+/// one that is NaN, infinite or outside int64 is refused
+/// (kInvalidArgument). Any other pair is a type mismatch.
+Status CoerceToColumn(const ColumnDef& column, Value* v);
 
 std::string RowToString(const Row& row);
 

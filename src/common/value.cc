@@ -121,11 +121,20 @@ int Value::CompareMixed(const Value& other) const {
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
   }
-  // Mixed or double numeric comparison.
+  // Rounding an INT to the nearest double never reverses an order, so
+  // unequal doubles decide. An INT and a REAL that round to the same double
+  // are compared exactly: that REAL is integral, and 2^63 exceeds every INT.
   double a = AsNumber();
   double b = other.AsNumber();
-  if (a == b) return 0;
-  return a < b ? -1 : 1;
+  if (a != b) return a < b ? -1 : 1;
+  if (type_ == other.type_) return 0;
+  int64_t i = type_ == ValueType::kInt64 ? u_.i : other.u_.i;
+  int int_vs_real = -1;
+  if (a < 0x1p63) {
+    int64_t r = static_cast<int64_t>(a);
+    int_vs_real = i < r ? -1 : (i > r ? 1 : 0);
+  }
+  return type_ == ValueType::kInt64 ? int_vs_real : -int_vs_real;
 }
 
 void Value::EncodeKey(std::string* out) const {

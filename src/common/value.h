@@ -100,9 +100,10 @@ class Value {
     return type_ == ValueType::kDouble ? u_.d : 0.0;
   }
 
-  /// Three-way total order: NULL < numerics (compared numerically across
-  /// INT64/DOUBLE) < strings. Returns <0, 0, >0. INT against INT is inline;
-  /// every other pair goes out of line.
+  /// Three-way total order: NULL < numerics < strings. Numerics compare by
+  /// exact value across INT64/DOUBLE: an INT is never rounded to a double,
+  /// so 2^53 + 1 is greater than 2^53 whatever the types. Returns <0, 0,
+  /// >0. INT against INT is inline; every other pair goes out of line.
   int Compare(const Value& other) const {
     if (type_ == ValueType::kInt64 && other.type_ == ValueType::kInt64) {
       return u_.i < other.u_.i ? -1 : (u_.i > other.u_.i ? 1 : 0);

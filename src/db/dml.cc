@@ -131,22 +131,16 @@ StatusOr<size_t> ExecuteDml(Catalog* catalog, LockManager* locks,
   // Every new row is computed before the first one is written, so SET
   // expressions, subqueries included, read the table as it was before the
   // update. The new base-table row (old columns with SET values applied)
-  // replaces the matched row.
+  // replaces the matched row; the catalog coerces each SET value to its
+  // column as it stores the row.
   for (size_t m = 0; update != nullptr && m < matches.size(); ++m) {
     Matches::value_type& match = matches[m];
     RETURN_IF_ERROR(exec.CheckInterrupts());
     const Row& row = match.second;
     Row new_row(row.begin(), row.begin() + schema.num_columns());
     for (size_t i = 0; i < sets.size(); ++i) {
-      size_t ordinal = sets[i].first;
-      Value& v = new_row[ordinal];
-      RETURN_IF_ERROR(set_progs[i].EvalValue(&exec, row, &v));
-      // INT target with a REAL expression result: truncate, like System R's
-      // assignment semantics for arithmetic expressions.
-      if (!v.is_null() && schema.column(ordinal).type == ValueType::kInt64 &&
-          v.type() == ValueType::kDouble) {
-        v = Value::Int(static_cast<int64_t>(v.AsReal()));
-      }
+      RETURN_IF_ERROR(
+          set_progs[i].EvalValue(&exec, row, &new_row[sets[i].first]));
     }
     match.second = std::move(new_row);
   }

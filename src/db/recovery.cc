@@ -135,17 +135,6 @@ StatusOr<Database::RecoveryStats> Database::Recover(
       }
     }
 
-    // Per-heap live-tuple counts, recomputed from the recovered pages.
-    for (RelId id = 0; id < catalog_.num_tables(); ++id) {
-      uint64_t n = 0;
-      RETURN_IF_ERROR(ScanAll(rss_.OpenSegmentScan(id, {}).get(),
-                              [&n](Row&, Tid) {
-                                ++n;
-                                return Status::OK();
-                              }));
-      rss_.heap(id)->set_num_tuples(n);
-    }
-
     // Deferred logical DDL, in original order — so index ids (and hence
     // plan-visible physical design) come out exactly as before the crash.
     for (const WalRecord* rec : deferred_ddl) {

@@ -113,29 +113,42 @@ Status AggFunctionSet::Accept(ExecContext* ctx, const Row& row,
   return Status::OK();
 }
 
-Value AggFunctionSet::Result(size_t i, const AggState& s) const {
+Status AggFunctionSet::Result(size_t i, const AggState& s,
+                              Value* out) const {
   switch (funcs_[i].agg->agg) {
     case AggFunc::kCount:
-      return Value::Int(static_cast<int64_t>(s.count));
+      *out = Value::Int(static_cast<int64_t>(s.count));
+      break;
     case AggFunc::kAvg: {
       double total = s.int_sum ? static_cast<double>(s.isum) : s.sum;
-      return s.count == 0 ? Value::Null() : Value::Real(total / s.count);
+      *out = s.count == 0 ? Value::Null() : Value::Real(total / s.count);
+      break;
     }
     case AggFunc::kSum:
-      if (s.count == 0) return Value::Null();
-      return s.int_sum ? Value::Int(s.isum) : Value::Real(s.sum);
+      if (s.count == 0) {
+        *out = Value::Null();
+      } else if (!s.int_sum) {
+        *out = Value::Real(s.sum);
+      } else if (s.isum < INT64_MIN || s.isum > INT64_MAX) {
+        return Status::InvalidArgument("integer overflow");
+      } else {
+        *out = Value::Int(static_cast<int64_t>(s.isum));
+      }
+      break;
     case AggFunc::kMin:
-      return s.min;
+      *out = s.min;
+      break;
     case AggFunc::kMax:
-      return s.max;
+      *out = s.max;
+      break;
   }
-  return Value::Null();
+  return Status::OK();
 }
 
 StatusOr<bool> AggFunctionSet::FinishGroup(
     ExecContext* ctx, const Row& rep, const std::vector<AggState>& states) {
   for (size_t i = 0; i < funcs_.size(); ++i) {
-    results_[i] = Result(i, states[i]);
+    RETURN_IF_ERROR(Result(i, states[i], &results_[i]));
   }
   bool keep = true;
   if (has_having_) {

@@ -15,12 +15,13 @@
 namespace systemr {
 
 /// Per-group running state for one aggregate function. SUM stays in exact
-/// int64 arithmetic until a non-integer value arrives, then degrades to
-/// double for the rest of the group.
+/// integer arithmetic until a non-integer value arrives, then degrades to
+/// double for the rest of the group. The exact sum is 128-bit, so only a
+/// final sum outside int64 fails, whatever order the rows arrive in.
 struct AggState {
   uint64_t count = 0;
   double sum = 0;
-  int64_t isum = 0;
+  __int128 isum = 0;
   bool int_sum = true;
   Value min, max;
   void Reset();
@@ -65,8 +66,9 @@ class AggFunctionSet {
   Status EmitSelect(ExecContext* ctx, const Row& rep, Row* out);
 
  private:
-  /// Final value of aggregate `i` given its accumulated state.
-  Value Result(size_t i, const AggState& state) const;
+  /// Final value of aggregate `i` given its accumulated state; an exact SUM
+  /// outside int64 is an integer overflow.
+  Status Result(size_t i, const AggState& state, Value* out) const;
 
   struct CompiledAgg {
     const BoundExpr* agg = nullptr;

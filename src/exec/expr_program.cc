@@ -56,12 +56,17 @@ Status EvalArithInto(char op, const Value& a, const Value& b, Value* out) {
     return Status::OK();
   }
   if (both_int) {
-    int64_t x = a.AsInt(), y = b.AsInt();
+    int64_t x = a.AsInt(), y = b.AsInt(), r = 0;
+    bool overflow;
     switch (op) {
-      case '+': *out = Value::Int(x + y); return Status::OK();
-      case '-': *out = Value::Int(x - y); return Status::OK();
-      case '*': *out = Value::Int(x * y); return Status::OK();
+      case '+': overflow = __builtin_add_overflow(x, y, &r); break;
+      case '-': overflow = __builtin_sub_overflow(x, y, &r); break;
+      case '*': overflow = __builtin_mul_overflow(x, y, &r); break;
+      default: return Status::Internal("unknown arithmetic operator");
     }
+    if (overflow) return Status::InvalidArgument("integer overflow");
+    *out = Value::Int(r);
+    return Status::OK();
   }
   double x = a.AsNumber(), y = b.AsNumber();
   switch (op) {

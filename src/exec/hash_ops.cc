@@ -14,9 +14,10 @@ size_t HashValue(const Value& v) {
     case ValueType::kInt64:
     case ValueType::kDouble: {
       // Hash the numeric value so Int(1) and Real(1.0) — equal under
-      // Value::Compare — land in the same bucket. Every int64 the engine
-      // produces from storage fits a double's exact range in practice;
-      // collisions from rounding are resolved by the Compare verification.
+      // Value::Compare — land in the same bucket: an INT and a REAL that
+      // compare equal are one number, so they round to one double. INTs
+      // past 2^53 that round alike collide, and the Compare verification
+      // tells them apart.
       double d = v.AsNumber();
       if (d == 0.0) d = 0.0;  // Normalize -0.0 to +0.0 (they compare equal).
       uint64_t bits;

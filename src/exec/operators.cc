@@ -10,28 +10,35 @@ namespace systemr {
 namespace {
 
 // Appends `v` as the key of a `key_type` column. INT and REAL compare by
-// value but encode under different tags, so a numeric of the other type is
-// converted first: an INT becomes its double, and a REAL rounds down (up
-// when `round_up`) to an INT, saturating at the int64 limits. Returns false
-// when the encoded value differs from `v`: the caller then makes its range
-// end inclusive, so rounding only widens the range, and the scan's SARGs,
-// which hold the same comparison, reject the extra keys.
+// exact value but encode under different tags, so a numeric of the other
+// type is converted first, rounding down to a key value at or below `v`
+// (up, at or above, when `round_up`): a REAL to an INT by floor or ceil,
+// saturating at the int64 limits, and an INT to the nearest double on that
+// side. Returns false when the encoded value differs from `v`: the caller
+// then makes its range end inclusive, so rounding only widens the range,
+// and the scan's SARGs, which hold the same comparison, reject the extra
+// keys.
 bool EncodeBound(const Value& v, ValueType key_type, bool round_up,
                  std::string* out) {
+  Value key;
   if (v.type() == ValueType::kInt64 && key_type == ValueType::kDouble) {
-    Value::Real(static_cast<double>(v.AsInt())).EncodeKey(out);
-    return true;
-  }
-  if (v.type() != ValueType::kDouble || key_type != ValueType::kInt64) {
+    double d = static_cast<double>(v.AsInt());
+    int int_vs_real = v.Compare(Value::Real(d));
+    if (int_vs_real < 0 && !round_up) d = std::nextafter(d, -HUGE_VAL);
+    if (int_vs_real > 0 && round_up) d = std::nextafter(d, HUGE_VAL);
+    key = Value::Real(d);
+  } else if (v.type() == ValueType::kDouble &&
+             key_type == ValueType::kInt64) {
+    double d = round_up ? std::ceil(v.AsReal()) : std::floor(v.AsReal());
+    key = Value::Int(!(d >= -0x1p63) ? INT64_MIN  // Also NaN.
+                     : d >= 0x1p63   ? INT64_MAX
+                                     : static_cast<int64_t>(d));
+  } else {
     v.EncodeKey(out);
     return true;
   }
-  double d = round_up ? std::ceil(v.AsReal()) : std::floor(v.AsReal());
-  int64_t i = !(d >= -0x1p63)  ? INT64_MIN  // Also NaN.
-              : d >= 0x1p63    ? INT64_MAX
-                               : static_cast<int64_t>(d);
-  Value::Int(i).EncodeKey(out);
-  return static_cast<double>(i) == v.AsReal();
+  key.EncodeKey(out);
+  return key.Compare(v) == 0;
 }
 
 }  // namespace

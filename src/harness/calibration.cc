@@ -8,66 +8,6 @@ namespace systemr {
 
 namespace {
 
-double ChildrenCost(const PlanNode& node) {
-  double c = 0;
-  if (node.left != nullptr) c += node.left->est_cost;
-  if (node.right != nullptr) c += node.right->est_cost;
-  return c;
-}
-
-PlanIo Walk(const PlanNode& node, double w) {
-  switch (node.kind) {
-    case PlanKind::kSegScan:
-    case PlanKind::kIndexScan:
-      return {node.est_pages, node.est_rsi};
-    case PlanKind::kNestedLoopJoin: {
-      // C-outer + N * C-inner (§5): the inner subtree's estimates are
-      // per-probe, scaled by the expected outer cardinality.
-      PlanIo outer = Walk(*node.left, w);
-      PlanIo inner = Walk(*node.right, w);
-      double n = node.left != nullptr ? std::max(1.0, node.left->est_rows) : 1;
-      return {outer.pages + n * inner.pages, outer.rsi + n * inner.rsi};
-    }
-    case PlanKind::kMergeJoin:
-    case PlanKind::kHashJoin: {
-      PlanIo io = Walk(*node.left, w);
-      PlanIo inner = Walk(*node.right, w);
-      io.pages += inner.pages;
-      io.rsi += inner.rsi;
-      // Residual merge cost (repeat scans of matching groups) / hash
-      // build+probe work: attributed to the RSI component.
-      double delta = node.est_cost - ChildrenCost(node);
-      if (delta > 0 && w > 0) io.rsi += delta / w;
-      return io;
-    }
-    case PlanKind::kSort: {
-      PlanIo io = node.left != nullptr ? Walk(*node.left, w) : PlanIo{};
-      // SortCost = input + temp-page I/O + W * rows: the W*rows term is RSI,
-      // the rest of the delta is temp-page traffic.
-      double delta = node.est_cost - ChildrenCost(node);
-      io.rsi += node.est_rows;
-      io.pages += std::max(0.0, delta - w * node.est_rows);
-      return io;
-    }
-    case PlanKind::kFilter:
-    case PlanKind::kProject:
-    case PlanKind::kAggregate:
-    case PlanKind::kHashAggregate:
-    // An exchange performs its fragment's I/O once across all workers; the
-    // fragment subtree (left) already carries those estimates, and the
-    // barrier's own work (startup + row handoff) is CPU, i.e. RSI-like.
-    case PlanKind::kExchange: {
-      // Pure evaluation work (plus, for filters, any nested subquery plans
-      // folded into est_cost): attributed to the RSI component.
-      PlanIo io = node.left != nullptr ? Walk(*node.left, w) : PlanIo{};
-      double delta = node.est_cost - ChildrenCost(node);
-      if (delta > 0 && w > 0) io.rsi += delta / w;
-      return io;
-    }
-  }
-  return {};
-}
-
 double Percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
@@ -96,19 +36,6 @@ std::string Num(double v) {
 }
 
 }  // namespace
-
-PlanIo EstimatePlanIo(const PlanNode& root, double w) {
-  PlanIo io = Walk(root, w);
-  // Normalize so the decomposition sums back to the root estimate exactly:
-  // the per-node attribution is heuristic, the total COST is not.
-  double combined = io.pages + w * io.rsi;
-  if (combined > 0 && root.est_cost > 0) {
-    double scale = root.est_cost / combined;
-    io.pages *= scale;
-    io.rsi *= scale;
-  }
-  return io;
-}
 
 double QError(double est, double actual) {
   double e = std::max(est, 1.0);

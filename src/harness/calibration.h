@@ -1,7 +1,7 @@
-// Cost-calibration oracle: decomposes a plan's estimated cost back into the
-// paper's two components (PAGE FETCHES and RSI CALLS), records them next to
-// the metered actuals, and serializes a JSON report so the q-error trajectory
-// can be tracked across PRs.
+// Cost-calibration oracle: records the optimizer's own estimate of a plan's
+// two cost components (PAGE FETCHES and RSI CALLS, carried by the plan root)
+// next to the metered actuals, and serializes a JSON report so the q-error
+// trajectory can be tracked from one change to the next.
 #ifndef SYSTEMR_HARNESS_CALIBRATION_H_
 #define SYSTEMR_HARNESS_CALIBRATION_H_
 
@@ -9,22 +9,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "optimizer/plan.h"
 #include "rss/meter.h"
 
 namespace systemr {
-
-struct PlanIo {
-  double pages = 0;
-  double rsi = 0;
-};
-
-/// Estimated page I/O and RSI calls for the whole plan tree. Scan nodes carry
-/// exact per-component estimates; composite nodes only carry the combined
-/// COST, so their delta is attributed per node kind (sorts charge W*rows of
-/// RSI plus temp-page I/O; projections/aggregations are pure RSI work) and
-/// the total is then normalized so pages + w*rsi equals the root's est_cost.
-PlanIo EstimatePlanIo(const PlanNode& root, double w);
 
 /// One fuzzed query's estimated-vs-actual record.
 struct CalibrationRecord {

@@ -12,10 +12,6 @@
 
 namespace systemr {
 
-namespace {
-
-// Page lists per relation, read once from the catalog so the reference
-// executor can scan raw heap pages without touching any engine scan code.
 std::unordered_map<RelId, std::vector<PageId>> RelPageMap(Database* db) {
   std::unordered_map<RelId, std::vector<PageId>> map;
   const Catalog& catalog = db->catalog();
@@ -25,6 +21,8 @@ std::unordered_map<RelId, std::vector<PageId>> RelPageMap(Database* db) {
   }
   return map;
 }
+
+namespace {
 
 struct Violation {
   std::vector<std::string>* sink;
@@ -249,14 +247,13 @@ SeedResult RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
     }
 
     if (options.record_calibration && report != nullptr) {
-      PlanIo est = EstimatePlanIo(*prepared->root, db.options().cost.w);
       CalibrationRecord rec;
       rec.seed = seed;
       rec.sql = sql;
       rec.est_cost = prepared->est_cost;
       rec.actual_cost = dp->actual_cost;
-      rec.est_pages = est.pages;
-      rec.est_rsi = est.rsi;
+      rec.est_pages = prepared->root->est.pages;
+      rec.est_rsi = prepared->root->est.rsi;
       rec.est_rows = prepared->est_rows;
       rec.actual_rows = dp->rows.size();
       rec.stats = dp->stats;

@@ -24,13 +24,21 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "harness/calibration.h"
 #include "optimizer/join_enumerator.h"
 #include "rss/fault_injector.h"
+#include "rss/segment.h"
 
 namespace systemr {
+
+class Database;
+
+/// Each relation's heap pages, read from `db`'s catalog, so the reference
+/// executor can scan raw pages without touching any engine scan code.
+std::unordered_map<RelId, std::vector<PageId>> RelPageMap(Database* db);
 
 struct FuzzOptions {
   int queries_per_seed = 6;

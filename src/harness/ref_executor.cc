@@ -38,12 +38,16 @@ StatusOr<Value> RefArith(char op, const Value& a, const Value& b) {
     return Value::Real(a.AsNumber() / denom);
   }
   if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
-    int64_t x = a.AsInt(), y = b.AsInt();
+    int64_t x = a.AsInt(), y = b.AsInt(), r = 0;
+    bool overflow = false;
     switch (op) {
-      case '+': return Value::Int(x + y);
-      case '-': return Value::Int(x - y);
-      case '*': return Value::Int(x * y);
+      case '+': overflow = __builtin_add_overflow(x, y, &r); break;
+      case '-': overflow = __builtin_sub_overflow(x, y, &r); break;
+      case '*': overflow = __builtin_mul_overflow(x, y, &r); break;
+      default: return Status::Internal("unknown arithmetic operator");
     }
+    if (overflow) return Status::InvalidArgument("integer overflow");
+    return Value::Int(r);
   }
   double x = a.AsNumber(), y = b.AsNumber();
   switch (op) {
@@ -355,7 +359,7 @@ Status RefExecutor::Accumulator::Accept(RefExecutor* self, const Row& row) {
   return Status::OK();
 }
 
-Value RefExecutor::Accumulator::Result() const {
+StatusOr<Value> RefExecutor::Accumulator::Result() const {
   double total = int_sum ? static_cast<double>(isum) : dsum;
   switch (agg->agg) {
     case AggFunc::kCount:
@@ -364,7 +368,11 @@ Value RefExecutor::Accumulator::Result() const {
       return count == 0 ? Value::Null() : Value::Real(total / count);
     case AggFunc::kSum:
       if (count == 0) return Value::Null();
-      return int_sum ? Value::Int(isum) : Value::Real(dsum);
+      if (!int_sum) return Value::Real(dsum);
+      if (isum < INT64_MIN || isum > INT64_MAX) {
+        return Status::InvalidArgument("integer overflow");
+      }
+      return Value::Int(static_cast<int64_t>(isum));
     case AggFunc::kMin:
       return min;
     case AggFunc::kMax:

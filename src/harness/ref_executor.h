@@ -84,13 +84,13 @@ class RefExecutor {
   struct Accumulator {
     const BoundExpr* agg = nullptr;
     uint64_t count = 0;
-    int64_t isum = 0;
+    __int128 isum = 0;  // Exact; only a final SUM outside int64 overflows.
     double dsum = 0;
     bool int_sum = true;
     Value min;
     Value max;
     Status Accept(RefExecutor* self, const Row& row);
-    Value Result() const;
+    StatusOr<Value> Result() const;
   };
   StatusOr<std::vector<Row>> Aggregate(const BoundQueryBlock& block,
                                        std::vector<Row> input);

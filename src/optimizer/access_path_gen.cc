@@ -178,9 +178,7 @@ std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
     p.cost = cost.SegmentScan(table, rsicard);
     p.rows = rows;
     p.describe = table.name + " seg. scan";
-    p.node->est_cost = p.cost.cost;
-    p.node->est_pages = p.cost.pages;
-    p.node->est_rsi = p.cost.rsi;
+    p.node->est = p.cost;
     p.node->est_rows = rows;
     paths.push_back(std::move(p));
   }
@@ -276,9 +274,7 @@ std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
     p.order = IndexOrder(*this, table_idx, index);
     p.describe = "index " + index.name +
                  (matching ? " (matching)" : " (non-matching)");
-    p.node->est_cost = p.cost.cost;
-    p.node->est_pages = p.cost.pages;
-    p.node->est_rsi = p.cost.rsi;
+    p.node->est = p.cost;
     p.node->est_rows = rows;
     p.node->order = p.order;
     paths.push_back(std::move(p));

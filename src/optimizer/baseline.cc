@@ -90,7 +90,7 @@ StatusOr<OptimizedQuery> OptimizeBaseline(
     return Status::Internal("no access path for first relation");
   }
   PlanRef plan = first->node;
-  double est_cost = first->cost.cost;
+  PathCost est = first->cost;
   uint32_t mask = 1u << order[0];
   double rows = ctx.Rows(mask);
 
@@ -101,51 +101,35 @@ StatusOr<OptimizedQuery> OptimizeBaseline(
     if (inner == nullptr) {
       return Status::Internal("no access path for inner relation");
     }
-    auto node = NewPlanNode(PlanKind::kNestedLoopJoin);
-    node->left = plan;
-    node->right = inner->node;
-    node->inner_offset = b.tables[t].offset;
-    node->inner_width = b.tables[t].table->schema.num_columns();
-    node->residual = ctx.NewResiduals(mask, t,
-                                      /*all_simple_joins_handled=*/true,
-                                      nullptr);
-    est_cost = ctx.cost.JoinCost(est_cost, std::max(rows, 1.0),
-                                 inner->cost.cost);
+    std::vector<const BoundExpr*> residual =
+        ctx.NewResiduals(mask, t, /*all_simple_joins_handled=*/true, nullptr);
+    est = ctx.cost.JoinCost(est, std::max(rows, 1.0), inner->cost);
     mask |= 1u << t;
     rows = ctx.Rows(mask);
-    node->est_cost = est_cost;
-    node->est_rows = rows;
-    plan = node;
+    plan = NewJoinNode(PlanKind::kNestedLoopJoin, plan, inner->node,
+                       b.tables[t], std::move(residual), est, rows, {});
   }
 
   // Baselines do not track orders: sort whenever an order is required.
   std::vector<SortKey> sort_keys;
   OrderSpec required = Optimizer::RequiredOrder(b, &ctx.classes, &sort_keys);
-  OrderSpec join_order;
   if (!required.empty()) {
-    auto sort = NewPlanNode(PlanKind::kSort);
-    sort->left = plan;
-    sort->sort_keys = sort_keys;
-    sort->order = required;
-    sort->est_rows = rows;
     double bytes = 0;
     for (size_t t = 0; t < n; ++t) {
       bytes += CostModel::TupleBytes(*b.tables[t].table);
     }
-    est_cost = ctx.cost.SortCost(est_cost, std::max(rows, 1.0), bytes);
-    sort->est_cost = est_cost;
-    plan = sort;
-    join_order = required;
+    est = ctx.cost.SortCost(est, std::max(rows, 1.0), bytes);
+    plan = NewSortNode(plan, std::move(sort_keys), required, est, rows);
   }
 
   OptimizedQuery out;
   ASSIGN_OR_RETURN(
       Optimizer::BlockPlan top,
-      optimizer.FinishBlockPlan(ctx, plan, est_cost, rows, join_order,
+      optimizer.FinishBlockPlan(ctx, plan, est, rows, required,
                                 &out.subquery_plans));
   out.block = std::move(block);
   out.root = top.root;
-  out.est_cost = top.est_cost;
+  out.est_cost = top.root->est.cost;
   out.est_rows = top.est_rows;
   return out;
 }

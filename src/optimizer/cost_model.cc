@@ -114,46 +114,75 @@ int CostModel::SortPasses(double temppages) const {
   return passes;
 }
 
-double CostModel::SortCost(double input_cost, double rows,
-                           double bytes_per_row) const {
+PathCost CostModel::JoinCost(const PathCost& outer, double n_outer,
+                            const PathCost& inner_per_probe) const {
+  PathCost c;
+  c.pages = outer.pages + n_outer * inner_per_probe.pages;
+  c.rsi = outer.rsi + n_outer * inner_per_probe.rsi;
+  c.cost = outer.cost + n_outer * inner_per_probe.cost;
+  return c;
+}
+
+PathCost CostModel::SortCost(const PathCost& input, double rows,
+                             double bytes_per_row) const {
   double temppages = TempPages(rows, bytes_per_row);
   int passes = SortPasses(temppages);
   // Write initial runs once, then read+write per merge pass; the final read
   // by the consumer is charged to the consuming scan, not to the sort.
   double io = temppages * (1.0 + 2.0 * passes);
   // Inserting tuples into the temporary list costs tuple moves (CPU).
-  return input_cost + io + params_.w * rows;
+  PathCost c;
+  c.pages = input.pages + io;
+  c.rsi = input.rsi + rows;
+  c.cost = input.cost + io + params_.w * rows;
+  return c;
 }
 
-double CostModel::SortedInnerPerProbe(double temppages, double n_outer,
-                                      double rsicard_group) const {
-  double n = std::max(n_outer, 1.0);
-  return temppages / n + params_.w * rsicard_group;
+PathCost CostModel::SortedInnerPerProbe(double temppages, double n_outer,
+                                        double rsicard_group) const {
+  PathCost c;
+  c.pages = temppages / std::max(n_outer, 1.0);
+  c.rsi = rsicard_group;
+  c.cost = Combine(c.pages, c.rsi);
+  return c;
 }
 
-double CostModel::HashJoinCost(double c_outer, double c_inner_total,
-                               double n_outer, double n_inner, double n_out,
-                               double build_temppages) const {
-  double cost = c_outer + c_inner_total +
-                params_.w * (n_inner + n_outer + std::max(n_out, 0.0));
+PathCost CostModel::HashJoinCost(const PathCost& outer, const PathCost& inner,
+                                 double n_outer, double n_inner, double n_out,
+                                 double build_temppages) const {
+  double probes = n_inner + n_outer + std::max(n_out, 0.0);
+  PathCost c;
+  c.pages = outer.pages + inner.pages;
+  c.rsi = outer.rsi + inner.rsi + probes;
+  c.cost = outer.cost + inner.cost + params_.w * probes;
   if (build_temppages > static_cast<double>(params_.buffer_pages)) {
     // Grace-hash approximation: partitions are written out once and read
     // back once when the build side does not fit in memory.
-    cost += 2.0 * build_temppages;
+    c.pages += 2.0 * build_temppages;
+    c.cost += 2.0 * build_temppages;
   }
-  return cost;
+  return c;
 }
 
-double CostModel::HashAggregateCost(double input_cost, double rows,
-                                    double groups) const {
-  return input_cost + params_.w * (std::max(rows, 0.0) + std::max(groups, 1.0));
+PathCost CostModel::PerRowCost(const PathCost& input, double rows) const {
+  PathCost c = input;
+  c.rsi += rows;
+  c.cost += params_.w * rows;
+  return c;
 }
 
-double CostModel::ParallelFragmentCost(double serial_cost, double rows_out,
-                                       int dop) const {
+PathCost CostModel::HashAggregateCost(const PathCost& input, double rows,
+                                      double groups) const {
+  return PerRowCost(input, std::max(rows, 0.0) + std::max(groups, 1.0));
+}
+
+PathCost CostModel::ParallelFragmentCost(const PathCost& serial,
+                                         double rows_out, int dop) const {
   double d = static_cast<double>(std::max(dop, 1));
-  return serial_cost / d + params_.w * std::max(rows_out, 0.0) +
-         kExchangeStartupCost * d;
+  PathCost c = serial;
+  c.cost = serial.cost / d + params_.w * std::max(rows_out, 0.0) +
+           kExchangeStartupCost * d;
+  return c;
 }
 
 double CostModel::TupleBytes(const TableInfo& table) {

@@ -42,12 +42,24 @@ enum class AccessSituation {
 
 const char* AccessSituationName(AccessSituation s);
 
+/// One estimate in the paper's two parts: every plan node carries one, for
+/// itself and everything under it. Each formula below combines its
+/// operands' parts, so `cost` is `pages + W * rsi` at every node except an
+/// exchange (ParallelFragmentCost).
 struct PathCost {
   double pages = 0;  // Predicted page fetches.
   double rsi = 0;    // Predicted RSI calls.
   double cost = 0;   // pages + W * rsi.
-  AccessSituation situation = AccessSituation::kSegmentScan;
+  AccessSituation situation = AccessSituation::kSegmentScan;  // Scans only.
 };
+
+/// Part-by-part sum: a one-time setup plus the work that follows it.
+inline PathCost operator+(PathCost a, const PathCost& b) {
+  a.pages += b.pages;
+  a.rsi += b.rsi;
+  a.cost += b.cost;
+  return a;
+}
 
 class CostModel {
  public:
@@ -78,29 +90,32 @@ class CostModel {
                      bool unique_equal, bool repeated_probe = false) const;
 
   /// §5: C-outer + N * C-inner (identical formula for both join methods).
-  double JoinCost(double c_outer, double n_outer, double c_inner_per_probe) const {
-    return c_outer + n_outer * c_inner_per_probe;
-  }
+  PathCost JoinCost(const PathCost& outer, double n_outer,
+                    const PathCost& inner_per_probe) const;
 
   /// §5: per-probe cost of a merge-join inner that was sorted into a
   /// temporary list: TEMPPAGES/N + W*RSICARD(per matching group).
-  double SortedInnerPerProbe(double temppages, double n_outer,
-                             double rsicard_group) const;
+  PathCost SortedInnerPerProbe(double temppages, double n_outer,
+                               double rsicard_group) const;
 
   /// Hash join, a third method beyond the paper's two: the inner is read
-  /// once (`c_inner_total`) and built into an in-memory table (W per insert),
-  /// then each outer row probes at CPU cost (W per probe, W per emitted
-  /// match). When the build exceeds the buffer pool the partitions spill —
-  /// one extra write + read of the build's temp pages. Produces no order.
+  /// once (`inner`) and built into an in-memory table (W per insert), then
+  /// each outer row probes at CPU cost (W per probe, W per emitted match).
+  /// When the build exceeds the buffer pool the partitions spill — one
+  /// extra write + read of the build's temp pages. Produces no order.
   ///   C-hash = C-outer + C-inner + W*(N-inner + N-outer + N-out) [+ spill]
-  double HashJoinCost(double c_outer, double c_inner_total, double n_outer,
-                      double n_inner, double n_out,
-                      double build_temppages) const;
+  PathCost HashJoinCost(const PathCost& outer, const PathCost& inner,
+                        double n_outer, double n_inner, double n_out,
+                        double build_temppages) const;
+
+  /// W per row a plan-top node evaluates: projection, and aggregation over
+  /// input already in group order.
+  PathCost PerRowCost(const PathCost& input, double rows) const;
 
   /// Hash aggregation: one pass over an unordered input, W per input row
   /// hashed into its group plus W per group emitted — no sort required.
-  double HashAggregateCost(double input_cost, double rows,
-                           double groups) const;
+  PathCost HashAggregateCost(const PathCost& input, double rows,
+                             double groups) const;
 
   /// Morsel-parallel fragment behind an exchange: the fragment's serial cost
   /// divides across `dop` workers (page fetches overlap because the buffer
@@ -109,13 +124,16 @@ class CostModel {
   /// startup term per worker. The startup term is what keeps small queries
   /// serial: a fragment cheaper than ~kExchangeStartupCost*dop can never win.
   ///   C-par(d) = C-serial/d + W*N-out + kExchangeStartupCost*d
-  double ParallelFragmentCost(double serial_cost, double rows_out,
-                              int dop) const;
+  /// The pages and RSI calls stay the serial fragment's: the workers
+  /// together make all of them.
+  PathCost ParallelFragmentCost(const PathCost& serial, double rows_out,
+                                int dop) const;
 
-  /// C-sort(path): cost of reading the input via `input_cost`, forming and
-  /// merging runs, and writing the temporary list. `rows` tuples of
-  /// `bytes_per_row` bytes.
-  double SortCost(double input_cost, double rows, double bytes_per_row) const;
+  /// C-sort(path): cost of reading the input (`input`), forming and merging
+  /// runs, and writing the temporary list. `rows` tuples of `bytes_per_row`
+  /// bytes.
+  PathCost SortCost(const PathCost& input, double rows,
+                    double bytes_per_row) const;
 
   /// Pages needed to hold `rows` tuples of `bytes_per_row` bytes.
   double TempPages(double rows, double bytes_per_row) const;

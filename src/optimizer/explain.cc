@@ -66,7 +66,7 @@ void ExplainNode(const PlanRef& node, const BoundQueryBlock& block, int depth,
     }
     os << ")";
   }
-  os << "  [cost=" << node->est_cost << " rows=" << node->est_rows;
+  os << "  [cost=" << node->est.cost << " rows=" << node->est_rows;
   if (node->kind == PlanKind::kSegScan || node->kind == PlanKind::kIndexScan) {
     // Calibration visibility: `est=` is what the statistics-only model
     // predicts; `learned=` appears when feedback observations shifted the

@@ -52,27 +52,29 @@ void JoinEnumerator::BuildInterestingOrders() {
 }
 
 template <typename Build>
-void JoinEnumerator::AddSolution(uint32_t mask, double cost, double rows,
-                                 const OrderSpec& order, Build build) {
+void JoinEnumerator::AddSolution(uint32_t mask, const PathCost& cost,
+                                 double rows, const OrderSpec& order,
+                                 Build build) {
   ++solutions_generated_;
   std::vector<JoinSolution>& list = dp_[mask];
   if (!options_.use_interesting_orders) {
     // Keep the single cheapest solution (order is never reused).
-    if (!list.empty() && !(cost < list[0].cost)) return;
+    if (!list.empty() && !(cost.cost < list[0].cost.cost)) return;
     list.clear();
   } else {
     uint64_t covered = CoveredOrders(order, interesting_);
     // Dominated by an existing solution?
     for (const JoinSolution& s : list) {
       uint64_t c = CoveredOrders(s.order, interesting_);
-      if (s.cost <= cost && (covered & ~c) == 0) return;
+      if (s.cost.cost <= cost.cost && (covered & ~c) == 0) return;
     }
     // Remove solutions the new one dominates.
     list.erase(std::remove_if(list.begin(), list.end(),
                               [&](const JoinSolution& s) {
                                 uint64_t c =
                                     CoveredOrders(s.order, interesting_);
-                                return cost <= s.cost && (c & ~covered) == 0;
+                                return cost.cost <= s.cost.cost &&
+                                       (c & ~covered) == 0;
                               }),
                list.end());
   }
@@ -115,7 +117,7 @@ Status JoinEnumerator::Run() {
     for (size_t i = 0; i < paths.size(); ++i) {
       if (pruned[i]) continue;
       const AccessPath& p = paths[i];
-      AddSolution(mask, p.cost.cost, rows,
+      AddSolution(mask, p.cost, rows,
                   options_.use_interesting_orders ? p.order : kUnordered,
                   [&p](JoinSolution* s) {
                     s->plan = p.node;
@@ -169,18 +171,11 @@ void JoinEnumerator::ExtendNestedLoop(uint32_t mask, int t) {
   for (const JoinSolution& outer : dp_[mask]) {
     // C-nested-loop-join = C-outer + N * C-inner (§5); the outer composite's
     // order is preserved.
-    double cost = ctx_.cost.JoinCost(outer.cost, n_outer, inner->cost.cost);
+    PathCost cost = ctx_.cost.JoinCost(outer.cost, n_outer, inner->cost);
     AddSolution(combined, cost, rows, outer.order, [&](JoinSolution* s) {
-      auto node = NewPlanNode(PlanKind::kNestedLoopJoin);
-      node->left = outer.plan;
-      node->right = inner->node;
-      node->inner_offset = block.tables[t].offset;
-      node->inner_width = block.tables[t].table->schema.num_columns();
-      node->residual = residual;
-      node->est_cost = s->cost;
-      node->est_rows = s->rows;
-      node->order = s->order;
-      s->plan = node;
+      s->plan = NewJoinNode(PlanKind::kNestedLoopJoin, outer.plan,
+                            inner->node, block.tables[t], residual, s->cost,
+                            s->rows, s->order);
       s->describe = "NLJ(" + outer.describe + " -> " + inner->describe + ")";
     });
   }
@@ -212,8 +207,8 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
     // candidate.
     struct InnerVariant {
       const AccessPath* index_path;  // (a), or null for (b)'s sorted inner.
-      double setup_cost;             // One-time (sorting into a temp list).
-      double per_probe;              // C-inner.
+      PathCost setup;                // One-time (sorting into a temp list).
+      PathCost per_probe;            // C-inner.
     };
     std::vector<InnerVariant> inners;
 
@@ -225,7 +220,7 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
     for (const AccessPath& p : ctx_.AccessPaths(t, 0)) {
       if (p.node->kind != PlanKind::kIndexScan) continue;
       if (!OrderSatisfies(p.order, required)) continue;
-      inners.push_back({&p, p.cost.cost, 0.0});
+      inners.push_back({&p, p.cost, PathCost{}});
     }
 
     // (b) Sort the inner into a temporary list (C-inner(sorted list), §5).
@@ -236,7 +231,7 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
     if (it != dp_.end() && !it->second.empty()) {
       cheapest = &it->second[0];
       for (const JoinSolution& s : it->second) {
-        if (s.cost < cheapest->cost) cheapest = &s;
+        if (s.cost.cost < cheapest->cost.cost) cheapest = &s;
       }
       double bytes = CostModel::TupleBytes(*block.tables[t].table);
       double temppages = ctx_.cost.TempPages(inner_rows, bytes);
@@ -253,47 +248,31 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
       // way the merge output is ordered by the join column class; the outer
       // order (which starts with that class) is preserved.
       bool sort_outer = !OrderSatisfies(outer.order, required);
-      double outer_cost =
+      PathCost outer_cost =
           sort_outer ? ctx_.cost.SortCost(outer.cost, n_outer, outer_bytes)
                      : outer.cost;
       const OrderSpec& order = sort_outer ? required : outer.order;
       PlanRef sorted_outer;  // Built for the first stored candidate using it.
 
       for (const InnerVariant& iv : inners) {
-        double cost = iv.setup_cost +
-                      ctx_.cost.JoinCost(outer_cost, n_outer, iv.per_probe);
+        PathCost cost =
+            iv.setup + ctx_.cost.JoinCost(outer_cost, n_outer, iv.per_probe);
         AddSolution(combined, cost, rows, order, [&](JoinSolution* s) {
           if (sort_outer && sorted_outer == nullptr) {
-            auto sort = NewPlanNode(PlanKind::kSort);
-            sort->left = outer.plan;
-            sort->sort_keys = {SortKey{outer_off, true}};
-            sort->order = required;
-            sort->est_rows = n_outer;
-            sort->est_cost = outer_cost;
-            sorted_outer = sort;
+            sorted_outer = NewSortNode(outer.plan, {SortKey{outer_off, true}},
+                                       required, outer_cost, n_outer);
           }
           if (iv.index_path == nullptr && sorted_inner == nullptr) {
-            auto sort = NewPlanNode(PlanKind::kSort);
-            sort->left = cheapest->plan;
-            sort->sort_keys = {SortKey{inner_off, true}};
-            sort->order = required;
-            sort->est_rows = inner_rows;
-            sort->est_cost = iv.setup_cost;
-            sorted_inner = sort;
+            sorted_inner =
+                NewSortNode(cheapest->plan, {SortKey{inner_off, true}},
+                            required, iv.setup, inner_rows);
           }
-          auto node = NewPlanNode(PlanKind::kMergeJoin);
-          node->left = sort_outer ? sorted_outer : outer.plan;
-          node->right = iv.index_path != nullptr ? PlanRef(iv.index_path->node)
-                                                 : sorted_inner;
-          node->inner_offset = block.tables[t].offset;
-          node->inner_width = block.tables[t].table->schema.num_columns();
-          node->merge_outer_offset = outer_off;
-          node->merge_inner_offset = inner_off;
-          node->residual = residual;
-          node->est_cost = s->cost;
-          node->est_rows = s->rows;
-          node->order = s->order;
-          s->plan = node;
+          s->plan = NewJoinNode(
+              PlanKind::kMergeJoin, sort_outer ? sorted_outer : outer.plan,
+              iv.index_path != nullptr ? PlanRef(iv.index_path->node)
+                                       : sorted_inner,
+              block.tables[t], residual, s->cost, s->rows, s->order,
+              outer_off, inner_off);
           s->describe = sort_outer ? "MJ(sort(" + outer.describe + ")"
                                    : "MJ(" + outer.describe;
           s->describe += " = ";
@@ -332,7 +311,7 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
   if (it == dp_.end() || it->second.empty()) return;
   const JoinSolution* build = &it->second[0];
   for (const JoinSolution& s : it->second) {
-    if (s.cost < build->cost) build = &s;
+    if (s.cost.cost < build->cost.cost) build = &s;
   }
   double build_pages = ctx_.cost.TempPages(
       n_inner, CostModel::TupleBytes(*block.tables[t].table));
@@ -351,24 +330,15 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
         ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/false, &j);
 
     for (const JoinSolution& outer : dp_[mask]) {
-      double cost = ctx_.cost.HashJoinCost(outer.cost, build->cost, n_outer,
-                                           n_inner, rows, build_pages);
+      PathCost cost = ctx_.cost.HashJoinCost(outer.cost, build->cost, n_outer,
+                                             n_inner, rows, build_pages);
       // Hash join delivers no interesting order: rows come out in probe
       // order, but the optimizer must not rely on it (§5's order bookkeeping
       // treats the hash output as unordered).
       AddSolution(combined, cost, rows, OrderSpec{}, [&](JoinSolution* s) {
-        auto node = NewPlanNode(PlanKind::kHashJoin);
-        node->left = outer.plan;
-        node->right = build->plan;
-        node->inner_offset = block.tables[t].offset;
-        node->inner_width = block.tables[t].table->schema.num_columns();
-        node->merge_outer_offset = outer_off;
-        node->merge_inner_offset = inner_off;
-        node->residual = residual;
-        node->est_cost = s->cost;
-        node->est_rows = s->rows;
-        node->order = s->order;
-        s->plan = node;
+        s->plan = NewJoinNode(PlanKind::kHashJoin, outer.plan, build->plan,
+                              block.tables[t], residual, s->cost, s->rows,
+                              s->order, outer_off, inner_off);
         s->describe =
             "HJ(" + outer.describe + " = build " + build->describe + ")";
       });
@@ -394,9 +364,10 @@ StatusOr<JoinSolution> JoinEnumerator::Best(
   const JoinSolution* cheapest = &it->second[0];
   const JoinSolution* cheapest_ordered = nullptr;
   for (const JoinSolution& s : it->second) {
-    if (s.cost < cheapest->cost) cheapest = &s;
+    if (s.cost.cost < cheapest->cost.cost) cheapest = &s;
     if (!required.empty() && OrderSatisfies(s.order, required)) {
-      if (cheapest_ordered == nullptr || s.cost < cheapest_ordered->cost) {
+      if (cheapest_ordered == nullptr ||
+          s.cost.cost < cheapest_ordered->cost.cost) {
         cheapest_ordered = &s;
       }
     }
@@ -405,19 +376,15 @@ StatusOr<JoinSolution> JoinEnumerator::Best(
 
   // "The cheapest solution with the correct order, unless it is more
   // expensive than the cheapest unordered solution plus a sort" (§5).
-  double sorted_cost = ctx_.cost.SortCost(
+  PathCost sorted_cost = ctx_.cost.SortCost(
       cheapest->cost, std::max(cheapest->rows, 1.0), CompositeTupleBytes(full));
-  if (cheapest_ordered != nullptr && cheapest_ordered->cost <= sorted_cost) {
+  if (cheapest_ordered != nullptr &&
+      cheapest_ordered->cost.cost <= sorted_cost.cost) {
     return *cheapest_ordered;
   }
   JoinSolution s = *cheapest;
-  auto sort = NewPlanNode(PlanKind::kSort);
-  sort->left = cheapest->plan;
-  sort->sort_keys = sort_keys;
-  sort->order = required;
-  sort->est_rows = cheapest->rows;
-  sort->est_cost = sorted_cost;
-  s.plan = sort;
+  s.plan = NewSortNode(cheapest->plan, sort_keys, required, sorted_cost,
+                       cheapest->rows);
   s.cost = sorted_cost;
   s.order = required;
   s.describe = "sort(" + s.describe + ")";

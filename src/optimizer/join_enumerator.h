@@ -19,7 +19,7 @@ namespace systemr {
 
 struct JoinSolution {
   uint32_t mask = 0;
-  double cost = 0;
+  PathCost cost;  // The plan's estimate; solutions compete on cost.cost.
   double rows = 0;
   OrderSpec order;
   PlanRef plan;
@@ -79,7 +79,7 @@ class JoinEnumerator {
   /// stored solution dominates it, it is stored and `build(&solution)` sets
   /// its plan and describe; a rejected candidate builds nothing.
   template <typename Build>
-  void AddSolution(uint32_t mask, double cost, double rows,
+  void AddSolution(uint32_t mask, const PathCost& cost, double rows,
                    const OrderSpec& order, Build build);
   bool Eligible(uint32_t mask, int t) const;
 

@@ -66,13 +66,13 @@ Status Optimizer::PlanSubqueries(const BoundExpr& e,
 }
 
 StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
-    const PlannerContext& ctx, PlanRef join_root, double join_cost,
+    const PlannerContext& ctx, PlanRef join_root, const PathCost& join_cost,
     double join_rows, OrderSpec join_order, SubplanMap* subplans,
     bool use_hash_aggregate) const {
   const BoundQueryBlock& block = *ctx.block;
   PlanRef plan = std::move(join_root);
   double rows = join_rows;
-  double est_cost = join_cost;
+  PathCost est = join_cost;
 
   // Residual filter: boolean factors not handled inside the join tree —
   // subquery predicates and correlated predicates (§6). Their subquery
@@ -84,12 +84,9 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
     RETURN_IF_ERROR(PlanSubqueries(*f->expr, subplans));
   }
   if (!leftover.empty()) {
-    auto filter = NewPlanNode(PlanKind::kFilter);
-    filter->left = plan;
+    auto filter = NewPlanNode(PlanKind::kFilter, plan, est, rows);
     filter->residual = leftover;
     filter->order = join_order;
-    filter->est_rows = rows;
-    filter->est_cost = est_cost;
     plan = filter;
   }
 
@@ -102,9 +99,12 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
     // Sorted-group aggregation expects input already ordered by the GROUP BY
     // columns; hash aggregation takes the input unordered and builds a group
     // table instead.
+    double groups = EstimateGroups(ctx.sel, block, rows);
+    est = use_hash_aggregate ? ctx.cost.HashAggregateCost(est, rows, groups)
+                             : ctx.cost.PerRowCost(est, rows);
     auto agg = NewPlanNode(use_hash_aggregate ? PlanKind::kHashAggregate
-                                              : PlanKind::kAggregate);
-    agg->left = plan;
+                                              : PlanKind::kAggregate,
+                           plan, est, groups);
     for (const BoundOrderItem& g : block.group_by) {
       agg->group_offsets.push_back(block.OffsetOf(g.table_idx, g.column));
     }
@@ -115,14 +115,8 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
       RETURN_IF_ERROR(PlanSubqueries(*block.having, subplans));
       agg->having = block.having.get();
     }
-    double groups = EstimateGroups(ctx.sel, block, rows);
-    agg->est_rows = groups;
-    agg->est_cost = use_hash_aggregate
-                        ? ctx.cost.HashAggregateCost(est_cost, rows, groups)
-                        : est_cost + ctx.cost.w() * rows;
     plan = agg;
     rows = groups;
-    est_cost = agg->est_cost;
 
     // ORDER BY on the aggregate output: sort by select-list positions.
     if (!block.order_by.empty()) {
@@ -157,48 +151,31 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
         }
       }
       if (needed) {
-        auto sort = NewPlanNode(PlanKind::kSort);
-        sort->left = plan;
-        sort->sort_keys = out_keys;
-        sort->est_rows = rows;
-        sort->est_cost = est_cost + ctx.cost.SortCost(0, rows, 32.0);
-        plan = sort;
-        est_cost = sort->est_cost;
+        est = est + ctx.cost.SortCost(PathCost{}, rows, 32.0);
+        plan = NewSortNode(plan, std::move(out_keys), {}, est, rows);
       }
     }
-    if (block.distinct) {
-      ASSIGN_OR_RETURN(plan, AddDistinct(ctx, plan, &est_cost, rows));
+  } else {
+    // Plain projection.
+    est = ctx.cost.PerRowCost(est, rows);
+    auto project = NewPlanNode(PlanKind::kProject, plan, est, rows);
+    for (const auto& item : block.select_list) {
+      project->project.push_back(item.get());
     }
-    BlockPlan out;
-    out.root = plan;
-    out.est_cost = est_cost;
-    out.est_rows = rows;
-    return out;
+    project->order = join_order;
+    plan = project;
   }
-
-  // Plain projection.
-  auto project = NewPlanNode(PlanKind::kProject);
-  project->left = plan;
-  for (const auto& item : block.select_list) {
-    project->project.push_back(item.get());
-  }
-  project->order = join_order;
-  project->est_rows = rows;
-  project->est_cost = est_cost + ctx.cost.w() * rows;
-  PlanRef top = project;
-  double top_cost = project->est_cost;
   if (block.distinct) {
-    ASSIGN_OR_RETURN(top, AddDistinct(ctx, top, &top_cost, rows));
+    ASSIGN_OR_RETURN(plan, AddDistinct(ctx, plan, &est, rows));
   }
   BlockPlan out;
-  out.root = top;
-  out.est_cost = top_cost;
+  out.root = plan;
   out.est_rows = rows;
   return out;
 }
 
 StatusOr<PlanRef> Optimizer::AddDistinct(const PlannerContext& ctx,
-                                         PlanRef input, double* est_cost,
+                                         PlanRef input, PathCost* est,
                                          double rows) {
   // Dedup by sorting the projected output on all columns — with the ORDER BY
   // columns leading, so the required output order survives the dedup sort.
@@ -228,13 +205,10 @@ StatusOr<PlanRef> Optimizer::AddDistinct(const PlannerContext& ctx,
   for (size_t s = 0; s < block.select_list.size(); ++s) {
     if (!used[s]) keys.push_back(SortKey{s, true});
   }
-  auto sort = NewPlanNode(PlanKind::kSort);
-  sort->left = std::move(input);
-  sort->sort_keys = std::move(keys);
+  *est = *est + ctx.cost.SortCost(PathCost{}, std::max(rows, 1.0), 32.0);
+  auto sort = NewSortNode(std::move(input), std::move(keys), {}, *est,
+                          std::max(1.0, rows / 2.0));
   sort->distinct = true;
-  sort->est_rows = std::max(1.0, rows / 2.0);
-  *est_cost += ctx.cost.SortCost(0, std::max(rows, 1.0), 32.0);
-  sort->est_cost = *est_cost;
   return PlanRef(sort);
 }
 
@@ -262,11 +236,11 @@ StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
     ASSIGN_OR_RETURN(JoinSolution unordered, enumerator.Best({}, {}));
     double rows = std::max(unordered.rows, 0.0);
     double groups = EstimateGroups(ctx.sel, block, rows);
-    double sorted_total = sol.cost + ctx.cost.w() * rows;
-    double hash_total = ctx.cost.HashAggregateCost(unordered.cost, rows,
-                                                   groups);
+    double sorted_total = ctx.cost.PerRowCost(sol.cost, rows).cost;
+    double hash_total =
+        ctx.cost.HashAggregateCost(unordered.cost, rows, groups).cost;
     if (!block.order_by.empty()) {
-      hash_total += ctx.cost.SortCost(0, groups, 32.0);
+      hash_total += ctx.cost.SortCost(PathCost{}, groups, 32.0).cost;
     }
     bool hash_only = !join.enable_nested_loop && !join.enable_merge_join;
     if (hash_only || hash_total < sorted_total) {
@@ -305,7 +279,7 @@ StatusOr<OptimizedQuery> Optimizer::Optimize(
   // straight from its context's access paths and nested blocks go through
   // PlanBlock, so neither can pick up an exchange.
   out.root = ParallelizePlan(plan.root, options_);
-  out.est_cost = plan.est_cost;
+  out.est_cost = plan.root->est.cost;
   out.est_rows = plan.est_rows;
   return out;
 }

@@ -80,9 +80,8 @@ class Optimizer {
   /// Plans one block (recursively planning its subqueries into `subplans`).
   /// `stats_sink`, if given, receives the block's enumeration statistics.
   struct BlockPlan {
-    PlanRef root;
-    double est_cost = 0;
-    double est_rows = 0;
+    PlanRef root;         // root->est is the block's estimate.
+    double est_rows = 0;  // Rows before any DISTINCT.
   };
   StatusOr<BlockPlan> PlanBlock(const BoundQueryBlock& block,
                                 SubplanMap* subplans,
@@ -98,7 +97,8 @@ class Optimizer {
   /// order, but any ORDER BY must be re-established by an output sort. The
   /// baselines never set it (they always sort to the required order first).
   StatusOr<BlockPlan> FinishBlockPlan(const PlannerContext& ctx,
-                                      PlanRef join_root, double join_cost,
+                                      PlanRef join_root,
+                                      const PathCost& join_cost,
                                       double join_rows, OrderSpec join_order,
                                       SubplanMap* subplans,
                                       bool use_hash_aggregate = false) const;
@@ -115,7 +115,7 @@ class Optimizer {
 
  private:
   static StatusOr<PlanRef> AddDistinct(const PlannerContext& ctx,
-                                       PlanRef input, double* est_cost,
+                                       PlanRef input, PathCost* est,
                                        double rows);
 
   const Catalog* catalog_;

@@ -100,27 +100,26 @@ PlanRef ParallelizePlan(PlanRef root, const OptimizerOptions& options) {
   // The work being divided (and the rows crossing the barrier) are those of
   // the absorbed aggregation when present, else the fragment itself.
   const PlanNode* priced = absorbed_agg != nullptr ? absorbed_agg : frag;
-  double serial_cost = priced->est_cost;
   double rows_out = priced->est_rows;
 
   // A worker can never hold more than one morsel, so dop beyond the morsel
-  // count only adds startup cost. est_pages of the driving scan is its
-  // predicted TCARD/P page count; unloaded tables get a nominal guess.
+  // count only adds startup cost. The driving scan's predicted pages are
+  // its TCARD/P page count; unloaded tables get a nominal guess.
   size_t morsels =
       MorselCountForPages(driving->scan.table != nullptr &&
-                                  driving->est_pages > 0
-                              ? driving->est_pages
+                                  driving->est.pages > 0
+                              ? driving->est.pages
                               : 64.0);
   int max_dop = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(options.max_dop), std::max<size_t>(1, morsels)));
 
   CostModel model(options.cost);
   int best_dop = 1;
-  double best_cost = serial_cost;
+  PathCost best = priced->est;
   for (int d = 2; d <= max_dop; ++d) {
-    double c = model.ParallelFragmentCost(serial_cost, rows_out, d);
-    if (c < best_cost) {
-      best_cost = c;
+    PathCost c = model.ParallelFragmentCost(priced->est, rows_out, d);
+    if (c.cost < best.cost) {
+      best = c;
       best_dop = d;
     }
   }
@@ -128,18 +127,13 @@ PlanRef ParallelizePlan(PlanRef root, const OptimizerOptions& options) {
   if (options.force_parallel && best_dop <= 1) {
     // Fuzzing mode: run the parallel machinery even when it costs more.
     best_dop = std::max(max_dop, 1);
-    best_cost = model.ParallelFragmentCost(serial_cost, rows_out, best_dop);
+    best = model.ParallelFragmentCost(priced->est, rows_out, best_dop);
   }
 
-  auto exchange = NewPlanNode(PlanKind::kExchange);
-  exchange->left = frag_ref;
+  // Morsel interleaving: no order survives the exchange.
+  auto exchange = NewPlanNode(PlanKind::kExchange, frag_ref, best, rows_out);
   exchange->dop = best_dop;
   exchange->driving_scan = driving;
-  exchange->est_cost = best_cost;
-  exchange->est_pages = priced->est_pages;
-  exchange->est_rsi = priced->est_rsi;
-  exchange->est_rows = rows_out;
-  exchange->order.clear();  // Morsel interleaving: no order survives.
   if (absorbed_agg != nullptr) {
     exchange->exchange_partial_agg = true;
     exchange->group_offsets = absorbed_agg->group_offsets;

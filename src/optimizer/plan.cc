@@ -20,6 +20,42 @@ std::shared_ptr<PlanNode> NewPlanNode(PlanKind kind) {
   return node;
 }
 
+std::shared_ptr<PlanNode> NewPlanNode(PlanKind kind, PlanRef input,
+                                      const PathCost& est, double rows) {
+  auto node = NewPlanNode(kind);
+  node->left = std::move(input);
+  node->est = est;
+  node->est_rows = rows;
+  return node;
+}
+
+std::shared_ptr<PlanNode> NewSortNode(PlanRef input, std::vector<SortKey> keys,
+                                      OrderSpec order, const PathCost& est,
+                                      double rows) {
+  auto node = NewPlanNode(PlanKind::kSort, std::move(input), est, rows);
+  node->sort_keys = std::move(keys);
+  node->order = std::move(order);
+  return node;
+}
+
+std::shared_ptr<PlanNode> NewJoinNode(PlanKind kind, PlanRef outer,
+                                      PlanRef inner,
+                                      const BoundTable& inner_table,
+                                      std::vector<const BoundExpr*> residual,
+                                      const PathCost& est, double rows,
+                                      OrderSpec order, size_t outer_key,
+                                      size_t inner_key) {
+  auto node = NewPlanNode(kind, std::move(outer), est, rows);
+  node->right = std::move(inner);
+  node->inner_offset = inner_table.offset;
+  node->inner_width = inner_table.table->schema.num_columns();
+  node->merge_outer_offset = outer_key;
+  node->merge_inner_offset = inner_key;
+  node->residual = std::move(residual);
+  node->order = std::move(order);
+  return node;
+}
+
 std::string PlanKindName(PlanKind kind) {
   switch (kind) {
     case PlanKind::kSegScan:

@@ -176,15 +176,38 @@ struct PlanNode {
   const PlanNode* driving_scan = nullptr;
 
   // --- Optimizer annotations (estimates) ---
-  double est_cost = 0.0;
-  double est_pages = 0.0;
-  double est_rsi = 0.0;
+  /// The cost model's page fetches, RSI calls and COST for this node and
+  /// everything under it.
+  PathCost est;
   double est_rows = 0.0;
   OrderSpec order;
 };
 
-/// Builders (set common fields and annotations).
+/// A bare node; the access path generator fills in a scan's estimate once
+/// it has costed the path.
 std::shared_ptr<PlanNode> NewPlanNode(PlanKind kind);
+
+/// A `kind` node over `input` carrying its estimate: every node above the
+/// scans is built here or by the two builders below.
+std::shared_ptr<PlanNode> NewPlanNode(PlanKind kind, PlanRef input,
+                                      const PathCost& est, double rows);
+
+/// A sort of `input` on `keys` that delivers `order`.
+std::shared_ptr<PlanNode> NewSortNode(PlanRef input, std::vector<SortKey> keys,
+                                      OrderSpec order, const PathCost& est,
+                                      double rows);
+
+/// A `kind` join of the composite `outer` with `inner`, the access to
+/// `inner_table`, whose columns it merges into the composite row. A merge
+/// or hash join matches the block-row offsets `outer_key` and `inner_key`;
+/// `residual` holds the join's other newly applicable predicates.
+std::shared_ptr<PlanNode> NewJoinNode(PlanKind kind, PlanRef outer,
+                                      PlanRef inner,
+                                      const BoundTable& inner_table,
+                                      std::vector<const BoundExpr*> residual,
+                                      const PathCost& est, double rows,
+                                      OrderSpec order, size_t outer_key = 0,
+                                      size_t inner_key = 0);
 
 std::string PlanKindName(PlanKind kind);
 

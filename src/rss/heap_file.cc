@@ -24,7 +24,6 @@ StatusOr<Tid> HeapFile::Insert(const Row& row, TxnId txn) {
         rec.payload = std::move(record);
         wal_->Append(rec);
       }
-      ++num_tuples_;
       return Tid{last, static_cast<uint16_t>(slot)};
     }
   }
@@ -51,7 +50,6 @@ StatusOr<Tid> HeapFile::Insert(const Row& row, TxnId txn) {
     rec.payload = std::move(record);
     wal_->Append(rec);
   }
-  ++num_tuples_;
   return Tid{fresh, static_cast<uint16_t>(slot)};
 }
 
@@ -77,7 +75,6 @@ Status HeapFile::Delete(Tid tid, TxnId txn, uint16_t* offset) {
     rec.slot = tid.slot;
     wal_->Append(rec);
   }
-  --num_tuples_;
   return Status::OK();
 }
 
@@ -104,7 +101,6 @@ Status HeapFile::Undelete(Tid tid, uint16_t offset, const Row& row,
     rec.payload = std::move(record);
     wal_->Append(rec);
   }
-  ++num_tuples_;
   return Status::OK();
 }
 

@@ -51,18 +51,11 @@ class HeapFile {
   Status Undelete(Tid tid, uint16_t offset, const Row& row,
                   TxnId txn = kSystemTxn);
 
-  /// Number of live tuples (NCARD as of now; the catalog keeps the snapshot
-  /// the optimizer actually sees).
-  uint64_t num_tuples() const { return num_tuples_; }
-  /// Recovery hook: the tuple count recomputed from the recovered pages.
-  void set_num_tuples(uint64_t n) { num_tuples_ = n; }
-
  private:
   Segment* segment_;
   BufferPool* pool_;
   RelId relid_;
   WalManager* wal_;
-  uint64_t num_tuples_ = 0;
 };
 
 }  // namespace systemr

@@ -87,16 +87,64 @@ TEST(CostModelTest, NonMatchingVariants) {
   EXPECT_EQ(noncl.situation, AccessSituation::kNonClusteredIndexNonMatching);
 }
 
+// A PathCost of `pages` and `rsi` under `cm`'s W.
+PathCost Parts(const CostModel& cm, double pages, double rsi) {
+  return PathCost{pages, rsi, cm.Combine(pages, rsi)};
+}
+
+// Every composite formula keeps COST = PAGES + W * RSI.
+void ExpectSplit(const CostModel& cm, const PathCost& c) {
+  EXPECT_NEAR(c.cost, cm.Combine(c.pages, c.rsi), 1e-9 * c.cost);
+}
+
 TEST(CostModelTest, JoinCostFormula) {
   CostModel cm({0.1, 100});
-  // C-outer + N * C-inner.
-  EXPECT_DOUBLE_EQ(cm.JoinCost(100.0, 50.0, 3.0), 250.0);
+  // C-outer + N * C-inner, part by part.
+  PathCost c = cm.JoinCost(Parts(cm, 90.0, 100.0), 50.0, Parts(cm, 2.0, 10.0));
+  EXPECT_DOUBLE_EQ(c.cost, 250.0);
+  EXPECT_DOUBLE_EQ(c.pages, 190.0);
+  EXPECT_DOUBLE_EQ(c.rsi, 600.0);
 }
 
 TEST(CostModelTest, SortedInnerPerProbe) {
   CostModel cm({0.1, 100});
   // TEMPPAGES/N + W*RSICARD.
-  EXPECT_DOUBLE_EQ(cm.SortedInnerPerProbe(200.0, 50.0, 4.0), 4.0 + 0.4);
+  PathCost c = cm.SortedInnerPerProbe(200.0, 50.0, 4.0);
+  EXPECT_DOUBLE_EQ(c.cost, 4.0 + 0.4);
+  EXPECT_DOUBLE_EQ(c.pages, 4.0);
+  EXPECT_DOUBLE_EQ(c.rsi, 4.0);
+}
+
+TEST(CostModelTest, CompositeFormulasSplitPagesAndRsi) {
+  CostModel cm({0.1, /*buffer_pages=*/10});
+  PathCost in = Parts(cm, 30.0, 500.0);
+  // Sort: temp-page I/O is pages, one tuple move per row is an RSI call.
+  PathCost sort = cm.SortCost(in, 1000, 100.0);
+  EXPECT_DOUBLE_EQ(sort.rsi, 1500.0);
+  EXPECT_GT(sort.pages, 30.0);
+  ExpectSplit(cm, sort);
+  // Hash join: W per build row, probe and match; a build larger than the
+  // buffer spills its temp pages once out and once back.
+  PathCost fits = cm.HashJoinCost(in, Parts(cm, 5.0, 20.0), 100, 20, 40, 10);
+  EXPECT_DOUBLE_EQ(fits.pages, 35.0);
+  EXPECT_DOUBLE_EQ(fits.rsi, 680.0);
+  ExpectSplit(cm, fits);
+  PathCost spills = cm.HashJoinCost(in, Parts(cm, 5.0, 20.0), 100, 20, 40, 11);
+  EXPECT_DOUBLE_EQ(spills.pages, 57.0);
+  ExpectSplit(cm, spills);
+  // Aggregation and projection are RSI work only.
+  PathCost hagg = cm.HashAggregateCost(in, 1000, 7);
+  EXPECT_DOUBLE_EQ(hagg.pages, 30.0);
+  EXPECT_DOUBLE_EQ(hagg.rsi, 1507.0);
+  ExpectSplit(cm, hagg);
+  PathCost project = cm.PerRowCost(in, 1000);
+  EXPECT_DOUBLE_EQ(project.rsi, 1500.0);
+  ExpectSplit(cm, project);
+  // An exchange divides the cost but not the work its workers do.
+  PathCost par = cm.ParallelFragmentCost(in, 10, 4);
+  EXPECT_DOUBLE_EQ(par.cost, 80.0 / 4 + 0.1 * 10 + kExchangeStartupCost * 4);
+  EXPECT_DOUBLE_EQ(par.pages, 30.0);
+  EXPECT_DOUBLE_EQ(par.rsi, 500.0);
 }
 
 TEST(CostModelTest, TempPages) {
@@ -116,11 +164,12 @@ TEST(CostModelTest, SortPassesGrowWithSize) {
 
 TEST(CostModelTest, SortCostMonotoneInRows) {
   CostModel cm({0.1, 100});
-  double small = cm.SortCost(10, 1000, 50);
-  double large = cm.SortCost(10, 100000, 50);
+  double small = cm.SortCost(Parts(cm, 10, 0), 1000, 50).cost;
+  double large = cm.SortCost(Parts(cm, 10, 0), 100000, 50).cost;
   EXPECT_LT(small, large);
   // Includes the input cost.
-  EXPECT_GT(cm.SortCost(500, 1000, 50), cm.SortCost(10, 1000, 50));
+  EXPECT_GT(cm.SortCost(Parts(cm, 500, 0), 1000, 50).cost,
+            cm.SortCost(Parts(cm, 10, 0), 1000, 50).cost);
 }
 
 TEST(CostModelTest, TupleBytesFromStats) {

@@ -1,11 +1,15 @@
 // DELETE / UPDATE tests: access-path-driven target location, index
 // maintenance, Halloween safety, subquery predicates, and the System R
 // statistics contract (stats stay stale until UPDATE STATISTICS).
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "sql/parser.h"
 
 namespace systemr {
 namespace {
@@ -196,6 +200,78 @@ TEST_F(DmlSetSubqueryTest, CorrelatedSubqueryInSetReadsPreUpdateTable) {
   ASSERT_TRUE(affected.ok()) << affected.status().ToString();
   EXPECT_EQ(*affected, 4u);
   EXPECT_EQ(Bs(), (std::vector<int64_t>{41, 41, 41, 31}));
+}
+
+// One coercion rule where rows are stored (CoerceToColumn): every INSERT
+// row, every UPDATE row and every ? bound into a SET reaches it.
+class CoercionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>(64);
+    ASSERT_TRUE(db_->Execute("CREATE TABLE N (R REAL, W INT)").ok());
+  }
+
+  // N's rows, sorted; a REAL prints with a fraction, an INT without one.
+  std::vector<std::string> Rows() {
+    auto r = db_->Query("SELECT R, W FROM N");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::string> out;
+    if (r.ok()) {
+      for (const Row& row : r->rows) {
+        out.push_back(row[0].ToString() + " " + row[1].ToString());
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  // Runs a DML statement with `params` bound to its ? markers.
+  Status Run(const std::string& sql, const std::vector<Value>& params) {
+    auto stmt = Parse(sql);
+    if (!stmt.ok()) return stmt.status();
+    return db_->Execute(*stmt, params).status();
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(CoercionTest, NumericValuesTakeTheColumnType) {
+  ASSERT_TRUE(db_->Execute("INSERT INTO N VALUES (2, 1)").ok());
+  ASSERT_TRUE(db_->Execute("INSERT INTO N VALUES (1.5, 2.9)").ok());
+  ASSERT_TRUE(db_->Execute("INSERT INTO N VALUES (-1.5, -2.9)").ok());
+  ASSERT_TRUE(db_->Execute("INSERT INTO N VALUES (NULL, NULL)").ok());
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"-1.5 -2", "1.5 2", "2.0 1",
+                                              "NULL NULL"}));
+  ASSERT_TRUE(db_->Mutate("UPDATE N SET R = 3 WHERE W = 1").ok());
+  ASSERT_TRUE(Run("UPDATE N SET W = ? WHERE W = 2", {Value::Real(7.9)}).ok());
+  ASSERT_TRUE(Run("UPDATE N SET R = ? WHERE W = -2", {Value::Int(-4)}).ok());
+  ASSERT_TRUE(Run("UPDATE N SET W = ? WHERE R IS NULL",
+                  {Value::Real(-0x1p63)})
+                  .ok());
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"-4.0 -2", "1.5 7", "3.0 1",
+                                              "NULL -9223372036854775808"}));
+}
+
+TEST_F(CoercionTest, StringsAndOutOfRangeRealsAreRefused) {
+  EXPECT_EQ(db_->Execute("INSERT INTO N VALUES ('x', 1)").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_->Execute("INSERT INTO N VALUES (1.0, 99999999999999999999.0)")
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(db_->Execute("INSERT INTO N VALUES (1.0, 5)").ok());
+  // R * 1e23 leaves int64: the cast to INT would be undefined behaviour.
+  auto big = db_->Mutate("UPDATE N SET W = R * 100000000000000000000000.0");
+  EXPECT_EQ(big.status().code(), StatusCode::kInvalidArgument)
+      << big.status().ToString();
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0x1p63, -0x1p64}) {
+    EXPECT_EQ(Run("UPDATE N SET W = ?", {Value::Real(bad)}).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(Run("UPDATE N SET R = ?", {Value::Str("x")}).code(),
+            StatusCode::kInvalidArgument);
+  // Each refused statement left the row as it was.
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"1.0 5"}));
 }
 
 }  // namespace

@@ -345,6 +345,78 @@ TEST(MixedNumericBoundTest, IndexedScansMatchUnindexed) {
   }
 }
 
+// Around 2^53 neighbouring INTs round to one double, yet each statement
+// compares exactly, and returns the same rows whether or not its plan probes
+// an index: an INT bound on a REAL key rounds outward, like a REAL bound on
+// an INT key, and the SARG decides. T holds K = 1..299 and 2^53 + 1; U
+// holds R = 0.5..149.5 and 2^53.
+TEST(MixedNumericBoundTest, ExactAround2To53) {
+  struct Probe {
+    const char* sql;
+    std::vector<Value> params;
+    size_t rows;
+  };
+  const Value above = Value::Int((int64_t{1} << 53) + 1);
+  const struct {
+    const char* table;
+    const char* index;
+    std::vector<Probe> probes;
+  } kTables[] = {
+      {"T",
+       "CREATE INDEX T_K ON T (K);",
+       {{"SELECT K FROM T WHERE K = 9007199254740992.0", {}, 0},
+        {"SELECT K FROM T WHERE K = ?", {Value::Real(0x1p53)}, 0},
+        {"SELECT K FROM T WHERE K > 9007199254740992.0", {}, 1},
+        {"SELECT K FROM T WHERE K > 1000 AND K <= 9007199254740992.0", {}, 0},
+        {"SELECT K FROM T WHERE K = 9007199254740993", {}, 1}}},
+      {"U",
+       "CREATE INDEX U_R ON U (R);",
+       {{"SELECT R FROM U WHERE R < 9007199254740993 AND R > 1000", {}, 1},
+        {"SELECT R FROM U WHERE R < ? AND R > 1000", {above}, 1},
+        {"SELECT R FROM U WHERE R <= 9007199254740991 AND R > 1000", {}, 0},
+        {"SELECT R FROM U WHERE R > 9007199254740991", {}, 1},
+        {"SELECT R FROM U WHERE R >= 9007199254740993", {}, 0},
+        {"SELECT R FROM U WHERE R = ?", {above}, 0},
+        {"SELECT R FROM U WHERE R = 9007199254740992", {}, 1}}},
+  };
+  for (const auto& table : kTables) {
+    for (bool indexed : {false, true}) {
+      Database db(64);
+      ASSERT_TRUE(db.ExecuteScript("CREATE TABLE T (K INT);"
+                                   "CREATE TABLE U (R REAL);"
+                                   "INSERT INTO T VALUES (9007199254740993);"
+                                   "INSERT INTO U VALUES (9007199254740992.0);")
+                      .ok());
+      for (int i = 1; i < 300; ++i) {
+        ASSERT_TRUE(db.Execute("INSERT INTO T VALUES (" + std::to_string(i) +
+                               ")")
+                        .ok());
+        ASSERT_TRUE(db.Execute("INSERT INTO U VALUES (" +
+                               std::to_string(i / 2) +
+                               (i % 2 == 0 ? ".0" : ".5") + ")")
+                        .ok());
+      }
+      if (indexed) {
+        ASSERT_TRUE(db.ExecuteScript(table.index).ok());
+      }
+      ASSERT_TRUE(db.ExecuteScript(std::string("UPDATE STATISTICS ") +
+                                   table.table + ";")
+                      .ok());
+      for (const Probe& p : table.probes) {
+        auto q = db.Prepare(p.sql);
+        ASSERT_TRUE(q.ok()) << p.sql << ": " << q.status().ToString();
+        std::string plan = ExplainPlan(q->root, *q->block);
+        EXPECT_EQ(plan.find("IndexScan") != std::string::npos, indexed)
+            << plan;
+        auto r = db.Run(*q, p.params);
+        ASSERT_TRUE(r.ok()) << p.sql << ": " << r.status().ToString();
+        EXPECT_EQ(r->rows.size(), p.rows)
+            << p.sql << (indexed ? " with " : " without ") << "the index";
+      }
+    }
+  }
+}
+
 // The probes above reach the index with every operand source, and bound it
 // on both sides of a saturated range. A REAL bound prints in full: the two
 // 2^53-scale probes differ in their last digit.

@@ -11,16 +11,6 @@
 namespace systemr {
 namespace {
 
-std::unordered_map<RelId, std::vector<PageId>> RelPageMap(Database* db) {
-  std::unordered_map<RelId, std::vector<PageId>> map;
-  const Catalog& catalog = db->catalog();
-  for (size_t i = 0; i < catalog.num_tables(); ++i) {
-    const TableInfo* t = catalog.table(static_cast<RelId>(i));
-    map[t->id] = db->rss().segment(t->segment)->pages();
-  }
-  return map;
-}
-
 TEST(FuzzSmokeTest, FiftySeedsAllOraclesClean) {
   FuzzOptions options;
   options.queries_per_seed = 4;

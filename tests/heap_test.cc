@@ -52,7 +52,12 @@ TEST(HeapFileTest, SpillsAcrossPages) {
     ASSERT_TRUE(heap->Insert(MakeRow(i, "row-" + std::to_string(i))).ok());
   }
   EXPECT_GT(heap->segment()->num_pages(), 1u);
-  EXPECT_EQ(heap->num_tuples(), 2000u);
+  uint64_t tuples = 0;
+  EXPECT_TRUE(ScanAll(rss.OpenSegmentScan(0, {}).get(), [&](Row&, Tid) {
+                ++tuples;
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(tuples, 2000u);
 }
 
 TEST(HeapFileTest, OversizeTupleRejected) {

@@ -178,7 +178,7 @@ TEST_F(OptimizerTest, ChosenPlanIsCheapestCompleteSolution) {
   auto best = (*h)->enumerator->Best({}, {});
   ASSERT_TRUE(best.ok());
   for (const JoinSolution& s : (*h)->enumerator->SolutionsFor(0b11)) {
-    EXPECT_LE(best->cost, s.cost);
+    EXPECT_LE(best->cost.cost, s.cost.cost);
   }
 }
 
@@ -198,7 +198,8 @@ TEST_F(OptimizerTest, PerSubsetSolutionsKeepCheapestPerOrder) {
         if (&a == &b) continue;
         uint64_t ca = CoveredOrders(a.order, interesting);
         uint64_t cb = CoveredOrders(b.order, interesting);
-        EXPECT_FALSE(b.cost <= a.cost && (ca & ~cb) == 0 && b.cost < a.cost)
+        EXPECT_FALSE(b.cost.cost <= a.cost.cost && (ca & ~cb) == 0 &&
+                     b.cost.cost < a.cost.cost)
             << "dominated solution retained";
       }
     }
@@ -228,7 +229,7 @@ TEST_F(OptimizerTest, CartesianHeuristicSkipsDisconnectedPairs) {
   auto best_without = (*without)->enumerator->Best({}, {});
   ASSERT_TRUE(best_with.ok());
   ASSERT_TRUE(best_without.ok());
-  EXPECT_LE(best_without->cost, best_with->cost);
+  EXPECT_LE(best_without->cost.cost, best_with->cost.cost);
   EXPECT_LE((*with)->enumerator->solutions_generated(),
             (*without)->enumerator->solutions_generated());
 }
@@ -256,7 +257,7 @@ TEST_F(OptimizerTest, DisablingInterestingOrdersNeverWins) {
   auto best_without = (*without)->enumerator->Best(required2, keys);
   ASSERT_TRUE(best_with.ok());
   ASSERT_TRUE(best_without.ok());
-  EXPECT_LE(best_with->cost, best_without->cost);
+  EXPECT_LE(best_with->cost.cost, best_without->cost.cost);
 }
 
 TEST_F(OptimizerTest, SolutionCountWithinPaperBound) {
@@ -385,7 +386,7 @@ TEST_F(SearchTreeTest, StoredSolutionsPinned) {
     std::vector<std::string> got;
     for (const JoinSolution& s : h_->enumerator->SolutionsFor(mask)) {
       char head[96];
-      std::snprintf(head, sizeof(head), "C=%.1f order=%s N=%.1f ", s.cost,
+      std::snprintf(head, sizeof(head), "C=%.1f order=%s N=%.1f ", s.cost.cost,
                     OrderSpecToString(s.order).c_str(), s.rows);
       got.push_back(head + s.describe);
     }
@@ -455,8 +456,8 @@ std::string RenderPath(const AccessPath& p, const PlannerContext& ctx) {
                   num(p.cost.rsi) + " situation " +
                   std::to_string(static_cast<int>(p.cost.situation)) +
                   " rows " + num(p.rows) + " order " + order(p.order) +
-                  " | node est " + num(n.est_cost) + " " + num(n.est_pages) +
-                  " " + num(n.est_rsi) + " " + num(n.est_rows) + " order " +
+                  " | node est " + num(n.est.cost) + " " + num(n.est.pages) +
+                  " " + num(n.est.rsi) + " " + num(n.est_rows) + " order " +
                   order(n.order);
   r += " | scan t" + std::to_string(s.table_idx) + " " + s.table->name +
        " index " + (s.index != nullptr ? s.index->name : "-") + " eq";

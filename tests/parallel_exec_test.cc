@@ -20,6 +20,7 @@
 #include "exec/parallel/worker_pool.h"
 #include "harness/differ.h"
 #include "harness/fuzz_session.h"
+#include "harness/ref_executor.h"
 #include "optimizer/cost_model.h"
 #include "session/plan_cache.h"
 #include "session/session.h"
@@ -121,17 +122,20 @@ TEST(WorkerPoolTest, SingleTaskRunsInlineWithoutThreads) {
 
 TEST(ParallelCostTest, StartupPenaltyKeepsSmallFragmentsSerial) {
   CostModel model(CostParams{});
+  auto parallel = [&](double serial, double rows_out, int dop) {
+    return model.ParallelFragmentCost(PathCost{serial, 0, serial}, rows_out,
+                                      dop).cost;
+  };
   // A fragment cheaper than one worker's startup cost can never win.
   for (int dop = 2; dop <= 8; ++dop) {
-    EXPECT_GT(model.ParallelFragmentCost(3.0, 0.0, dop), 3.0) << dop;
+    EXPECT_GT(parallel(3.0, 0.0, dop), 3.0) << dop;
   }
   // A large fragment with few output rows parallelizes profitably...
-  EXPECT_LT(model.ParallelFragmentCost(1000.0, 10.0, 4), 1000.0);
+  EXPECT_LT(parallel(1000.0, 10.0, 4), 1000.0);
   // ...but gathering every input row back through the exchange does not
   // (W * rows_out dominates the divided scan cost).
   double serial = 100.0;
-  double gather_all = model.ParallelFragmentCost(serial, 10000.0, 4);
-  EXPECT_GT(gather_all, serial);
+  EXPECT_GT(parallel(serial, 10000.0, 4), serial);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,6 +360,76 @@ TEST(ParallelFuzzGate, TwoHundredSeedsForcedParallelClean) {
   }
   EXPECT_EQ(report.seeds, 200u);
   EXPECT_EQ(report.queries, 600u);
+}
+
+// ---------------------------------------------------------------------------
+// INT + - * and SUM never wrap: a result outside int64 fails the statement
+// with kInvalidArgument ("integer overflow") in the engine, serially and
+// at dop 4, and in the reference executor alike. SUM adds exactly in 128
+// bits, so only a final sum outside int64 fails, whatever order the rows
+// and the workers' partial sums arrive in. T holds K = 2^63 - 1 and 1; B
+// holds 3000 rows of 2^63 - 1, then 3000 of -(2^63 - 1), over 4+ morsels.
+
+TEST(IntegerOverflowTest, EngineAndReferenceAgreeSeriallyAndAtDop4) {
+  Database db(64);
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE T (K INT);"
+                               "INSERT INTO T VALUES (9223372036854775807);"
+                               "INSERT INTO T VALUES (1);"
+                               "CREATE TABLE B (G INT, K INT);")
+                  .ok());
+  for (const char* k : {"9223372036854775807", "-9223372036854775807"}) {
+    for (int batch = 0; batch < 6; ++batch) {
+      std::string sql = "INSERT INTO B VALUES ";
+      for (int i = 0; i < 500; ++i) {
+        sql += std::string(i > 0 ? ", " : "") + "(1, " + k + ")";
+      }
+      ASSERT_TRUE(db.Execute(sql).ok());
+    }
+  }
+  ASSERT_TRUE(db.ExecuteScript("UPDATE STATISTICS T; UPDATE STATISTICS B;")
+                  .ok());
+  // Hash joins alone force hash aggregation, which the exchange absorbs as
+  // per-worker partial sums merged at the barrier.
+  db.options().join.enable_nested_loop = false;
+  db.options().join.enable_merge_join = false;
+  RefExecutor ref(&db.rss().store(), RelPageMap(&db));
+  const std::pair<const char*, bool> kQueries[] = {
+      {"SELECT K + 1 FROM T", true},
+      {"SELECT K * 2 FROM T", true},
+      {"SELECT 0 - K - 2 FROM T", true},
+      {"SELECT K - 1 FROM T", false},
+      {"SELECT 9223372036854775807 + 1 FROM T", true},  // Folded, then run.
+      {"SELECT SUM(K) FROM T", true},
+      {"SELECT SUM(K) FROM T WHERE K > 1", false},
+      {"SELECT SUM(K) FROM B", false},
+      {"SELECT G, SUM(K) FROM B GROUP BY G", false},
+  };
+  for (const auto& [sql, overflows] : kQueries) {
+    for (int dop : {1, 4}) {
+      db.options().max_dop = dop;
+      db.options().force_parallel = dop > 1;
+      auto q = db.Prepare(sql);
+      ASSERT_TRUE(q.ok()) << sql << ": " << q.status().ToString();
+      auto got = db.Run(*q);
+      auto want = ref.Execute(*q->block);
+      if (overflows) {
+        for (const Status& s : {got.status(), want.status()}) {
+          EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+              << sql << " at dop " << dop << ": " << s.ToString();
+          EXPECT_EQ(s.message(), "integer overflow") << sql;
+        }
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+      EXPECT_TRUE(SameRowMultiset(*want, got->rows))
+          << sql << " at dop " << dop << ": "
+          << DiffSummary(*want, got->rows);
+      if (dop > 1 && std::string(sql).find("FROM B") != std::string::npos) {
+        EXPECT_GT(got->stats.parallel_workers, 1u) << sql;
+      }
+    }
+  }
 }
 
 }  // namespace

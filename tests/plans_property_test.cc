@@ -5,11 +5,14 @@
 //  3. For n <= 3 relations, DP's estimate is <= every feasible left-deep
 //     join permutation costed with the same model (checked via the
 //     heuristic-free enumerator, which covers all permutations).
+//  4. Every plan node's COST is its own PAGE FETCHES + W * RSI CALLS.
+#include <cmath>
 #include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "optimizer/baseline.h"
 #include "optimizer/cnf.h"
 #include "optimizer/selectivity.h"
 #include "sql/binder.h"
@@ -133,6 +136,100 @@ TEST_F(PlansPropertyTest, SelectivitiesAreProbabilities) {
       EXPECT_LE(sel, 1.0) << sql;
     }
   }
+}
+
+// Plan shapes whose split the cost-split walk below has seen.
+struct SplitCoverage {
+  int sorted_inner_merges = 0;
+  int spilling_hash_joins = 0;
+  int distinct_sorts = 0;
+  int exchanges = 0;
+};
+
+// COST = PAGE FETCHES + W * RSI CALLS (§4) at every node: each carries the
+// cost model's own two parts for itself and everything under it. An
+// exchange divides the cost among its workers but not their work, so its
+// pages and RSI calls are its fragment's, plus the per-row work of an
+// aggregation it absorbed.
+void ExpectCostSplit(const PlanNode& n, double w, const std::string& sql,
+                     SplitCoverage* seen) {
+  const PathCost& est = n.est;
+  if (n.kind == PlanKind::kExchange) {
+    ++seen->exchanges;
+    const PathCost& frag = n.left->est;
+    double agg_rsi = n.exchange_partial_agg
+                         ? std::max(n.left->est_rows, 0.0) +
+                               std::max(n.est_rows, 1.0)
+                         : 0.0;
+    EXPECT_EQ(est.pages, frag.pages) << sql;
+    EXPECT_NEAR(est.rsi, frag.rsi + agg_rsi, 1e-9 * est.rsi) << sql;
+  } else {
+    EXPECT_NEAR(est.cost, est.pages + w * est.rsi, 1e-9 * std::abs(est.cost))
+        << PlanKindName(n.kind) << " at W=" << w << ": " << sql;
+  }
+  if (n.kind == PlanKind::kMergeJoin && n.right->kind == PlanKind::kSort) {
+    ++seen->sorted_inner_merges;
+  }
+  if (n.kind == PlanKind::kHashJoin &&
+      est.pages > n.left->est.pages + n.right->est.pages) {
+    ++seen->spilling_hash_joins;
+  }
+  if (n.kind == PlanKind::kSort && n.distinct) ++seen->distinct_sorts;
+  if (n.left != nullptr) ExpectCostSplit(*n.left, w, sql, seen);
+  if (n.right != nullptr) ExpectCostSplit(*n.right, w, sql, seen);
+}
+
+void ExpectQuerySplit(const OptimizedQuery& q, double w,
+                      const std::string& sql, SplitCoverage* seen) {
+  ExpectCostSplit(*q.root, w, sql, seen);
+  for (const auto& [block, plan] : q.subquery_plans) {
+    ExpectCostSplit(*plan, w, sql, seen);
+  }
+}
+
+// Plans every query of 50 fuzz seeds with the DP optimizer and both
+// baselines, on the fuzz schema with its secondary indexes and without
+// them, at W = 0.1, at W = 4, and forced to dop 4; then, with a 2-page
+// buffer, with merge joins only (inners without an index on the join
+// column are sorted) and with hash joins only (builds spill).
+TEST(PlanCostSplitTest, EveryNodeCostIsPagesPlusWTimesRsi) {
+  SplitCoverage seen;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    FuzzSchema schema =
+        MakeFuzzSchema(static_cast<FuzzSchema::Family>(seed % 3), seed);
+    for (bool indexes : {true, false}) {
+      Database db(64);
+      ASSERT_TRUE(BuildFuzzSchema(&db, schema, seed, indexes).ok()) << seed;
+      db.set_feedback_enabled(false);
+      FuzzQueryGen gen(schema, seed ^ 0x9e3779b97f4a7c15ULL);
+      for (int qi = 0; qi < 6; ++qi) {
+        std::string sql = gen.Next().Sql();
+        for (int config = 0; config < 5; ++config) {
+          OptimizerOptions& opts = db.options();
+          opts.cost.w = config == 1 ? 4.0 : 0.1;
+          opts.cost.buffer_pages = config >= 3 ? 2 : 128;
+          opts.max_dop = config == 2 ? 4 : 1;
+          opts.force_parallel = config == 2;
+          opts.join.enable_nested_loop = config < 3;
+          opts.join.enable_merge_join = config != 4;
+          opts.join.enable_hash_join = config != 3;
+          auto dp = db.Prepare(sql);
+          ASSERT_TRUE(dp.ok()) << sql << ": " << dp.status().ToString();
+          ExpectQuerySplit(*dp, opts.cost.w, sql, &seen);
+          for (BaselineKind kind : {BaselineKind::kSyntacticNestedLoop,
+                                    BaselineKind::kGreedy}) {
+            auto base = db.PrepareBaseline(sql, kind);
+            ASSERT_TRUE(base.ok()) << sql << ": " << base.status().ToString();
+            ExpectQuerySplit(*base, opts.cost.w, sql, &seen);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(seen.sorted_inner_merges, 0);
+  EXPECT_GT(seen.spilling_hash_joins, 0);
+  EXPECT_GT(seen.distinct_sorts, 0);
+  EXPECT_GT(seen.exchanges, 0);
 }
 
 }  // namespace

@@ -4,21 +4,12 @@
 // counts from the raw heap pages.
 #include <gtest/gtest.h>
 
+#include "harness/fuzz_session.h"
 #include "harness/ref_executor.h"
 #include "workload/querygen.h"
 
 namespace systemr {
 namespace {
-
-std::unordered_map<RelId, std::vector<PageId>> RelPageMap(Database* db) {
-  std::unordered_map<RelId, std::vector<PageId>> map;
-  const Catalog& catalog = db->catalog();
-  for (size_t i = 0; i < catalog.num_tables(); ++i) {
-    const TableInfo* t = catalog.table(static_cast<RelId>(i));
-    map[t->id] = db->rss().segment(t->segment)->pages();
-  }
-  return map;
-}
 
 void ExpectStatsMatchGroundTruth(Database* db) {
   RefExecutor ref(&db->rss().store(), RelPageMap(db));

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "exec/hash_ops.h"
 
 namespace systemr {
 namespace {
@@ -35,6 +36,68 @@ TEST(ValueTest, CompareCrossNumeric) {
   EXPECT_EQ(Value::Int(3).Compare(Value::Real(3.0)), 0);
   EXPECT_LT(Value::Int(3).Compare(Value::Real(3.5)), 0);
   EXPECT_GT(Value::Real(4.0).Compare(Value::Int(3)), 0);
+}
+
+// Around 2^53 and 2^63, where neighbouring INTs round to one double, an INT
+// and a REAL compare by exact value.
+TEST(ValueTest, CompareCrossNumericIsExact) {
+  const int64_t two53 = int64_t{1} << 53;
+  EXPECT_GT(Value::Int(two53 + 1).Compare(Value::Real(0x1p53)), 0);
+  EXPECT_LT(Value::Real(0x1p53).Compare(Value::Int(two53 + 1)), 0);
+  EXPECT_EQ(Value::Int(two53).Compare(Value::Real(0x1p53)), 0);
+  EXPECT_LT(Value::Int(two53 - 1).Compare(Value::Real(0x1p53)), 0);
+  EXPECT_GT(Value::Real(0x1p53 + 2).Compare(Value::Int(two53 + 1)), 0);
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  EXPECT_LT(Value::Int(max).Compare(Value::Real(0x1p63)), 0);
+  EXPECT_GT(Value::Real(0x1p63).Compare(Value::Int(max)), 0);
+  EXPECT_EQ(Value::Int(min).Compare(Value::Real(-0x1p63)), 0);
+  EXPECT_GT(Value::Int(min + 1).Compare(Value::Real(-0x1p63)), 0);
+  EXPECT_EQ(Value::Int(0).Compare(Value::Real(-0.0)), 0);
+  EXPECT_LT(Value::Int(-3).Compare(Value::Real(-2.5)), 0);
+}
+
+// A mixed INT/REAL set around 2^53 sorts into one consistent order: the
+// comparison is antisymmetric and transitive, so every pair of a sorted
+// run is in order, and values that compare equal hash alike.
+TEST(ValueTest, MixedNumericsAround2To53SortConsistently) {
+  const int64_t two53 = int64_t{1} << 53;
+  std::vector<Value> values;
+  for (int64_t d = -3; d <= 3; ++d) {
+    values.push_back(Value::Int(two53 + d));
+    values.push_back(Value::Real(static_cast<double>(two53 + d)));
+    values.push_back(Value::Int(-(two53 + d)));
+    values.push_back(Value::Real(-static_cast<double>(two53 + d)));
+  }
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      int ab = a.Compare(b);
+      EXPECT_EQ(ab, -b.Compare(a)) << a.ToString() << " " << b.ToString();
+      if (ab == 0) {
+        EXPECT_EQ(HashValue(a), HashValue(b))
+            << a.ToString() << " " << b.ToString();
+      }
+      for (const Value& c : values) {
+        if (ab <= 0 && b.Compare(c) <= 0) {
+          EXPECT_LE(a.Compare(c), 0) << a.ToString() << " <= " << b.ToString()
+                                     << " <= " << c.ToString();
+        }
+      }
+    }
+  }
+  Rng rng(9);
+  for (int round = 0; round < 20; ++round) {
+    for (size_t i = values.size() - 1; i > 0; --i) {
+      std::swap(values[i], values[rng.Uniform(0, static_cast<int64_t>(i))]);
+    }
+    std::stable_sort(values.begin(), values.end());
+    for (size_t i = 0; i < values.size(); ++i) {
+      for (size_t j = i + 1; j < values.size(); ++j) {
+        EXPECT_LE(values[i].Compare(values[j]), 0)
+            << values[i].ToString() << " before " << values[j].ToString();
+      }
+    }
+  }
 }
 
 TEST(ValueTest, NullSortsFirst) {

@@ -34,65 +34,57 @@
 
 #include "db/database.h"
 #include "net/client.h"
+#include "sql/lexer.h"
 #include "session/plan_cache.h"
 #include "session/session.h"
 
 namespace systemr {
 namespace {
 
-// Parses "(1, 2.5, 'abc', NULL)" — or the bare list without parens — into
-// values for EXECUTE. Returns false (with *error set) on malformed input.
+// Parses EXECUTE's parameter list, "(1, -2.5, 'it''s', NULL)" or the bare
+// list without parens, with the SQL lexer: each item is an INT, REAL or
+// STRING literal, the first two optionally negated, or NULL. Returns false
+// (with *error set) on malformed input.
 bool ParseParams(const std::string& text, std::vector<Value>* out,
                  std::string* error) {
+  auto lexed = Lex(text);
+  if (!lexed.ok()) {
+    *error = lexed.status().message();
+    return false;
+  }
+  const std::vector<Token>& tokens = *lexed;  // Ends with kEof.
   size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < text.size() && std::isspace((unsigned char)text[i])) ++i;
-  };
-  skip_ws();
-  bool parens = i < text.size() && text[i] == '(';
+  bool parens = tokens[i].type == TokenType::kLParen;
   if (parens) ++i;
-  skip_ws();
-  while (i < text.size() && text[i] != ')') {
-    if (!out->empty()) {
-      if (text[i] != ',') {
-        *error = "expected ',' before: " + text.substr(i);
-        return false;
-      }
-      ++i;
-      skip_ws();
+  while (tokens[i].type != TokenType::kEof &&
+         tokens[i].type != TokenType::kRParen) {
+    if (!out->empty() && tokens[i++].type != TokenType::kComma) {
+      *error = "expected ',' at offset " + std::to_string(tokens[i - 1].offset);
+      return false;
     }
-    if (text[i] == '\'') {
-      size_t end = text.find('\'', i + 1);
-      if (end == std::string::npos) {
-        *error = "unterminated string literal";
-        return false;
-      }
-      out->push_back(Value::Str(text.substr(i + 1, end - i - 1)));
-      i = end + 1;
+    bool negative = tokens[i].type == TokenType::kMinus;
+    if (negative) ++i;
+    const Token& t = tokens[i++];
+    if (t.type == TokenType::kIntLiteral) {
+      out->push_back(Value::Int(negative ? -t.int_value : t.int_value));
+    } else if (t.type == TokenType::kRealLiteral) {
+      out->push_back(Value::Real(negative ? -t.real_value : t.real_value));
+    } else if (t.type == TokenType::kStringLiteral && !negative) {
+      out->push_back(Value::Str(t.text));
+    } else if (t.type == TokenType::kNull && !negative) {
+      out->push_back(Value::Null());
     } else {
-      size_t start = i;
-      while (i < text.size() && text[i] != ',' && text[i] != ')' &&
-             !std::isspace((unsigned char)text[i])) {
-        ++i;
-      }
-      std::string tok = text.substr(start, i - start);
-      if (tok.empty()) {
-        *error = "empty parameter";
-        return false;
-      }
-      std::string upper = tok;
-      for (char& c : upper) c = (char)std::toupper((unsigned char)c);
-      if (upper == "NULL") {
-        out->push_back(Value::Null());
-      } else if (tok.find('.') != std::string::npos ||
-                 tok.find('e') != std::string::npos ||
-                 tok.find('E') != std::string::npos) {
-        out->push_back(Value::Real(std::strtod(tok.c_str(), nullptr)));
-      } else {
-        out->push_back(Value::Int(std::strtoll(tok.c_str(), nullptr, 10)));
-      }
+      *error = "expected a literal at offset " + std::to_string(t.offset);
+      return false;
     }
-    skip_ws();
+  }
+  if (parens && tokens[i++].type != TokenType::kRParen) {
+    *error = "expected ')'";
+    return false;
+  }
+  if (tokens[i].type != TokenType::kEof) {
+    *error = "unexpected text at offset " + std::to_string(tokens[i].offset);
+    return false;
   }
   return true;
 }
