@@ -118,17 +118,14 @@ int Main() {
     std::string sql = qgen.RandomSingleTableQuery();
     auto h = Harness::Make(&db, sql, {}, /*run=*/false);
     if (h->block->tables.size() != 1) continue;
-    const std::vector<AccessPath>& paths = h->ctx->AccessPaths(0, 0);
+    const std::vector<PlanRef>& paths = h->ctx->AccessPaths(0, 0);
     // The optimizer's choice is the cheapest estimated path.
-    size_t chosen = 0;
-    for (size_t i = 1; i < paths.size(); ++i) {
-      if (paths[i].cost.cost < paths[chosen].cost.cost) chosen = i;
-    }
+    PlanRef chosen = CheapestPath(paths);
     std::vector<Candidate> cands;
-    for (size_t i = 0; i < paths.size(); ++i) {
-      ExecResult exec = ExecuteCold(&db, *h->block, paths[i].node);
-      cands.push_back(Candidate{paths[i].cost.cost,
-                                exec.stats.ActualCost(w), i == chosen});
+    for (const PlanRef& p : paths) {
+      ExecResult exec = ExecuteCold(&db, *h->block, p);
+      cands.push_back(
+          Candidate{p->est.cost, exec.stats.ActualCost(w), p == chosen});
     }
     single.Account(cands);
   }
@@ -141,12 +138,12 @@ int Main() {
       std::string sql = qgen.RandomJoinQuery(tables);
       auto h = Harness::Make(&db, sql);
       uint32_t full = (1u << h->block->tables.size()) - 1;
-      JoinSolution best = Unwrap(h->enumerator->Best({}, {}));
+      PlanRef best = Unwrap(h->enumerator->Best({}, {}));
       std::vector<Candidate> cands;
-      for (const JoinSolution& s : h->enumerator->SolutionsFor(full)) {
-        ExecResult exec = ExecuteCold(&db, *h->block, s.plan);
-        cands.push_back(Candidate{s.cost.cost, exec.stats.ActualCost(w),
-                                  s.describe == best.describe});
+      for (const PlanRef& s : h->enumerator->SolutionsFor(full)) {
+        ExecResult exec = ExecuteCold(&db, *h->block, s);
+        cands.push_back(
+            Candidate{s->est.cost, exec.stats.ActualCost(w), s == best});
       }
       joins.Account(cands);
     }

@@ -40,14 +40,14 @@ int Main() {
 
   for (size_t t = 0; t < h->block->tables.size(); ++t) {
     std::printf("\n%s:\n", h->block->tables[t].table->name.c_str());
-    const std::vector<AccessPath>& paths =
+    const std::vector<PlanRef>& paths =
         h->ctx->AccessPaths(static_cast<int>(t), 0);
     std::vector<bool> pruned = PrunedAccessPaths(paths, interesting);
     for (size_t i = 0; i < paths.size(); ++i) {
-      const AccessPath& p = paths[i];
+      const PlanNode& p = *paths[i];
       std::printf("  C(%-28s) = %8.1f  order=%-10s rows=%8.1f  %s\n",
-                  p.describe.c_str(), p.cost.cost,
-                  OrderSpecToString(p.order).c_str(), p.rows,
+                  DescribePlan(p).c_str(), p.est.cost,
+                  OrderSpecToString(p.order).c_str(), p.est_rows,
                   pruned[i] ? "X pruned" : "kept");
     }
   }
@@ -56,10 +56,10 @@ int Main() {
   for (size_t t = 0; t < h->block->tables.size(); ++t) {
     uint32_t mask = 1u << t;
     std::printf("{%s}:\n", h->block->tables[t].table->name.c_str());
-    for (const JoinSolution& s : h->enumerator->SolutionsFor(mask)) {
+    for (const PlanRef& s : h->enumerator->SolutionsFor(mask)) {
       std::printf("  C(%-28s) = %8.1f  order=%-10s N=%0.1f\n",
-                  s.describe.c_str(), s.cost.cost,
-                  OrderSpecToString(s.order).c_str(), s.rows);
+                  DescribePlan(*s).c_str(), s->est.cost,
+                  OrderSpecToString(s->order).c_str(), s->est_rows);
     }
   }
   std::printf(

@@ -50,10 +50,10 @@ int Main() {
     const auto& sols = h->enumerator->SolutionsFor(mask);
     std::printf("\n%s%s:\n", mask_name(mask).c_str(),
                 sols.empty() ? "  [not expanded: join-order heuristic]" : "");
-    for (const JoinSolution& s : sols) {
-      std::printf("  C = %10.1f  order=%-10s N=%-10.1f %s\n", s.cost.cost,
-                  OrderSpecToString(s.order).c_str(), s.rows,
-                  s.describe.c_str());
+    for (const PlanRef& s : sols) {
+      std::printf("  C = %10.1f  order=%-10s N=%-10.1f %s\n", s->est.cost,
+                  OrderSpecToString(s->order).c_str(), s->est_rows,
+                  DescribePlan(*s).c_str());
     }
   }
   std::printf("\nsolutions generated at all levels: %zu, stored: %zu\n",

@@ -25,17 +25,17 @@ int Main() {
 
   Header("Figure 6 — complete (three-relation) solutions");
   const auto& sols = h->enumerator->SolutionsFor(full);
-  for (const JoinSolution& s : sols) {
-    std::printf("  C = %10.1f  order=%-10s N=%-8.1f %s\n", s.cost.cost,
-                OrderSpecToString(s.order).c_str(), s.rows,
-                s.describe.c_str());
+  for (const PlanRef& s : sols) {
+    std::printf("  C = %10.1f  order=%-10s N=%-8.1f %s\n", s->est.cost,
+                OrderSpecToString(s->order).c_str(), s->est_rows,
+                DescribePlan(*s).c_str());
   }
 
-  JoinSolution best = Unwrap(h->enumerator->Best({}, {}));
+  PlanRef best = Unwrap(h->enumerator->Best({}, {}));
   Header("Winning solution");
-  std::printf("%s  (estimated cost %.1f)\n\n", best.describe.c_str(),
-              best.cost.cost);
-  std::printf("%s", ExplainPlan(best.plan, *h->block).c_str());
+  std::printf("%s  (estimated cost %.1f)\n\n", DescribePlan(*best).c_str(),
+              best->est.cost);
+  std::printf("%s", ExplainPlan(best, *h->block).c_str());
 
   // Execute every stored complete solution and verify the estimate ranking
   // against reality — a small preview of the §7 accuracy study (E7).
@@ -43,12 +43,13 @@ int Main() {
   std::printf("%10s %12s   %s\n", "est. cost", "actual cost", "solution");
   double best_actual = -1;
   double chosen_actual = -1;
-  for (const JoinSolution& s : sols) {
-    ExecResult exec = ExecuteCold(&db, *h->block, s.plan);
+  for (const PlanRef& s : sols) {
+    ExecResult exec = ExecuteCold(&db, *h->block, s);
     double actual = exec.stats.ActualCost(db.options().cost.w);
-    std::printf("%10.1f %12.1f   %s\n", s.cost.cost, actual, s.describe.c_str());
+    std::printf("%10.1f %12.1f   %s\n", s->est.cost, actual,
+                DescribePlan(*s).c_str());
     if (best_actual < 0 || actual < best_actual) best_actual = actual;
-    if (s.describe == best.describe) chosen_actual = actual;
+    if (s == best) chosen_actual = actual;
   }
   if (chosen_actual >= 0 && best_actual > 0) {
     std::printf("\nchosen plan actual cost / best stored actual cost = %.2f\n",

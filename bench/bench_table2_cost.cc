@@ -3,33 +3,30 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "optimizer/access_path_gen.h"
 #include "workload/datagen.h"
 
 namespace systemr {
 namespace bench {
 namespace {
 
-void Report(const char* label, const char* formula, const AccessPath& path,
+void Report(const char* label, const char* formula, const PlanNode& path,
             const ExecResult& exec, double w) {
   std::printf("%-38s %-34s | %9.1f %9.1f %9.1f | %9llu %9llu %9.1f\n", label,
-              formula, path.cost.pages, path.cost.rsi, path.cost.cost,
+              formula, path.est.pages, path.est.rsi, path.est.cost,
               static_cast<unsigned long long>(exec.stats.page_io()),
               static_cast<unsigned long long>(exec.stats.rsi_calls),
               exec.stats.ActualCost(w));
 }
 
-const AccessPath* FindPath(const std::vector<AccessPath>& paths,
-                           AccessSituation situation,
-                           const std::string& index_name = "") {
-  for (const AccessPath& p : paths) {
-    if (p.cost.situation != situation) continue;
+PlanRef FindPath(const std::vector<PlanRef>& paths, AccessSituation situation,
+                 const std::string& index_name = "") {
+  for (const PlanRef& p : paths) {
+    if (p->est.situation != situation) continue;
     if (!index_name.empty() &&
-        (p.node->scan.index == nullptr ||
-         p.node->scan.index->name != index_name)) {
+        (p->scan.index == nullptr || p->scan.index->name != index_name)) {
       continue;
     }
-    return &p;
+    return p;
   }
   return nullptr;
 }
@@ -95,13 +92,13 @@ int Main() {
 
   for (const Probe& probe : probes) {
     auto h = Harness::Make(&db, probe.sql, {}, /*run=*/false);
-    const std::vector<AccessPath>& paths = h->ctx->AccessPaths(0, 0);
-    const AccessPath* path = FindPath(paths, probe.situation, probe.index);
+    PlanRef path =
+        FindPath(h->ctx->AccessPaths(0, 0), probe.situation, probe.index);
     if (path == nullptr) {
       std::printf("%-38s: situation not generated!\n", probe.label);
       continue;
     }
-    ExecResult exec = ExecuteCold(&db, *h->block, path->node);
+    ExecResult exec = ExecuteCold(&db, *h->block, path);
     Report(probe.label, probe.formula, *path, exec, w);
   }
 
@@ -115,12 +112,11 @@ int Main() {
     db.options().cost.buffer_pages = buffers;
     db.rss().pool().set_capacity(buffers);
     auto h = Harness::Make(&db, "SELECT K FROM T WHERE A = 42", {}, false);
-    const std::vector<AccessPath>& paths = h->ctx->AccessPaths(0, 0);
-    const AccessPath* path =
-        FindPath(paths, AccessSituation::kNonClusteredIndexMatching, "T_A");
+    PlanRef path = FindPath(h->ctx->AccessPaths(0, 0),
+                            AccessSituation::kNonClusteredIndexMatching, "T_A");
     if (path == nullptr) continue;
-    ExecResult exec = ExecuteCold(&db, *h->block, path->node);
-    double fit = path->cost.pages;
+    ExecResult exec = ExecuteCold(&db, *h->block, path);
+    double fit = path->est.pages;
     bool small = fit > static_cast<double>(buffers);
     std::printf("%-14zu %12.1f %12llu %12s\n", buffers, fit,
                 static_cast<unsigned long long>(exec.stats.page_io()),

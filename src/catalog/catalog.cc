@@ -135,19 +135,12 @@ Status Catalog::InsertRowLocked(TableInfo* table, const Row& row,
   }
   const Row& stored = coerced.empty() ? row : coerced;
   ASSIGN_OR_RETURN(Tid tid, rss_->heap(table->id)->Insert(stored, wal_txn));
-  for (size_t k = 0; k < table->indexes.size(); ++k) {
-    const IndexInfo& info = *indexes_[table->indexes[k]];
-    Status s = rss_->index(info.id)->Insert(ExtractKey(info, stored), tid);
-    if (!s.ok()) {
-      // Row-level atomicity: take back the index entries already made and
-      // the heap tuple, so a unique-key violation leaves nothing behind.
-      for (size_t j = 0; j < k; ++j) {
-        const IndexInfo& prev = *indexes_[table->indexes[j]];
-        (void)rss_->index(prev.id)->Delete(ExtractKey(prev, stored), tid);
-      }
-      (void)rss_->heap(table->id)->Delete(tid, wal_txn);
-      return s;
-    }
+  Status s = InsertIndexEntriesLocked(*table, stored, tid);
+  if (!s.ok()) {
+    // Row-level atomicity: take back the heap tuple too, so a unique-key
+    // violation leaves nothing behind.
+    (void)rss_->heap(table->id)->Delete(tid, wal_txn);
+    return s;
   }
   if (out_tid != nullptr) *out_tid = tid;
   return Status::OK();
@@ -156,23 +149,10 @@ Status Catalog::InsertRowLocked(TableInfo* table, const Row& row,
 Status Catalog::DeleteRowLocked(TableInfo* table, Tid tid, TxnId wal_txn,
                                 Row* old_row, uint16_t* offset) {
   RETURN_IF_ERROR(rss_->heap(table->id)->ReadTuple(tid, old_row));
-  for (size_t k = 0; k < table->indexes.size(); ++k) {
-    const IndexInfo& info = *indexes_[table->indexes[k]];
-    Status s = rss_->index(info.id)->Delete(ExtractKey(info, *old_row), tid);
-    if (!s.ok()) {
-      for (size_t j = 0; j < k; ++j) {
-        const IndexInfo& prev = *indexes_[table->indexes[j]];
-        (void)rss_->index(prev.id)->Insert(ExtractKey(prev, *old_row), tid);
-      }
-      return s;
-    }
-  }
+  RETURN_IF_ERROR(DeleteIndexEntriesLocked(*table, *old_row, tid));
   Status s = rss_->heap(table->id)->Delete(tid, wal_txn, offset);
   if (!s.ok()) {
-    for (IndexId iid : table->indexes) {
-      const IndexInfo& info = *indexes_[iid];
-      (void)rss_->index(iid)->Insert(ExtractKey(info, *old_row), tid);
-    }
+    (void)InsertIndexEntriesLocked(*table, *old_row, tid);
     return s;
   }
   return Status::OK();
@@ -181,15 +161,40 @@ Status Catalog::DeleteRowLocked(TableInfo* table, Tid tid, TxnId wal_txn,
 Status Catalog::UndeleteRowLocked(TableInfo* table, Tid tid, uint16_t offset,
                                   const Row& row, TxnId wal_txn) {
   RETURN_IF_ERROR(rss_->heap(table->id)->Undelete(tid, offset, row, wal_txn));
-  for (size_t k = 0; k < table->indexes.size(); ++k) {
-    const IndexInfo& info = *indexes_[table->indexes[k]];
+  Status s = InsertIndexEntriesLocked(*table, row, tid);
+  if (!s.ok()) {
+    (void)rss_->heap(table->id)->Delete(tid, wal_txn);
+    return s;
+  }
+  return Status::OK();
+}
+
+Status Catalog::InsertIndexEntriesLocked(const TableInfo& table,
+                                         const Row& row, Tid tid) {
+  for (size_t k = 0; k < table.indexes.size(); ++k) {
+    const IndexInfo& info = *indexes_[table.indexes[k]];
     Status s = rss_->index(info.id)->Insert(ExtractKey(info, row), tid);
     if (!s.ok()) {
       for (size_t j = 0; j < k; ++j) {
-        const IndexInfo& prev = *indexes_[table->indexes[j]];
+        const IndexInfo& prev = *indexes_[table.indexes[j]];
         (void)rss_->index(prev.id)->Delete(ExtractKey(prev, row), tid);
       }
-      (void)rss_->heap(table->id)->Delete(tid, wal_txn);
+      return s;
+    }
+  }
+  return Status::OK();
+}
+
+Status Catalog::DeleteIndexEntriesLocked(const TableInfo& table,
+                                         const Row& row, Tid tid) {
+  for (size_t k = 0; k < table.indexes.size(); ++k) {
+    const IndexInfo& info = *indexes_[table.indexes[k]];
+    Status s = rss_->index(info.id)->Delete(ExtractKey(info, row), tid);
+    if (!s.ok()) {
+      for (size_t j = 0; j < k; ++j) {
+        const IndexInfo& prev = *indexes_[table.indexes[j]];
+        (void)rss_->index(prev.id)->Insert(ExtractKey(prev, row), tid);
+      }
       return s;
     }
   }

@@ -181,6 +181,14 @@ class Catalog {
   /// re-creates its index entries under the same TID.
   Status UndeleteRowLocked(TableInfo* table, Tid tid, uint16_t offset,
                            const Row& row, TxnId wal_txn);
+  /// Adds `row`'s entry under `tid` to every index of `table`, all or
+  /// nothing: on a failure the entries already added are taken out again.
+  Status InsertIndexEntriesLocked(const TableInfo& table, const Row& row,
+                                  Tid tid);
+  /// Removes `row`'s entry under `tid` from every index of `table`, all or
+  /// nothing: on a failure the entries already removed are put back.
+  Status DeleteIndexEntriesLocked(const TableInfo& table, const Row& row,
+                                  Tid tid);
   void BumpMutationCountersLocked(TableInfo* table);
   Status UpdateStatisticsLocked(const std::string& table_name);
   void BumpVersion() { version_.fetch_add(1, std::memory_order_acq_rel); }

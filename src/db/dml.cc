@@ -79,7 +79,7 @@ StatusOr<size_t> ExecuteDml(Catalog* catalog, LockManager* locks,
                    binder.Bind(synthetic));
   PlannerContext ctx(catalog, *block, options.cost, options.use_column_stats,
                      /*feedback=*/nullptr);
-  const AccessPath* best = CheapestPath(ctx.AccessPaths(0, 0));
+  PlanRef best = CheapestPath(ctx.AccessPaths(0, 0));
   if (best == nullptr) return Status::Internal("no access path for DML target");
 
   // Predicates the scan cannot apply: subquery / correlated factors.
@@ -126,7 +126,7 @@ StatusOr<size_t> ExecuteDml(Catalog* catalog, LockManager* locks,
   }
   Matches matches;
   RETURN_IF_ERROR(
-      CollectTargets(&exec, *block, *best->node, &leftover_prog, &matches));
+      CollectTargets(&exec, *block, *best, &leftover_prog, &matches));
 
   // Every new row is computed before the first one is written, so SET
   // expressions, subqueries included, read the table as it was before the

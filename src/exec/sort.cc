@@ -95,28 +95,11 @@ Status SortOp::MergePass(std::vector<std::unique_ptr<TempRowFile>>* runs) {
     for (size_t start = 0; start < runs->size(); start += fanin) {
       size_t end = std::min(start + fanin, runs->size());
       auto merged = std::make_unique<TempRowFile>(ctx_);
-      std::vector<TempRowFile::Reader> readers;
-      std::vector<Head> heads;
-      for (size_t i = start; i < end; ++i) {
-        readers.push_back((*runs)[i]->NewReader());
-      }
-      heads.resize(readers.size());
-      for (size_t i = 0; i < readers.size(); ++i) {
-        heads[i].reader = i;
-        RETURN_IF_ERROR(readers[i].Next(&heads[i].row, &heads[i].valid));
-      }
-      while (true) {
-        int best = -1;
-        for (size_t i = 0; i < heads.size(); ++i) {
-          if (!heads[i].valid) continue;
-          if (best < 0 || Compare(heads[i].row, heads[best].row) < 0) {
-            best = static_cast<int>(i);
-          }
-        }
-        if (best < 0) break;
-        RETURN_IF_ERROR(merged->Append(heads[best].row));
-        RETURN_IF_ERROR(
-            readers[best].Next(&heads[best].row, &heads[best].valid));
+      Merge merge;
+      RETURN_IF_ERROR(StartMerge(*runs, start, end, &merge));
+      for (int i = Smallest(merge); i >= 0; i = Smallest(merge)) {
+        RETURN_IF_ERROR(merged->Append(merge.heads[i].row));
+        RETURN_IF_ERROR(merge.Advance(i));
       }
       merged->Finish();
       next.push_back(std::move(merged));
@@ -124,6 +107,30 @@ Status SortOp::MergePass(std::vector<std::unique_ptr<TempRowFile>>* runs) {
     *runs = std::move(next);
   }
   return Status::OK();
+}
+
+Status SortOp::StartMerge(const std::vector<std::unique_ptr<TempRowFile>>& runs,
+                          size_t begin, size_t end, Merge* merge) const {
+  merge->readers.clear();
+  for (size_t i = begin; i < end; ++i) {
+    merge->readers.push_back(runs[i]->NewReader());
+  }
+  merge->heads.assign(merge->readers.size(), Merge::Head{});
+  for (size_t i = 0; i < merge->readers.size(); ++i) {
+    RETURN_IF_ERROR(merge->Advance(i));
+  }
+  return Status::OK();
+}
+
+int SortOp::Smallest(const Merge& merge) const {
+  int best = -1;
+  for (size_t i = 0; i < merge.heads.size(); ++i) {
+    if (!merge.heads[i].valid) continue;
+    if (best < 0 || Compare(merge.heads[i].row, merge.heads[best].row) < 0) {
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
 }
 
 Status SortOp::Open() {
@@ -160,47 +167,29 @@ Status SortOp::Fill() {
   // temporary relation before it can be sorted").
   RETURN_IF_ERROR(SpillRun(&buffer));
   RETURN_IF_ERROR(MergePass(&runs_));
-
-  readers_.clear();
-  heads_.clear();
-  for (const auto& run : runs_) {
-    readers_.push_back(run->NewReader());
-  }
-  heads_.resize(readers_.size());
-  for (size_t i = 0; i < readers_.size(); ++i) {
-    heads_[i].reader = i;
-    RETURN_IF_ERROR(readers_[i].Next(&heads_[i].row, &heads_[i].valid));
-  }
-  return Status::OK();
+  return StartMerge(runs_, 0, runs_.size(), &merge_);
 }
 
 Status SortOp::NextBatch(RowBatch* out, bool* has_batch) {
   out->Clear();
   while (out->filled < out->capacity) {
-    int best = -1;
-    for (size_t i = 0; i < heads_.size(); ++i) {
-      if (!heads_[i].valid) continue;
-      if (best < 0 || Compare(heads_[i].row, heads_[best].row) < 0) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    Head& head = heads_[best];
-    if (node_->distinct && emitted_any_ &&
-        Compare(head.row, last_emitted_) == 0) {
+    int i = Smallest(merge_);
+    if (i < 0) break;
+    Row& head = merge_.heads[i].row;
+    if (node_->distinct && emitted_any_ && Compare(head, last_emitted_) == 0) {
       // Duplicate under the sort keys: suppress.
-      RETURN_IF_ERROR(readers_[best].Next(&head.row, &head.valid));
+      RETURN_IF_ERROR(merge_.Advance(i));
       continue;
     }
     // Hand the head row to the batch; the reader decodes its next row into
     // the batch row's old buffer.
     Row& dst = out->Append();
-    std::swap(dst, head.row);
+    std::swap(dst, head);
     if (node_->distinct) {
       last_emitted_ = dst;
       emitted_any_ = true;
     }
-    RETURN_IF_ERROR(readers_[best].Next(&head.row, &head.valid));
+    RETURN_IF_ERROR(merge_.Advance(i));
   }
   out->SelectAll();
   *has_batch = out->filled > 0;

@@ -59,12 +59,33 @@ class SortOp : public Operator {
   size_t RunLimitBytes() const;
 
  private:
+  /// A k-way merge over sorted runs: each run's reader and its next row.
+  struct Merge {
+    struct Head {
+      Row row;
+      bool valid = false;
+    };
+    std::vector<TempRowFile::Reader> readers;
+    std::vector<Head> heads;
+
+    /// Reads run `i`'s next row into its head.
+    Status Advance(size_t i) {
+      return readers[i].Next(&heads[i].row, &heads[i].valid);
+    }
+  };
+
   /// Drains the (re-opened) child into sorted runs and arms the final merge.
   Status Fill();
   Status SpillRun(std::vector<Row>* rows);
-  /// Merges `inputs` into one output file (or, for the final pass, leaves
-  /// the merge to NextBatch).
+  /// Merges groups of runs into longer runs until one merge of what is left
+  /// fits the buffer pool; NextBatch does that final merge.
   Status MergePass(std::vector<std::unique_ptr<TempRowFile>>* runs);
+  /// Opens `merge` over `runs[begin, end)` and reads each run's first row.
+  Status StartMerge(const std::vector<std::unique_ptr<TempRowFile>>& runs,
+                    size_t begin, size_t end, Merge* merge) const;
+  /// The run whose head sorts first (the earliest such run on ties), or -1
+  /// once every run is exhausted.
+  int Smallest(const Merge& merge) const;
 
   int Compare(const Row& a, const Row& b) const;
 
@@ -76,13 +97,7 @@ class SortOp : public Operator {
 
   // Final merge state.
   std::vector<std::unique_ptr<TempRowFile>> runs_;
-  struct Head {
-    Row row;
-    size_t reader;
-    bool valid = false;
-  };
-  std::vector<TempRowFile::Reader> readers_;
-  std::vector<Head> heads_;
+  Merge merge_;
   // SELECT DISTINCT: the last emitted row, for duplicate suppression.
   Row last_emitted_;
   bool emitted_any_ = false;

@@ -15,9 +15,8 @@ struct ApplicablePreds {
   double f_sargable = 1.0;          // Includes dynamic join sargs.
   // Join predicates with the outer set, oriented inner-first.
   std::vector<std::pair<JoinPredInfo, double>> join_preds;  // (pred, F)
-  // Local non-sargable residuals and their selectivity product.
+  // Local non-sargable residuals.
   std::vector<const BoundExpr*> residual;
-  double f_residual = 1.0;
   // Feedback bookkeeping over the local (non-join) factors: the planned and
   // pure-model selectivity products, and the signable factors' signatures.
   double f_local_used = 1.0;
@@ -102,7 +101,6 @@ ApplicablePreds CollectPreds(const PlannerContext& ctx, int table_idx,
     }
     if (f.tables_mask == self) {
       out.residual.push_back(f.expr);
-      out.f_residual *= f.selectivity;
       track_local(f);
     }
   }
@@ -129,14 +127,17 @@ uint64_t CoveredOrders(const OrderSpec& produced,
   return covered;
 }
 
-std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
+std::vector<PlanRef> PlannerContext::GenerateAccessPaths(
     int table_idx, uint32_t outer_mask) const {
   const TableInfo& table = *block->tables[table_idx].table;
   ApplicablePreds preds = CollectPreds(*this, table_idx, outer_mask);
 
   double ncard = sel.TableCardinality(table_idx);
   double rsicard = ncard * preds.f_sargable;
-  double rows = rsicard * preds.f_residual;
+  // N(t) times the join factors bound per probe: a plain path's rows are
+  // exactly its level-1 solution's N.
+  double rows = Rows(1u << table_idx);
+  for (const auto& [j, f] : preds.join_preds) rows *= f;
 
   // Feedback annotations, identical for every path over this table. Join
   // factors are never blended, so the pure-model row count differs from
@@ -163,32 +164,27 @@ std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
   dyn_sargs.insert(dyn_sargs.end(), preds.param_sargs.begin(),
                    preds.param_sargs.end());
 
-  std::vector<AccessPath> paths;
+  std::vector<PlanRef> paths;
 
   // --- Segment scan ---
   {
-    AccessPath p;
-    p.node = NewPlanNode(PlanKind::kSegScan);
-    p.node->scan.table_idx = table_idx;
-    p.node->scan.table = &table;
-    p.node->scan.sargs = preds.sargs;
-    p.node->scan.dyn_sargs = dyn_sargs;
-    p.node->scan.residual = preds.residual;
-    annotate_scan(&p.node->scan);
-    p.cost = cost.SegmentScan(table, rsicard);
-    p.rows = rows;
-    p.describe = table.name + " seg. scan";
-    p.node->est = p.cost;
-    p.node->est_rows = rows;
-    paths.push_back(std::move(p));
+    auto node = NewPlanNode(PlanKind::kSegScan);
+    node->scan.table_idx = table_idx;
+    node->scan.table = &table;
+    node->scan.sargs = preds.sargs;
+    node->scan.dyn_sargs = dyn_sargs;
+    node->scan.residual = preds.residual;
+    annotate_scan(&node->scan);
+    node->est = cost.SegmentScan(table, rsicard);
+    node->est_rows = rows;
+    paths.push_back(std::move(node));
   }
 
   // --- One path per index ---
   for (IndexId iid : table.indexes) {
     const IndexInfo& index = *catalog->index(iid);
-    AccessPath p;
-    p.node = NewPlanNode(PlanKind::kIndexScan);
-    ScanSpec& spec = p.node->scan;
+    auto node = NewPlanNode(PlanKind::kIndexScan);
+    ScanSpec& spec = node->scan;
     spec.table_idx = table_idx;
     spec.table = &table;
     spec.index = &index;
@@ -268,32 +264,27 @@ std::vector<AccessPath> PlannerContext::GenerateAccessPaths(
     bool unique_eq =
         index.unique && bound_cols == index.key_columns.size();
 
-    p.cost = cost.IndexScan(table, index, matching, f_matching, rsicard,
-                            unique_eq, /*repeated_probe=*/outer_mask != 0);
-    p.rows = rows;
-    p.order = IndexOrder(*this, table_idx, index);
-    p.describe = "index " + index.name +
-                 (matching ? " (matching)" : " (non-matching)");
-    p.node->est = p.cost;
-    p.node->est_rows = rows;
-    p.node->order = p.order;
-    paths.push_back(std::move(p));
+    node->est = cost.IndexScan(table, index, matching, f_matching, rsicard,
+                               unique_eq, /*repeated_probe=*/outer_mask != 0);
+    node->est_rows = rows;
+    node->order = IndexOrder(*this, table_idx, index);
+    paths.push_back(std::move(node));
   }
   return paths;
 }
 
 std::vector<bool> PrunedAccessPaths(
-    const std::vector<AccessPath>& paths,
+    const std::vector<PlanRef>& paths,
     const std::vector<OrderSpec>& interesting) {
   std::vector<bool> pruned(paths.size(), false);
   for (size_t i = 0; i < paths.size(); ++i) {
-    uint64_t covered = CoveredOrders(paths[i].order, interesting);
+    uint64_t covered = CoveredOrders(paths[i]->order, interesting);
     for (size_t j = 0; j < paths.size(); ++j) {
       if (j == i || pruned[j]) continue;
-      uint64_t j_covered = CoveredOrders(paths[j].order, interesting);
+      uint64_t j_covered = CoveredOrders(paths[j]->order, interesting);
       bool strictly_better =
-          paths[j].cost.cost < paths[i].cost.cost ||
-          (paths[j].cost.cost == paths[i].cost.cost && j < i);  // Stable.
+          paths[j]->est.cost < paths[i]->est.cost ||
+          (paths[j]->est.cost == paths[i]->est.cost && j < i);  // Stable.
       if (strictly_better && (covered & ~j_covered) == 0) {
         pruned[i] = true;
         break;
@@ -303,12 +294,12 @@ std::vector<bool> PrunedAccessPaths(
   return pruned;
 }
 
-const AccessPath* CheapestPath(const std::vector<AccessPath>& paths) {
-  const AccessPath* best = nullptr;
-  for (const AccessPath& p : paths) {
-    if (best == nullptr || p.cost.cost < best->cost.cost) best = &p;
+PlanRef CheapestPath(const std::vector<PlanRef>& paths) {
+  const PlanRef* best = nullptr;
+  for (const PlanRef& p : paths) {
+    if (best == nullptr || p->est.cost < (*best)->est.cost) best = &p;
   }
-  return best;
+  return best != nullptr ? *best : nullptr;
 }
 
 }  // namespace systemr

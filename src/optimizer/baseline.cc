@@ -8,11 +8,10 @@ namespace systemr {
 
 namespace {
 
-const AccessPath* PickPath(const std::vector<AccessPath>& paths,
-                           bool segment_only) {
+PlanRef PickPath(const std::vector<PlanRef>& paths, bool segment_only) {
   if (!segment_only) return CheapestPath(paths);
-  for (const AccessPath& p : paths) {
-    if (p.node->kind == PlanKind::kSegScan) return &p;
+  for (const PlanRef& p : paths) {
+    if (p->kind == PlanKind::kSegScan) return p;
   }
   return nullptr;
 }
@@ -84,29 +83,26 @@ StatusOr<OptimizedQuery> OptimizeBaseline(
   }
 
   // Build the left-deep nested-loop plan along `order`.
-  const AccessPath* first =
-      PickPath(ctx.AccessPaths(order[0], 0), segment_only);
-  if (first == nullptr) {
+  PlanRef plan = PickPath(ctx.AccessPaths(order[0], 0), segment_only);
+  if (plan == nullptr) {
     return Status::Internal("no access path for first relation");
   }
-  PlanRef plan = first->node;
-  PathCost est = first->cost;
+  PathCost est = plan->est;
   uint32_t mask = 1u << order[0];
-  double rows = ctx.Rows(mask);
+  double rows = plan->est_rows;
 
   for (size_t i = 1; i < n; ++i) {
     int t = order[i];
-    const AccessPath* inner =
-        PickPath(ctx.AccessPaths(t, mask), segment_only);
+    PlanRef inner = PickPath(ctx.AccessPaths(t, mask), segment_only);
     if (inner == nullptr) {
       return Status::Internal("no access path for inner relation");
     }
     std::vector<const BoundExpr*> residual =
         ctx.NewResiduals(mask, t, /*all_simple_joins_handled=*/true, nullptr);
-    est = ctx.cost.JoinCost(est, std::max(rows, 1.0), inner->cost);
+    est = ctx.cost.JoinCost(est, std::max(rows, 1.0), inner->est);
     mask |= 1u << t;
     rows = ctx.Rows(mask);
-    plan = NewJoinNode(PlanKind::kNestedLoopJoin, plan, inner->node,
+    plan = NewJoinNode(PlanKind::kNestedLoopJoin, plan, std::move(inner),
                        b.tables[t], std::move(residual), est, rows, {});
   }
 
@@ -123,14 +119,11 @@ StatusOr<OptimizedQuery> OptimizeBaseline(
   }
 
   OptimizedQuery out;
-  ASSIGN_OR_RETURN(
-      Optimizer::BlockPlan top,
-      optimizer.FinishBlockPlan(ctx, plan, est, rows, required,
-                                &out.subquery_plans));
+  ASSIGN_OR_RETURN(out.root,
+                   optimizer.FinishBlockPlan(ctx, plan, &out.subquery_plans));
   out.block = std::move(block);
-  out.root = top.root;
-  out.est_cost = top.root->est.cost;
-  out.est_rows = top.est_rows;
+  out.est_cost = out.root->est.cost;
+  out.est_rows = out.root->est_rows;
   return out;
 }
 

@@ -13,6 +13,56 @@ void Indent(std::ostringstream& os, int depth) {
   for (int i = 0; i < depth; ++i) os << "  ";
 }
 
+// One-line summary of a scan's access path.
+std::string DescribeScan(const ScanSpec& spec, const BoundQueryBlock& block) {
+  std::ostringstream os;
+  const std::string& corr = block.tables[spec.table_idx].correlation;
+  if (spec.index == nullptr) {
+    os << corr << " (segment scan)";
+  } else {
+    os << corr << " via " << spec.index->name;
+    if (!spec.eq_bounds.empty() || spec.lo.has_value() ||
+        spec.hi.has_value()) {
+      const char* sep = " [";
+      for (const ScanOperand& b : spec.eq_bounds) {
+        os << sep << "=" << b.ToString();
+        sep = ", ";
+      }
+      if (spec.lo.has_value()) {
+        os << sep << (spec.lo->inclusive ? ">=" : ">")
+           << spec.lo->value.ToString();
+        sep = ", ";
+      }
+      if (spec.hi.has_value()) {
+        os << sep << (spec.hi->inclusive ? "<=" : "<")
+           << spec.hi->value.ToString();
+      }
+      os << "]";
+    }
+  }
+  if (!spec.sargs.empty()) {
+    os << " sargs(";
+    for (size_t i = 0; i < spec.sargs.size(); ++i) {
+      if (i > 0) os << " AND ";
+      os << spec.sargs[i].ToString(spec.table->schema);
+    }
+    os << ")";
+  }
+  for (const ScanTerm& d : spec.dyn_sargs) {
+    os << " dynsarg(" << spec.table->schema.column(d.column).name
+       << CompareOpName(d.op) << d.value.ToString() << ")";
+  }
+  if (!spec.residual.empty()) {
+    os << " where(";
+    for (size_t i = 0; i < spec.residual.size(); ++i) {
+      if (i > 0) os << " AND ";
+      os << spec.residual[i]->ToString(block);
+    }
+    os << ")";
+  }
+  return os.str();
+}
+
 // `dop` is the inherited degree of parallelism: 1 outside an exchange, the
 // exchange's worker count inside its fragment (printed on the scans so the
 // morsel-parallel part of the plan is visible at a glance).
@@ -96,59 +146,47 @@ void ExplainNode(const PlanRef& node, const BoundQueryBlock& block, int depth,
 
 }  // namespace
 
-std::string DescribeScan(const ScanSpec& spec, const BoundQueryBlock& block) {
-  std::ostringstream os;
-  const std::string& corr = block.tables[spec.table_idx].correlation;
-  if (spec.index == nullptr) {
-    os << corr << " (segment scan)";
-  } else {
-    os << corr << " via " << spec.index->name;
-    if (!spec.eq_bounds.empty() || spec.lo.has_value() ||
-        spec.hi.has_value()) {
-      const char* sep = " [";
-      for (const ScanOperand& b : spec.eq_bounds) {
-        os << sep << "=" << b.ToString();
-        sep = ", ";
-      }
-      if (spec.lo.has_value()) {
-        os << sep << (spec.lo->inclusive ? ">=" : ">")
-           << spec.lo->value.ToString();
-        sep = ", ";
-      }
-      if (spec.hi.has_value()) {
-        os << sep << (spec.hi->inclusive ? "<=" : "<")
-           << spec.hi->value.ToString();
-      }
-      os << "]";
-    }
-  }
-  if (!spec.sargs.empty()) {
-    os << " sargs(";
-    for (size_t i = 0; i < spec.sargs.size(); ++i) {
-      if (i > 0) os << " AND ";
-      os << spec.sargs[i].ToString(spec.table->schema);
-    }
-    os << ")";
-  }
-  for (const ScanTerm& d : spec.dyn_sargs) {
-    os << " dynsarg(" << spec.table->schema.column(d.column).name
-       << CompareOpName(d.op) << d.value.ToString() << ")";
-  }
-  if (!spec.residual.empty()) {
-    os << " where(";
-    for (size_t i = 0; i < spec.residual.size(); ++i) {
-      if (i > 0) os << " AND ";
-      os << spec.residual[i]->ToString(block);
-    }
-    os << ")";
-  }
-  return os.str();
-}
-
 std::string ExplainPlan(const PlanRef& root, const BoundQueryBlock& block) {
   std::ostringstream os;
   ExplainNode(root, block, 0, os);
   return os.str();
+}
+
+std::string DescribePlan(const PlanNode& plan) {
+  switch (plan.kind) {
+    case PlanKind::kSegScan:
+      return plan.scan.table->name + " seg. scan";
+    case PlanKind::kIndexScan: {
+      const ScanSpec& s = plan.scan;
+      bool matching =
+          !s.eq_bounds.empty() || s.lo.has_value() || s.hi.has_value();
+      return "index " + s.index->name +
+             (matching ? " (matching)" : " (non-matching)");
+    }
+    case PlanKind::kNestedLoopJoin:
+      return "NLJ(" + DescribePlan(*plan.left) + " -> " +
+             DescribePlan(*plan.right) + ")";
+    case PlanKind::kMergeJoin: {
+      const PlanNode& inner = *plan.right;
+      return "MJ(" + DescribePlan(*plan.left) + " = " +
+             (inner.kind == PlanKind::kSort
+                  ? DescribePlan(inner) + " then merge"
+                  : "merge-inner " + DescribePlan(inner)) +
+             ")";
+    }
+    case PlanKind::kHashJoin:
+      return "HJ(" + DescribePlan(*plan.left) + " = build " +
+             DescribePlan(*plan.right) + ")";
+    case PlanKind::kSort:
+      return "sort(" + DescribePlan(*plan.left) + ")";
+    case PlanKind::kFilter:
+    case PlanKind::kProject:
+    case PlanKind::kAggregate:
+    case PlanKind::kHashAggregate:
+    case PlanKind::kExchange:
+      break;
+  }
+  return PlanKindName(plan.kind) + "(" + DescribePlan(*plan.left) + ")";
 }
 
 }  // namespace systemr

@@ -1,6 +1,7 @@
 // EXPLAIN: renders a physical plan tree with the optimizer's annotations
 // (estimated cost split into page fetches and W*RSI calls, cardinalities,
-// tuple orders, SARGs and key bounds).
+// tuple orders, SARGs and key bounds), and the one-line labels of the
+// paper's search-tree figures.
 #ifndef SYSTEMR_OPTIMIZER_EXPLAIN_H_
 #define SYSTEMR_OPTIMIZER_EXPLAIN_H_
 
@@ -13,8 +14,11 @@ namespace systemr {
 
 std::string ExplainPlan(const PlanRef& root, const BoundQueryBlock& block);
 
-/// One-line summary of a scan's access path (used in search-tree dumps).
-std::string DescribeScan(const ScanSpec& spec, const BoundQueryBlock& block);
+/// A plan's label in the style of Figs. 2-6, read from the tree alone:
+/// "EMP seg. scan", "index EMP_DNO (matching)" (matching when the path has
+/// an equality or range bound), "NLJ(a -> b)", "MJ(sort(a) = merge-inner b)",
+/// "MJ(a = sort(b) then merge)", "HJ(a = build b)" and "sort(a)".
+std::string DescribePlan(const PlanNode& plan);
 
 }  // namespace systemr
 

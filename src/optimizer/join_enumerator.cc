@@ -53,38 +53,38 @@ void JoinEnumerator::BuildInterestingOrders() {
 
 template <typename Build>
 void JoinEnumerator::AddSolution(uint32_t mask, const PathCost& cost,
-                                 double rows, const OrderSpec& order,
-                                 Build build) {
+                                 const OrderSpec& order, Build build) {
   ++solutions_generated_;
-  std::vector<JoinSolution>& list = dp_[mask];
+  std::vector<PlanRef>& list = dp_[mask];
   if (!options_.use_interesting_orders) {
     // Keep the single cheapest solution (order is never reused).
-    if (!list.empty() && !(cost.cost < list[0].cost.cost)) return;
+    if (!list.empty() && !(cost.cost < list[0]->est.cost)) return;
     list.clear();
   } else {
     uint64_t covered = CoveredOrders(order, interesting_);
     // Dominated by an existing solution?
-    for (const JoinSolution& s : list) {
-      uint64_t c = CoveredOrders(s.order, interesting_);
-      if (s.cost.cost <= cost.cost && (covered & ~c) == 0) return;
+    for (const PlanRef& s : list) {
+      uint64_t c = CoveredOrders(s->order, interesting_);
+      if (s->est.cost <= cost.cost && (covered & ~c) == 0) return;
     }
     // Remove solutions the new one dominates.
     list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](const JoinSolution& s) {
+                              [&](const PlanRef& s) {
                                 uint64_t c =
-                                    CoveredOrders(s.order, interesting_);
-                                return cost.cost <= s.cost.cost &&
+                                    CoveredOrders(s->order, interesting_);
+                                return cost.cost <= s->est.cost &&
                                        (c & ~covered) == 0;
                               }),
                list.end());
   }
-  JoinSolution solution;
-  solution.mask = mask;
-  solution.cost = cost;
-  solution.rows = rows;
-  solution.order = order;
-  build(&solution);
-  list.push_back(std::move(solution));
+  list.push_back(build());
+}
+
+const OrderSpec& JoinEnumerator::OrderOf(const PlanNode& plan) const {
+  static const OrderSpec kUnordered;
+  bool scan = plan.kind == PlanKind::kSegScan ||
+              plan.kind == PlanKind::kIndexScan;
+  return scan && !options_.use_interesting_orders ? kUnordered : plan.order;
 }
 
 bool JoinEnumerator::Eligible(uint32_t mask, int t) const {
@@ -107,22 +107,14 @@ Status JoinEnumerator::Run() {
   BuildInterestingOrders();
 
   // Level 1: single-relation access paths (Fig. 2/3).
-  static const OrderSpec kUnordered;
   for (size_t t = 0; t < n; ++t) {
-    const std::vector<AccessPath>& paths =
+    const std::vector<PlanRef>& paths =
         ctx_.AccessPaths(static_cast<int>(t), 0);
     std::vector<bool> pruned = PrunedAccessPaths(paths, interesting_);
-    uint32_t mask = 1u << t;
-    double rows = ctx_.Rows(mask);
     for (size_t i = 0; i < paths.size(); ++i) {
       if (pruned[i]) continue;
-      const AccessPath& p = paths[i];
-      AddSolution(mask, p.cost, rows,
-                  options_.use_interesting_orders ? p.order : kUnordered,
-                  [&p](JoinSolution* s) {
-                    s->plan = p.node;
-                    s->describe = p.describe;
-                  });
+      const PlanRef& p = paths[i];
+      AddSolution(1u << t, p->est, OrderOf(*p), [&p] { return p; });
     }
   }
   if (n == 1) return Status::OK();
@@ -163,20 +155,19 @@ void JoinEnumerator::ExtendNestedLoop(uint32_t mask, int t) {
   double rows = ctx_.Rows(combined);
 
   // Inner order is irrelevant for NL: only the cheapest inner path competes.
-  const AccessPath* inner = CheapestPath(ctx_.AccessPaths(t, mask));
+  PlanRef inner = CheapestPath(ctx_.AccessPaths(t, mask));
   if (inner == nullptr) return;
   std::vector<const BoundExpr*> residual =
       ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/true, nullptr);
 
-  for (const JoinSolution& outer : dp_[mask]) {
+  for (const PlanRef& outer : dp_[mask]) {
     // C-nested-loop-join = C-outer + N * C-inner (§5); the outer composite's
     // order is preserved.
-    PathCost cost = ctx_.cost.JoinCost(outer.cost, n_outer, inner->cost);
-    AddSolution(combined, cost, rows, outer.order, [&](JoinSolution* s) {
-      s->plan = NewJoinNode(PlanKind::kNestedLoopJoin, outer.plan,
-                            inner->node, block.tables[t], residual, s->cost,
-                            s->rows, s->order);
-      s->describe = "NLJ(" + outer.describe + " -> " + inner->describe + ")";
+    PathCost cost = ctx_.cost.JoinCost(outer->est, n_outer, inner->est);
+    const OrderSpec& order = OrderOf(*outer);
+    AddSolution(combined, cost, order, [&] {
+      return NewJoinNode(PlanKind::kNestedLoopJoin, outer, inner,
+                         block.tables[t], residual, cost, rows, order);
     });
   }
 }
@@ -206,9 +197,9 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
     // Inner variants, costed here; their plans are built only for a stored
     // candidate.
     struct InnerVariant {
-      const AccessPath* index_path;  // (a), or null for (b)'s sorted inner.
-      PathCost setup;                // One-time (sorting into a temp list).
-      PathCost per_probe;            // C-inner.
+      PlanRef index_path;  // (a), or null for (b)'s sorted inner.
+      PathCost setup;      // One-time (sorting into a temp list).
+      PathCost per_probe;  // C-inner.
     };
     std::vector<InnerVariant> inners;
 
@@ -217,69 +208,55 @@ void JoinEnumerator::ExtendMerge(uint32_t mask, int t) {
     // merging-scans method synchronizes the two ordered streams, so the
     // inner is read exactly once with only its local predicates applied —
     // costed as one full ordered scan (setup) with no per-probe charge.
-    for (const AccessPath& p : ctx_.AccessPaths(t, 0)) {
-      if (p.node->kind != PlanKind::kIndexScan) continue;
-      if (!OrderSatisfies(p.order, required)) continue;
-      inners.push_back({&p, p.cost, PathCost{}});
+    for (const PlanRef& p : ctx_.AccessPaths(t, 0)) {
+      if (p->kind != PlanKind::kIndexScan) continue;
+      if (!OrderSatisfies(p->order, required)) continue;
+      inners.push_back({p, p->est, PathCost{}});
     }
 
     // (b) Sort the inner into a temporary list (C-inner(sorted list), §5).
-    const JoinSolution* cheapest = nullptr;
+    PlanRef cheapest = CheapestPath(SolutionsFor(1u << t));
     double inner_rows = std::max(ctx_.Rows(1u << t), 1.0);
     PlanRef sorted_inner;  // Built for the first stored candidate using it.
-    auto it = dp_.find(1u << t);
-    if (it != dp_.end() && !it->second.empty()) {
-      cheapest = &it->second[0];
-      for (const JoinSolution& s : it->second) {
-        if (s.cost.cost < cheapest->cost.cost) cheapest = &s;
-      }
+    if (cheapest != nullptr) {
       double bytes = CostModel::TupleBytes(*block.tables[t].table);
       double temppages = ctx_.cost.TempPages(inner_rows, bytes);
       double rsicard_group = inner_rows * f.selectivity;
       inners.push_back(
-          {nullptr, ctx_.cost.SortCost(cheapest->cost, inner_rows, bytes),
+          {nullptr, ctx_.cost.SortCost(cheapest->est, inner_rows, bytes),
            ctx_.cost.SortedInnerPerProbe(temppages, n_outer, rsicard_group)});
     }
     if (inners.empty()) continue;
 
     double outer_bytes = CompositeTupleBytes(mask);
-    for (const JoinSolution& outer : dp_[mask]) {
+    for (const PlanRef& outer : dp_[mask]) {
       // The outer as-is if ordered on the join class, else sorted. Either
       // way the merge output is ordered by the join column class; the outer
       // order (which starts with that class) is preserved.
-      bool sort_outer = !OrderSatisfies(outer.order, required);
+      bool sort_outer = !OrderSatisfies(OrderOf(*outer), required);
       PathCost outer_cost =
-          sort_outer ? ctx_.cost.SortCost(outer.cost, n_outer, outer_bytes)
-                     : outer.cost;
-      const OrderSpec& order = sort_outer ? required : outer.order;
+          sort_outer ? ctx_.cost.SortCost(outer->est, n_outer, outer_bytes)
+                     : outer->est;
+      const OrderSpec& order = sort_outer ? required : OrderOf(*outer);
       PlanRef sorted_outer;  // Built for the first stored candidate using it.
 
       for (const InnerVariant& iv : inners) {
         PathCost cost =
             iv.setup + ctx_.cost.JoinCost(outer_cost, n_outer, iv.per_probe);
-        AddSolution(combined, cost, rows, order, [&](JoinSolution* s) {
+        AddSolution(combined, cost, order, [&] {
           if (sort_outer && sorted_outer == nullptr) {
-            sorted_outer = NewSortNode(outer.plan, {SortKey{outer_off, true}},
+            sorted_outer = NewSortNode(outer, {SortKey{outer_off, true}},
                                        required, outer_cost, n_outer);
           }
           if (iv.index_path == nullptr && sorted_inner == nullptr) {
-            sorted_inner =
-                NewSortNode(cheapest->plan, {SortKey{inner_off, true}},
-                            required, iv.setup, inner_rows);
+            sorted_inner = NewSortNode(cheapest, {SortKey{inner_off, true}},
+                                       required, iv.setup, inner_rows);
           }
-          s->plan = NewJoinNode(
-              PlanKind::kMergeJoin, sort_outer ? sorted_outer : outer.plan,
-              iv.index_path != nullptr ? PlanRef(iv.index_path->node)
-                                       : sorted_inner,
-              block.tables[t], residual, s->cost, s->rows, s->order,
-              outer_off, inner_off);
-          s->describe = sort_outer ? "MJ(sort(" + outer.describe + ")"
-                                   : "MJ(" + outer.describe;
-          s->describe += " = ";
-          s->describe += iv.index_path != nullptr
-                             ? "merge-inner " + iv.index_path->describe
-                             : "sort(" + cheapest->describe + ") then merge";
-          s->describe += ")";
+          return NewJoinNode(
+              PlanKind::kMergeJoin, sort_outer ? sorted_outer : outer,
+              iv.index_path != nullptr ? iv.index_path : sorted_inner,
+              block.tables[t], residual, cost, rows, order, outer_off,
+              inner_off);
         });
       }
     }
@@ -307,12 +284,8 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
 
   // The build side is read exactly once with only its local predicates, so
   // the cheapest single-relation path for t is always the right input.
-  auto it = dp_.find(1u << t);
-  if (it == dp_.end() || it->second.empty()) return;
-  const JoinSolution* build = &it->second[0];
-  for (const JoinSolution& s : it->second) {
-    if (s.cost.cost < build->cost.cost) build = &s;
-  }
+  PlanRef build = CheapestPath(SolutionsFor(1u << t));
+  if (build == nullptr) return;
   double build_pages = ctx_.cost.TempPages(
       n_inner, CostModel::TupleBytes(*block.tables[t].table));
 
@@ -329,66 +302,55 @@ void JoinEnumerator::ExtendHash(uint32_t mask, int t) {
     std::vector<const BoundExpr*> residual =
         ctx_.NewResiduals(mask, t, /*all_simple_joins_handled=*/false, &j);
 
-    for (const JoinSolution& outer : dp_[mask]) {
-      PathCost cost = ctx_.cost.HashJoinCost(outer.cost, build->cost, n_outer,
+    for (const PlanRef& outer : dp_[mask]) {
+      PathCost cost = ctx_.cost.HashJoinCost(outer->est, build->est, n_outer,
                                              n_inner, rows, build_pages);
       // Hash join delivers no interesting order: rows come out in probe
       // order, but the optimizer must not rely on it (§5's order bookkeeping
       // treats the hash output as unordered).
-      AddSolution(combined, cost, rows, OrderSpec{}, [&](JoinSolution* s) {
-        s->plan = NewJoinNode(PlanKind::kHashJoin, outer.plan, build->plan,
-                              block.tables[t], residual, s->cost, s->rows,
-                              s->order, outer_off, inner_off);
-        s->describe =
-            "HJ(" + outer.describe + " = build " + build->describe + ")";
+      AddSolution(combined, cost, OrderSpec{}, [&] {
+        return NewJoinNode(PlanKind::kHashJoin, outer, build, block.tables[t],
+                           residual, cost, rows, OrderSpec{}, outer_off,
+                           inner_off);
       });
     }
   }
 }
 
-const std::vector<JoinSolution>& JoinEnumerator::SolutionsFor(
+const std::vector<PlanRef>& JoinEnumerator::SolutionsFor(
     uint32_t mask) const {
-  static const std::vector<JoinSolution>* empty =
-      new std::vector<JoinSolution>();
+  static const std::vector<PlanRef>* empty = new std::vector<PlanRef>();
   auto it = dp_.find(mask);
   return it == dp_.end() ? *empty : it->second;
 }
 
-StatusOr<JoinSolution> JoinEnumerator::Best(
+StatusOr<PlanRef> JoinEnumerator::Best(
     const OrderSpec& required, const std::vector<SortKey>& sort_keys) const {
   uint32_t full = (1u << ctx_.block->tables.size()) - 1;
-  auto it = dp_.find(full);
-  if (it == dp_.end() || it->second.empty()) {
-    return Status::Internal("no complete solution");
-  }
-  const JoinSolution* cheapest = &it->second[0];
-  const JoinSolution* cheapest_ordered = nullptr;
-  for (const JoinSolution& s : it->second) {
-    if (s.cost.cost < cheapest->cost.cost) cheapest = &s;
-    if (!required.empty() && OrderSatisfies(s.order, required)) {
-      if (cheapest_ordered == nullptr ||
-          s.cost.cost < cheapest_ordered->cost.cost) {
-        cheapest_ordered = &s;
-      }
+  const std::vector<PlanRef>& solutions = SolutionsFor(full);
+  PlanRef cheapest = CheapestPath(solutions);
+  if (cheapest == nullptr) return Status::Internal("no complete solution");
+  if (required.empty()) return cheapest;
+
+  const PlanRef* cheapest_ordered = nullptr;
+  for (const PlanRef& s : solutions) {
+    if (OrderSatisfies(OrderOf(*s), required) &&
+        (cheapest_ordered == nullptr ||
+         s->est.cost < (*cheapest_ordered)->est.cost)) {
+      cheapest_ordered = &s;
     }
   }
-  if (required.empty()) return *cheapest;
-
   // "The cheapest solution with the correct order, unless it is more
   // expensive than the cheapest unordered solution plus a sort" (§5).
-  PathCost sorted_cost = ctx_.cost.SortCost(
-      cheapest->cost, std::max(cheapest->rows, 1.0), CompositeTupleBytes(full));
+  PathCost sorted_cost =
+      ctx_.cost.SortCost(cheapest->est, std::max(cheapest->est_rows, 1.0),
+                         CompositeTupleBytes(full));
   if (cheapest_ordered != nullptr &&
-      cheapest_ordered->cost.cost <= sorted_cost.cost) {
+      (*cheapest_ordered)->est.cost <= sorted_cost.cost) {
     return *cheapest_ordered;
   }
-  JoinSolution s = *cheapest;
-  s.plan = NewSortNode(cheapest->plan, sort_keys, required, sorted_cost,
-                       cheapest->rows);
-  s.cost = sorted_cost;
-  s.order = required;
-  s.describe = "sort(" + s.describe + ")";
-  return s;
+  return PlanRef(NewSortNode(cheapest, sort_keys, required, sorted_cost,
+                             cheapest->est_rows));
 }
 
 size_t JoinEnumerator::solutions_stored() const {
@@ -398,11 +360,13 @@ size_t JoinEnumerator::solutions_stored() const {
 }
 
 size_t JoinEnumerator::ApproxBytes() const {
+  // Each stored solution is its plan node and that node's order keys; the
+  // nodes beneath it are shared with other solutions and access paths.
   size_t bytes = 0;
   for (const auto& [mask, sols] : dp_) {
-    for (const JoinSolution& s : sols) {
-      bytes += sizeof(JoinSolution) + s.describe.size() +
-               s.order.size() * sizeof(OrderKey) + 64;
+    for (const PlanRef& s : sols) {
+      bytes += sizeof(PlanRef) + sizeof(PlanNode) +
+               s->order.size() * sizeof(OrderKey);
     }
   }
   return bytes;

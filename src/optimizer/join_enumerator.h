@@ -3,28 +3,20 @@
 // of tables", keeping — per subset — the cheapest unordered solution and the
 // cheapest solution for each interesting-order equivalence class, extending
 // left-deep with nested-loop and merge-scan joins, and deferring Cartesian
-// products via the join-predicate heuristic.
+// products via the join-predicate heuristic. A stored solution is its plan
+// node: the node's `est`, `est_rows` and `order` are the solution's cost,
+// cardinality N and order.
 #ifndef SYSTEMR_OPTIMIZER_JOIN_ENUMERATOR_H_
 #define SYSTEMR_OPTIMIZER_JOIN_ENUMERATOR_H_
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "optimizer/planner_context.h"
 
 namespace systemr {
-
-struct JoinSolution {
-  uint32_t mask = 0;
-  PathCost cost;  // The plan's estimate; solutions compete on cost.cost.
-  double rows = 0;
-  OrderSpec order;
-  PlanRef plan;
-  std::string describe;
-};
 
 class JoinEnumerator {
  public:
@@ -55,13 +47,13 @@ class JoinEnumerator {
   Status Run();
 
   /// Solutions stored for one subset (Figs. 3-6 dumps and tests).
-  const std::vector<JoinSolution>& SolutionsFor(uint32_t mask) const;
+  const std::vector<PlanRef>& SolutionsFor(uint32_t mask) const;
 
   /// The final plan: cheapest complete solution delivering `required` —
   /// either directly or as cheapest-overall plus a sort (§4/§5). `sort_keys`
   /// gives the executor sort keys for the required order (block-row offsets).
-  StatusOr<JoinSolution> Best(const OrderSpec& required,
-                              const std::vector<SortKey>& sort_keys) const;
+  StatusOr<PlanRef> Best(const OrderSpec& required,
+                         const std::vector<SortKey>& sort_keys) const;
 
   // --- Search statistics (§7 claims: E8) ---
   size_t solutions_stored() const;
@@ -75,12 +67,16 @@ class JoinEnumerator {
 
  private:
   void BuildInterestingOrders();
-  /// Offers a candidate for `mask` by its cost, rows and order. Unless a
-  /// stored solution dominates it, it is stored and `build(&solution)` sets
-  /// its plan and describe; a rejected candidate builds nothing.
+  /// Offers a candidate for `mask` by its cost and order. Unless a stored
+  /// solution dominates it, `build()` makes its plan node, which is stored;
+  /// a rejected candidate builds nothing.
   template <typename Build>
-  void AddSolution(uint32_t mask, const PathCost& cost, double rows,
-                   const OrderSpec& order, Build build);
+  void AddSolution(uint32_t mask, const PathCost& cost, const OrderSpec& order,
+                   Build build);
+  /// The order a stored solution delivers: its node's, except that without
+  /// interesting orders (the ablation) a stored scan counts as unordered, so
+  /// an outer or a final plan gets its order from a sort or a merge.
+  const OrderSpec& OrderOf(const PlanNode& plan) const;
   bool Eligible(uint32_t mask, int t) const;
 
   void ExtendNestedLoop(uint32_t mask, int t);
@@ -96,7 +92,7 @@ class JoinEnumerator {
 
   const PlannerContext& ctx_;
   Options options_;
-  std::map<uint32_t, std::vector<JoinSolution>> dp_;
+  std::map<uint32_t, std::vector<PlanRef>> dp_;
   std::vector<OrderSpec> interesting_;
   size_t solutions_generated_ = 0;
   size_t subsets_expanded_ = 0;

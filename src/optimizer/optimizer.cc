@@ -56,8 +56,8 @@ OrderSpec Optimizer::RequiredOrder(const BoundQueryBlock& block,
 Status Optimizer::PlanSubqueries(const BoundExpr& e,
                                  SubplanMap* subplans) const {
   if (e.subquery != nullptr && subplans->count(e.subquery.get()) == 0) {
-    ASSIGN_OR_RETURN(BlockPlan sub, PlanBlock(*e.subquery, subplans));
-    (*subplans)[e.subquery.get()] = sub.root;
+    ASSIGN_OR_RETURN(PlanRef sub, PlanBlock(*e.subquery, subplans));
+    (*subplans)[e.subquery.get()] = std::move(sub);
   }
   for (const auto& c : e.children) {
     RETURN_IF_ERROR(PlanSubqueries(*c, subplans));
@@ -65,14 +65,15 @@ Status Optimizer::PlanSubqueries(const BoundExpr& e,
   return Status::OK();
 }
 
-StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
-    const PlannerContext& ctx, PlanRef join_root, const PathCost& join_cost,
-    double join_rows, OrderSpec join_order, SubplanMap* subplans,
-    bool use_hash_aggregate) const {
+StatusOr<PlanRef> Optimizer::FinishBlockPlan(const PlannerContext& ctx,
+                                             PlanRef join_root,
+                                             SubplanMap* subplans,
+                                             bool use_hash_aggregate) const {
   const BoundQueryBlock& block = *ctx.block;
+  OrderSpec join_order = join_root->order;
+  double rows = join_root->est_rows;
+  PathCost est = join_root->est;
   PlanRef plan = std::move(join_root);
-  double rows = join_rows;
-  PathCost est = join_cost;
 
   // Residual filter: boolean factors not handled inside the join tree —
   // subquery predicates and correlated predicates (§6). Their subquery
@@ -168,10 +169,7 @@ StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
   if (block.distinct) {
     ASSIGN_OR_RETURN(plan, AddDistinct(ctx, plan, &est, rows));
   }
-  BlockPlan out;
-  out.root = plan;
-  out.est_rows = rows;
-  return out;
+  return plan;
 }
 
 StatusOr<PlanRef> Optimizer::AddDistinct(const PlannerContext& ctx,
@@ -212,7 +210,7 @@ StatusOr<PlanRef> Optimizer::AddDistinct(const PlannerContext& ctx,
   return PlanRef(sort);
 }
 
-StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
+StatusOr<PlanRef> Optimizer::PlanBlock(
     const BoundQueryBlock& block, SubplanMap* subplans,
     OptimizedQuery* stats_sink) const {
   PlannerContext ctx(catalog_, block, options_.cost,
@@ -220,43 +218,33 @@ StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
   JoinEnumerator enumerator(ctx, options_.join);
   RETURN_IF_ERROR(enumerator.Run());
 
-  std::vector<SortKey> sort_keys;
-  OrderSpec required = RequiredOrder(block, &ctx.classes, &sort_keys);
-  ASSIGN_OR_RETURN(JoinSolution sol, enumerator.Best(required, sort_keys));
-
-  // Grouped aggregation has a second strategy: hash-aggregate over the
-  // cheapest *unordered* join solution, trading the GROUP BY sort for W per
-  // row hashed (plus a re-sort of the small grouped output if ORDER BY asks
-  // for one). When a cheap access path delivers the group order anyway, the
-  // sorted-group plan wins because it skips the per-row hashing charge.
-  bool use_hash_agg = false;
-  const JoinEnumerator::Options& join = options_.join;
-  if (block.has_aggregates && !block.group_by.empty() &&
-      join.enable_hash_join) {
-    ASSIGN_OR_RETURN(JoinSolution unordered, enumerator.Best({}, {}));
-    double rows = std::max(unordered.rows, 0.0);
-    double groups = EstimateGroups(ctx.sel, block, rows);
-    double sorted_total = ctx.cost.PerRowCost(sol.cost, rows).cost;
-    double hash_total =
-        ctx.cost.HashAggregateCost(unordered.cost, rows, groups).cost;
-    if (!block.order_by.empty()) {
-      hash_total += ctx.cost.SortCost(PathCost{}, groups, 32.0).cost;
-    }
-    bool hash_only = !join.enable_nested_loop && !join.enable_merge_join;
-    if (hash_only || hash_total < sorted_total) {
-      use_hash_agg = true;
-      sol = unordered;
-    }
-  }
-
   if (stats_sink != nullptr) {
     stats_sink->solutions_stored = enumerator.solutions_stored();
     stats_sink->solutions_generated = enumerator.solutions_generated();
     stats_sink->search_bytes = enumerator.ApproxBytes();
   }
 
-  return FinishBlockPlan(ctx, sol.plan, sol.cost, sol.rows, sol.order,
-                         subplans, use_hash_agg);
+  std::vector<SortKey> sort_keys;
+  OrderSpec required = RequiredOrder(block, &ctx.classes, &sort_keys);
+  ASSIGN_OR_RETURN(PlanRef sorted, enumerator.Best(required, sort_keys));
+  ASSIGN_OR_RETURN(PlanRef plan, FinishBlockPlan(ctx, sorted, subplans));
+
+  // Grouped aggregation has a second strategy: hash-aggregate over the
+  // cheapest *unordered* join solution, trading the GROUP BY sort for W per
+  // row hashed. Both plan tops are built, each with the output sort its
+  // ORDER BY needs, and the cheaper root wins; a tie keeps sorted groups,
+  // and hash join as the only enabled method forces hashing.
+  const JoinEnumerator::Options& join = options_.join;
+  if (block.has_aggregates && !block.group_by.empty() &&
+      join.enable_hash_join) {
+    ASSIGN_OR_RETURN(PlanRef unordered, enumerator.Best({}, {}));
+    ASSIGN_OR_RETURN(PlanRef hashed,
+                     FinishBlockPlan(ctx, unordered, subplans,
+                                     /*use_hash_aggregate=*/true));
+    bool hash_only = !join.enable_nested_loop && !join.enable_merge_join;
+    if (hash_only || hashed->est.cost < plan->est.cost) plan = hashed;
+  }
+  return plan;
 }
 
 std::vector<RelId> ReadSet(const BoundQueryBlock& block,
@@ -272,15 +260,14 @@ std::vector<RelId> ReadSet(const BoundQueryBlock& block,
 StatusOr<OptimizedQuery> Optimizer::Optimize(
     std::unique_ptr<BoundQueryBlock> block) const {
   OptimizedQuery out;
-  ASSIGN_OR_RETURN(BlockPlan plan,
-                   PlanBlock(*block, &out.subquery_plans, &out));
+  ASSIGN_OR_RETURN(PlanRef plan, PlanBlock(*block, &out.subquery_plans, &out));
   out.block = std::move(block);
+  out.est_cost = plan->est.cost;
+  out.est_rows = plan->est_rows;
   // Parallel post-pass on the top-level plan only: DML takes its scan
   // straight from its context's access paths and nested blocks go through
   // PlanBlock, so neither can pick up an exchange.
-  out.root = ParallelizePlan(plan.root, options_);
-  out.est_cost = plan.root->est.cost;
-  out.est_rows = plan.est_rows;
+  out.root = ParallelizePlan(std::move(plan), options_);
   return out;
 }
 

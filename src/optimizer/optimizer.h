@@ -49,6 +49,8 @@ struct OptimizedQuery {
   std::unique_ptr<BoundQueryBlock> block;  // Owns all nested blocks too.
   PlanRef root;
   SubplanMap subquery_plans;
+  /// The serial plan's COST and result rows (its root's `est` and
+  /// `est_rows`): the parallel post-pass may put an exchange above it.
   double est_cost = 0;
   double est_rows = 0;
 
@@ -77,31 +79,27 @@ class Optimizer {
   StatusOr<OptimizedQuery> Optimize(
       std::unique_ptr<BoundQueryBlock> block) const;
 
-  /// Plans one block (recursively planning its subqueries into `subplans`).
-  /// `stats_sink`, if given, receives the block's enumeration statistics.
-  struct BlockPlan {
-    PlanRef root;         // root->est is the block's estimate.
-    double est_rows = 0;  // Rows before any DISTINCT.
-  };
-  StatusOr<BlockPlan> PlanBlock(const BoundQueryBlock& block,
-                                SubplanMap* subplans,
-                                OptimizedQuery* stats_sink = nullptr) const;
+  /// Plans one block (recursively planning its subqueries into `subplans`);
+  /// the root's `est` is the block's estimate. `stats_sink`, if given,
+  /// receives the block's enumeration statistics.
+  StatusOr<PlanRef> PlanBlock(const BoundQueryBlock& block,
+                              SubplanMap* subplans,
+                              OptimizedQuery* stats_sink = nullptr) const;
 
-  /// Shared plan-top construction: residual filter for the context's
-  /// leftover factors (subquery/correlated predicates), aggregation, output
-  /// ORDER BY sort, projection. Used by the DP optimizer and by the
-  /// baselines, so all strategies produce directly comparable full plans.
+  /// Shared plan-top construction over the join phase's plan `join_root`,
+  /// from its `est`, `est_rows` and `order`: residual filter for the
+  /// context's leftover factors (subquery/correlated predicates),
+  /// aggregation, output ORDER BY sort, projection. Used by the DP optimizer
+  /// and by the baselines, so all strategies produce directly comparable
+  /// full plans.
   ///
   /// `use_hash_aggregate` switches the aggregation node to kHashAggregate
   /// over unordered input; the join phase then need not deliver the GROUP BY
   /// order, but any ORDER BY must be re-established by an output sort. The
   /// baselines never set it (they always sort to the required order first).
-  StatusOr<BlockPlan> FinishBlockPlan(const PlannerContext& ctx,
-                                      PlanRef join_root,
-                                      const PathCost& join_cost,
-                                      double join_rows, OrderSpec join_order,
-                                      SubplanMap* subplans,
-                                      bool use_hash_aggregate = false) const;
+  StatusOr<PlanRef> FinishBlockPlan(const PlannerContext& ctx,
+                                    PlanRef join_root, SubplanMap* subplans,
+                                    bool use_hash_aggregate = false) const;
 
   /// Recursively plans every nested query block inside `e` into `subplans`
   /// (used for SELECT filters and for DML WHERE clauses).

@@ -34,7 +34,7 @@ PlannerContext::PlannerContext(const Catalog* catalog,
   }
 }
 
-const std::vector<AccessPath>& PlannerContext::AccessPaths(
+const std::vector<PlanRef>& PlannerContext::AccessPaths(
     int t, uint32_t outer) const {
   // Generation reads `outer` only through the join factors of `t` and
   // through `outer != 0`; t < kMaxBlockRelations, so the key packs in 64 bits.

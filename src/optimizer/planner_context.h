@@ -40,13 +40,13 @@ struct PlannerContext {
   /// times the selectivities of all applicable predicates (§5). Memoized.
   double Rows(uint32_t mask) const;
 
-  /// Every access path of table `t` (unpruned), with the predicates
-  /// applicable once the tables in `outer` are bound (0 = plain
-  /// single-relation access). Memoized on what the paths depend on: `t`,
-  /// the tables of `outer` that share a join factor with `t`, and whether
-  /// `outer` is empty (a re-probed inner is costed and fed back
-  /// differently). Callers share the result, so it is never mutated.
-  const std::vector<AccessPath>& AccessPaths(int t, uint32_t outer) const;
+  /// Every access path of table `t` (unpruned), as its scan plan node, with
+  /// the predicates applicable once the tables in `outer` are bound (0 =
+  /// plain single-relation access). Memoized on what the paths depend on:
+  /// `t`, the tables of `outer` that share a join factor with `t`, and
+  /// whether `outer` is empty (a re-probed inner is costed and fed back
+  /// differently). Callers share the nodes, so they are never mutated.
+  const std::vector<PlanRef>& AccessPaths(int t, uint32_t outer) const;
 
   /// True when some join predicate links `t` to a table in `mask`.
   bool Connected(uint32_t mask, int t) const;
@@ -74,13 +74,13 @@ struct PlannerContext {
  private:
   /// AccessPaths' generator (access_path_gen.cc): the paths for exactly
   /// (`table_idx`, `outer_mask`).
-  std::vector<AccessPath> GenerateAccessPaths(int table_idx,
-                                              uint32_t outer_mask) const;
+  std::vector<PlanRef> GenerateAccessPaths(int table_idx,
+                                           uint32_t outer_mask) const;
 
   /// Per table, the tables it shares a join factor with.
   std::vector<uint32_t> join_neighbours_;
   mutable std::map<uint32_t, double> rows_cache_;
-  mutable std::unordered_map<uint64_t, std::vector<AccessPath>> paths_cache_;
+  mutable std::unordered_map<uint64_t, std::vector<PlanRef>> paths_cache_;
 };
 
 }  // namespace systemr

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "rss/btree.h"
 #include "sql/parser.h"
 
 namespace systemr {
@@ -154,6 +155,82 @@ TEST_F(DmlTest, DeleteUsesSelectiveAccessPath) {
   // The whole EMP heap is only a couple of pages here, so just check the
   // scan did not return every tuple across the RSI.
   EXPECT_LT(after - before, 10u);
+}
+
+// A row that T's second, unique index refuses must leave no entry in its
+// first index and the heap as it was, for INSERT and UPDATE alike. Each index
+// is read entry by entry along its leaves, the heap by a segment scan.
+class IndexEntryAtomicityTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>(64);
+    ASSERT_TRUE(db_->ExecuteScript(R"(
+      CREATE TABLE T (K INT, G INT);
+      INSERT INTO T VALUES (1, 10);
+      INSERT INTO T VALUES (2, 20);
+      INSERT INTO T VALUES (3, 30);
+      CREATE INDEX T_G ON T (G);
+      CREATE UNIQUE INDEX T_K ON T (K);
+    )").ok());
+    table_ = db_->catalog().FindTable("T");
+    ASSERT_EQ(table_->indexes.size(), 2u);
+  }
+
+  // The (key, packed TID) entries of T's index number `k`, in key order.
+  std::vector<std::pair<std::string, uint64_t>> IndexEntries(size_t k) {
+    const IndexInfo* info = db_->catalog().index(table_->indexes[k]);
+    BTree::Cursor cursor = db_->rss().index(info->id)->NewCursor();
+    std::vector<std::pair<std::string, uint64_t>> out;
+    EXPECT_TRUE(cursor.SeekToFirst().ok());
+    while (cursor.Valid()) {
+      out.emplace_back(std::string(cursor.user_key()), cursor.tid().Pack());
+      EXPECT_TRUE(cursor.Next().ok());
+    }
+    return out;
+  }
+
+  // The heap's (packed TID, row) pairs, as a segment scan delivers them.
+  std::vector<std::pair<uint64_t, Row>> HeapRows() {
+    auto scan = db_->rss().OpenSegmentScan(table_->id, {});
+    std::vector<std::pair<uint64_t, Row>> out;
+    EXPECT_TRUE(scan->Open().ok());
+    std::vector<Row> rows;
+    std::vector<Tid> tids;
+    size_t n = 0;
+    do {
+      EXPECT_TRUE(scan->NextBatch(&rows, &tids, 64, &n).ok());
+      for (size_t i = 0; i < n; ++i) out.emplace_back(tids[i].Pack(), rows[i]);
+    } while (n > 0);
+    scan->Close();
+    return out;
+  }
+
+  // Runs `sql`, which T_K must refuse, and checks that T is as it was.
+  void ExpectRefusedWithoutTrace(const std::string& sql) {
+    auto first = IndexEntries(0);
+    auto second = IndexEntries(1);
+    auto heap = HeapRows();
+    ASSERT_EQ(first.size(), 3u);
+    ASSERT_EQ(heap.size(), 3u);
+    EXPECT_EQ(db_->Execute(sql).code(), StatusCode::kAlreadyExists) << sql;
+    EXPECT_EQ(IndexEntries(0), first) << "stray entry in T_G after " << sql;
+    EXPECT_EQ(IndexEntries(1), second) << sql;
+    EXPECT_EQ(HeapRows(), heap) << sql;
+  }
+
+  std::unique_ptr<Database> db_;
+  const TableInfo* table_ = nullptr;
+};
+
+TEST_F(IndexEntryAtomicityTest, RefusedInsertLeavesNoEntry) {
+  // T_G takes the new entry first; T_K then refuses K = 2.
+  ExpectRefusedWithoutTrace("INSERT INTO T VALUES (2, 99)");
+}
+
+TEST_F(IndexEntryAtomicityTest, RefusedUpdateRestoresTheOldRow) {
+  // The old row leaves both indexes, the new one enters T_G, T_K refuses
+  // it, and the old row returns to its TID with its old entries.
+  ExpectRefusedWithoutTrace("UPDATE T SET K = 2, G = 31 WHERE K = 3");
 }
 
 // UPDATE ... SET c = (subquery): SET subqueries are planned alongside the

@@ -159,6 +159,16 @@ INSTANTIATE_TEST_SUITE_P(
                         .buffer_gets = 3032, .buffer_hits = 2961,
                         .batches = 1385, .batch_rows_in = 1385,
                         .batch_rows_out = 1385}},
+        // Neither input is ordered on B: both are sorted into temporary
+        // lists, the inner one as C-inner(sorted list) (§5).
+        Shape{"merge_sorted",
+              "SELECT R1.PK, R2.PK FROM R1, R2 WHERE R1.B = R2.B AND "
+              "R1.A BETWEEN 10 AND 19",
+              kMergeOnly, 0, PlanKind::kMergeJoin, 2232,
+              ExecStats{.page_fetches = 22, .page_writes = 10,
+                        .rsi_calls = 722, .buffer_gets = 1695,
+                        .buffer_hits = 1673, .batches = 2,
+                        .batch_rows_in = 722, .batch_rows_out = 722}},
         Shape{"hash",
               "SELECT R1.PK, R2.PK FROM R1, R2 WHERE R1.B = R2.B AND "
               "R1.A BETWEEN 10 AND 19",
@@ -304,6 +314,21 @@ TEST(ExecCountersGate, NestedLoopInnerIsAnIndexProbe) {
   const PlanNode* nlj = Find(q->root.get(), PlanKind::kNestedLoopJoin);
   ASSERT_NE(nlj, nullptr);
   EXPECT_EQ(nlj->right->kind, PlanKind::kIndexScan)
+      << ExplainPlan(q->root, *q->block);
+}
+
+TEST(ExecCountersGate, SortedMergeSortsBothInputs) {
+  std::unique_ptr<Database> db = BuildDb();
+  db->options().join = kMergeOnly;
+  auto q = db->Prepare(
+      "SELECT R1.PK, R2.PK FROM R1, R2 WHERE R1.B = R2.B AND "
+      "R1.A BETWEEN 10 AND 19");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const PlanNode* merge = Find(q->root.get(), PlanKind::kMergeJoin);
+  ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(merge->left->kind, PlanKind::kSort)
+      << ExplainPlan(q->root, *q->block);
+  EXPECT_EQ(merge->right->kind, PlanKind::kSort)
       << ExplainPlan(q->root, *q->block);
 }
 

@@ -52,6 +52,12 @@ TEST_F(SortSpillTest, LargeSortIsCorrectAndSpills) {
   }
   // Spilling through the metered pool: temp writes must have happened.
   EXPECT_GT(r->stats.page_writes, 50u) << "external sort must spill runs";
+  // The runs, one merge pass (more runs than the pool's fan-in) and the
+  // final merge, metered on the 8-page pool: a change here is a change in
+  // how the sort reads or writes its temporary pages.
+  EXPECT_EQ(r->stats.page_fetches, 622u);
+  EXPECT_EQ(r->stats.page_writes, 216u);
+  EXPECT_EQ(r->stats.buffer_gets, 20531u);
 }
 
 TEST_F(SortSpillTest, SortDescending) {

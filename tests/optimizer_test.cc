@@ -129,7 +129,7 @@ TEST_F(OptimizerTest, HashJoinWinsWhenNoOrderIsUseful) {
   ASSERT_TRUE(h.ok()) << h.status().ToString();
   auto best = (*h)->enumerator->Best({}, {});
   ASSERT_TRUE(best.ok());
-  EXPECT_EQ(best->plan->kind, PlanKind::kHashJoin) << best->describe;
+  EXPECT_EQ((*best)->kind, PlanKind::kHashJoin) << DescribePlan(**best);
 
   auto prepared = db_.Prepare(sql);
   ASSERT_TRUE(prepared.ok());
@@ -166,7 +166,7 @@ TEST_F(OptimizerTest, ForcedJoinMethodRespectedWhereApplicable) {
     ASSERT_TRUE(h.ok()) << h.status().ToString();
     auto best = (*h)->enumerator->Best({}, {});
     ASSERT_TRUE(best.ok());
-    EXPECT_EQ(best->plan->kind, expect) << best->describe;
+    EXPECT_EQ((*best)->kind, expect) << DescribePlan(**best);
   }
 }
 
@@ -177,8 +177,8 @@ TEST_F(OptimizerTest, ChosenPlanIsCheapestCompleteSolution) {
   ASSERT_TRUE(h.ok()) << h.status().ToString();
   auto best = (*h)->enumerator->Best({}, {});
   ASSERT_TRUE(best.ok());
-  for (const JoinSolution& s : (*h)->enumerator->SolutionsFor(0b11)) {
-    EXPECT_LE(best->cost.cost, s.cost.cost);
+  for (const PlanRef& s : (*h)->enumerator->SolutionsFor(0b11)) {
+    EXPECT_LE((*best)->est.cost, s->est.cost);
   }
 }
 
@@ -193,13 +193,13 @@ TEST_F(OptimizerTest, PerSubsetSolutionsKeepCheapestPerOrder) {
   for (uint32_t mask : {0b01u, 0b10u, 0b11u}) {
     const auto& sols = (*h)->enumerator->SolutionsFor(mask);
     ASSERT_FALSE(sols.empty());
-    for (const JoinSolution& a : sols) {
-      for (const JoinSolution& b : sols) {
-        if (&a == &b) continue;
-        uint64_t ca = CoveredOrders(a.order, interesting);
-        uint64_t cb = CoveredOrders(b.order, interesting);
-        EXPECT_FALSE(b.cost.cost <= a.cost.cost && (ca & ~cb) == 0 &&
-                     b.cost.cost < a.cost.cost)
+    for (const PlanRef& a : sols) {
+      for (const PlanRef& b : sols) {
+        if (a == b) continue;
+        uint64_t ca = CoveredOrders(a->order, interesting);
+        uint64_t cb = CoveredOrders(b->order, interesting);
+        EXPECT_FALSE(b->est.cost <= a->est.cost && (ca & ~cb) == 0 &&
+                     b->est.cost < a->est.cost)
             << "dominated solution retained";
       }
     }
@@ -229,7 +229,7 @@ TEST_F(OptimizerTest, CartesianHeuristicSkipsDisconnectedPairs) {
   auto best_without = (*without)->enumerator->Best({}, {});
   ASSERT_TRUE(best_with.ok());
   ASSERT_TRUE(best_without.ok());
-  EXPECT_LE(best_without->cost.cost, best_with->cost.cost);
+  EXPECT_LE((*best_without)->est.cost, (*best_with)->est.cost);
   EXPECT_LE((*with)->enumerator->solutions_generated(),
             (*without)->enumerator->solutions_generated());
 }
@@ -257,7 +257,7 @@ TEST_F(OptimizerTest, DisablingInterestingOrdersNeverWins) {
   auto best_without = (*without)->enumerator->Best(required2, keys);
   ASSERT_TRUE(best_with.ok());
   ASSERT_TRUE(best_without.ok());
-  EXPECT_LE(best_with->cost.cost, best_without->cost.cost);
+  EXPECT_LE((*best_with)->est.cost, (*best_without)->est.cost);
 }
 
 TEST_F(OptimizerTest, SolutionCountWithinPaperBound) {
@@ -275,8 +275,8 @@ TEST_F(OptimizerTest, MergeJoinConsideredForEquiJoin) {
                          "SELECT NAME FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO");
   ASSERT_TRUE(h.ok());
   bool merge_seen = false;
-  for (const JoinSolution& s : (*h)->enumerator->SolutionsFor(0b11)) {
-    if (s.describe.find("MJ(") != std::string::npos) merge_seen = true;
+  for (const PlanRef& s : (*h)->enumerator->SolutionsFor(0b11)) {
+    if (s->kind == PlanKind::kMergeJoin) merge_seen = true;
   }
   // Merge solutions may lose to NL, but the search must have *stored* one
   // only if it was undominated; at minimum it must have been generated.
@@ -384,16 +384,87 @@ TEST_F(SearchTreeTest, StoredSolutionsPinned) {
   };
   for (const auto& [mask, want] : expected) {
     std::vector<std::string> got;
-    for (const JoinSolution& s : h_->enumerator->SolutionsFor(mask)) {
+    for (const PlanRef& s : h_->enumerator->SolutionsFor(mask)) {
       char head[96];
-      std::snprintf(head, sizeof(head), "C=%.1f order=%s N=%.1f ", s.cost.cost,
-                    OrderSpecToString(s.order).c_str(), s.rows);
-      got.push_back(head + s.describe);
+      std::snprintf(head, sizeof(head), "C=%.1f order=%s N=%.1f ", s->est.cost,
+                    OrderSpecToString(s->order).c_str(), s->est_rows);
+      got.push_back(head + DescribePlan(*s));
     }
     EXPECT_EQ(got, want) << "subset " << mask;
   }
   EXPECT_EQ(h_->enumerator->solutions_generated(), 71u);
   EXPECT_EQ(h_->enumerator->solutions_stored(), 16u);
+}
+
+// The labels the Figure 1 tree lacks: a merge whose inner is sorted into a
+// temporary list, and Best's sort above the cheapest complete solution.
+TEST(DescribePlanTest, SortedInnerMergeAndBestSort) {
+  Database db(64);
+  ASSERT_TRUE(db.ExecuteScript(R"(
+    CREATE TABLE A (X INT, P INT);
+    CREATE TABLE B (Y INT, Q INT);
+  )").ok());
+  for (int i = 0; i < 200; ++i) {
+    std::string v = std::to_string(i % 40) + ", " + std::to_string(i);
+    ASSERT_TRUE(db.Execute("INSERT INTO A VALUES (" + v + ")").ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO B VALUES (" + v + ")").ok());
+  }
+  ASSERT_TRUE(db.ExecuteScript("UPDATE STATISTICS A; UPDATE STATISTICS B;")
+                  .ok());
+
+  auto h = Harness::Make(&db, "SELECT A.P FROM A, B WHERE A.X = B.Y "
+                              "ORDER BY A.X");
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  std::vector<std::string> labels;
+  for (const PlanRef& s : (*h)->enumerator->SolutionsFor(0b11)) {
+    labels.push_back(DescribePlan(*s));
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{
+                        "MJ(sort(A seg. scan) = sort(B seg. scan) then merge)",
+                        "HJ(A seg. scan = build B seg. scan)"}));
+
+  auto single = Harness::Make(&db, "SELECT P FROM A ORDER BY P");
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  std::vector<SortKey> keys;
+  OrderSpec required =
+      Optimizer::RequiredOrder(*(*single)->block, &(*single)->ctx->classes,
+                               &keys);
+  auto best = (*single)->enumerator->Best(required, keys);
+  ASSERT_TRUE(best.ok()) << best.status().ToString();
+  EXPECT_EQ(DescribePlan(**best), "sort(A seg. scan)");
+}
+
+// OptimizedQuery::est_rows is the serial plan root's: for SELECT DISTINCT,
+// the rows the dedup sort is estimated to keep.
+TEST_F(OptimizerTest, DistinctEstimateIsTheRootsRows) {
+  auto prepared = db_.Prepare("SELECT DISTINCT DNO FROM EMP WHERE SAL > 100");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_EQ(prepared->root->kind, PlanKind::kSort);
+  EXPECT_TRUE(prepared->root->distinct);
+  EXPECT_EQ(prepared->est_rows, prepared->root->est_rows);
+  EXPECT_EQ(prepared->est_cost, prepared->root->est.cost);
+}
+
+// Hash and sorted-group aggregation compete on the plan tops they build,
+// output ORDER BY sort included. Fuzz seed 22's query wants its groups in
+// descending order, which sorted groups over F3's index on A do not give:
+// both tops need the output sort, and hashing the few qualifying rows is
+// cheaper than the ordered index scan.
+TEST(AggregationChoiceTest, HashAggregateWinsWhenBothTopsSort) {
+  FuzzSchema schema = MakeFuzzSchema(FuzzSchema::Family::kStar, 22);
+  Database db(64);
+  ASSERT_TRUE(BuildFuzzSchema(&db, schema, 22, true).ok());
+  const std::string sql =
+      "SELECT F3.A, MIN(F3.B), MAX(F3.D) FROM F3 WHERE F3.PK BETWEEN 3 AND 6 "
+      "AND NOT (F3.B <> 1) GROUP BY F3.A ORDER BY F3.A DESC";
+  auto hashed = db.Prepare(sql);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  db.options().join.enable_hash_join = false;
+  auto sorted = db.Prepare(sql);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  std::string plan = ExplainPlan(hashed->root, *hashed->block);
+  EXPECT_NE(plan.find("HashAggregate"), std::string::npos) << plan;
+  EXPECT_LT(hashed->root->est.cost, sorted->root->est.cost) << plan;
 }
 
 // With nothing learned, every scan's estimate is the model's: EXPLAIN of a
@@ -402,8 +473,8 @@ TEST_F(SearchTreeTest, ScansCarryNoLearnedEstimateWithEmptyFeedback) {
   ASSERT_NE(h_, nullptr);
   ASSERT_EQ(db_.feedback().size(), 0u);
   for (uint32_t mask = 1; mask < 8; ++mask) {
-    for (const JoinSolution& s : h_->enumerator->SolutionsFor(mask)) {
-      std::vector<const PlanNode*> stack = {s.plan.get()};
+    for (const PlanRef& s : h_->enumerator->SolutionsFor(mask)) {
+      std::vector<const PlanNode*> stack = {s.get()};
       while (!stack.empty()) {
         const PlanNode* node = stack.back();
         stack.pop_back();
@@ -413,18 +484,19 @@ TEST_F(SearchTreeTest, ScansCarryNoLearnedEstimateWithEmptyFeedback) {
             node->kind != PlanKind::kIndexScan) {
           continue;
         }
-        EXPECT_FALSE(node->scan.learned_applied) << s.describe;
+        EXPECT_FALSE(node->scan.learned_applied) << DescribePlan(*s);
         EXPECT_DOUBLE_EQ(node->scan.est_rows_model, node->est_rows)
-            << s.describe;
+            << DescribePlan(*s);
       }
     }
   }
 }
 
-// Everything an access path carries, rendered field by field. Orders are
-// rendered by their classes' representative columns, so two contexts that
-// numbered their singleton classes in a different sequence still agree.
-std::string RenderPath(const AccessPath& p, const PlannerContext& ctx) {
+// Everything an access path's scan node carries, rendered field by field.
+// Orders are rendered by their classes' representative columns, so two
+// contexts that numbered their singleton classes in a different sequence
+// still agree.
+std::string RenderPath(const PlanNode& n, const PlannerContext& ctx) {
   auto num = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -448,17 +520,13 @@ std::string RenderPath(const AccessPath& p, const PlannerContext& ctx) {
     }
     return out;
   };
-  const PlanNode& n = *p.node;
   const ScanSpec& s = n.scan;
-  std::string r = p.describe + " | kind " +
+  std::string r = DescribePlan(n) + " | kind " +
                   std::to_string(static_cast<int>(n.kind)) + " cost " +
-                  num(p.cost.cost) + " pages " + num(p.cost.pages) + " rsi " +
-                  num(p.cost.rsi) + " situation " +
-                  std::to_string(static_cast<int>(p.cost.situation)) +
-                  " rows " + num(p.rows) + " order " + order(p.order) +
-                  " | node est " + num(n.est.cost) + " " + num(n.est.pages) +
-                  " " + num(n.est.rsi) + " " + num(n.est_rows) + " order " +
-                  order(n.order);
+                  num(n.est.cost) + " pages " + num(n.est.pages) + " rsi " +
+                  num(n.est.rsi) + " situation " +
+                  std::to_string(static_cast<int>(n.est.situation)) +
+                  " rows " + num(n.est_rows) + " order " + order(n.order);
   r += " | scan t" + std::to_string(s.table_idx) + " " + s.table->name +
        " index " + (s.index != nullptr ? s.index->name : "-") + " eq";
   for (const ScanOperand& b : s.eq_bounds) r += " [" + operand(b) + "]";
@@ -521,12 +589,12 @@ void ExpectAccessPathMemoExact(Database* db, const std::string& sql,
       if ((outer >> t) & 1) continue;
       PlannerContext fresh(&db->catalog(), *(*h)->block, opts.cost,
                            opts.use_column_stats, opts.feedback);
-      const std::vector<AccessPath>& memo = ctx.AccessPaths(t, outer);
-      const std::vector<AccessPath>& direct = fresh.AccessPaths(t, outer);
+      const std::vector<PlanRef>& memo = ctx.AccessPaths(t, outer);
+      const std::vector<PlanRef>& direct = fresh.AccessPaths(t, outer);
       std::vector<std::string> want;
       std::vector<std::string> got;
-      for (const AccessPath& p : direct) want.push_back(RenderPath(p, fresh));
-      for (const AccessPath& p : memo) got.push_back(RenderPath(p, ctx));
+      for (const PlanRef& p : direct) want.push_back(RenderPath(*p, fresh));
+      for (const PlanRef& p : memo) got.push_back(RenderPath(*p, ctx));
       EXPECT_EQ(got, want) << sql << "\n table " << t << " outer " << outer;
       *compared += got.size();
     }

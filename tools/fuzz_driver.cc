@@ -142,75 +142,24 @@ int main(int argc, char** argv) {
     return result.violations.empty() ? 0 : 1;
   }
 
-  if (crash_mode) {
-    // Crash-recovery mode: atomicity/durability oracle, no report file.
-    uint64_t failed_seeds = 0, stmts = 0, violations = 0;
-    for (uint64_t seed = start; seed < start + seeds; ++seed) {
-      systemr::SeedResult result =
-          systemr::RunCrashFuzzSeed(seed, crash_options);
-      stmts += result.queries;
-      violations += result.violations.size();
-      if (!result.violations.empty()) {
-        ++failed_seeds;
-        for (const std::string& v : result.violations) {
-          std::fprintf(stderr, "VIOLATION %s\n", v.c_str());
-        }
-      }
-      if ((seed - start + 1) % 50 == 0) {
-        std::printf("... %llu/%llu seeds, %llu violations\n",
-                    static_cast<unsigned long long>(seed - start + 1),
-                    static_cast<unsigned long long>(seeds),
-                    static_cast<unsigned long long>(violations));
-        std::fflush(stdout);
-      }
-    }
-    std::printf(
-        "fuzz_driver --crash: %llu seeds, %llu DML statements, %llu "
-        "violations (%llu bad seeds)\n",
-        static_cast<unsigned long long>(seeds),
-        static_cast<unsigned long long>(stmts),
-        static_cast<unsigned long long>(violations),
-        static_cast<unsigned long long>(failed_seeds));
-    return violations == 0 ? 0 : 1;
-  }
-
-  if (threads > 1) {
-    // Concurrent mode: differential oracle only, no calibration report.
-    uint64_t failed_seeds = 0, queries = 0, violations = 0;
-    for (uint64_t seed = start; seed < start + seeds; ++seed) {
-      systemr::SeedResult result = systemr::RunConcurrentFuzzSeed(
-          seed, threads, options.queries_per_seed, options.join,
-          options.max_dop);
-      queries += result.queries;
-      violations += result.violations.size();
-      if (!result.violations.empty()) {
-        ++failed_seeds;
-        for (const std::string& v : result.violations) {
-          std::fprintf(stderr, "VIOLATION %s\n", v.c_str());
-        }
-      }
-      if ((seed - start + 1) % 50 == 0) {
-        std::printf("... %llu/%llu seeds, %llu violations\n",
-                    static_cast<unsigned long long>(seed - start + 1),
-                    static_cast<unsigned long long>(seeds),
-                    static_cast<unsigned long long>(violations));
-        std::fflush(stdout);
-      }
-    }
-    std::printf(
-        "fuzz_driver: %llu seeds x %d threads, %llu queries, %llu violations "
-        "(%llu bad seeds)\n",
-        static_cast<unsigned long long>(seeds), threads,
-        static_cast<unsigned long long>(queries),
-        static_cast<unsigned long long>(violations),
-        static_cast<unsigned long long>(failed_seeds));
-    return violations == 0 ? 0 : 1;
-  }
-
+  // One seed of the chosen mode. Crash and concurrent seeds check their own
+  // oracles and write no report; a single-session seed also records its
+  // calibration into `report`.
   systemr::FuzzReport report;
-  uint64_t failed_seeds = 0;
+  auto run_seed = [&](uint64_t seed) {
+    if (crash_mode) return systemr::RunCrashFuzzSeed(seed, crash_options);
+    if (threads > 1) {
+      return systemr::RunConcurrentFuzzSeed(seed, threads,
+                                            options.queries_per_seed,
+                                            options.join, options.max_dop);
+    }
+    return systemr::RunFuzzSeed(seed, options, &report);
+  };
+  uint64_t failed_seeds = 0, statements = 0, violations = 0;
   for (uint64_t seed = start; seed < start + seeds; ++seed) {
-    systemr::SeedResult result = systemr::RunFuzzSeed(seed, options, &report);
+    systemr::SeedResult result = run_seed(seed);
+    statements += result.queries;
+    violations += result.violations.size();
     if (!result.violations.empty()) {
       ++failed_seeds;
       for (const std::string& v : result.violations) {
@@ -218,12 +167,33 @@ int main(int argc, char** argv) {
       }
     }
     if ((seed - start + 1) % 50 == 0) {
-      std::printf("... %llu/%llu seeds, %zu violations\n",
+      std::printf("... %llu/%llu seeds, %llu violations\n",
                   static_cast<unsigned long long>(seed - start + 1),
                   static_cast<unsigned long long>(seeds),
-                  report.violations.size());
+                  static_cast<unsigned long long>(violations));
       std::fflush(stdout);
     }
+  }
+
+  if (crash_mode) {
+    std::printf(
+        "fuzz_driver --crash: %llu seeds, %llu DML statements, %llu "
+        "violations (%llu bad seeds)\n",
+        static_cast<unsigned long long>(seeds),
+        static_cast<unsigned long long>(statements),
+        static_cast<unsigned long long>(violations),
+        static_cast<unsigned long long>(failed_seeds));
+    return violations == 0 ? 0 : 1;
+  }
+  if (threads > 1) {
+    std::printf(
+        "fuzz_driver: %llu seeds x %d threads, %llu queries, %llu violations "
+        "(%llu bad seeds)\n",
+        static_cast<unsigned long long>(seeds), threads,
+        static_cast<unsigned long long>(statements),
+        static_cast<unsigned long long>(violations),
+        static_cast<unsigned long long>(failed_seeds));
+    return violations == 0 ? 0 : 1;
   }
 
   systemr::Status st = systemr::WriteFuzzReport(report, out_path);
